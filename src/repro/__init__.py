@@ -64,7 +64,7 @@ _EXPORTS = {
     # Fleet, offline
     "ColumnBroker": "repro.fleet.broker",
     "FleetExecutor": "repro.fleet.executor",
-    "FleetConfig": "repro.fleet.executor",
+    "FleetConfig": "repro.fleet.tenant",
     "FleetTrace": "repro.fleet.executor",
     "TenantSpec": "repro.fleet.tenant",
     "generate_fleet_trace": "repro.fleet.trace",

@@ -19,10 +19,8 @@ demonstration is the stack's headline, so it gets a top-level verb.
 the virtual-clock shard monitor); ``repro lint`` runs the repo-aware
 static analysis (:mod:`repro.analysis`).
 
-The legacy entry points remain: the ``repro-trace`` and
-``repro-experiments`` console scripts, and the ``python -m
-repro.trace`` / ``python -m repro.experiments`` module forms (the
-module forms warn that they are deprecated).
+The ``repro-trace`` and ``repro-experiments`` console scripts remain
+as per-tool entry points.
 """
 
 from __future__ import annotations

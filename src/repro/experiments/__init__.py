@@ -9,8 +9,8 @@
 
 Run everything from the command line::
 
-    python -m repro.experiments all
-    repro-experiments figure4 --quick
+    repro experiments all
+    repro experiments figure4 --quick
 """
 
 from repro.experiments.figure4 import (

@@ -29,20 +29,18 @@ from repro.experiments.report import ExperimentSeries, ShapeCheck
 from repro.sim.config import EMBEDDED_TIMING, TimingConfig
 from repro.sim.engine.scheduler import SweepEngine
 from repro.sim.engine.spec import SimJob
-from repro.utils.aliases import deprecated_aliases
 
 #: Dotted path of the per-workload comparison runner.
 POINT_RUNNER = "repro.experiments.runners:adaptive_point"
 
 
-@deprecated_aliases(window_size="window_accesses")
 @dataclass(frozen=True)
 class WorkloadCase:
     """One workload of the comparison and its runtime knobs.
 
     ``window_accesses`` should approximate one sweep of the
     workload's inner loop so working-set signatures are stable within
-    a phase.  (``window_size`` is a deprecated alias.)
+    a phase.
     """
 
     workload: str

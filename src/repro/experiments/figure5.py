@@ -27,7 +27,6 @@ from repro.sim.engine.multitask_batch import simulate_multitask_matrix
 from repro.sim.engine.scheduler import SweepEngine
 from repro.sim.engine.spec import SimJob
 from repro.sim.multitask import Job, MultitaskSimulator
-from repro.utils.aliases import deprecated_aliases
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.base import WorkloadRun
 from repro.workloads.gzip_like import make_gzip_job
@@ -39,14 +38,12 @@ MATRIX_RUNNER = "repro.experiments.runners:figure5_matrix"
 _JOB_SPACE_BITS = 32
 
 
-@deprecated_aliases(budget_instructions="horizon_instructions")
 @dataclass(frozen=True)
 class Figure5Config:
     """Parameters of the Figure 5 experiment.
 
     ``horizon_instructions`` is the per-point instruction budget (the
-    canonical name shared with the fleet configs;
-    ``budget_instructions`` is a deprecated alias).
+    name shared with the fleet configs).
     """
 
     cache_sizes_kb: tuple[int, ...] = (16, 128)
@@ -193,6 +190,8 @@ def matrix_job(config: Figure5Config) -> SimJob:
             "input_bytes": config.input_bytes,
             "window_bits": config.window_bits,
             "hash_bits": config.hash_bits,
+            # The key keeps its pre-rename spelling: it feeds the
+            # job's content hash, so cached results stay valid.
             "budget_instructions": config.horizon_instructions,
             "warmup_passes": config.warmup_passes,
             "timing": dataclasses.asdict(config.timing),

@@ -132,7 +132,7 @@ def figure5_matrix(
         input_bytes=input_bytes,
         window_bits=window_bits,
         hash_bits=hash_bits,
-        budget_instructions=budget_instructions,
+        horizon_instructions=budget_instructions,
         warmup_passes=warmup_passes,
         timing=timing_config,
     )
@@ -153,7 +153,7 @@ def figure5_matrix(
     matrix = simulate_multitask_matrix(
         variants,
         list(config.quanta),
-        config.budget_instructions,
+        config.horizon_instructions,
         warmup_passes=config.warmup_passes,
     )
     cpis = [

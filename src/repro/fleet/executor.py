@@ -1,62 +1,44 @@
-"""The fleet executor: co-resident tenants through one column cache.
+"""The offline fleet executor: a recorded tenant schedule, replayed.
 
-Time advances in *segments*: a segment ends at the scheduling-window
-budget, at the next fleet event (arrival/departure), or at the
-horizon, whichever is first — so events take effect at their scheduled
-instruction count (rounded up to quantum granularity), including in
-the middle of what would otherwise be one window.  Within a segment
-the resident set and the per-tenant column grants are fixed, and
-tenants round-robin with a fixed instruction quantum, each access
-carrying its tenant's column mask — the multitasking model of the
-paper's Section 4.2, with the broker rewriting tints between
-segments.
+A :class:`FleetTrace` is a complete arrival/departure schedule over an
+instruction horizon.  :class:`FleetExecutor` replays it into one
+:class:`~repro.fleet.service.shard.ShardServer` — the fleet's one
+segment loop, the same one the asyncio daemon steps between live
+requests.  The executor only decides where segments end: at the
+scheduling-window budget, at the next fleet event, or at the horizon,
+whichever comes first, so events take effect at their scheduled
+instruction count (to within one atomic access), including in the
+middle of what would otherwise be one window.  Everything inside a
+segment — the round-robin quantum schedule of the paper's Section
+4.2, the fused kernel walk, per-tenant telemetry, phase detection and
+the broker's tint rewrites between segments — happens in
+:meth:`~repro.fleet.service.shard.ShardServer.advance`.
 
-Two interchangeable backends execute the identical schedule:
-
-* ``"lockstep"`` (the fast path) computes each segment's round-robin
-  quantum schedule in closed form
-  (:func:`~repro.sim.multitask.quantum_schedule`) and runs the whole
-  segment through the fused multi-tenant kernel entry
-  (:func:`~repro.sim.engine.fused.fused_multitask_run`) — one kernel
-  call per segment, never re-entering Python per quantum, and on the
-  compiled kernel never materializing the interleaved access stream;
-* ``"reference"`` steps the same schedule slice-by-slice through the
-  scalar :class:`~repro.cache.fastsim.FastColumnCache` — the
-  independent oracle the differential suite holds the fused path to.
-
-Segment budgets are **exact**: the final quantum of a segment is cut
-to the remaining instruction budget, so events and the horizon land on
-their scheduled instruction counts to within one atomic access.
-
-Both see the same cache state across broker-driven tint rewrites
-(resident lines stay put — repartitioning is graceful), and the
-differential suite asserts their per-access hit streams are
-bit-identical.
+Telemetry keeps each event's scheduled time (``arrival_time``,
+``admitted_at``, ``departed_at``), not the shard clock's slightly
+later reading at the segment edge that applied it.  The differential
+suite holds the whole run — per-access hit stream and every tenant's
+telemetry — equal to an independent scalar per-quantum oracle
+(``tests/oracles/fleet.py``) on both kernel backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
-from repro.fleet.broker import ColumnBroker, FleetAdmissionError
+from repro.fleet.service.shard import ShardServer
 from repro.fleet.tenant import (
+    FleetConfig,
     TenantSpec,
     TenantStatus,
     TenantTelemetry,
-    WindowSample,
 )
-from repro.runtime.detector import PhaseDetector
+from repro.inspect.snapshots import FleetSegmentSnapshot
 from repro.sim.config import TimingConfig
-from repro.sim.engine.batched import LockstepState
-from repro.sim.engine.fused import TenantBatch, fused_multitask_run
-from repro.sim.multitask import next_quantum_slice, quantum_schedule
-from repro.trace.filters import concatenate
-from repro.trace.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -126,47 +108,6 @@ class FleetTrace:
         ]
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """Scheduling and adaptation knobs of the fleet executor.
-
-    Attributes:
-        quantum_instructions: Round-robin time quantum.
-        window_instructions: Scheduling-window budget (telemetry and
-            phase detection run per window; events cut windows short).
-        signature_threshold: Per-tenant working-set Jaccard distance
-            that flags a phase change.
-        miss_rate_threshold: Per-tenant miss-rate jump that flags a
-            phase change.
-        hysteresis_windows: Minimum windows between phase boundaries.
-        detect_phases: Feed per-tenant windows to a
-            :class:`~repro.runtime.detector.PhaseDetector` and let the
-            broker rebalance at boundaries.
-        min_detect_accesses: Segments smaller than this (cut short by
-            events) are not fed to the detector — a three-access
-            sliver says nothing about the working set.
-    """
-
-    quantum_instructions: int = 256
-    window_instructions: int = 16_384
-    signature_threshold: float = 0.5
-    miss_rate_threshold: float = 0.25
-    hysteresis_windows: int = 2
-    detect_phases: bool = True
-    min_detect_accesses: int = 64
-
-    def __post_init__(self) -> None:
-        if self.quantum_instructions < 1:
-            raise ValueError(
-                "quantum_instructions must be >= 1, got "
-                f"{self.quantum_instructions}"
-            )
-        if self.window_instructions < self.quantum_instructions:
-            raise ValueError(
-                "window_instructions must be >= quantum_instructions"
-            )
-
-
 @dataclass
 class FleetResult:
     """Everything one fleet run produced.
@@ -207,59 +148,6 @@ class FleetResult:
         }
 
 
-class _TenantRuntime:
-    """Per-tenant execution state (trace arrays, cursor, detector)."""
-
-    def __init__(
-        self,
-        spec: TenantSpec,
-        geometry: CacheGeometry,
-        config: FleetConfig,
-    ):
-        self.spec = spec
-        self.blocks = spec.run.trace.blocks_for(
-            geometry.offset_bits, spec.address_offset
-        )
-        self._blocks_list: Optional[list[int]] = None
-        self.cumulative = spec.run.trace.cumulative_instructions
-        self.position = 0
-        self.telemetry = TenantTelemetry(
-            name=spec.name, priority=spec.priority
-        )
-        self.detector = PhaseDetector(
-            signature_threshold=config.signature_threshold,
-            miss_rate_threshold=config.miss_rate_threshold,
-            hysteresis_windows=config.hysteresis_windows,
-        )
-
-    @property
-    def blocks_list(self) -> list[int]:
-        """The block trace as a Python list, built on first use.
-
-        Only the scalar reference backend reads this (its hot loop is
-        fastest over native ints); the lockstep path never pays the
-        conversion.
-        """
-        if self._blocks_list is None:
-            self._blocks_list = self.blocks.tolist()
-        return self._blocks_list
-
-    def window_trace(self, slices: Sequence[tuple[int, int]]) -> Trace:
-        """The original-trace window the given slices covered.
-
-        Used by the broker's phase-change path: the segment that
-        revealed the phase is profiled against the tenant's own
-        (un-relocated) symbols.
-        """
-        trace = self.spec.run.trace
-        pieces = [trace.slice(start, stop) for start, stop in slices]
-        if len(pieces) == 1:
-            return pieces[0]
-        return concatenate(
-            pieces, name=f"{self.spec.name}:phase-window"
-        )
-
-
 class FleetExecutor:
     """Serves a dynamic tenant mix through one brokered column cache.
 
@@ -284,389 +172,87 @@ class FleetExecutor:
         self,
         fleet: FleetTrace,
         broker: Optional[Any] = None,
-        backend: str = "lockstep",
         collect_flags: bool = False,
-        observer: Optional[Any] = None,
+        observer: Optional[Callable[[FleetSegmentSnapshot], None]] = None,
     ) -> FleetResult:
         """Execute a fleet trace; returns per-tenant telemetry.
 
         Args:
             fleet: The arrival/departure schedule and horizon.
-            broker: A broker implementing admit/depart/refresh and
-                ``grants`` (default: a fresh
-                :class:`~repro.fleet.broker.ColumnBroker`).
-            backend: ``"lockstep"`` (batched kernel) or
-                ``"reference"`` (scalar cache); bit-identical.
+            broker: The broker the shard runs under — a
+                :class:`~repro.fleet.broker.ColumnBroker` (default: a
+                fresh one), :class:`~repro.fleet.broker.SharedPool` or
+                :class:`~repro.fleet.broker.StaticEqualSplit`.
             collect_flags: Also return the per-access hit stream
                 (differential testing; costs memory).
             observer: Live-inspection callback invoked after every
-                scheduling segment with a
+                scheduling segment with the shard's
                 :class:`~repro.inspect.snapshots.FleetSegmentSnapshot`
                 (per-column occupancy, exact grants, per-tenant
                 miss-rate timelines and detector state).  Read-only:
                 the run's results are bit-identical with or without
                 it.
         """
-        if backend not in ("lockstep", "reference"):
-            raise ValueError(f"unknown backend {backend!r}")
-        config = self.config
-        geometry = self.geometry
-        if broker is None:
-            broker = ColumnBroker(geometry, self.timing)
-
-        runtimes: dict[str, _TenantRuntime] = {}
+        shard = ShardServer(
+            0, self.geometry, self.timing, self.config, broker=broker
+        )
         rejected: list[str] = []
-        pending_remap: dict[str, int] = {}
-        events = list(fleet.events)
-        event_index = 0
-        now = 0
-        segment_index = 0
+        flag_parts = [np.zeros(0, dtype=bool)]
+        events = fleet.events
+        next_event = 0
         horizon = fleet.horizon_instructions
-
-        lock_state = LockstepState.cold(geometry.sets, geometry.columns)
-        scalar_cache = FastColumnCache(geometry)
-        flag_parts: list[np.ndarray] = [] if collect_flags else None
-        rotation: Optional[str] = None
-        # The fused path's concatenated per-tenant blocks, rebuilt only
-        # when the resident set changes (tenant traces are immutable).
-        batch_key: Optional[tuple[str, ...]] = None
-        batch: Optional[TenantBatch] = None
-
-        def apply_event(event: FleetEvent) -> None:
-            nonlocal rotation
-            if event.kind == "arrival":
-                spec = event.spec
-                runtime = _TenantRuntime(spec, geometry, config)
-                runtime.telemetry.arrival_time = event.time
-                runtimes[spec.name] = runtime
-                try:
-                    charges = broker.admit(
-                        spec.name, spec.run, priority=spec.priority
-                    )
-                except FleetAdmissionError:
-                    runtime.telemetry.status = TenantStatus.REJECTED
-                    runtime.telemetry.rejected_at = event.time
-                    rejected.append(spec.name)
-                    return
-                runtime.telemetry.status = TenantStatus.RUNNING
-                runtime.telemetry.admitted_at = event.time
-                self._charge(charges, runtimes, pending_remap)
-            else:
-                name = event.tenant
-                runtime = runtimes.get(name)
-                if runtime is None:
-                    raise ValueError(
-                        f"departure for unknown tenant {name!r}"
-                    )
-                if runtime.telemetry.status is not TenantStatus.RUNNING:
-                    return  # rejected (or already departed): no-op
-                charges = broker.depart(name)
-                runtime.telemetry.status = TenantStatus.DEPARTED
-                runtime.telemetry.departed_at = event.time
-                pending_remap.pop(name, None)
-                if rotation == name:
-                    rotation = None
-                self._charge(charges, runtimes, pending_remap)
-
-        while now < horizon:
+        while shard.now < horizon:
             while (
-                event_index < len(events)
-                and events[event_index].time <= now
+                next_event < len(events)
+                and events[next_event].time <= shard.now
             ):
-                apply_event(events[event_index])
-                event_index += 1
-            residents = broker.resident
-            if not residents:
-                if event_index >= len(events):
+                _apply_event(shard, events[next_event], rejected)
+                next_event += 1
+            due = (
+                events[next_event].time
+                if next_event < len(events)
+                else None
+            )
+            if not shard.residents:
+                if due is None:
                     break
-                now = max(now, events[event_index].time)
+                shard.advance(due - shard.now)  # idle until the event
                 continue
-
-            segment_end = min(now + config.window_instructions, horizon)
-            if event_index < len(events):
-                segment_end = min(
-                    segment_end, max(events[event_index].time, now + 1)
-                )
-
-            # --------------------------------------------------------
-            # Schedule + execute the segment (exact budget boundary:
-            # the final quantum is cut to the remaining budget).
-            # --------------------------------------------------------
-            start_at = 0
-            if rotation in residents:
-                start_at = residents.index(rotation)
-            budget = segment_end - now
-            counters = {
-                name: [0, 0, 0]  # instructions, accesses, quanta
-                for name in residents
-            }
-            slices_by_tenant: dict[str, list[tuple[int, int]]]
-            if backend == "lockstep":
-                schedule = quantum_schedule(
-                    [runtimes[name].cumulative for name in residents],
-                    [runtimes[name].position for name in residents],
-                    config.quantum_instructions,
-                    budget,
-                    start_at,
-                )
-                key = tuple(residents)
-                if key != batch_key:
-                    batch = TenantBatch.build(
-                        [runtimes[name].blocks for name in residents]
-                    )
-                    batch_key = key
-                assert batch is not None
-                mask_table = np.array(
-                    [broker.grants[name].bits for name in residents],
-                    dtype=np.int64,
-                )
-                outcome = fused_multitask_run(
-                    batch,
-                    schedule,
-                    mask_table,
-                    lock_state,
-                    sets_mask=geometry.sets - 1,
-                    index_bits=geometry.index_bits,
-                    collect_flags=collect_flags,
-                )
-                if flag_parts is not None:
-                    flag_parts.append(outcome.hit_flags)
-                tenant_count = len(residents)
-                instr_per = np.zeros(tenant_count, dtype=np.int64)
-                np.add.at(instr_per, schedule.tenant_ids, schedule.ran)
-                wraps_per = np.zeros(tenant_count, dtype=np.int64)
-                np.add.at(
-                    wraps_per, schedule.tenant_ids, schedule.wraps
-                )
-                quanta_per = np.bincount(
-                    schedule.tenant_ids, minlength=tenant_count
-                )
-                hits_by_tenant = {}
-                slices_by_tenant = {}
-                for index, name in enumerate(residents):
-                    runtime = runtimes[name]
-                    runtime.position = int(
-                        schedule.next_positions[index]
-                    )
-                    runtime.telemetry.wraps += int(wraps_per[index])
-                    counters[name] = [
-                        int(instr_per[index]),
-                        int(outcome.accesses[index]),
-                        int(quanta_per[index]),
-                    ]
-                    hits_by_tenant[name] = int(outcome.hits[index])
-                    slices_by_tenant[name] = schedule.tenant_slices(
-                        index, len(runtime.blocks)
-                    )
-                executed = schedule.executed
-                rotation = residents[schedule.next_turn]
-            else:
-                slices: list[tuple[str, int, int]] = []
-                executed = 0
-                turn = start_at
-                while executed < budget:
-                    name = residents[turn]
-                    runtime = runtimes[name]
-                    counter = counters[name]
-                    counter[2] += 1
-                    remaining = min(
-                        config.quantum_instructions, budget - executed
-                    )
-                    while remaining > 0:
-                        stop, ran = next_quantum_slice(
-                            runtime.cumulative,
-                            runtime.position,
-                            remaining,
-                        )
-                        slices.append((name, runtime.position, stop))
-                        counter[0] += ran
-                        counter[1] += stop - runtime.position
-                        remaining -= ran
-                        executed += ran
-                        runtime.position = stop
-                        if stop >= len(runtime.blocks):
-                            runtime.position = 0
-                            runtime.telemetry.wraps += 1
-                    turn = (turn + 1) % len(residents)
-                rotation = residents[turn]
-                hits_by_tenant = self._execute(
-                    slices,
-                    runtimes,
-                    broker.grants,
-                    scalar_cache,
-                    flag_parts,
-                )
-                slices_by_tenant = {}
-                for name, start, stop in slices:
-                    slices_by_tenant.setdefault(name, []).append(
-                        (start, stop)
-                    )
-            now += executed
-
-            # --------------------------------------------------------
-            # Telemetry + phase detection per resident tenant.
-            # --------------------------------------------------------
-            boundary_tenants: list[tuple[str, list]] = []
-            for name in residents:
-                runtime = runtimes[name]
-                instructions, accesses, quanta = counters[name]
-                hits = hits_by_tenant.get(name, 0)
-                runtime.telemetry.samples.append(
-                    WindowSample(
-                        window_index=segment_index,
-                        columns=broker.grants[name].count(),
-                        instructions=instructions,
-                        accesses=accesses,
-                        hits=hits,
-                        misses=accesses - hits,
-                        quanta=quanta,
-                        remap_cycles=pending_remap.pop(name, 0),
-                    )
-                )
-                if (
-                    config.detect_phases
-                    and accesses >= config.min_detect_accesses
-                ):
-                    tenant_slices = slices_by_tenant.get(name, [])
-                    blocks = np.concatenate(
-                        [
-                            runtime.blocks[start:stop]
-                            for start, stop in tenant_slices
-                        ]
-                    )
-                    observation = runtime.detector.observe_window(
-                        blocks, accesses - hits
-                    )
-                    if observation.boundary:
-                        boundary_tenants.append((name, tenant_slices))
-            for name, tenant_slices in boundary_tenants:
-                if name not in broker.grants:
-                    continue
-                runtime = runtimes[name]
-                charges = broker.refresh(
-                    name,
-                    runtime.spec.run,
-                    runtime.window_trace(tenant_slices),
-                )
-                self._charge(charges, runtimes, pending_remap)
+            end = min(shard.now + self.config.window_instructions, horizon)
+            if due is not None:
+                end = min(end, due)
+            shard.advance(end - shard.now, collect_flags=collect_flags)
+            if shard.hit_flags is not None:
+                flag_parts.append(shard.hit_flags)
             if observer is not None:
-                observer(
-                    self._segment_snapshot(
-                        segment_index,
-                        now,
-                        broker,
-                        runtimes,
-                        lock_state if backend == "lockstep"
-                        else scalar_cache,
-                    )
-                )
-            segment_index += 1
-
+                observer(shard.inspect())
         return FleetResult(
             telemetry={
                 name: runtime.telemetry
-                for name, runtime in runtimes.items()
+                for name, runtime in shard.runtimes.items()
             },
-            total_instructions=now,
-            segments=segment_index,
-            rewrites=list(broker.rewrites),
+            total_instructions=shard.now,
+            segments=shard.segments,
+            rewrites=list(shard.broker.rewrites),
             rejected=rejected,
             hit_stream=(
-                np.concatenate(flag_parts)
-                if flag_parts
-                else (np.zeros(0, dtype=bool) if collect_flags else None)
+                np.concatenate(flag_parts) if collect_flags else None
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _segment_snapshot(
-        segment: int,
-        now: int,
-        broker: Any,
-        runtimes: dict[str, "_TenantRuntime"],
-        cache: Any,
-    ) -> "FleetSegmentSnapshot":
-        """Build the observer's view of one completed segment."""
-        from repro.inspect.snapshots import (
-            BrokerSnapshot,
-            DetectorSnapshot,
-            FleetSegmentSnapshot,
-            TenantInspectRow,
-            column_occupancy,
-            miss_rate_timeline,
-        )
 
-        rows = []
-        for name in broker.resident:
-            telemetry = runtimes[name].telemetry
-            rows.append(
-                TenantInspectRow(
-                    name=name,
-                    priority=telemetry.priority,
-                    mask_bits=broker.grants[name].bits,
-                    columns=broker.grants[name].count(),
-                    instructions=telemetry.instructions,
-                    miss_rate=telemetry.miss_rate,
-                    timeline=miss_rate_timeline(telemetry.samples),
-                    detector=DetectorSnapshot.of(
-                        runtimes[name].detector
-                    ),
-                )
-            )
-        return FleetSegmentSnapshot(
-            segment=segment,
-            now=now,
-            column_occupancy=column_occupancy(cache),
-            broker=BrokerSnapshot.of(broker),
-            tenants=tuple(rows),
-        )
-
-    @staticmethod
-    def _charge(
-        charges: dict[str, int],
-        runtimes: dict[str, _TenantRuntime],
-        pending_remap: dict[str, int],
-    ) -> None:
-        """Queue tint-rewrite cycles against each tenant's next sample."""
-        for name, cycles in charges.items():
-            pending_remap[name] = pending_remap.get(name, 0) + cycles
-            runtimes[name].telemetry.remaps += 1
-
-    def _execute(
-        self,
-        slices: list[tuple[str, int, int]],
-        runtimes: dict[str, _TenantRuntime],
-        grants: dict[str, Any],
-        scalar_cache: FastColumnCache,
-        flag_parts: Optional[list[np.ndarray]],
-    ) -> dict[str, int]:
-        """Run one segment's slices through the scalar reference cache.
-
-        The fused lockstep path never comes here — it runs the whole
-        segment in one kernel call; this slice loop is the independent
-        oracle the differential suite compares it against.
-        """
-        hits_by_tenant: dict[str, int] = {}
-        for name, start, stop in slices:
-            runtime = runtimes[name]
-            bits = grants[name].bits
-            if flag_parts is not None:
-                flags = scalar_cache.run_with_flags(
-                    runtime.blocks_list[start:stop],
-                    uniform_mask=bits,
-                )
-                flag_parts.append(flags)
-                hits = int(flags.sum())
-            else:
-                outcome = scalar_cache.run(
-                    runtime.blocks_list,
-                    uniform_mask=bits,
-                    start=start,
-                    stop=stop,
-                )
-                hits = outcome.hits
-            hits_by_tenant[name] = hits_by_tenant.get(name, 0) + hits
-        return hits_by_tenant
+def _apply_event(
+    shard: ShardServer, event: FleetEvent, rejected: list[str]
+) -> None:
+    """Apply one due fleet event to the shard at its scheduled time."""
+    if event.kind == "arrival":
+        assert event.spec is not None
+        if not shard.admit(event.spec, at=event.time):
+            rejected.append(event.spec.name)
+        return
+    runtime = shard.runtimes.get(event.name)
+    if runtime is None:
+        raise ValueError(f"departure for unknown tenant {event.name!r}")
+    # Departing a rejected (or already departed) tenant is a no-op.
+    if runtime.telemetry.status is TenantStatus.RUNNING:
+        shard.depart(event.name, at=event.time)

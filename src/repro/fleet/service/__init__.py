@@ -1,21 +1,22 @@
 """Fleet-as-a-service: the async sharded broker daemon.
 
-The offline fleet layer (:mod:`repro.fleet`) replays a recorded
-tenant schedule through one brokered cache.  This package serves the
-same tenants *live*: N broker shards — each one cache's column space,
-executed with the same segment/quantum/lockstep machinery as the
-offline executor — behind a rendezvous-hash router, an asyncio
-admission front-end with per-shard queues and patience budgets, a
-hotspot monitor that live-migrates residents between shards, and an
-open-loop Poisson load generator to drive it all.
+This package holds the fleet's one segment loop,
+:class:`~repro.fleet.service.shard.ShardServer`, and serves tenants
+through it *live*: N broker shards — each one cache's column space —
+behind a rendezvous-hash router, an asyncio admission front-end with
+per-shard queues and patience budgets, a hotspot monitor that
+live-migrates residents between shards, and an open-loop Poisson load
+generator to drive it all.  The offline
+:class:`~repro.fleet.executor.FleetExecutor` replays a recorded
+tenant schedule through one shard of the same kind.
 
 Layers, bottom up:
 
 * :mod:`~repro.fleet.service.router` — tenant→shard rendezvous
   hashing plus migration pins;
-* :mod:`~repro.fleet.service.shard` — one shard: the fleet executor's
-  segment loop made incrementally steppable, plus extract/inject for
-  live migration;
+* :mod:`~repro.fleet.service.shard` — one shard: the fleet's segment
+  loop, stepped one segment per ``advance`` call, plus extract/inject
+  for live migration;
 * :mod:`~repro.fleet.service.telemetry` — latency recorders and
   frozen shard/service snapshots;
 * :mod:`~repro.fleet.service.daemon` — the asyncio service:

@@ -41,14 +41,14 @@ from pathlib import Path
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.fleet.executor import FleetConfig
+from repro.fleet.broker import ColumnBroker
 from repro.fleet.service.router import TenantHashRouter
 from repro.fleet.service.shard import ShardServer
 from repro.fleet.service.telemetry import (
     LatencyRecorder,
     ServiceSnapshot,
 )
-from repro.fleet.tenant import TenantSpec
+from repro.fleet.tenant import FleetConfig, TenantSpec
 from repro.inspect.events import EventRing, save_event_streams
 from repro.inspect.snapshots import FleetSegmentSnapshot
 from repro.layout.session import PlannerSession
@@ -192,7 +192,11 @@ class FleetService:
                 self.config.geometry,
                 self.config.timing,
                 self.config.fleet,
-                session=self.session,
+                broker=ColumnBroker(
+                    self.config.geometry,
+                    self.config.timing,
+                    session=self.session,
+                ),
                 event_capacity=self.config.event_capacity,
             )
             for index in range(self.config.shards)

@@ -1,42 +1,53 @@
-"""One broker shard: an incrementally-steppable fleet executor.
+"""One broker shard: the fleet's one segment loop.
 
-:class:`~repro.fleet.executor.FleetExecutor` replays a *complete*
-:class:`~repro.fleet.executor.FleetTrace` offline.  A daemon cannot:
-arrivals and departures come from live requests, so the serving loop
-must interleave scheduling with admission control.  :class:`ShardServer`
-is the executor's segment loop turned inside out — the same closed-form
-round-robin quantum schedule, the same fused multi-tenant kernel walk
+A shard is one cache's column space, its broker and its resident
+tenants.  :meth:`ShardServer.advance` is the only implementation of
+the paper's Section 4.2 multitasking model in the fleet layer: one
+scheduling segment computes the closed-form round-robin quantum
+schedule (:func:`~repro.sim.multitask.quantum_schedule`), runs it in
+one fused multi-tenant kernel walk
 (:func:`~repro.sim.engine.fused.fused_multitask_run` over persistent
-per-shard batch state), the same per-segment telemetry and phase
-detection (``tests/test_service.py`` drives a recorded fleet trace
-through both and asserts identical per-tenant hit/miss/instruction
-counts) — but exposed as three small calls a daemon can make between
-requests:
+per-shard batch state), appends one telemetry sample per resident and
+feeds phase detection, whose boundaries drive broker rebalances.
+Between segments the population changes through three small calls:
 
-* :meth:`admit` / :meth:`depart` — population changes, effective at
-  the current virtual clock (the broker rebalances immediately);
-* :meth:`advance` — execute one scheduling segment and move the
-  shard's virtual clock; tenants whose requested service budget is
-  exhausted auto-depart at the segment edge.
+* :meth:`~ShardServer.admit` / :meth:`~ShardServer.depart` —
+  population changes, effective at the current virtual clock (the
+  broker rebalances immediately);
+* :meth:`~ShardServer.advance` — execute one scheduling segment and
+  move the shard's virtual clock; tenants whose requested service
+  budget is exhausted auto-depart at the segment edge.
 
-Live migration is the extract/inject pair: :meth:`extract` removes a
-resident tenant *preserving its run state* (trace cursor, telemetry,
-phase detector) and :meth:`inject` resumes it on another shard.  The
-cache contents do not travel — the tenant restarts cold on the target
-shard, which is exactly the cost the migration policy must price.
+Both drivers of the fleet use these calls: the asyncio daemon
+(:mod:`repro.fleet.service.daemon`) between live requests, and the
+offline :class:`~repro.fleet.executor.FleetExecutor`, which replays a
+recorded :class:`~repro.fleet.executor.FleetTrace` into one shard.
+
+Live migration is the extract/inject pair: :meth:`~ShardServer.extract`
+removes a resident tenant *preserving its run state* (trace cursor,
+telemetry, phase detector) and :meth:`~ShardServer.inject` resumes it
+on another shard.  The cache contents do not travel — the tenant
+restarts cold on the target shard, which is exactly the cost the
+migration policy must price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.fleet.broker import ColumnBroker, FleetAdmissionError
-from repro.fleet.executor import FleetConfig, _TenantRuntime
 from repro.fleet.service.telemetry import ShardSnapshot, TenantResidency
+from repro.fleet.tenant import (
+    FleetConfig,
+    TenantRuntime,
+    TenantSpec,
+    TenantStatus,
+    WindowSample,
+)
 from repro.inspect.events import EventKind, EventRing
 from repro.inspect.snapshots import (
     BrokerSnapshot,
@@ -46,8 +57,6 @@ from repro.inspect.snapshots import (
     column_occupancy,
     miss_rate_timeline,
 )
-from repro.fleet.tenant import TenantSpec, TenantStatus, WindowSample
-from repro.layout.session import PlannerSession
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState
 from repro.sim.engine.fused import TenantBatch, fused_multitask_run
@@ -68,7 +77,7 @@ class MigratedTenant:
     """
 
     spec: TenantSpec
-    runtime: _TenantRuntime
+    runtime: TenantRuntime
     service_remaining: Optional[int]
 
 
@@ -79,13 +88,13 @@ class ShardServer:
         shard_id: Index of this shard within the service.
         geometry: The shard's cache.
         timing: Cycle model shared with the broker.
-        config: Scheduling and phase-detection knobs (the same
-            :class:`~repro.fleet.executor.FleetConfig` the offline
-            executor takes).
-        session: Planner session for the broker's demand probes; the
-            service passes one shared session to every shard.
-        min_benefit_cycles: Broker churn hysteresis for phase-change
-            rebalances.
+        config: Scheduling and phase-detection knobs.
+        broker: The broker that grants this shard's columns: a
+            :class:`~repro.fleet.broker.ColumnBroker` (default: a
+            fresh one), or for offline comparisons a
+            :class:`~repro.fleet.broker.SharedPool` or
+            :class:`~repro.fleet.broker.StaticEqualSplit`.  The
+            service passes column brokers sharing one planner session.
         event_capacity: Bound of the shard's inspection
             :class:`~repro.inspect.events.EventRing` (older events
             are overwritten once full; the ring's ``dropped`` counter
@@ -98,27 +107,28 @@ class ShardServer:
         geometry: CacheGeometry,
         timing: Optional[TimingConfig] = None,
         config: Optional[FleetConfig] = None,
-        session: Optional[PlannerSession] = None,
-        min_benefit_cycles: int = 0,
+        broker: Optional[Any] = None,
         event_capacity: int = 65_536,
     ):
         self.shard_id = shard_id
         self.geometry = geometry
         self.timing = timing or TimingConfig()
         self.config = config or FleetConfig()
-        self.broker = ColumnBroker(
-            geometry,
-            self.timing,
-            min_benefit_cycles=min_benefit_cycles,
-            session=session,
+        self.broker = (
+            broker
+            if broker is not None
+            else ColumnBroker(geometry, self.timing)
         )
         self.lock_state = LockstepState.cold(
             geometry.sets, geometry.columns
         )
         self.now = 0
         self.segments = 0
+        #: Per-access hit flags of the last segment, in schedule order
+        #: (set by ``advance(collect_flags=True)``, else None).
+        self.hit_flags: Optional[np.ndarray] = None
         self.events = EventRing(event_capacity)
-        self.runtimes: dict[str, _TenantRuntime] = {}
+        self.runtimes: dict[str, TenantRuntime] = {}
         self.admitted_count = 0
         self.rejected_count = 0
         self.departed_count = 0
@@ -156,14 +166,19 @@ class ShardServer:
         self,
         spec: TenantSpec,
         service_instructions: Optional[int] = None,
+        at: Optional[int] = None,
     ) -> bool:
         """Try to admit a tenant now; True on success, False on reject.
 
         A rejected tenant still gets a telemetry record (status
-        ``REJECTED``), mirroring the offline executor.
+        ``REJECTED``).  ``at`` is the arrival time stamped on that
+        record (default: the shard's clock); a replay of recorded
+        events passes each event's scheduled time, which the clock
+        may already have passed by part of an access.
         """
-        runtime = _TenantRuntime(spec, self.geometry, self.config)
-        runtime.telemetry.arrival_time = self.now
+        stamp = self.now if at is None else at
+        runtime = TenantRuntime(spec, self.geometry, self.config)
+        runtime.telemetry.arrival_time = stamp
         self.runtimes[spec.name] = runtime
         before = self._grant_bits()
         try:
@@ -172,12 +187,12 @@ class ShardServer:
             )
         except FleetAdmissionError:
             runtime.telemetry.status = TenantStatus.REJECTED
-            runtime.telemetry.rejected_at = self.now
+            runtime.telemetry.rejected_at = stamp
             self.rejected_count += 1
             self.events.record(self.now, EventKind.REJECT, spec.name)
             return False
         runtime.telemetry.status = TenantStatus.RUNNING
-        runtime.telemetry.admitted_at = self.now
+        runtime.telemetry.admitted_at = stamp
         self.admitted_count += 1
         if service_instructions is not None:
             self._service_budget[spec.name] = service_instructions
@@ -195,8 +210,12 @@ class ShardServer:
         self._charge(charges)
         return True
 
-    def depart(self, name: str) -> None:
-        """Release a resident tenant's columns and re-grant them."""
+    def depart(self, name: str, at: Optional[int] = None) -> None:
+        """Release a resident tenant's columns and re-grant them.
+
+        ``at`` is the departure time stamped on its telemetry
+        (default: the shard's clock), as for :meth:`admit`.
+        """
         runtime = self.runtimes.get(name)
         if runtime is None or name not in self.broker.grants:
             raise KeyError(
@@ -206,7 +225,7 @@ class ShardServer:
         before = self._grant_bits()
         charges = self.broker.depart(name)
         runtime.telemetry.status = TenantStatus.DEPARTED
-        runtime.telemetry.departed_at = self.now
+        runtime.telemetry.departed_at = self.now if at is None else at
         self.departed_count += 1
         self.events.record(self.now, EventKind.DEPART, name)
         self._record_grant_changes(before, charges)
@@ -295,22 +314,31 @@ class ShardServer:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def advance(self, budget: Optional[int] = None) -> int:
+    def advance(
+        self, budget: Optional[int] = None, collect_flags: bool = False
+    ) -> int:
         """Execute one scheduling segment; returns instructions run.
 
-        With residents, this is one segment of the offline executor's
-        loop: round-robin quanta through the lockstep kernel, one
-        telemetry sample per resident, phase detection feeding broker
-        rebalances, then auto-departure of tenants whose requested
-        service budget is spent.  With no residents the virtual clock
-        still advances by the budget — an idle shard must not stall
-        the service's clock.
+        With residents: round-robin quanta through the fused lockstep
+        kernel walk, one telemetry sample per resident, phase
+        detection feeding broker rebalances, then auto-departure of
+        tenants whose requested service budget is spent.  The budget
+        is exact: the final quantum is cut to what remains, so the
+        segment overshoots it by at most one atomic access.  With no
+        residents the virtual clock still advances by the budget — an
+        idle shard must not stall the service's clock — and no
+        segment is counted.
+
+        ``collect_flags`` keeps the segment's per-access hit flags, in
+        schedule order, in :attr:`hit_flags` (differential testing;
+        costs memory).
         """
         config = self.config
         if budget is None:
             budget = config.window_instructions
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
+        self.hit_flags = None
         residents = self.broker.resident
         if not residents:
             self.now += budget
@@ -344,7 +372,9 @@ class ShardServer:
             self.lock_state,
             sets_mask=self.geometry.sets - 1,
             index_bits=self.geometry.index_bits,
+            collect_flags=collect_flags,
         )
+        self.hit_flags = outcome.hit_flags
         tenant_count = len(residents)
         instr_per = np.zeros(tenant_count, dtype=np.int64)
         np.add.at(instr_per, schedule.tenant_ids, schedule.ran)
@@ -485,10 +515,12 @@ class ShardServer:
     def inspect(self) -> FleetSegmentSnapshot:
         """Deep inspection: column occupancy, grants, detectors.
 
-        The live-inspection view of this shard — per-column valid
-        lines of its lockstep cache, the broker's exact ownership
-        map, and each resident's miss-rate timeline and phase
-        detector (richer, and costlier, than :meth:`snapshot`).
+        The live-inspection view of this shard after its last
+        completed segment (numbered from 0; -1 before the first) —
+        per-column valid lines of its lockstep cache, the broker's
+        exact ownership map, and each resident's miss-rate timeline
+        and phase detector (richer, and costlier, than
+        :meth:`snapshot`).
         """
         rows = []
         for name in self.broker.resident:
@@ -508,7 +540,7 @@ class ShardServer:
                 )
             )
         return FleetSegmentSnapshot(
-            segment=self.segments,
+            segment=self.segments - 1,
             now=self.now,
             column_occupancy=column_occupancy(self.lock_state),
             broker=BrokerSnapshot.of(self.broker),

@@ -1,20 +1,26 @@
-"""Tenants of the fleet: specs, lifecycle status, telemetry.
+"""Tenants of the fleet: specs, lifecycle, scheduling knobs, telemetry.
 
 A *tenant* is one serviced task: a recorded workload (trace + memory
 map) plus a scheduling priority.  Tenants arrive and depart while the
 fleet runs; the broker grants each admitted tenant a disjoint set of
-cache columns, and the executor reports what every tenant actually
-experienced — occupancy, miss rate, remap churn — as structured
-:class:`TenantTelemetry`.
+cache columns, and the shard's segment loop reports what every tenant
+actually experienced — occupancy, miss rate, remap churn — as
+structured :class:`TenantTelemetry`.  :class:`FleetConfig` holds the
+scheduling and phase-detection knobs of that loop, and
+:class:`TenantRuntime` a tenant's execution state inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
+from repro.cache.geometry import CacheGeometry
+from repro.runtime.detector import PhaseDetector
 from repro.sim.config import TimingConfig
+from repro.trace.filters import concatenate
+from repro.trace.trace import Trace
 from repro.workloads.base import WorkloadRun
 
 #: Tenants live in disjoint address spaces, offset by index << this.
@@ -216,3 +222,90 @@ class TenantTelemetry:
             "cpi": self.cpi(timing),
             "windows": len(self.samples),
         }
+
+
+@dataclass(frozen=True)
+class FleetConfig:
+    """Scheduling and adaptation knobs of the fleet segment loop.
+
+    Attributes:
+        quantum_instructions: Round-robin time quantum.
+        window_instructions: Scheduling-window budget (telemetry and
+            phase detection run per window; events cut windows short).
+        signature_threshold: Per-tenant working-set Jaccard distance
+            that flags a phase change.
+        miss_rate_threshold: Per-tenant miss-rate jump that flags a
+            phase change.
+        hysteresis_windows: Minimum windows between phase boundaries.
+        detect_phases: Feed per-tenant windows to a
+            :class:`~repro.runtime.detector.PhaseDetector` and let the
+            broker rebalance at boundaries.
+        min_detect_accesses: Segments smaller than this (cut short by
+            events) are not fed to the detector — a three-access
+            sliver says nothing about the working set.
+    """
+
+    quantum_instructions: int = 256
+    window_instructions: int = 16_384
+    signature_threshold: float = 0.5
+    miss_rate_threshold: float = 0.25
+    hysteresis_windows: int = 2
+    detect_phases: bool = True
+    min_detect_accesses: int = 64
+
+    def __post_init__(self) -> None:
+        if self.quantum_instructions < 1:
+            raise ValueError(
+                "quantum_instructions must be >= 1, got "
+                f"{self.quantum_instructions}"
+            )
+        if self.window_instructions < self.quantum_instructions:
+            raise ValueError(
+                "window_instructions must be >= quantum_instructions"
+            )
+
+
+class TenantRuntime:
+    """Per-tenant execution state (trace arrays, cursor, detector).
+
+    Args:
+        spec: The tenant.
+        geometry: The cache it runs in (fixes the block numbering).
+        config: Supplies the phase detector's thresholds.
+    """
+
+    def __init__(
+        self,
+        spec: TenantSpec,
+        geometry: CacheGeometry,
+        config: FleetConfig,
+    ):
+        self.spec = spec
+        self.blocks = spec.run.trace.blocks_for(
+            geometry.offset_bits, spec.address_offset
+        )
+        self.cumulative = spec.run.trace.cumulative_instructions
+        self.position = 0
+        self.telemetry = TenantTelemetry(
+            name=spec.name, priority=spec.priority
+        )
+        self.detector = PhaseDetector(
+            signature_threshold=config.signature_threshold,
+            miss_rate_threshold=config.miss_rate_threshold,
+            hysteresis_windows=config.hysteresis_windows,
+        )
+
+    def window_trace(self, slices: Sequence[tuple[int, int]]) -> Trace:
+        """The original-trace window the given slices covered.
+
+        Used by the broker's phase-change path: the segment that
+        revealed the phase is profiled against the tenant's own
+        (un-relocated) symbols.
+        """
+        trace = self.spec.run.trace
+        pieces = [trace.slice(start, stop) for start, stop in slices]
+        if len(pieces) == 1:
+            return pieces[0]
+        return concatenate(
+            pieces, name=f"{self.spec.name}:phase-window"
+        )

@@ -3,8 +3,8 @@
 Every snapshot here is plain data (JSON-exportable via ``as_dict``)
 computed from live simulator state without mutating it, so an
 observer callback can be wired into a hot loop — the adaptive
-runtime's window loop, the fleet executor's segment loop — and the
-simulated outcome stays bit-identical with or without it.
+runtime's window loop, the fleet's segment loop — and the simulated
+outcome stays bit-identical with or without it.
 
 The cache-occupancy reader is backend-agnostic by duck typing: it
 accepts a :class:`~repro.sim.engine.batched.LockstepState`, a
@@ -281,15 +281,17 @@ class TenantInspectRow:
 
 @dataclass(frozen=True)
 class FleetSegmentSnapshot:
-    """The fleet executor's state after one scheduling segment.
+    """One fleet shard's state after a scheduling segment.
 
-    Emitted by :meth:`~repro.fleet.executor.FleetExecutor.run`'s
-    observer hook: who is resident, which columns each tenant holds,
-    how full each column is, and where every tenant's phase detector
-    stands.
+    Built by :meth:`~repro.fleet.service.shard.ShardServer.inspect`,
+    which :meth:`~repro.fleet.executor.FleetExecutor.run`'s observer
+    hook receives after every segment and the daemon serves on demand:
+    who is resident, which columns each tenant holds, how full each
+    column is, and where every tenant's phase detector stands.
 
     Attributes:
-        segment: Zero-based segment number.
+        segment: Zero-based number of the last completed segment
+            (-1 before the first).
         now: Global instruction clock after the segment.
         column_occupancy: Valid lines per column of the shared cache.
         broker: The broker's ownership map.

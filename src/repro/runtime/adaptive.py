@@ -42,18 +42,15 @@ from repro.sim.engine.batched import LockstepCache
 from repro.sim.executor import TraceExecutor
 from repro.sim.memory_system import MemorySystem
 from repro.sim.results import SimulationResult
-from repro.utils.aliases import deprecated_aliases
 from repro.workloads.base import WorkloadRun
 
 
-@deprecated_aliases(window_size="window_accesses")
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Knobs of the adaptive runtime.
 
     Attributes:
-        window_accesses: Accesses per detection window (canonical
-            name; ``window_size`` is a deprecated alias).
+        window_accesses: Accesses per detection window.
         signature_threshold: Working-set Jaccard distance that fires a
             boundary.
         miss_rate_threshold: Miss-rate jump that fires a boundary.

@@ -18,10 +18,10 @@ declarative sweeps:
   LRU sets are independent, so a block trace sharded by set index can
   advance every set one access per "round" with numpy, bit-identical
   to :class:`~repro.cache.fastsim.FastColumnCache`.
-* :mod:`repro.sim.engine.sharded` — set-sharded simulation: whole
-  sweeps fanned point-per-process, plus single-point sharding that
-  splits one large trace by ``set_index % shards`` across workers and
-  merges per-shard tallies deterministically.
+* :mod:`repro.sim.engine.sharded` — single-point set sharding: one
+  large columnar trace is split by ``set_index % shards``, streamed
+  in bounded chunks across workers, and the per-shard tallies merge
+  deterministically.
 * :mod:`repro.sim.engine.multitask_batch` — the Figure 5 hot path: the
   round-robin schedule is computed in closed form (it does not depend
   on cache contents), and whole quantum sweeps run through one
@@ -53,7 +53,6 @@ from repro.sim.engine.scheduler import JobOutcome, SweepEngine
 from repro.sim.engine.sharded import (
     simulate_columnar_sharded,
     simulate_npz_sharded,
-    simulate_trace_sharded,
 )
 from repro.sim.engine.spec import SimJob, SweepSpec
 
@@ -79,5 +78,4 @@ __all__ = [
     "simulate_multitask_matrix",
     "simulate_multitask_sweep",
     "simulate_npz_sharded",
-    "simulate_trace_sharded",
 ]

@@ -114,11 +114,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, ptr, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,
         ptr, ptr, ptr, ptr, ptr,
     ]
-    lib.repro_schedule_count.restype = None
-    lib.repro_schedule_count.argtypes = [
-        i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,
-        ptr, ptr, ptr, ptr,
-    ]
     lib.repro_fused_multitask.restype = None
     lib.repro_fused_multitask.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,
@@ -363,7 +358,7 @@ def blocks_count_compiled(
     return int(counts[0]), int(counts[1]), int(counts[2])
 
 
-def schedule_count_compiled(
+def _schedule_walk(
     seg_jobs: np.ndarray,
     seg_pos: np.ndarray,
     seg_len: np.ndarray,
@@ -372,80 +367,16 @@ def schedule_count_compiled(
     blocks_concat: np.ndarray,
     mask_table: np.ndarray,
     state: "LockstepState",
-    *,
-    sets_mask: int,
-    index_bits: int,
-    job_misses: np.ndarray,
-) -> None:
-    """Run a quantum schedule without materializing its access stream.
-
-    Segment ``s`` simulates ``seg_len[s]`` accesses of job
-    ``seg_jobs[s]``, walking that job's slice of ``blocks_concat``
-    circularly from ``seg_pos[s]`` — exactly the stream
-    ``_Schedule.access_stream`` would materialize.  Per-job misses
-    (bypasses included) accumulate into ``job_misses``.
-    """
-    lib = load()
-    if blocks_concat.dtype == np.int32:
-        blocks_native = np.ascontiguousarray(blocks_concat)
-        is32 = 1
-    else:
-        blocks_native = np.ascontiguousarray(
-            blocks_concat, dtype=np.int64
-        )
-        is32 = 0
-    seg_jobs64 = np.ascontiguousarray(seg_jobs, np.int64)
-    seg_pos64 = np.ascontiguousarray(seg_pos, np.int64)
-    seg_len64 = np.ascontiguousarray(seg_len, np.int64)
-    offsets64 = np.ascontiguousarray(job_offsets, np.int64)
-    lengths64 = np.ascontiguousarray(job_lengths, np.int64)
-    table64 = np.ascontiguousarray(mask_table, np.int64)
-    ensure_state_native(state)
-    lib.repro_schedule_count(
-        len(seg_jobs64),
-        _addr(seg_jobs64),
-        _addr(seg_pos64),
-        _addr(seg_len64),
-        _addr(offsets64),
-        _addr(lengths64),
-        _addr(blocks_native),
-        is32,
-        _addr(table64),
-        sets_mask,
-        index_bits,
-        state.ways,
-        _addr(state.tags),
-        _addr(state.last_use),
-        _addr(state.clock),
-        _addr(job_misses),
-    )
-
-
-def fused_multitask_compiled(
-    seg_jobs: np.ndarray,
-    seg_pos: np.ndarray,
-    seg_len: np.ndarray,
-    job_offsets: np.ndarray,
-    job_lengths: np.ndarray,
-    blocks_concat: np.ndarray,
-    mask_table: np.ndarray,
-    state: "LockstepState",
-    *,
     sets_mask: int,
     index_bits: int,
     job_hits: np.ndarray,
-    hit_flags: Optional[np.ndarray] = None,
+    hit_flags: Optional[np.ndarray],
 ) -> None:
-    """Run a fleet quantum schedule, accumulating per-tenant hits.
+    """Marshal one schedule walk into ``repro_fused_multitask``.
 
-    The compiled twin of the fused fleet walk
-    (:func:`repro.sim.engine.fused.fused_multitask_run`'s hot path):
-    segment ``s`` simulates ``seg_len[s]`` accesses of tenant
-    ``seg_jobs[s]``, walking that tenant's slice of ``blocks_concat``
-    circularly from ``seg_pos[s]``.  Per-tenant hits accumulate into
-    ``job_hits``; when ``hit_flags`` (uint8, one slot per scheduled
-    access) is given, per-access hit flags are written in global
-    schedule order.
+    The export's one call site.  Both public wrappers come here, never
+    through each other, so a profiler wrapping both names counts each
+    kernel entry (and its accesses) once.
     """
     lib = load()
     if blocks_concat.dtype == np.int32:
@@ -481,4 +412,90 @@ def fused_multitask_compiled(
         _addr(state.clock),
         _addr(job_hits),
         _addr(hit_flags),
+    )
+
+
+def schedule_count_compiled(
+    seg_jobs: np.ndarray,
+    seg_pos: np.ndarray,
+    seg_len: np.ndarray,
+    job_offsets: np.ndarray,
+    job_lengths: np.ndarray,
+    blocks_concat: np.ndarray,
+    mask_table: np.ndarray,
+    state: "LockstepState",
+    *,
+    sets_mask: int,
+    index_bits: int,
+    job_misses: np.ndarray,
+) -> None:
+    """Run a quantum schedule without materializing its access stream.
+
+    Segment ``s`` simulates ``seg_len[s]`` accesses of job
+    ``seg_jobs[s]``, walking that job's slice of ``blocks_concat``
+    circularly from ``seg_pos[s]`` — exactly the stream
+    ``_Schedule.access_stream`` would materialize.  Per-job misses
+    (bypasses included) accumulate into ``job_misses``: each job's
+    scheduled accesses minus the hits the walk counted.
+    """
+    job_hits = np.zeros(len(job_misses), dtype=np.int64)
+    _schedule_walk(
+        seg_jobs,
+        seg_pos,
+        seg_len,
+        job_offsets,
+        job_lengths,
+        blocks_concat,
+        mask_table,
+        state,
+        sets_mask,
+        index_bits,
+        job_hits,
+        None,
+    )
+    job_accesses = np.bincount(
+        seg_jobs, weights=seg_len, minlength=len(job_misses)
+    ).astype(np.int64)
+    job_misses += job_accesses - job_hits
+
+
+def fused_multitask_compiled(
+    seg_jobs: np.ndarray,
+    seg_pos: np.ndarray,
+    seg_len: np.ndarray,
+    job_offsets: np.ndarray,
+    job_lengths: np.ndarray,
+    blocks_concat: np.ndarray,
+    mask_table: np.ndarray,
+    state: "LockstepState",
+    *,
+    sets_mask: int,
+    index_bits: int,
+    job_hits: np.ndarray,
+    hit_flags: Optional[np.ndarray] = None,
+) -> None:
+    """Run a fleet quantum schedule, accumulating per-tenant hits.
+
+    The compiled twin of the fused fleet walk
+    (:func:`repro.sim.engine.fused.fused_multitask_run`'s hot path):
+    segment ``s`` simulates ``seg_len[s]`` accesses of tenant
+    ``seg_jobs[s]``, walking that tenant's slice of ``blocks_concat``
+    circularly from ``seg_pos[s]``.  Per-tenant hits accumulate into
+    ``job_hits``; when ``hit_flags`` (uint8, one slot per scheduled
+    access) is given, per-access hit flags are written in global
+    schedule order.
+    """
+    _schedule_walk(
+        seg_jobs,
+        seg_pos,
+        seg_len,
+        job_offsets,
+        job_lengths,
+        blocks_concat,
+        mask_table,
+        state,
+        sets_mask,
+        index_bits,
+        job_hits,
+        hit_flags,
     )

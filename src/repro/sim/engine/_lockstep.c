@@ -139,60 +139,18 @@ repro_blocks_count(int64_t n, const void *blocks, int32_t blocks_is32,
     counts[2] += bypasses;
 }
 
-/* Fused schedule entry: simulates a round-robin quantum schedule
+/* Fused schedule walk: simulates a round-robin quantum schedule
  * straight off the per-job block arrays, without materializing the
  * interleaved access stream.  Segment s runs seg_len[s] accesses of
  * job seg_jobs[s], walking that job's blocks circularly from
- * seg_pos[s] (matching (pos + k) % length in _Schedule.access_stream).
- * blocks is the per-job arrays concatenated in job order
- * (job_offsets / job_lengths index it).  Per-job misses (bypasses
- * included) accumulate into job_misses. */
-API void
-repro_schedule_count(int64_t n_segments, const int64_t *seg_jobs,
-                     const int64_t *seg_pos, const int64_t *seg_len,
-                     const int64_t *job_offsets,
-                     const int64_t *job_lengths, const void *blocks,
-                     int32_t blocks_is32, const int64_t *mask_table,
-                     int64_t sets_mask, int64_t index_bits,
-                     int64_t ways, int64_t *state_tags,
-                     int64_t *state_use, int64_t *state_clock,
-                     int64_t *job_misses)
-{
-    int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
-    const int32_t *blocks32 = (const int32_t *)blocks;
-    const int64_t *blocks64 = (const int64_t *)blocks;
-    for (int64_t s = 0; s < n_segments; s++) {
-        int64_t job = seg_jobs[s];
-        int64_t length = job_lengths[job];
-        int64_t base = job_offsets[job];
-        int64_t index = seg_pos[s] % length;
-        int64_t count = seg_len[s];
-        int64_t mask = mask_table[job] & ways_mask;
-        int64_t misses = 0;
-        for (int64_t k = 0; k < count; k++) {
-            int64_t block = blocks_is32
-                                ? (int64_t)blocks32[base + index]
-                                : blocks64[base + index];
-            index++;
-            if (index == length)
-                index = 0;
-            int bypass = 0;
-            int hit = step(block & sets_mask, block >> index_bits,
-                           mask, ways, state_tags, state_use,
-                           state_clock, &bypass);
-            misses += !hit;
-        }
-        job_misses[job] += misses;
-    }
-}
-
-/* Fused multi-tenant fleet entry: the same circular per-segment walk
- * as repro_schedule_count, but accumulating per-tenant HITS (the
- * fleet executor's accounting) and, when hit_flags is non-NULL,
- * writing one uint8 hit flag per access in global schedule order —
- * the stream a differential trace run replays.  A whole scheduling
- * window (or segment up to the next fleet event) runs in one call,
- * never re-entering Python per quantum. */
+ * seg_pos[s] (matching (pos + k) % length in the schedule's stream
+ * gather).  blocks is the per-job arrays concatenated in job order
+ * (job_offsets / job_lengths index it).  Per-job HITS accumulate into
+ * job_hits (a job's misses, bypasses included, are its scheduled
+ * accesses minus its hits); when hit_flags is non-NULL, one uint8 hit
+ * flag per access is written in global schedule order.  The Figure 5
+ * matrix and the fleet's scheduling segments both run here, a whole
+ * window per call, never re-entering Python per quantum. */
 API void
 repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
                       const int64_t *seg_pos, const int64_t *seg_len,

@@ -1,7 +1,8 @@
 """Fused multi-tenant quantum walks for the fleet hot path.
 
-The fleet executor and shard server schedule co-resident tenants
-round-robin over one shared lockstep state.  Driving the kernel one
+The fleet's segment loop (:class:`~repro.fleet.service.shard.ShardServer`)
+schedules co-resident tenants round-robin over one shared lockstep
+state.  Driving the kernel one
 Python-level quantum slice at a time costs list bookkeeping, per-slice
 ``np.full`` mask fills and a concatenation per segment — brutal at
 small quanta.  This module runs a whole closed-form
@@ -22,7 +23,7 @@ kernel entry:
 Both return identical per-tenant tallies and, on request, the
 per-access hit flags in global schedule order, so observer snapshots,
 telemetry and differential traces stay bit-identical to the scalar
-reference executor.
+fleet oracle the test suite keeps.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from repro.sim.multitask import QuantumSchedule
 class TenantBatch:
     """Concatenated per-tenant block arrays, kernel-ready.
 
-    Built once per resident set (the executor caches it per segment
-    population; the shard server keeps it as persistent state across
-    ``advance`` calls) so the hot loop never re-concatenates traces.
+    Built once per resident set (the shard server keeps it as
+    persistent state across ``advance`` calls) so the hot loop never
+    re-concatenates traces.
 
     Attributes:
         blocks: All tenants' block numbers, concatenated in tenant

@@ -9,121 +9,35 @@ a shard is the original trace order (boolean selection is stable).
 Per-shard tallies merge deterministically: plain sums, accumulated in
 shard order.
 
-Two generations of sharding live here:
+:func:`simulate_columnar_sharded` / :func:`simulate_npz_sharded` are
+*single-sweep-point* scaling: one large
+:class:`~repro.trace.columnar.ColumnarTrace` is streamed in bounded
+chunks (``iter_chunks``, so a memory-mapped ``.npz`` archive keeps
+every worker's working set cache-resident) and partitioned by set
+index on the fly, each shard advancing its own lockstep state on the
+selected kernel backend.  The sweep engine's process backend
+parallelizes *across* sweep points; this fans the sets of a single
+point across cores.
 
-* :func:`simulate_trace_sharded` — the original cross-validation
-  path: each worker runs the scalar
-  :class:`~repro.cache.fastsim.FastColumnCache` over a pre-gathered
-  shard of an in-memory block array.
-* :func:`simulate_columnar_sharded` / :func:`simulate_npz_sharded` —
-  *single-sweep-point* scaling: one large
-  :class:`~repro.trace.columnar.ColumnarTrace` is streamed in bounded
-  chunks (``iter_chunks``, so a memory-mapped ``.npz`` archive keeps
-  every worker's working set cache-resident) and partitioned by set
-  index on the fly, each shard advancing its own lockstep state on
-  the selected kernel backend.  Today the process backend only
-  parallelizes *across* sweep points; this fans the sets of a single
-  point across cores.
-
-The equivalence suite asserts all paths (scalar, lockstep, sharded,
-compiled) agree bit-for-bit.
+The equivalence suite asserts the sharded runs agree bit-for-bit with
+the scalar oracles and the unsharded lockstep run, on both kernels.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.trace.columnar import ColumnarTrace
 
-from repro.cache.fastsim import FastColumnCache, FastSimResult
+from repro.cache.fastsim import FastSimResult
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import backends
 from repro.sim.engine.batched import LockstepState, lockstep_run
-
-
-def shard_blocks(
-    blocks: np.ndarray,
-    geometry: CacheGeometry,
-    shards: int,
-) -> list[np.ndarray]:
-    """Per-shard *positions* into ``blocks`` (shard = set % shards)."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    set_index = blocks & np.int64(geometry.sets - 1)
-    assignment = set_index % np.int64(shards)
-    return [
-        np.flatnonzero(assignment == shard) for shard in range(shards)
-    ]
-
-
-def _simulate_shard(
-    payload: tuple[
-        CacheGeometry,
-        np.ndarray,
-        Optional[np.ndarray],
-        Optional[int],
-    ],
-) -> tuple[int, int, int]:
-    """Worker: scalar-simulate one shard, return (hits, misses, bypasses)."""
-    geometry, blocks, mask_bits, uniform_mask = payload
-    cache = FastColumnCache(geometry)
-    if mask_bits is not None:
-        outcome = cache.run(blocks.tolist(), mask_bits=mask_bits.tolist())
-    else:
-        outcome = cache.run(blocks.tolist(), uniform_mask=uniform_mask)
-    return outcome.hits, outcome.misses, outcome.bypasses
-
-
-def simulate_trace_sharded(
-    blocks: Sequence[int] | np.ndarray,
-    geometry: CacheGeometry,
-    mask_bits: Optional[Sequence[int] | np.ndarray] = None,
-    uniform_mask: Optional[int] = None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-) -> FastSimResult:
-    """Simulate a block trace sharded by set index.
-
-    ``shards`` defaults to ``workers``; ``workers == 1`` runs the
-    shards inline (still useful: smaller working sets), ``workers >
-    1`` fans them over a process pool.  Results are bit-identical to a
-    serial :class:`~repro.cache.fastsim.FastColumnCache` run.
-    """
-    if mask_bits is not None and uniform_mask is not None:
-        raise ValueError("give either mask_bits or uniform_mask, not both")
-    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    masks = (
-        np.ascontiguousarray(mask_bits, dtype=np.int64)
-        if mask_bits is not None
-        else None
-    )
-    shards = max(1, min(shards if shards is not None else workers,
-                        geometry.sets))
-    positions = shard_blocks(blocks, geometry, shards)
-    payloads = [
-        (
-            geometry,
-            blocks[shard_positions],
-            masks[shard_positions] if masks is not None else None,
-            uniform_mask,
-        )
-        for shard_positions in positions
-        if len(shard_positions)
-    ]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:  # repro: ignore[R005] -- scalar FastColumnCache workers never consult the kernel backend
-            counts = list(pool.map(_simulate_shard, payloads))
-    else:
-        counts = [_simulate_shard(payload) for payload in payloads]
-    hits = sum(count[0] for count in counts)
-    misses = sum(count[1] for count in counts)
-    bypasses = sum(count[2] for count in counts)
-    return FastSimResult(hits=hits, misses=misses, bypasses=bypasses)
 
 
 # ----------------------------------------------------------------------

@@ -53,10 +53,11 @@ def next_quantum_slice(
     slice may overshoot ``remaining`` by the final access's
     instructions; a quantum of 1 advances exactly one access.
 
-    This is the single source of truth for quantum slicing: the
-    round-robin :class:`MultitaskSimulator` and the fleet executor
-    (:mod:`repro.fleet.executor`) both slice through it, so their
-    schedules agree access-for-access.
+    This is the single source of truth for step-by-step quantum
+    slicing: the scalar round-robin :class:`MultitaskSimulator` and
+    the scalar fleet oracle under ``tests/oracles/`` both slice
+    through it, and the closed-form :func:`quantum_schedule` is held
+    to it access-for-access.
     """
     done_before = 0 if position == 0 else int(cumulative[position - 1])
     target = done_before + remaining
@@ -128,9 +129,9 @@ class QuantumWalkTables:
 
     Holds the per-start-position quantum tables plus the composed
     successor powers ``next^(2^k)`` that orbit unrolling needs.  A
-    steady-state caller (the fleet executor's segment loop, the shard
-    server's ``advance``) schedules hundreds of windows over the same
-    resident traces; rebuilding the O(trace)-sized tables and
+    steady-state caller (the fleet's segment loop,
+    ``ShardServer.advance``) schedules hundreds of windows over the
+    same resident traces; rebuilding the O(trace)-sized tables and
     re-composing the doubling maps every window would dwarf the kernel
     walk itself at small windows.  Through :func:`walk_tables` the
     build happens once per resident trace and every subsequent window
@@ -293,7 +294,8 @@ def quantum_schedule(
     at least ``budget`` instructions have run — except the **final**
     quantum, which is scheduled with the *remaining* budget when that
     is smaller than the quantum, making the window boundary exact.
-    This matches the fleet executor's segment loop access-for-access.
+    This matches a step-by-step :func:`next_quantum_slice` walk
+    access-for-access.
     """
     count = len(cumulatives)
     if count == 0:

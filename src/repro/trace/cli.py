@@ -9,8 +9,7 @@ Usage::
     repro trace replay out.npz --size 16384 --columns 8
     repro trace profile out.npz
 
-(``repro-trace`` and the deprecated ``python -m repro.trace`` accept
-the same subcommands.)
+(The ``repro-trace`` console script accepts the same subcommands.)
 
 ``stats`` prints per-variable access counts and lifetimes; ``generate``
 writes a synthetic trace in dinero format; ``simulate`` runs a trace

@@ -83,6 +83,11 @@ def _parse_lines(lines: list[tuple[int, list[str]]], name: str) -> Trace:
             raise ValueError(
                 f"line {line_number}: bad address {fields[1]!r}"
             ) from None
+        except OverflowError:
+            raise ValueError(
+                f"line {line_number}: address {fields[1]!r} does not "
+                "fit in a signed 64-bit integer"
+            ) from None
         writes[position] = label == WRITE_LABEL
         if len(fields) >= 3:
             try:

@@ -1,0 +1,229 @@
+"""Scalar fleet oracle: the fleet segment loop, one quantum at a time.
+
+An independent re-implementation of what
+:class:`~repro.fleet.executor.FleetExecutor` computes over one
+:class:`~repro.fleet.service.shard.ShardServer`: the paper's Section
+4.2 multitasking model (co-resident tenants round-robin fixed
+instruction quanta through one column cache, each access carrying its
+tenant's column mask) with the broker rewriting tints between
+segments.  Where production builds each segment's round-robin schedule
+in closed form and runs it in one fused kernel walk, this oracle
+slices every quantum with :func:`~repro.sim.multitask.next_quantum_slice`
+and steps each slice through the scalar
+:class:`~repro.cache.fastsim.FastColumnCache`.  Event replay,
+telemetry and the feeding of each tenant's phase detector follow the
+same contract, written out again here; only the per-tenant state
+(:class:`~repro.fleet.tenant.TenantRuntime`, detector included) and
+the broker are shared.  :func:`assert_same_run` is the comparison the
+differential suites apply to the two.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Optional
+
+import numpy as np
+
+from repro.cache.fastsim import FastColumnCache
+from repro.cache.geometry import CacheGeometry
+from repro.fleet import (
+    ColumnBroker,
+    FleetAdmissionError,
+    FleetConfig,
+    FleetEvent,
+    FleetResult,
+    FleetTrace,
+    TenantStatus,
+    WindowSample,
+)
+from repro.fleet.tenant import TenantRuntime
+from repro.sim.config import TimingConfig
+from repro.sim.multitask import next_quantum_slice
+
+
+def run_reference_fleet(
+    geometry: CacheGeometry,
+    timing: TimingConfig,
+    config: FleetConfig,
+    fleet: FleetTrace,
+    broker: Optional[Any] = None,
+) -> FleetResult:
+    """Run ``fleet`` through the scalar per-quantum loop.
+
+    Returns the same :class:`~repro.fleet.executor.FleetResult` the
+    executor does, with the per-access hit stream always collected.
+    """
+    if broker is None:
+        broker = ColumnBroker(geometry, timing)
+    cache = FastColumnCache(geometry)
+    runtimes: dict[str, TenantRuntime] = {}
+    blocks: dict[str, list[int]] = {}
+    pending_remap: dict[str, int] = {}
+    rejected: list[str] = []
+    flag_parts = [np.zeros(0, dtype=bool)]
+    rotation: Optional[str] = None
+
+    def charge(charges: dict[str, int]) -> None:
+        for name, cycles in charges.items():
+            pending_remap[name] = pending_remap.get(name, 0) + cycles
+            runtimes[name].telemetry.remaps += 1
+
+    def apply(event: FleetEvent) -> None:
+        nonlocal rotation
+        if event.kind == "arrival":
+            spec = event.spec
+            runtime = TenantRuntime(spec, geometry, config)
+            runtime.telemetry.arrival_time = event.time
+            runtimes[spec.name] = runtime
+            blocks[spec.name] = runtime.blocks.tolist()
+            try:
+                charges = broker.admit(
+                    spec.name, spec.run, priority=spec.priority
+                )
+            except FleetAdmissionError:
+                runtime.telemetry.status = TenantStatus.REJECTED
+                runtime.telemetry.rejected_at = event.time
+                rejected.append(spec.name)
+                return
+            runtime.telemetry.status = TenantStatus.RUNNING
+            runtime.telemetry.admitted_at = event.time
+            charge(charges)
+            return
+        runtime = runtimes.get(event.tenant)
+        if runtime is None:
+            raise ValueError(f"departure for unknown tenant {event.tenant!r}")
+        if runtime.telemetry.status is not TenantStatus.RUNNING:
+            return
+        charges = broker.depart(event.tenant)
+        runtime.telemetry.status = TenantStatus.DEPARTED
+        runtime.telemetry.departed_at = event.time
+        pending_remap.pop(event.tenant, None)
+        if rotation == event.tenant:
+            rotation = None
+        charge(charges)
+
+    events = fleet.events
+    next_event = 0
+    now = 0
+    segment = 0
+    horizon = fleet.horizon_instructions
+    while now < horizon:
+        while next_event < len(events) and events[next_event].time <= now:
+            apply(events[next_event])
+            next_event += 1
+        residents = broker.resident
+        if not residents:
+            if next_event == len(events):
+                break
+            now = events[next_event].time
+            continue
+        budget = min(config.window_instructions, horizon - now)
+        if next_event < len(events):
+            budget = min(budget, events[next_event].time - now)
+
+        # instructions, accesses, quanta, hits
+        counters = {name: [0, 0, 0, 0] for name in residents}
+        slices: dict[str, list[tuple[int, int]]] = {
+            name: [] for name in residents
+        }
+        turn = residents.index(rotation) if rotation in residents else 0
+        executed = 0
+        while executed < budget:
+            name = residents[turn]
+            runtime = runtimes[name]
+            counter = counters[name]
+            counter[2] += 1
+            mask = broker.grants[name].bits
+            remaining = min(config.quantum_instructions, budget - executed)
+            while remaining > 0:
+                start = runtime.position
+                stop, ran = next_quantum_slice(
+                    runtime.cumulative, start, remaining
+                )
+                flags = cache.run_with_flags(
+                    blocks[name][start:stop], uniform_mask=mask
+                )
+                flag_parts.append(flags)
+                counter[0] += ran
+                counter[1] += stop - start
+                counter[3] += int(flags.sum())
+                slices[name].append((start, stop))
+                remaining -= ran
+                executed += ran
+                runtime.position = stop
+                if stop >= len(blocks[name]):
+                    runtime.position = 0
+                    runtime.telemetry.wraps += 1
+            turn = (turn + 1) % len(residents)
+        rotation = residents[turn]
+        now += executed
+
+        boundaries = []
+        for name in residents:
+            runtime = runtimes[name]
+            instructions, accesses, quanta, hits = counters[name]
+            runtime.telemetry.samples.append(
+                WindowSample(
+                    window_index=segment,
+                    columns=broker.grants[name].count(),
+                    instructions=instructions,
+                    accesses=accesses,
+                    hits=hits,
+                    misses=accesses - hits,
+                    quanta=quanta,
+                    remap_cycles=pending_remap.pop(name, 0),
+                )
+            )
+            if (
+                config.detect_phases
+                and accesses >= config.min_detect_accesses
+            ):
+                window = np.concatenate(
+                    [runtime.blocks[a:b] for a, b in slices[name]]
+                )
+                observation = runtime.detector.observe_window(
+                    window, accesses - hits
+                )
+                if observation.boundary:
+                    boundaries.append(name)
+        for name in boundaries:
+            if name in broker.grants:
+                runtime = runtimes[name]
+                charge(
+                    broker.refresh(
+                        name,
+                        runtime.spec.run,
+                        runtime.window_trace(slices[name]),
+                    )
+                )
+        segment += 1
+
+    return FleetResult(
+        telemetry={
+            name: runtime.telemetry for name, runtime in runtimes.items()
+        },
+        total_instructions=now,
+        segments=segment,
+        rewrites=list(broker.rewrites),
+        rejected=rejected,
+        hit_stream=np.concatenate(flag_parts),
+    )
+
+
+def assert_same_run(
+    result: FleetResult, reference: FleetResult, timing: TimingConfig
+) -> None:
+    """Assert two fleet runs are identical, hit stream to telemetry.
+
+    Compares every tenant's whole exported telemetry (event stamps
+    included), not just its counters, plus its per-segment samples.
+    """
+    assert np.array_equal(result.hit_stream, reference.hit_stream)
+    assert result.total_instructions == reference.total_instructions
+    assert result.segments == reference.segments
+    assert result.rejected == reference.rejected
+    assert list(result.telemetry) == list(reference.telemetry)
+    for name, telemetry in result.telemetry.items():
+        expected = reference.telemetry[name]
+        assert telemetry.as_dict(timing) == expected.as_dict(timing), name
+        assert telemetry.samples == expected.samples, name

@@ -24,6 +24,10 @@ Strategies:
   the executor equivalence suite.
 * :func:`phased_workload` — a workload whose trace rotates through
   random per-phase variable subsets (for the adaptive runtime).
+
+:func:`mask_labelled_trace` turns a (blocks, mask_bits) case into a
+columnar trace whose variable labels carry the masks, so the
+set-sharded simulators (which derive masks from labels) replay it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,32 @@ def suite_variable_masks(trace: Trace, columns: int) -> dict[str, int]:
     return {
         variable: MASK_PALETTE[index % len(MASK_PALETTE)] & full
         for index, variable in enumerate(trace.variables())
+    }
+
+
+def mask_labelled_trace(
+    geometry: CacheGeometry, blocks, mask_bits
+) -> tuple[Trace, dict[str, int]]:
+    """``(trace, variable_masks)`` replaying ``blocks`` under ``mask_bits``.
+
+    Each distinct mask value becomes one variable, so a runner that
+    derives per-access masks from variable labels (the set-sharded
+    simulators' ``variable_masks``) sees exactly the given per-access
+    masks.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    values, ids = np.unique(
+        np.asarray(mask_bits, dtype=np.int64), return_inverse=True
+    )
+    names = [f"mask{int(value)}" for value in values]
+    trace = Trace.from_columns(
+        blocks << geometry.offset_bits,
+        variable_ids=ids.astype(np.int64),
+        variable_names=names,
+        name="mask-labelled",
+    )
+    return trace, {
+        name: int(value) for name, value in zip(names, values)
     }
 
 

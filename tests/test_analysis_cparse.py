@@ -32,7 +32,6 @@ WRAPPER_PY = ENGINE_DIR / "_compiled.py"
 EXPORTED = {
     "repro_lockstep_flags": 11,
     "repro_blocks_count": 17,
-    "repro_schedule_count": 16,
     "repro_fused_multitask": 17,
 }
 

@@ -119,20 +119,6 @@ class TestTraceCLIDetails:
                 ["generate", str(tmp_path / "x.din"), "--kind", "bogus"]
             )
 
-    def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
-        out = tmp_path / "m.din"
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro.trace", "generate", str(out),
-             "--count", "50"],
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert load_trace(out).access_count == 50
-
 
 class TestExperimentsCLIEngine:
     """The experiments CLI drives sweeps through the engine."""
@@ -257,34 +243,12 @@ class TestUnifiedCLI:
 
 
 class TestLegacyEntryPoints:
-    """``python -m repro.trace`` / ``repro.experiments`` still work,
-    but warn once that they are deprecated."""
-
-    @pytest.mark.parametrize(
-        "module,arguments",
-        [
-            ("repro.trace", ["--help"]),
-            ("repro.experiments", ["--help"]),
-        ],
-    )
-    def test_module_forms_warn_but_run(self, module, arguments):
-        import subprocess
-        import sys
-
-        completed = subprocess.run(
-            [sys.executable, "-W", "always::DeprecationWarning",
-             "-m", module, *arguments],
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "deprecated" in completed.stderr.lower()
-        assert "repro " in completed.stderr  # points at the new form
+    """The per-tool console scripts (``repro-trace``,
+    ``repro-experiments``) stay supported alongside ``repro``."""
 
     def test_legacy_console_mains_do_not_warn(self, recwarn, tmp_path):
-        """Only the module forms are deprecated; the importable
-        ``main`` functions (and the legacy console scripts bound to
-        them) stay warning-free."""
+        """The importable ``main`` functions (and the console scripts
+        bound to them) run warning-free."""
         import warnings
 
         out = tmp_path / "t.din"

@@ -44,16 +44,15 @@ from repro.sim.engine.batched import (
     batched_simulate,
     lockstep_run,
 )
-from repro.sim.engine.sharded import (
-    simulate_columnar_sharded,
-    simulate_trace_sharded,
-)
+from repro.sim.engine.sharded import simulate_columnar_sharded
 
 from repro.utils.bitvector import ColumnMask
 
+from oracles.fleet import assert_same_run, run_reference_fleet
 from strategies import (
     block_trace_cases,
     fleet_scenario,
+    mask_labelled_trace,
     phased_workload,
     record_suite_case,
     suite_cases,
@@ -169,17 +168,17 @@ def test_compiled_kernel_agrees_per_access(case):
 
 @given(case=block_trace_cases(), shards=st.integers(1, 3))
 def test_sharded_totals_match_reference(case, shards):
-    """The set-sharded runner reports the same totals."""
+    """The set-sharded runner reports the same totals, bypasses
+    included, under arbitrary per-access masks."""
     geometry, blocks, mask_bits = case
     ref_hits, ref_bypasses, _ = reference_streams(
         geometry, blocks, mask_bits
     )
-    sharded = simulate_trace_sharded(
-        np.asarray(blocks, dtype=np.int64),
-        geometry,
-        mask_bits=np.asarray(mask_bits, dtype=np.int64),
-        workers=1,
-        shards=shards,
+    trace, variable_masks = mask_labelled_trace(
+        geometry, blocks, mask_bits
+    )
+    sharded = simulate_columnar_sharded(
+        trace, geometry, shards=shards, variable_masks=variable_masks
     )
     assert sharded.hits == int(ref_hits.sum())
     assert sharded.misses == len(blocks) - int(ref_hits.sum())
@@ -273,8 +272,12 @@ class TestWorkloadSuiteColumnar:
         miss_flags[miss_positions] = True
         assert np.array_equal(miss_flags, ~scalar_hits)
 
-        sharded = simulate_trace_sharded(
-            blocks, geometry, mask_bits=mask_bits, workers=1, shards=2
+        sharded = simulate_columnar_sharded(
+            trace,
+            geometry,
+            shards=2,
+            variable_masks=suite_variable_masks(trace, geometry.columns),
+            kernel="numpy",
         )
         assert sharded.hits == int(scalar_hits.sum())
         assert sharded.bypasses == int(scalar_bypasses.sum())
@@ -358,45 +361,40 @@ class TestWorkloadSuiteColumnar:
         config = FleetConfig(
             quantum_instructions=64, window_instructions=512
         )
-        executor = FleetExecutor(geometry, TIMING, config)
-        fast = executor.run(fleet, backend="lockstep", collect_flags=True)
-        reference = executor.run(
-            fleet, backend="reference", collect_flags=True
+        fast = FleetExecutor(geometry, TIMING, config).run(
+            fleet, collect_flags=True
         )
-        assert np.array_equal(fast.hit_stream, reference.hit_stream)
+        reference = run_reference_fleet(geometry, TIMING, config, fleet)
+        assert_same_run(fast, reference, TIMING)
 
 
 # ----------------------------------------------------------------------
 # Fused fleet oracle: the multi-tenant kernel walk, both kernels
 # ----------------------------------------------------------------------
-def _run_fleet(case, backend, kernel=None, observer=None):
+def _run_fleet(case, kernel, observer=None):
     """One executor run with the session kernel pinned for its span."""
     geometry, fleet, config = case
-    executor = FleetExecutor(geometry, TIMING, config)
-    if kernel is not None:
-        set_backend(kernel)
+    set_backend(kernel)
     try:
-        return executor.run(
+        return FleetExecutor(geometry, TIMING, config).run(
             fleet,
             broker=ColumnBroker(geometry, TIMING),
-            backend=backend,
             collect_flags=True,
             observer=observer,
         )
     finally:
-        if kernel is not None:
-            reset_backend()
+        reset_backend()
 
 
-def _assert_fleet_identical(fast, reference):
-    assert np.array_equal(fast.hit_stream, reference.hit_stream)
-    assert fast.total_instructions == reference.total_instructions
-    assert set(fast.telemetry) == set(reference.telemetry)
-    for name, telemetry in fast.telemetry.items():
-        expected = reference.telemetry[name]
-        assert telemetry.samples == expected.samples
-        assert telemetry.status is expected.status
-        assert telemetry.wraps == expected.wraps
+def _run_oracle(case):
+    geometry, fleet, config = case
+    return run_reference_fleet(
+        geometry,
+        TIMING,
+        config,
+        fleet,
+        broker=ColumnBroker(geometry, TIMING),
+    )
 
 
 class TestFusedFleetOracle:
@@ -406,43 +404,43 @@ class TestFusedFleetOracle:
     (:func:`~repro.sim.engine.fused.fused_multitask_run`); against any
     drawn fleet scenario — mid-window arrivals and departures, broker
     rebalances, wrapping traces — the per-access hit stream and every
-    per-tenant counter must be bit-identical to the scalar reference
-    executor's per-quantum slice loop.
+    tenant's whole telemetry must be identical to the scalar
+    per-quantum oracle's (``tests/oracles/fleet.py``).
     """
 
     @settings(max_examples=15, deadline=None)
     @given(case=fleet_scenario())
     def test_fused_numpy_matches_reference(self, case):
-        fast = _run_fleet(case, "lockstep", kernel="numpy")
-        reference = _run_fleet(case, "reference")
-        _assert_fleet_identical(fast, reference)
+        fast = _run_fleet(case, "numpy")
+        assert_same_run(fast, _run_oracle(case), TIMING)
 
     @requires_compiled
     @settings(max_examples=15, deadline=None)
     @given(case=fleet_scenario())
     def test_fused_compiled_matches_reference(self, case):
-        fast = _run_fleet(case, "lockstep", kernel="compiled")
-        reference = _run_fleet(case, "reference")
-        _assert_fleet_identical(fast, reference)
+        fast = _run_fleet(case, "compiled")
+        assert_same_run(fast, _run_oracle(case), TIMING)
 
     @settings(max_examples=10, deadline=None)
     @given(case=fleet_scenario())
     def test_observer_attached_run_is_bit_identical(self, case):
-        """The live-inspection observer is read-only on the fused
-        path: attaching one changes no result, and it sees exactly
-        one snapshot per scheduling segment."""
+        """The live-inspection observer is read-only: a run with one
+        attached still matches the oracle, and the observer sees
+        exactly one snapshot per scheduling segment, numbered from
+        0."""
         kernels = ["numpy"]
         if compiled_available():
             kernels.append("compiled")
-        plain = _run_fleet(case, "lockstep", kernel=kernels[0])
+        reference = _run_oracle(case)
         for kernel in kernels:
             snapshots = []
             observed = _run_fleet(
-                case, "lockstep", kernel=kernel,
-                observer=snapshots.append,
+                case, kernel, observer=snapshots.append
             )
-            _assert_fleet_identical(observed, plain)
-            assert len(snapshots) == observed.segments
+            assert_same_run(observed, reference, TIMING)
+            assert [snapshot.segment for snapshot in snapshots] == list(
+                range(observed.segments)
+            )
             resident_names = {
                 row.name
                 for snapshot in snapshots

@@ -21,7 +21,13 @@ from repro.sim.engine.batched import (
     batched_simulate,
     lockstep_run,
 )
-from repro.sim.engine.sharded import shard_blocks, simulate_trace_sharded
+from repro.sim.engine.sharded import (
+    _stream_one_shard,
+    simulate_columnar_sharded,
+)
+from repro.trace.trace import Trace
+
+from strategies import mask_labelled_trace
 
 
 def counts(result):
@@ -187,41 +193,55 @@ class TestCompactDtypeGate:
 
 
 class TestShardedEquivalence:
-    @given(case=kernel_case(), workers=st.integers(1, 4))
+    @given(case=kernel_case(), shards=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_counts_match_scalar(self, case, workers):
+    def test_counts_match_scalar(self, case, shards):
         geometry, blocks, masks, uniform, _cutoff = case
         cache = FastColumnCache(geometry)
         if masks is not None:
             reference = cache.run(blocks.tolist(), mask_bits=masks.tolist())
+            trace, variable_masks = mask_labelled_trace(
+                geometry, blocks, masks
+            )
+            sharded = simulate_columnar_sharded(
+                trace,
+                geometry,
+                shards=shards,
+                variable_masks=variable_masks,
+            )
         else:
             reference = cache.run(blocks.tolist(), uniform_mask=uniform)
-        # workers=1 exercises the inline shard path; the process-pool
-        # path is covered once below (pool startup is expensive).
-        sharded = simulate_trace_sharded(
-            blocks,
-            geometry,
-            mask_bits=masks,
-            uniform_mask=uniform,
-            workers=1,
-        )
+            sharded = simulate_columnar_sharded(
+                Trace.from_columns(blocks << geometry.offset_bits),
+                geometry,
+                shards=shards,
+                uniform_mask=uniform,
+            )
         assert counts(sharded) == counts(reference)
-        del workers
 
     def test_shards_partition_all_accesses(self):
+        """Each shard worker streams exactly the accesses whose set
+        index falls in its shard: together the shards cover the trace
+        once, and their tallies sum to the unsharded run's."""
         geometry = CacheGeometry(line_size=16, sets=8, columns=2)
-        blocks = np.arange(100, dtype=np.int64)
-        positions = shard_blocks(blocks, geometry, 3)
-        merged = np.sort(np.concatenate(positions))
-        assert np.array_equal(merged, np.arange(100))
-
-    def test_process_pool_matches_serial(self):
-        geometry = CacheGeometry(line_size=16, sets=16, columns=4)
-        rng = np.random.default_rng(9)
-        blocks = rng.integers(0, 4096, 20_000).astype(np.int64)
+        rng = np.random.default_rng(5)
+        blocks = rng.integers(0, 64, 400).astype(np.int64)
+        trace = Trace.from_columns(blocks << geometry.offset_bits)
+        shards = 3
+        tallies = [
+            _stream_one_shard(
+                trace, geometry, shard, shards, 37, None, None, None,
+                "numpy",
+            )
+            for shard in range(shards)
+        ]
+        rows = blocks & (geometry.sets - 1)
+        for shard, (accesses, _hits, _bypasses) in enumerate(tallies):
+            assert accesses == int(np.count_nonzero(rows % shards == shard))
+        assert sum(tally[0] for tally in tallies) == len(blocks)
         reference = FastColumnCache(geometry).run(blocks.tolist())
-        pooled = simulate_trace_sharded(blocks, geometry, workers=2)
-        assert counts(pooled) == counts(reference)
+        assert sum(tally[1] for tally in tallies) == reference.hits
+        assert sum(tally[2] for tally in tallies) == reference.bypasses
 
 
 class TestChunkedRun:

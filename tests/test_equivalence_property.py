@@ -17,10 +17,10 @@ from repro.cache.fastsim import FastColumnCache
 from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import batched_simulate
-from repro.sim.engine.sharded import simulate_trace_sharded
+from repro.sim.engine.sharded import simulate_columnar_sharded
 from repro.sim.executor import TraceExecutor
 
-from strategies import random_workload
+from strategies import mask_labelled_trace, random_workload
 
 TIMING = TimingConfig(miss_penalty=13, uncached_penalty=29,
                       preload_line_cycles=7)
@@ -82,8 +82,9 @@ def test_sharded_and_lockstep_match_scalar_on_planner_masks(
     scalar = FastColumnCache(geometry).run(
         blocks.tolist(), mask_bits=masks.tolist()
     )
-    sharded = simulate_trace_sharded(
-        blocks, geometry, mask_bits=masks, workers=1, shards=shards
+    trace, variable_masks = mask_labelled_trace(geometry, blocks, masks)
+    sharded = simulate_columnar_sharded(
+        trace, geometry, shards=shards, variable_masks=variable_masks
     )
     lockstep = batched_simulate(
         blocks, geometry, mask_bits=masks, scalar_cutoff=cutoff

@@ -3,8 +3,11 @@
 These run the quick configurations; the benchmarks run the full ones.
 """
 
+import warnings
+
 import pytest
 
+from repro.experiments.adaptive import WorkloadCase
 from repro.experiments.figure4 import (
     Figure4Config,
     check_figure4a,
@@ -17,6 +20,7 @@ from repro.experiments.figure4 import (
 from repro.experiments.figure5 import (
     Figure5Config,
     check_figure5,
+    matrix_job,
     run_figure5,
 )
 from repro.experiments.report import (
@@ -26,6 +30,9 @@ from repro.experiments.report import (
     checks_table,
     render_checks,
 )
+from repro.runtime.adaptive import AdaptiveConfig
+from repro.sim.engine.backends import reset_backend, set_backend
+from repro.sim.engine.spec import CACHE_FORMAT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +113,82 @@ class TestFigure5:
     def test_table_renders(self, result):
         _, series = result
         assert "quantum" in series.to_table()
+
+
+class TestFigure5MatrixJob:
+    """The Figure 5 matrix job keeps its cache identity.
+
+    ``Figure5Config.horizon_instructions`` was once spelled
+    ``budget_instructions``; the job parameter keeps that spelling, so
+    results cached on disk before the rename are still served.
+    """
+
+    #: ``matrix_job(Figure5Config().quick()).content_hash()`` on the
+    #: numpy kernel.  A change here invalidates every cached Figure 5
+    #: result; bump ``CACHE_FORMAT_VERSION`` deliberately, not by
+    #: accident.
+    QUICK_HASH = (
+        "ee2482c127b5a262de19baff31f7ce74d3fd21660a6f96c55bb5809d0ca32797"
+    )
+
+    def test_job_keeps_budget_key(self):
+        config = Figure5Config().quick()
+        params = matrix_job(config).params
+        assert params["budget_instructions"] == config.horizon_instructions
+        assert "horizon_instructions" not in params
+
+    def test_content_hash_is_stable(self):
+        assert CACHE_FORMAT_VERSION == 2
+        set_backend("numpy")
+        try:
+            digest = matrix_job(Figure5Config().quick()).content_hash()
+        finally:
+            reset_backend()
+        assert digest == self.QUICK_HASH
+
+
+#: Config fields renamed by the naming pass: (class, the fields it
+#: needs besides the renamed one, retired spelling, canonical name).
+RENAMED_FIELDS = [
+    pytest.param(
+        AdaptiveConfig, {}, "window_size", "window_accesses",
+        id="AdaptiveConfig.window_size",
+    ),
+    pytest.param(
+        WorkloadCase, {"workload": "gzip"}, "window_size",
+        "window_accesses", id="WorkloadCase.window_size",
+    ),
+    pytest.param(
+        Figure5Config, {}, "budget_instructions", "horizon_instructions",
+        id="Figure5Config.budget_instructions",
+    ),
+]
+
+
+class TestConfigVocabulary:
+    @pytest.mark.parametrize(
+        "cls,required,retired,canonical", RENAMED_FIELDS
+    )
+    def test_canonical_name_does_not_warn(
+        self, cls, required, retired, canonical
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            instance = cls(**required, **{canonical: 4096})
+        assert getattr(instance, canonical) == 4096
+
+    @pytest.mark.parametrize(
+        "cls,required,retired,canonical", RENAMED_FIELDS
+    )
+    def test_retired_spelling_is_rejected(
+        self, cls, required, retired, canonical
+    ):
+        """No silent alias: the old keyword fails loudly and the old
+        attribute is gone."""
+        with pytest.raises(TypeError, match=retired):
+            cls(**required, **{retired: 4096})
+        instance = cls(**required, **{canonical: 4096})
+        assert not hasattr(instance, retired)
 
 
 class TestReportHelpers:

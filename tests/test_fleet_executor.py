@@ -1,14 +1,15 @@
 """The fleet executor: scheduling, events, telemetry, differential.
 
 The bar for the fleet layer is the same as for every other backend
-pair in this repository (``docs/testing.md``): the lockstep fast path
-and the scalar reference path must produce **bit-identical per-access
-hit streams** on the same scenario — including scenarios where
-arrivals cut windows short, departures release columns mid-run and
-the broker rewrites tints between segments.
+pair in this repository (``docs/testing.md``): the executor's fused
+segment loop and the scalar per-quantum oracle
+(``tests/oracles/fleet.py``) must produce **bit-identical per-access
+hit streams and identical per-tenant telemetry** on the same scenario
+— including scenarios where arrivals cut windows short, departures
+release columns mid-run and the broker rewrites tints between
+segments.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -25,10 +26,19 @@ from repro.fleet import (
     single_tenant_trace,
 )
 from repro.sim.config import MULTITASK_TIMING
+from repro.sim.engine.backends import (
+    compiled_available,
+    reset_backend,
+    set_backend,
+)
 from repro.workloads.suite import make_workload
-from tests.strategies import fleet_scenario
+
+from oracles.fleet import assert_same_run, run_reference_fleet
+from strategies import fleet_scenario
 
 TIMING = MULTITASK_TIMING
+
+KERNELS = ["numpy"] + (["compiled"] if compiled_available() else [])
 
 
 def spec_for(index, workload, priority=1, **kwargs):
@@ -290,27 +300,6 @@ class TestValidation:
                 quantum_instructions=100, window_instructions=50
             )
 
-    def test_unknown_backend_rejected(self, geometry, trio):
-        fleet = single_tenant_trace(trio[0], 1_000)
-        with pytest.raises(ValueError):
-            run_fleet(geometry, fleet, backend="quantum")
-
-
-def assert_identical(result_fast, result_reference):
-    assert np.array_equal(
-        result_fast.hit_stream, result_reference.hit_stream
-    )
-    assert result_fast.total_instructions == (
-        result_reference.total_instructions
-    )
-    assert set(result_fast.telemetry) == set(result_reference.telemetry)
-    for name, fast in result_fast.telemetry.items():
-        reference = result_reference.telemetry[name]
-        assert fast.samples == reference.samples
-        assert fast.status is reference.status
-        assert fast.wraps == reference.wraps
-        assert fast.remaps == reference.remaps
-
 
 class TestDifferential:
     def test_deterministic_scenario_bit_identical(self, geometry, trio):
@@ -328,22 +317,25 @@ class TestDifferential:
         config = FleetConfig(
             quantum_instructions=128, window_instructions=2048
         )
-        executor = FleetExecutor(geometry, TIMING, config)
-        fast = executor.run(
+        fast = FleetExecutor(geometry, TIMING, config).run(
             fleet,
             broker=ColumnBroker(geometry, TIMING),
-            backend="lockstep",
             collect_flags=True,
         )
-        reference = executor.run(
+        reference = run_reference_fleet(
+            geometry,
+            TIMING,
+            config,
             fleet,
             broker=ColumnBroker(geometry, TIMING),
-            backend="reference",
-            collect_flags=True,
         )
         assert fast.hit_stream is not None
         assert len(fast.hit_stream) > 0
-        assert_identical(fast, reference)
+        assert_same_run(fast, reference, TIMING)
+        # Events are stamped at their scheduled times, not at the
+        # segment edge that applied them.
+        assert fast.telemetry[trio[1].name].admitted_at == 3_000
+        assert fast.telemetry[trio[1].name].departed_at == 15_000
         # Broker-driven tint rewrites really happened mid-run.
         assert len(fast.rewrites) >= 4
 
@@ -355,64 +347,65 @@ class TestDifferential:
             ),
             horizon_instructions=20_000,
         )
-        executor = FleetExecutor(
+        config = FleetConfig(
+            quantum_instructions=64, window_instructions=1024
+        )
+        fast = FleetExecutor(geometry, TIMING, config).run(
+            fleet,
+            broker=SharedPool(geometry, TIMING),
+            collect_flags=True,
+        )
+        reference = run_reference_fleet(
             geometry,
             TIMING,
-            FleetConfig(
-                quantum_instructions=64, window_instructions=1024
-            ),
-        )
-        fast = executor.run(
+            config,
             fleet,
             broker=SharedPool(geometry, TIMING),
-            backend="lockstep",
-            collect_flags=True,
         )
-        reference = executor.run(
-            fleet,
-            broker=SharedPool(geometry, TIMING),
-            backend="reference",
-            collect_flags=True,
-        )
-        assert_identical(fast, reference)
+        assert_same_run(fast, reference, TIMING)
 
-    def test_reference_backend_without_flags(self, geometry, trio):
-        """The counting-only reference path (no flag collection)
-        produces the same telemetry as the flag-collecting one."""
-        fleet = single_tenant_trace(trio[0], 8_000)
-        executor = FleetExecutor(
-            geometry,
-            TIMING,
-            FleetConfig(
-                quantum_instructions=64, window_instructions=1024
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_flag_free_run_matches_oracle(self, geometry, trio, kernel):
+        """Production runs collect no hit flags, which takes other
+        kernel paths; their telemetry must match the oracle's too."""
+        fleet = FleetTrace(
+            events=(
+                FleetEvent(time=0, kind="arrival", spec=trio[0]),
+                FleetEvent(time=2_500, kind="arrival", spec=trio[1]),
+                FleetEvent(time=6_000, kind="arrival", spec=trio[2]),
+                FleetEvent(
+                    time=11_000, kind="departure", tenant=trio[0].name
+                ),
             ),
+            horizon_instructions=16_000,
         )
-        counted = executor.run(fleet, backend="reference")
-        flagged = executor.run(
-            fleet, backend="reference", collect_flags=True
+        config = FleetConfig(
+            quantum_instructions=64, window_instructions=1024
         )
-        assert counted.hit_stream is None
-        name = trio[0].name
-        assert (
-            counted.telemetry[name].samples
-            == flagged.telemetry[name].samples
-        )
+        set_backend(kernel)
+        try:
+            fast = FleetExecutor(geometry, TIMING, config).run(fleet)
+        finally:
+            reset_backend()
+        assert fast.hit_stream is None
+        reference = run_reference_fleet(geometry, TIMING, config, fleet)
+        reference.hit_stream = None
+        assert_same_run(fast, reference, TIMING)
 
     @settings(max_examples=20, deadline=None)
     @given(case=fleet_scenario())
     def test_property_bit_identical(self, case):
         geometry, fleet, config = case
-        executor = FleetExecutor(geometry, TIMING, config)
-        fast = executor.run(
+        fast = FleetExecutor(geometry, TIMING, config).run(
             fleet,
             broker=ColumnBroker(geometry, TIMING),
-            backend="lockstep",
             collect_flags=True,
         )
-        reference = executor.run(
+        reference = run_reference_fleet(
+            geometry,
+            TIMING,
+            config,
             fleet,
             broker=ColumnBroker(geometry, TIMING),
-            backend="reference",
-            collect_flags=True,
         )
-        assert_identical(fast, reference)
+        assert_same_run(fast, reference, TIMING)

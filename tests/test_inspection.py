@@ -231,7 +231,10 @@ class TestFleetObserver:
         plain = executor.run(fleet)
         observed = executor.run(fleet, observer=snapshots.append)
         assert observed.segments == plain.segments
-        assert len(snapshots) == observed.segments
+        # One snapshot per segment, numbered from 0.
+        assert [snapshot.segment for snapshot in snapshots] == list(
+            range(observed.segments)
+        )
         for snapshot in snapshots:
             assert isinstance(snapshot, FleetSegmentSnapshot)
             assert len(snapshot.column_occupancy) == 8

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.sim.engine import _compiled
+from repro.sim.engine.backends import compiled_available
+from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.sim.engine.multitask_batch import (
     simulate_multitask_batched,
     simulate_multitask_matrix,
@@ -16,6 +19,13 @@ from repro.sim.engine.multitask_batch import (
 from repro.sim.multitask import Job, MultitaskSimulator
 from repro.trace.trace import TraceBuilder
 from repro.utils.bitvector import ColumnMask
+
+
+KERNELS = ["numpy"] + (["compiled"] if compiled_available() else [])
+
+requires_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="compiled kernel unavailable"
+)
 
 
 def build_trace(rng, length, span, name):
@@ -220,3 +230,107 @@ class TestBatchedMultitask:
             simulate_multitask_batched(geometry, jobs, 0, 10)
         with pytest.raises(ValueError, match="budget"):
             simulate_multitask_batched(geometry, jobs, 1, 0)
+
+
+class TestMatrixKernels:
+    """Both matrix paths, pinned: the numpy stacked-lockstep path and
+    the compiled fused schedule walk (the session default picks only
+    one of them)."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @given(case=multitask_case())
+    @settings(max_examples=25, deadline=None)
+    def test_matrix_matches_scalar_on_each_kernel(self, case, kernel):
+        geometry, jobs, quantum, budget, warmup = case
+        larger = CacheGeometry(
+            line_size=geometry.line_size,
+            sets=geometry.sets * 4,
+            columns=geometry.columns,
+        )
+        variants = [(geometry, jobs), (larger, jobs)]
+        matrix = simulate_multitask_matrix(
+            variants, [quantum], budget, warmup_passes=warmup,
+            kernel=kernel,
+        )
+        for variant_index, (variant_geometry, variant_jobs) in enumerate(
+            variants
+        ):
+            simulator = MultitaskSimulator(variant_geometry, variant_jobs)
+            simulator.warm_up(warmup)
+            reference = simulator.run(quantum, budget)
+            point = matrix[variant_index][0]
+            assert set(point) == set(reference)
+            for name in reference:
+                assert result_tuple(point[name]) == result_tuple(
+                    reference[name]
+                ), (variant_index, name)
+
+    @requires_compiled
+    def test_schedule_count_is_accesses_minus_walk_hits(self):
+        """Both compiled schedule-walk wrappers run one kernel export:
+        the counting one adds each job's scheduled accesses minus the
+        walk's hits to ``job_misses``, and both agree with a numpy
+        lockstep run over the materialized circular stream."""
+        rng = np.random.default_rng(11)
+        geometry = CacheGeometry(line_size=16, sets=8, columns=4)
+        sets_mask = geometry.sets - 1
+        index_bits = geometry.index_bits
+        lengths = np.array([37, 5, 64], dtype=np.int64)
+        offsets = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
+        )
+        blocks = rng.integers(0, 256, int(lengths.sum())).astype(np.int64)
+        mask_table = np.array([0b0011, 0b0100, 0b1111], dtype=np.int64)
+        # Segments wrap past each job's end (job 1 several times).
+        seg_jobs = np.array([0, 1, 2, 0, 1, 2, 1], dtype=np.int64)
+        seg_pos = np.array([30, 3, 0, 4, 2, 60, 0], dtype=np.int64)
+        seg_len = np.array([20, 17, 64, 9, 1, 11, 12], dtype=np.int64)
+
+        stream = np.concatenate(
+            [
+                offsets[job] + (position + np.arange(count)) % lengths[job]
+                for job, position, count in zip(seg_jobs, seg_pos, seg_len)
+            ]
+        )
+        stream_jobs = np.repeat(seg_jobs, seg_len)
+        stream_blocks = blocks[stream]
+        expected_flags, _ = lockstep_run(
+            stream_blocks & np.int64(sets_mask),
+            stream_blocks >> np.int64(index_bits),
+            LockstepState.cold(geometry.sets, geometry.columns),
+            mask_bits=mask_table[stream_jobs],
+            backend="numpy",
+        )
+        expected_hits = np.bincount(
+            stream_jobs, weights=expected_flags, minlength=3
+        ).astype(np.int64)
+        expected_accesses = np.bincount(
+            seg_jobs, weights=seg_len, minlength=3
+        ).astype(np.int64)
+
+        counted = LockstepState.cold(geometry.sets, geometry.columns)
+        carried = np.array([1, 2, 3], dtype=np.int64)
+        job_misses = carried.copy()
+        _compiled.schedule_count_compiled(
+            seg_jobs, seg_pos, seg_len, offsets, lengths, blocks,
+            mask_table, counted,
+            sets_mask=sets_mask, index_bits=index_bits,
+            job_misses=job_misses,
+        )
+        walked = LockstepState.cold(geometry.sets, geometry.columns)
+        job_hits = np.zeros(3, dtype=np.int64)
+        hit_flags = np.zeros(int(seg_len.sum()), dtype=np.uint8)
+        _compiled.fused_multitask_compiled(
+            seg_jobs, seg_pos, seg_len, offsets, lengths, blocks,
+            mask_table, walked,
+            sets_mask=sets_mask, index_bits=index_bits,
+            job_hits=job_hits, hit_flags=hit_flags,
+        )
+
+        assert np.array_equal(hit_flags.astype(bool), expected_flags)
+        assert np.array_equal(job_hits, expected_hits)
+        assert np.array_equal(
+            job_misses, carried + expected_accesses - expected_hits
+        )
+        assert np.array_equal(counted.tags, walked.tags)
+        assert np.array_equal(counted.last_use, walked.last_use)

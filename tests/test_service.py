@@ -1,33 +1,58 @@
 """The fleet service: shard parity, migration, and the async daemon.
 
-The load-bearing guarantee is that :class:`ShardServer` is the
-offline :class:`FleetExecutor` turned inside out, *not* a second
-scheduler: driving the same population through both must produce
-identical per-tenant telemetry.  On top of that sit the live-only
-behaviours — extract/inject migration, admission queueing with
-patience timeouts, and the disjoint-column audit — exercised here
-through the real asyncio daemon.
+:class:`ShardServer` is the fleet's one segment loop; the offline
+:class:`FleetExecutor` replays a recorded schedule into one shard.
+Stepping a shard by hand, the way the daemon does, must therefore
+produce the same per-tenant telemetry as the executor's replay.  On
+top of that sit the live-only behaviours — extract/inject migration,
+admission queueing with patience timeouts, and the disjoint-column
+audit — exercised here through the real asyncio daemon.
 """
 
 import asyncio
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.fleet import (
+    ColumnBroker,
     FleetConfig,
     FleetEvent,
     FleetExecutor,
+    FleetResult,
     FleetTrace,
+    SharedPool,
+    StaticEqualSplit,
     TenantSpec,
     TenantStatus,
 )
 from repro.fleet.service import FleetService, ServiceConfig, ShardServer
 from repro.sim.config import MULTITASK_TIMING
+from repro.sim.engine.backends import (
+    compiled_available,
+    reset_backend,
+    set_backend,
+)
 from repro.workloads.suite import make_workload
 
+from oracles.fleet import assert_same_run, run_reference_fleet
+
 TIMING = MULTITASK_TIMING
+
+KERNELS = ["numpy"] + (["compiled"] if compiled_available() else [])
+
+#: The brokers a shard can serve, each built fresh per run.
+BROKERS = {
+    "column": lambda geometry: ColumnBroker(geometry, TIMING),
+    "shared": lambda geometry: SharedPool(
+        geometry, TIMING, max_tenants=3
+    ),
+    "static": lambda geometry: StaticEqualSplit(
+        geometry, TIMING, slots=4
+    ),
+}
 
 CONFIG = FleetConfig(quantum_instructions=128, window_instructions=2048)
 
@@ -114,6 +139,170 @@ class TestShardExecutorParity:
         shard = ShardServer(0, geometry, TIMING, CONFIG)
         assert shard.advance(1024) == 0
         assert shard.now == 1024
+
+
+class TestShardServing:
+    """The shard's own contract: brokers, stamps, flags, numbering."""
+
+    @pytest.mark.parametrize("broker_kind", sorted(BROKERS))
+    def test_hand_stepped_shard_matches_oracle(
+        self, geometry, trio, broker_kind
+    ):
+        """Stepping a shard the way the daemon does, under any broker
+        it can serve, matches the scalar per-quantum oracle: hit
+        stream, segments, tint rewrites and whole telemetry."""
+        horizon = 12_000
+        fleet = FleetTrace(
+            events=tuple(
+                FleetEvent(time=0, kind="arrival", spec=spec)
+                for spec in trio
+            ),
+            horizon_instructions=horizon,
+        )
+        make_broker = BROKERS[broker_kind]
+        reference = run_reference_fleet(
+            geometry, TIMING, CONFIG, fleet, broker=make_broker(geometry)
+        )
+
+        shard = ShardServer(
+            0, geometry, TIMING, CONFIG, broker=make_broker(geometry)
+        )
+        for spec in trio:
+            assert shard.admit(spec)
+        flags = []
+        while shard.now < horizon:
+            budget = min(
+                CONFIG.window_instructions, horizon - shard.now
+            )
+            shard.advance(budget, collect_flags=True)
+            flags.append(shard.hit_flags)
+        stepped = FleetResult(
+            telemetry={
+                name: runtime.telemetry
+                for name, runtime in shard.runtimes.items()
+            },
+            total_instructions=shard.now,
+            segments=shard.segments,
+            rewrites=list(shard.broker.rewrites),
+            hit_stream=np.concatenate(flags),
+        )
+        assert_same_run(stepped, reference, TIMING)
+        assert stepped.rewrites == reference.rewrites
+
+    def test_explicit_stamps_override_the_clock(self, geometry, trio):
+        """A replay stamps each event's scheduled time, which the
+        shard clock may already have passed."""
+        shard = ShardServer(0, geometry, TIMING, CONFIG)
+        assert shard.admit(trio[0])
+        shard.advance(1_000)
+        assert shard.now >= 1_000
+        assert shard.admit(trio[1], at=777)
+        shard.advance(1_000)
+        shard.depart(trio[1].name, at=1_234)
+        assert shard.now not in (777, 1_234)
+        telemetry = shard.runtimes[trio[1].name].telemetry
+        assert telemetry.arrival_time == 777
+        assert telemetry.admitted_at == 777
+        assert telemetry.departed_at == 1_234
+        assert telemetry.status is TenantStatus.DEPARTED
+
+    def test_stamps_default_to_the_clock(self, geometry, trio):
+        shard = ShardServer(0, geometry, TIMING, CONFIG)
+        assert shard.admit(trio[0])
+        shard.advance(1_000)
+        arrived = shard.now
+        assert shard.admit(trio[1])
+        shard.advance(1_000)
+        departed = shard.now
+        shard.depart(trio[1].name)
+        telemetry = shard.runtimes[trio[1].name].telemetry
+        assert telemetry.arrival_time == arrived
+        assert telemetry.admitted_at == arrived
+        assert telemetry.departed_at == departed
+
+    def test_rejected_admission_stamped_at_scheduled_time(
+        self, geometry, trio
+    ):
+        shard = ShardServer(
+            0,
+            geometry,
+            TIMING,
+            CONFIG,
+            broker=StaticEqualSplit(geometry, TIMING, slots=1),
+        )
+        assert shard.admit(trio[0])
+        shard.advance(500)
+        assert not shard.admit(trio[1], at=55)
+        telemetry = shard.runtimes[trio[1].name].telemetry
+        assert telemetry.status is TenantStatus.REJECTED
+        assert telemetry.arrival_time == 55
+        assert telemetry.rejected_at == 55
+        assert shard.rejected_count == 1
+        assert shard.residents == [trio[0].name]
+
+    def test_inspect_numbers_the_last_completed_segment(
+        self, geometry, trio
+    ):
+        shard = ShardServer(0, geometry, TIMING, CONFIG)
+        assert shard.inspect().segment == -1
+        shard.advance(256)  # idle: the clock moves, no segment runs
+        assert shard.inspect().segment == -1
+        shard.admit(trio[0])
+        for expected in range(3):
+            shard.advance()
+            snapshot = shard.inspect()
+            assert snapshot.segment == expected
+            assert snapshot.now == shard.now
+            assert [row.name for row in snapshot.tenants] == [
+                trio[0].name
+            ]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_collected_flags_cover_the_segment(
+        self, geometry, trio, kernel
+    ):
+        """One flag per access the segment ran, hits summing to the
+        residents' sampled hits, on either kernel."""
+        shard = ShardServer(0, geometry, TIMING, CONFIG)
+        for spec in trio:
+            assert shard.admit(spec)
+        set_backend(kernel)
+        try:
+            shard.advance(collect_flags=True)
+        finally:
+            reset_backend()
+        samples = [
+            shard.runtimes[spec.name].telemetry.samples[-1]
+            for spec in trio
+        ]
+        assert len(shard.hit_flags) == sum(
+            sample.accesses for sample in samples
+        )
+        assert int(shard.hit_flags.sum()) == sum(
+            sample.hits for sample in samples
+        )
+
+    def test_flags_kept_only_for_the_segment_that_asked(
+        self, geometry, trio
+    ):
+        shard = ShardServer(0, geometry, TIMING, CONFIG)
+        shard.admit(trio[0])
+        shard.advance(collect_flags=True)
+        assert shard.hit_flags is not None
+        shard.advance()
+        assert shard.hit_flags is None
+        shard.advance(collect_flags=True)
+        shard.depart(trio[0].name)
+        shard.advance(512, collect_flags=True)  # idle
+        assert shard.hit_flags is None
+
+    def test_segment_budget_must_be_positive(self, geometry, trio):
+        shard = ShardServer(0, geometry, TIMING, CONFIG)
+        shard.admit(trio[0])
+        with pytest.raises(ValueError, match="budget"):
+            shard.advance(0)
+        assert shard.now == 0
+        assert shard.segments == 0
 
 
 class TestAdmissionControl:

@@ -222,6 +222,18 @@ class TestDinero:
         with pytest.raises(ValueError, match="bad address"):
             load_trace(io.StringIO("0 zz\n"))
 
+    def test_address_beyond_int64_names_line_and_address(self):
+        """A kernel-space address (>= 2**63) fails at the boundary
+        with a ValueError naming the record, not an OverflowError."""
+        with pytest.raises(
+            ValueError, match=r"line 2: address 'ffffffff81000000'"
+        ):
+            load_trace(io.StringIO("0 10\n0 ffffffff81000000\n"))
+
+    def test_largest_int64_address_loads(self):
+        loaded = load_trace(io.StringIO("0 7fffffffffffffff\n"))
+        assert list(loaded.addresses) == [2**63 - 1]
+
     def test_bad_gap(self):
         with pytest.raises(ValueError, match="bad gap"):
             load_trace(io.StringIO("0 10 xx\n"))
