@@ -21,7 +21,10 @@ asyncio-served admission surface:
   hotspot signal is real, not simulated.
 * **Clock.**  The service's virtual clock is the *minimum* shard
   clock; :meth:`FleetService.wait_until` lets the load generator pace
-  Poisson arrivals against it.
+  Poisson arrivals against it.  Each worker ticks the clock after its
+  segment, and a tick wakes only the waiters that can be due when
+  they run: its cost follows the waiters it wakes, not every task
+  still waiting.
 * **Migration.**  A monitor task samples shard imbalance; when one
   shard's admission queue backs up while another has free columns, a
   resident is extracted hot-side, injected cold-side (the same
@@ -35,10 +38,12 @@ asyncio-served admission surface:
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.fleet.broker import ColumnBroker
@@ -151,6 +156,32 @@ class _PendingAdmission:
     future: asyncio.Future
 
 
+#: Deadline of a :meth:`FleetService.drain` waiter: any tick can be
+#: the one that leaves the fleet idle.
+_EVERY_TICK = -1
+
+
+def _rank(entry: tuple) -> int:
+    """The wake rank of a parked ``(deadline, rank, waiter)`` entry."""
+    return entry[1]
+
+
+class _ClockWaiter:
+    """One task parked on the service clock (internal to the daemon).
+
+    Each parked task waits on its own event, so a tick sets exactly
+    the events of the tasks it wakes.  ``woken`` is the batch and rank
+    the waking tick saw it with (None when :meth:`FleetService.stop`
+    woke it).
+    """
+
+    __slots__ = ("event", "woken")
+
+    def __init__(self) -> None:
+        self.event = asyncio.Event()
+        self.woken: Optional[tuple[list, int]] = None
+
+
 @dataclass(frozen=True)
 class MigrationRecord:
     """One applied live migration.
@@ -216,8 +247,12 @@ class FleetService:
         ]
         self._queues: list[asyncio.Queue] = []
         self._tasks: list[asyncio.Task] = []
-        self._clock_event: Optional[asyncio.Event] = None
         self._running = False
+        # The clock's parked waiters the next tick sees: a heap of
+        # (deadline, rank, waiter) entries (see _tick).
+        self._ranks = itertools.count()
+        self._armed: list[tuple[int, int, _ClockWaiter]] = []
+        self._resumed: Optional[tuple[Any, list, int]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -227,7 +262,8 @@ class FleetService:
         if self._running:
             raise RuntimeError("service is already running")
         self._running = True
-        self._clock_event = asyncio.Event()
+        self._armed = []
+        self._resumed = None
         self._queues = [
             asyncio.Queue() for _ in range(self.config.shards)
         ]
@@ -247,6 +283,8 @@ class FleetService:
         tasks, self._tasks = self._tasks, []
         for task in tasks:
             task.cancel()
+        # The gather also lets every batch a worker tick took re-arm,
+        # so the final tick below finds every parked waiter.
         await asyncio.gather(*tasks, return_exceptions=True)
         for shard_index, pending in enumerate(self._pending):
             for request in pending:
@@ -265,7 +303,7 @@ class FleetService:
                         admitted=False,
                         reason="shutdown",
                     )
-        self._tick()  # release anyone blocked in wait_until/drain
+        self._tick()  # release every task blocked in wait_until/drain
 
     async def __aenter__(self) -> "FleetService":
         """Start the daemon on context entry."""
@@ -290,13 +328,13 @@ class FleetService:
         return min(shard.now for shard in self.shards)
 
     async def wait_until(self, virtual_time: int) -> None:
-        """Block until the service clock reaches ``virtual_time``."""
+        """Block until the service clock reaches ``virtual_time``.
+
+        Returns at once when the service is not running, and when
+        :meth:`stop` is called.
+        """
         while self._running and self.virtual_now < virtual_time:
-            event = self._clock_event
-            if event is None:
-                raise RuntimeError("service is not running")
-            event.clear()
-            await event.wait()
+            await self._park(virtual_time)
 
     async def submit(
         self,
@@ -336,11 +374,7 @@ class FleetService:
     async def drain(self) -> None:
         """Wait until no shard has residents or queued requests."""
         while self._running and not self._idle():
-            event = self._clock_event
-            if event is None:
-                return
-            event.clear()
-            await event.wait()
+            await self._park(_EVERY_TICK)
 
     def snapshot(self) -> ServiceSnapshot:
         """The whole fleet's state at this instant."""
@@ -465,7 +499,7 @@ class FleetService:
                     shard.check_disjoint()
                 except AssertionError:
                     self.invariant_violations += 1
-                self._tick()
+                self._tick(shard.now)
                 await asyncio.sleep(0)
         except asyncio.CancelledError:
             raise
@@ -571,10 +605,77 @@ class FleetService:
             return False
         return all(not shard.broker.resident for shard in self.shards)
 
-    def _tick(self) -> None:
-        event = self._clock_event
-        if event is not None:
-            event.set()
+    async def _park(self, deadline: int) -> None:
+        """Block the calling task until a tick (or :meth:`stop`) wakes it.
+
+        ``deadline`` is the service time at which the task can next be
+        due; a tick never wakes it earlier.  A task parking again in
+        the step a tick woke it in keeps its place in the wake order.
+        """
+        waiter = self._enter(deadline)
+        await waiter.event.wait()
+        if waiter.woken is not None:
+            self._resumed = (asyncio.current_task(), *waiter.woken)
+
+    def _enter(self, deadline: int) -> _ClockWaiter:
+        """Park a new waiter for the calling task and return it."""
+        resumed = self._resumed
+        if resumed is not None and resumed[0] is asyncio.current_task():
+            _, parked, rank = resumed
+            self._resumed = None
+        else:
+            parked, rank = self._armed, next(self._ranks)
+        waiter = _ClockWaiter()
+        heapq.heappush(parked, (deadline, rank, waiter))
+        return waiter
+
+    def _tick(self, bound: Optional[int] = None) -> None:
+        """Wake the clock waiters that can be due; all when ``bound`` is None.
+
+        A worker passes its own shard's clock as ``bound``.  The tasks
+        a tick wakes run before that worker's next segment, so the
+        service clock they read (the minimum shard clock) is at most
+        ``bound``: a waiter whose deadline is later cannot be due and
+        is not woken.  The tick takes every parked waiter as its
+        batch, wakes the possibly due ones in rank order, and re-arms
+        the rest with one ``call_soon`` queued behind the woken tasks,
+        so no other tick reaches them until those tasks have run.  The
+        result is the wake order of one shared event that every tick
+        sets, as ``tests/oracles/clock.py`` implements it: tasks wake
+        in the order they parked, a task that parks again in its wake
+        step keeps its place, and a batch re-armed while other tasks
+        parked goes behind them.
+        """
+        batch = self._armed
+        if not batch:
+            return
+        self._armed = []
+        if bound is None:
+            for _, _, waiter in sorted(batch, key=_rank):
+                waiter.event.set()
+            return
+        due = []
+        while batch and batch[0][0] <= bound:
+            due.append(heapq.heappop(batch))
+        for _, rank, waiter in sorted(due, key=_rank):
+            waiter.woken = (batch, rank)
+            waiter.event.set()
+        asyncio.get_running_loop().call_soon(self._rearm, batch)
+
+    def _rearm(self, batch: list) -> None:
+        """Make a tick's batch reachable again, after its woken tasks."""
+        if self._resumed is not None and self._resumed[1] is batch:
+            self._resumed = None
+        if self._armed:
+            # Tasks parked while the batch was in flight wake before
+            # it: rank everything afresh in that order.
+            batch = [
+                (deadline, next(self._ranks), waiter)
+                for entries in (self._armed, batch)
+                for deadline, _, waiter in sorted(entries, key=_rank)
+            ]
+            heapq.heapify(batch)
+        self._armed = batch
 
     def _resolve(
         self,

@@ -129,6 +129,13 @@ class ShardServer:
         self.hit_flags: Optional[np.ndarray] = None
         self.events = EventRing(event_capacity)
         self.runtimes: dict[str, TenantRuntime] = {}
+        # Lifetime totals over every runtime in ``runtimes`` (see
+        # _tally), so snapshot() never re-sums telemetry.
+        self._instructions = 0
+        self._accesses = 0
+        self._misses = 0
+        self._quanta = 0
+        self._remap_cycles = 0
         self.admitted_count = 0
         self.rejected_count = 0
         self.departed_count = 0
@@ -179,7 +186,7 @@ class ShardServer:
         stamp = self.now if at is None else at
         runtime = TenantRuntime(spec, self.geometry, self.config)
         runtime.telemetry.arrival_time = stamp
-        self.runtimes[spec.name] = runtime
+        self._hold(spec.name, runtime)
         before = self._grant_bits()
         try:
             charges = self.broker.admit(
@@ -264,7 +271,7 @@ class ShardServer:
         self._record_grant_changes(before, charges)
         self._forget(name)
         self._charge(charges)
-        del self.runtimes[name]
+        self._tally(self.runtimes.pop(name).telemetry, -1)
         return MigratedTenant(
             spec=runtime.spec,
             runtime=runtime,
@@ -281,7 +288,7 @@ class ShardServer:
         """
         name = migrant.spec.name
         runtime = migrant.runtime
-        self.runtimes[name] = runtime
+        self._hold(name, runtime)
         before = self._grant_bits()
         try:
             charges = self.broker.admit(
@@ -396,18 +403,18 @@ class ShardServer:
             accesses = int(outcome.accesses[index])
             quanta = int(quanta_per[index])
             hits = int(outcome.hits[index])
-            runtime.telemetry.samples.append(
-                WindowSample(
-                    window_index=self.segments,
-                    columns=self.broker.grants[name].count(),
-                    instructions=instructions,
-                    accesses=accesses,
-                    hits=hits,
-                    misses=accesses - hits,
-                    quanta=quanta,
-                    remap_cycles=self._pending_remap.pop(name, 0),
-                )
+            sample = WindowSample(
+                window_index=self.segments,
+                columns=self.broker.grants[name].count(),
+                instructions=instructions,
+                accesses=accesses,
+                hits=hits,
+                misses=accesses - hits,
+                quanta=quanta,
+                remap_cycles=self._pending_remap.pop(name, 0),
             )
+            runtime.telemetry.record(sample)
+            self._tally(sample)
             if (
                 config.detect_phases
                 and accesses >= config.min_detect_accesses
@@ -466,7 +473,13 @@ class ShardServer:
         self.broker.check_disjoint()
 
     def snapshot(self, queue_depth: int = 0) -> ShardSnapshot:
-        """The shard's live state as one frozen snapshot."""
+        """The shard's live state as one frozen snapshot.
+
+        Costs O(residents): the shard-wide CPI and miss rate come from
+        lifetime totals kept up to date by every segment and by every
+        runtime entering or leaving :attr:`runtimes`, and each
+        resident's row from its telemetry's running totals.
+        """
         rows = []
         for name in self.broker.resident:
             runtime = self.runtimes[name]
@@ -481,18 +494,14 @@ class ShardServer:
                     cpi=telemetry.cpi(self.timing),
                 )
             )
-        instructions = misses = accesses = cycles = 0
-        for runtime in self.runtimes.values():
-            telemetry = runtime.telemetry
-            instructions += telemetry.instructions
-            misses += telemetry.misses
-            accesses += telemetry.accesses
-            cycles += (
-                telemetry.instructions
-                + telemetry.misses * self.timing.miss_penalty
-                + telemetry.quanta * self.timing.context_switch_cycles
-                + telemetry.remap_cycles
-            )
+        instructions = self._instructions
+        accesses = self._accesses
+        cycles = (
+            instructions
+            + self._misses * self.timing.miss_penalty
+            + self._quanta * self.timing.context_switch_cycles
+            + self._remap_cycles
+        )
         return ShardSnapshot(
             shard=self.shard_id,
             now=self.now,
@@ -507,7 +516,7 @@ class ShardServer:
             tint_rewrites=len(self.broker.rewrites),
             queue_depth=queue_depth,
             cpi=(cycles / instructions) if instructions else 0.0,
-            miss_rate=(misses / accesses) if accesses else 0.0,
+            miss_rate=(self._misses / accesses) if accesses else 0.0,
             events_recorded=self.events.recorded,
             events_dropped=self.events.dropped,
         )
@@ -553,6 +562,24 @@ class ShardServer:
     def _auto_depart(self) -> None:
         for name in self.exhausted():
             self.depart(name)
+
+    def _hold(self, name: str, runtime: TenantRuntime) -> None:
+        """Put ``runtime`` in :attr:`runtimes`, replacing any runtime
+        of the same name (a re-admitted name starts a new record)."""
+        previous = self.runtimes.get(name)
+        if previous is not None:
+            self._tally(previous.telemetry, -1)
+        self.runtimes[name] = runtime
+        self._tally(runtime.telemetry)
+
+    def _tally(self, counts: Any, sign: int = 1) -> None:
+        """Add (or with ``sign=-1`` remove) one telemetry record's or
+        one segment sample's counts to the shard's lifetime totals."""
+        self._instructions += sign * counts.instructions
+        self._accesses += sign * counts.accesses
+        self._misses += sign * counts.misses
+        self._quanta += sign * counts.quanta
+        self._remap_cycles += sign * counts.remap_cycles
 
     def _forget(self, name: str) -> None:
         self._pending_remap.pop(name, None)

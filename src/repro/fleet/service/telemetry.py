@@ -106,9 +106,10 @@ class TenantResidency:
         name: Tenant name.
         priority: Its broker priority.
         columns: Columns it currently holds on the shard.
-        instructions: Instructions it has executed on this shard.
-        miss_rate: Its lifetime miss rate on this shard.
-        cpi: Its clocks-per-instruction on this shard so far.
+        instructions: Instructions it has executed so far (a
+            migrant's history follows it between shards).
+        miss_rate: Its lifetime miss rate.
+        cpi: Its clocks-per-instruction so far.
     """
 
     name: str
@@ -137,8 +138,13 @@ class ShardSnapshot:
         tint_rewrites: Broker tint-rewrite log length.
         queue_depth: Admission/departure requests waiting (0 when the
             shard runs synchronously outside the daemon).
-        cpi: Aggregate shard CPI over everything it executed.
-        miss_rate: Aggregate shard miss rate.
+        cpi: Aggregate CPI over every tenant record the shard holds:
+            its residents and the tenants that departed or were
+            refused here (a migrant's record, whole history included,
+            moves with it).  It is read from lifetime totals the shard
+            keeps up to date, so a snapshot costs O(residents) however
+            long the shard has run.
+        miss_rate: Aggregate miss rate over the same records.
         events_recorded: Inspection events appended to the shard's
             ring buffer over its lifetime.
         events_dropped: Events the bounded ring had to overwrite

@@ -105,9 +105,19 @@ class WindowSample:
 class TenantTelemetry:
     """Everything one tenant experienced over a fleet run.
 
-    Aggregates are derived from the per-segment :class:`WindowSample`
-    stream so callers can also reason about ramp-up (first segments
-    run cold) and occupancy over time.
+    The per-segment :class:`WindowSample` stream is kept whole, so
+    callers can reason about ramp-up (first segments run cold) and
+    occupancy over time.  :meth:`record` is its single writer: it
+    appends a sample and adds it to running totals, so the lifetime
+    aggregates cost O(1) to read however long the tenant has run.
+
+    Attributes:
+        instructions: Total instructions executed across all segments.
+        accesses: Total memory accesses issued.
+        hits: Total cache hits.
+        misses: Total cache misses.
+        quanta: Total scheduling quanta received.
+        remap_cycles: Total tint-rewrite cycles charged to this tenant.
     """
 
     name: str
@@ -120,40 +130,31 @@ class TenantTelemetry:
     wraps: int = 0
     remaps: int = 0
     samples: list[WindowSample] = field(default_factory=list)
+    instructions: int = field(default=0, init=False)
+    accesses: int = field(default=0, init=False)
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    quanta: int = field(default=0, init=False)
+    remap_cycles: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        samples, self.samples = self.samples, []
+        for sample in samples:
+            self.record(sample)
+
+    def record(self, sample: WindowSample) -> None:
+        """Append one segment's sample and add it to the totals."""
+        self.samples.append(sample)
+        self.instructions += sample.instructions
+        self.accesses += sample.accesses
+        self.hits += sample.hits
+        self.misses += sample.misses
+        self.quanta += sample.quanta
+        self.remap_cycles += sample.remap_cycles
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    @property
-    def instructions(self) -> int:
-        """Total instructions executed across all segments."""
-        return sum(sample.instructions for sample in self.samples)
-
-    @property
-    def accesses(self) -> int:
-        """Total memory accesses issued."""
-        return sum(sample.accesses for sample in self.samples)
-
-    @property
-    def hits(self) -> int:
-        """Total cache hits."""
-        return sum(sample.hits for sample in self.samples)
-
-    @property
-    def misses(self) -> int:
-        """Total cache misses."""
-        return sum(sample.misses for sample in self.samples)
-
-    @property
-    def quanta(self) -> int:
-        """Total scheduling quanta received."""
-        return sum(sample.quanta for sample in self.samples)
-
-    @property
-    def remap_cycles(self) -> int:
-        """Total tint-rewrite cycles charged to this tenant."""
-        return sum(sample.remap_cycles for sample in self.samples)
-
     @property
     def miss_rate(self) -> float:
         """Misses per access over the whole run."""
@@ -185,16 +186,20 @@ class TenantTelemetry:
         ramp) from the measurement — the isolation experiment compares
         steady-state CPI, and its solo baselines skip identically.
         """
-        samples = self.samples[skip_samples:]
-        instructions = sum(s.instructions for s in samples)
+        totals = self
+        if skip_samples:
+            totals = TenantTelemetry(
+                self.name, self.priority,
+                samples=self.samples[skip_samples:],
+            )
+        instructions = totals.instructions
         if instructions == 0:
             return 0.0
         cycles = (
             instructions
-            + sum(s.misses for s in samples) * timing.miss_penalty
-            + sum(s.quanta for s in samples)
-            * timing.context_switch_cycles
-            + sum(s.remap_cycles for s in samples)
+            + totals.misses * timing.miss_penalty
+            + totals.quanta * timing.context_switch_cycles
+            + totals.remap_cycles
         )
         return cycles / instructions
 

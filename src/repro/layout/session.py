@@ -74,12 +74,36 @@ def units_digest(units: SymbolTable) -> str:
     return digest.hexdigest()
 
 
+#: Bound of the :func:`config_digest` memo.  Consumers plan with a
+#: handful of distinct configurations (the fleet's demand probes use
+#: one per candidate grant size), so this is never the working set.
+CONFIG_DIGEST_ENTRIES = 256
+
+_config_digests: dict[str, str] = {}
+
+
 def config_digest(config: LayoutConfig) -> str:
-    """Stable content digest of a layout configuration."""
-    rendered = json.dumps(
-        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(rendered.encode()).hexdigest()
+    """Stable content digest of a layout configuration.
+
+    The digest is a sha256 of the configuration's sorted-key JSON.
+    It is memoized (at most :data:`CONFIG_DIGEST_ENTRIES` entries,
+    oldest evicted first) by ``repr(config)``, which, unlike ``==``,
+    tells ``1`` from ``1.0`` and ``True``; equal configurations whose
+    JSON differs keep their own digests.
+    """
+    key = repr(config)
+    digest = _config_digests.get(key)
+    if digest is None:
+        rendered = json.dumps(
+            dataclasses.asdict(config),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(rendered.encode()).hexdigest()
+        if len(_config_digests) >= CONFIG_DIGEST_ENTRIES:
+            _config_digests.pop(next(iter(_config_digests)), None)
+        _config_digests[key] = digest
+    return digest
 
 
 def profile_digest(profile: Profile) -> str:

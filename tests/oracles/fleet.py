@@ -15,7 +15,10 @@ telemetry and the feeding of each tenant's phase detector follow the
 same contract, written out again here; only the per-tenant state
 (:class:`~repro.fleet.tenant.TenantRuntime`, detector included) and
 the broker are shared.  :func:`assert_same_run` is the comparison the
-differential suites apply to the two.
+differential suites apply to the two.  :func:`sample_totals` and
+:func:`shard_aggregates` re-sum telemetry samples from scratch, the
+reference for the running totals that telemetry and shard snapshots
+keep.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def run_reference_fleet(
         for name in residents:
             runtime = runtimes[name]
             instructions, accesses, quanta, hits = counters[name]
-            runtime.telemetry.samples.append(
+            runtime.telemetry.record(
                 WindowSample(
                     window_index=segment,
                     columns=broker.grants[name].count(),
@@ -227,3 +230,43 @@ def assert_same_run(
         expected = reference.telemetry[name]
         assert telemetry.as_dict(timing) == expected.as_dict(timing), name
         assert telemetry.samples == expected.samples, name
+
+
+#: The per-segment counts a telemetry record keeps running totals of.
+SAMPLE_COUNTS = (
+    "instructions", "accesses", "hits", "misses", "quanta", "remap_cycles"
+)
+
+
+def sample_totals(telemetry: Any) -> dict[str, int]:
+    """A tenant's lifetime counts, re-summed from its samples."""
+    return {
+        key: sum(getattr(sample, key) for sample in telemetry.samples)
+        for key in SAMPLE_COUNTS
+    }
+
+
+def shard_aggregates(shard: Any) -> tuple[float, float]:
+    """A shard snapshot's ``(cpi, miss_rate)``, from scratch.
+
+    Re-sums every sample of every runtime in ``shard.runtimes``: the
+    computation :meth:`~repro.fleet.service.shard.ShardServer.snapshot`
+    did on every call before it kept lifetime totals.
+    """
+    timing = shard.timing
+    instructions = accesses = misses = cycles = 0
+    for runtime in shard.runtimes.values():
+        counts = sample_totals(runtime.telemetry)
+        instructions += counts["instructions"]
+        accesses += counts["accesses"]
+        misses += counts["misses"]
+        cycles += (
+            counts["instructions"]
+            + counts["misses"] * timing.miss_penalty
+            + counts["quanta"] * timing.context_switch_cycles
+            + counts["remap_cycles"]
+        )
+    return (
+        cycles / instructions if instructions else 0.0,
+        misses / accesses if accesses else 0.0,
+    )

@@ -15,6 +15,9 @@ exact-coloring node budget must degrade to greedy instead of hanging.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -30,6 +33,7 @@ from repro.layout import (
     available_backends,
     get_backend,
 )
+from repro.layout import session as session_module
 from repro.layout.coloring import (
     ColoringBudgetExceeded,
     color_with_k,
@@ -474,3 +478,90 @@ def test_session_plan_equals_direct_plan(case):
         name: (p.disposition, p.mask.bits)
         for name, p in direct.placements.items()
     }
+
+
+def unmemoized_digest(config: LayoutConfig) -> str:
+    """The config digest as sha256 over sorted-key JSON, never cached."""
+    rendered = json.dumps(
+        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(rendered.encode()).hexdigest()
+
+
+class TestConfigDigestMemo:
+    """``config_digest`` is memoized without changing any digest."""
+
+    CONFIGS = (
+        dict(columns=4, column_bytes=COLUMN_BYTES),
+        dict(
+            columns=8,
+            column_bytes=COLUMN_BYTES,
+            scratchpad_columns=2,
+            forced_scratchpad=("coeffs", "table"),
+            split_oversized=False,
+        ),
+    )
+
+    @pytest.mark.parametrize("fields", CONFIGS)
+    def test_equal_distinct_configs_keep_the_unmemoized_digest(
+        self, fields
+    ):
+        first = LayoutConfig(**fields)
+        second = LayoutConfig(**fields)
+        assert first == second and first is not second
+        for config in (first, second, first):
+            assert session_module.config_digest(config) == (
+                unmemoized_digest(config)
+            )
+
+    def test_digests_are_pinned(self):
+        """Session keys built on these digests stay valid."""
+        first, second = (LayoutConfig(**fields) for fields in self.CONFIGS)
+        assert session_module.config_digest(first) == (
+            "d2608e4ebcefb688312a1fcf53f051fec811279c7aab1e523f5b0aa6275c87b4"
+        )
+        assert session_module.config_digest(second) == (
+            "b383abfb39c21f2f0d90ac596e099a9683e6bba66b7779eff81a5644db6c30c6"
+        )
+
+    def test_equal_configs_with_different_json_keep_their_own(self):
+        """``seed=True == seed=1``, but their JSON, hence digest, differ."""
+        as_int = LayoutConfig(columns=4, column_bytes=COLUMN_BYTES, seed=1)
+        as_bool = LayoutConfig(
+            columns=4, column_bytes=COLUMN_BYTES, seed=True
+        )
+        assert as_int == as_bool
+        for config in (as_int, as_bool, as_int, as_bool):
+            assert session_module.config_digest(config) == (
+                unmemoized_digest(config)
+            )
+        assert session_module.config_digest(as_int) != (
+            session_module.config_digest(as_bool)
+        )
+
+    def test_memo_is_bounded(self):
+        bound = session_module.CONFIG_DIGEST_ENTRIES
+        for seed in range(bound + 40):
+            config = LayoutConfig(
+                columns=4, column_bytes=COLUMN_BYTES, seed=seed
+            )
+            assert session_module.config_digest(config) == (
+                unmemoized_digest(config)
+            )
+            assert len(session_module._config_digests) <= bound
+
+    def test_session_plan_keys_unchanged(self):
+        """Plans are cached under the unmemoized digest's key."""
+        run = record_suite_case("dequant", {})
+        units = split_for_columns(run.memory_map.symbols, COLUMN_BYTES)
+        config = LayoutConfig(columns=4, column_bytes=COLUMN_BYTES)
+        session = PlannerSession()
+        window = run.trace.slice(0, 512)
+        plan = session.plan(config, window, units)
+        profile = session.profile(window, units, by_address=True)
+        key = (
+            f"plan:{unmemoized_digest(config)}:"
+            f"{profile._session_digest}:"
+            f"{session_module.units_digest(units)}"
+        )
+        assert session.cache.get(key) is plan
