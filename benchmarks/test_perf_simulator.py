@@ -1,16 +1,17 @@
 """Simulator throughput benchmarks (engineering, not paper results).
 
-Guards the performance of the two hot paths: the array-based fast
-simulator (which the Figure 5 sweeps depend on) and the reference
-column cache (which the validation suite depends on).  These run
-multiple rounds — they measure wall time, unlike the figure benches.
+Guards the performance of the two cache models: the lockstep engine
+behind :class:`~repro.sim.engine.batched.LockstepCache` (which every
+production path runs on) and the reference column cache (which the
+validation suite depends on).  These run multiple rounds — they
+measure wall time, unlike the figure benches.
 """
 
 import numpy as np
 
 from repro.cache.column_cache import ColumnCache
-from repro.cache.fastsim import FastColumnCache, blocks_of
 from repro.cache.geometry import CacheGeometry
+from repro.sim.engine.batched import LockstepCache
 from repro.utils.bitvector import ColumnMask
 
 GEOMETRY = CacheGeometry(line_size=16, sets=128, columns=8)
@@ -27,28 +28,25 @@ def _addresses():
     return mixed
 
 
-def test_fastsim_throughput(benchmark):
-    """Fast path: full-mask simulation of a 50k-access trace."""
-    blocks = blocks_of(_addresses(), GEOMETRY).tolist()
+def test_lockstep_cache_throughput(benchmark):
+    """Lockstep engine: full-mask simulation of a 50k-access trace."""
+    blocks = _addresses() >> GEOMETRY.offset_bits
 
     def run():
-        cache = FastColumnCache(GEOMETRY)
-        return cache.run(blocks)
+        return LockstepCache(GEOMETRY).run(blocks)
 
     result = benchmark(run)
     assert result.hits + result.misses == TRACE_LENGTH
 
 
-def test_fastsim_masked_throughput(benchmark):
-    """Fast path with per-access masks."""
-    addresses = _addresses()
-    blocks = blocks_of(addresses, GEOMETRY).tolist()
+def test_lockstep_cache_masked_throughput(benchmark):
+    """Lockstep engine with per-access masks."""
+    blocks = _addresses() >> GEOMETRY.offset_bits
     rng = np.random.default_rng(7)
-    masks = rng.integers(1, 256, TRACE_LENGTH).tolist()
+    masks = rng.integers(1, 256, TRACE_LENGTH)
 
     def run():
-        cache = FastColumnCache(GEOMETRY)
-        return cache.run(blocks, mask_bits=masks)
+        return LockstepCache(GEOMETRY).run(blocks, mask_bits=masks)
 
     result = benchmark(run)
     assert result.accesses == TRACE_LENGTH

@@ -11,7 +11,7 @@ surface, layer by layer:
 
 * **Traces** — :class:`Trace`, :class:`ColumnarTrace`
 * **Caches** — :class:`CacheGeometry`, :class:`ColumnCache`,
-  :class:`FastColumnCache`, :class:`ColumnMask`
+  :class:`ColumnMask`
 * **Simulation** — :class:`TimingConfig`, :class:`SweepEngine`,
   :class:`SimJob`
 * **Layout** — :class:`LayoutConfig`, :class:`DataLayoutPlanner`,
@@ -45,7 +45,6 @@ _EXPORTS = {
     # Caches
     "CacheGeometry": "repro.cache.geometry",
     "ColumnCache": "repro.cache.column_cache",
-    "FastColumnCache": "repro.cache.fastsim",
     "ColumnMask": "repro.utils.bitvector",
     # Simulation
     "TimingConfig": "repro.sim.config",

@@ -33,12 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.layout.graph import ConflictGraph
 from repro.layout.merge import color_with_merging
 from repro.profiling.profiler import profile_trace
 from repro.sim.config import TimingConfig
+from repro.sim.engine.batched import LockstepCache
 from repro.sim.results import SimulationResult
 from repro.utils.validation import check_power_of_two, log2_exact
 from repro.workloads.base import WorkloadRun
@@ -153,9 +153,9 @@ class PageColoringBaseline:
             plan = self.plan(run)
         trace = run.trace
         physical = self.translate(trace.addresses, plan)
-        cache = FastColumnCache(self.cache_geometry)
-        blocks = physical >> self.cache_geometry.offset_bits
-        outcome = cache.run(blocks.tolist())
+        outcome = LockstepCache(self.cache_geometry).run(
+            physical >> self.cache_geometry.offset_bits
+        )
         timing = self.timing
         setup = (
             plan.remap_copy_bytes * self.copy_byte_cycles
@@ -178,9 +178,9 @@ class PageColoringBaseline:
 
     def run_uncolored(self, run: WorkloadRun) -> SimulationResult:
         """Control: the same cache with identity (uncolored) placement."""
-        cache = FastColumnCache(self.cache_geometry)
-        blocks = run.trace.addresses >> self.cache_geometry.offset_bits
-        outcome = cache.run(blocks.tolist())
+        outcome = LockstepCache(self.cache_geometry).run(
+            run.trace.blocks_for(self.cache_geometry.offset_bits)
+        )
         return SimulationResult(
             name=f"{run.name}:uncolored",
             instructions=run.trace.instruction_count,

@@ -28,10 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.mem.symbols import Variable
 from repro.sim.config import TimingConfig
+from repro.sim.engine.batched import LockstepCache
 from repro.sim.results import SimulationResult
 from repro.workloads.base import WorkloadRun
 
@@ -123,12 +123,11 @@ class PandaBaseline:
             else np.zeros(len(trace), dtype=bool)
         )
         cached_positions = np.flatnonzero(~in_pad)
-        blocks = (
-            trace.addresses[cached_positions]
-            >> self.cache_geometry.offset_bits
+        outcome = LockstepCache(self.cache_geometry).run(
+            trace.blocks_for(self.cache_geometry.offset_bits)[
+                cached_positions
+            ]
         )
-        cache = FastColumnCache(self.cache_geometry)
-        outcome = cache.run(blocks.tolist())
         timing = self.timing
         return SimulationResult(
             name=f"{run.name}:panda",

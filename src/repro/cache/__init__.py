@@ -12,9 +12,12 @@ Also provided:
 * a dedicated scratchpad SRAM model and helpers for emulating
   scratchpad inside cache columns (:mod:`repro.cache.scratchpad`);
 * miss classification (cold / capacity / conflict) in
-  :mod:`repro.cache.stats`;
-* a fast array-based trace simulator (:mod:`repro.cache.fastsim`)
-  cross-validated against the reference model by property tests.
+  :mod:`repro.cache.stats`.
+
+``ColumnCache`` is the one scalar model of the mechanism: long traces
+run on the lockstep engine
+(:class:`~repro.sim.engine.batched.LockstepCache`), which the
+differential tests hold to this reference access for access.
 """
 
 from repro.cache.column_cache import AccessResult, ColumnCache, SetAssociativeCache

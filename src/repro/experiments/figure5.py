@@ -23,10 +23,9 @@ from typing import Optional
 from repro.cache.geometry import CacheGeometry
 from repro.experiments.report import ExperimentSeries, ShapeCheck
 from repro.sim.config import MULTITASK_TIMING, TimingConfig
-from repro.sim.engine.multitask_batch import simulate_multitask_matrix
 from repro.sim.engine.scheduler import SweepEngine
 from repro.sim.engine.spec import SimJob
-from repro.sim.multitask import Job, MultitaskSimulator
+from repro.sim.multitask import Job
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.base import WorkloadRun
 from repro.workloads.gzip_like import make_gzip_job
@@ -132,47 +131,6 @@ def _jobs(
             )
         )
     return jobs
-
-
-def run_figure5_curve(
-    config: Figure5Config,
-    cache_kb: int,
-    mapped: bool,
-    batched: bool = True,
-) -> list[float]:
-    """Job A's CPI at every quantum for one cache/mapping choice.
-
-    ``batched=True`` (the default) runs the whole quantum sweep
-    through the lockstep kernel; ``batched=False`` keeps the scalar
-    round-robin simulator.  Both produce identical CPIs — the
-    equivalence tests assert it.
-    """
-    runs = _record_jobs(
-        config.job_names,
-        config.input_bytes,
-        config.window_bits,
-        config.hash_bits,
-    )
-    geometry = _geometry(config, cache_kb)
-    jobs = _jobs(config, runs, mapped)
-    if batched:
-        points = simulate_multitask_matrix(
-            [(geometry, jobs)],
-            list(config.quanta),
-            config.horizon_instructions,
-            warmup_passes=config.warmup_passes,
-        )[0]
-        return [
-            point[config.measured_job].cpi(config.timing)
-            for point in points
-        ]
-    cpis = []
-    for quantum in config.quanta:
-        simulator = MultitaskSimulator(geometry, jobs, config.timing)
-        simulator.warm_up(config.warmup_passes)
-        results = simulator.run(quantum, config.horizon_instructions)
-        cpis.append(results[config.measured_job].cpi(config.timing))
-    return cpis
 
 
 def matrix_job(config: Figure5Config) -> SimJob:

@@ -634,7 +634,6 @@ def trace_sim(
     line_size: int = 16,
     columns: int = 4,
     uniform_mask: Optional[int] = None,
-    batched: bool = True,
     trace_path: Optional[str] = None,
     trace_digest: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -645,8 +644,7 @@ def trace_sim(
     """Simulate a synthetic — or recorded — trace through one cache.
 
     The (workload x geometry x mask) axes make this the generic
-    declarative sweep runner; ``batched`` selects the lockstep kernel
-    or the scalar reference loop (results are identical either way).
+    declarative sweep runner; every point runs on the lockstep cache.
     ``trace_path`` replays a recorded trace file instead of
     generating one (``.npz`` columnar archives are memory-mapped,
     dinero text otherwise) — external traces are first-class sweep
@@ -666,9 +664,8 @@ def trace_sim(
     (``chunk_accesses`` bounds the streaming window).  Tallies are
     bit-identical to the unsharded run either way.
     """
-    from repro.cache.fastsim import FastColumnCache, blocks_of
     from repro.cache.geometry import CacheGeometry
-    from repro.sim.engine.batched import batched_simulate
+    from repro.sim.engine.batched import LockstepCache
     from repro.sim.engine.sharded import (
         DEFAULT_CHUNK_ACCESSES,
         simulate_columnar_sharded,
@@ -734,15 +731,10 @@ def trace_sim(
                 uniform_mask=uniform_mask,
                 kernel=kernel,
             )
-    elif batched:
-        blocks = blocks_of(trace.addresses, geometry)
-        outcome = batched_simulate(
-            blocks, geometry, uniform_mask=uniform_mask, backend=kernel
-        )
     else:
-        blocks = blocks_of(trace.addresses, geometry)
-        outcome = FastColumnCache(geometry).run(
-            blocks.tolist(), uniform_mask=uniform_mask
+        outcome = LockstepCache(geometry, backend=kernel).run(
+            trace.blocks_for(geometry.offset_bits),
+            uniform_mask=uniform_mask,
         )
     return {
         "accesses": int(outcome.accesses),

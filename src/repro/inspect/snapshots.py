@@ -6,11 +6,11 @@ observer callback can be wired into a hot loop — the adaptive
 runtime's window loop, the fleet's segment loop — and the simulated
 outcome stays bit-identical with or without it.
 
-The cache-occupancy reader is backend-agnostic by duck typing: it
-accepts a :class:`~repro.sim.engine.batched.LockstepState`, a
-:class:`~repro.sim.engine.batched.LockstepCache`, or a scalar
-:class:`~repro.cache.fastsim.FastColumnCache`, and returns the number
-of valid lines per column either way.
+The cache-occupancy reader accepts a
+:class:`~repro.sim.engine.batched.LockstepState` or the
+:class:`~repro.sim.engine.batched.LockstepCache` wrapping one, and
+returns the number of valid lines per column by the state's own
+empty-line rule.
 """
 
 from __future__ import annotations
@@ -20,32 +20,20 @@ from typing import Any, Optional, Sequence
 
 
 def column_occupancy(cache: Any) -> tuple[int, ...]:
-    """Valid lines per column (way) of any cache backend.
+    """Valid lines per column (way) of a lockstep cache.
 
     Accepts a :class:`~repro.sim.engine.batched.LockstepState` (or a
-    :class:`~repro.sim.engine.batched.LockstepCache` wrapping one),
-    whose ``tags`` array is ``(sets, ways)`` with -1 marking an empty
-    line, or a :class:`~repro.cache.fastsim.FastColumnCache`, whose
-    flat tag list uses ``None`` for empty lines.
+    :class:`~repro.sim.engine.batched.LockstepCache` wrapping one) and
+    counts its :meth:`~repro.sim.engine.batched.LockstepState.valid`
+    lines per column.
     """
     state = getattr(cache, "state", cache)
-    tags = getattr(state, "tags", None)
-    if tags is not None:
-        return tuple(
-            int(count) for count in (tags >= 0).sum(axis=0)
-        )
-    flat = getattr(cache, "_tags", None)
-    geometry = getattr(cache, "geometry", None)
-    if flat is None or geometry is None:
+    valid = getattr(state, "valid", None)
+    if valid is None:
         raise TypeError(
             f"cannot read column occupancy from {type(cache).__name__}"
         )
-    ways = geometry.columns
-    counts = [0] * ways
-    for index, tag in enumerate(flat):
-        if tag is not None:
-            counts[index % ways] += 1
-    return tuple(counts)
+    return tuple(int(count) for count in valid().sum(axis=0))
 
 
 def miss_rate_timeline(

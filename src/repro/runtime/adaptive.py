@@ -2,7 +2,7 @@
 
 :class:`AdaptiveExecutor` is the fast path: it streams the trace
 window by window through one persistent
-:class:`~repro.cache.fastsim.FastColumnCache`, classifies each window
+:class:`~repro.sim.engine.batched.LockstepCache`, classifies each window
 under the *currently installed* assignment, feeds the window's blocks
 and miss count to the :class:`~repro.runtime.detector.PhaseDetector`,
 and lets the :class:`~repro.runtime.policy.RepartitionPolicy` replan

@@ -3,8 +3,8 @@
 Two execution paths exist on purpose:
 
 * :class:`~repro.sim.executor.TraceExecutor` — the fast path used by
-  the experiments: vectorized access classification + the array-based
-  cache model.
+  the experiments: vectorized access classification + the lockstep
+  cache engine.
 * :meth:`~repro.sim.executor.TraceExecutor.run_reference` — the full
   mechanism path: assignment realized as page-table tints, every access
   translated through the TLB, masks delivered to the reference

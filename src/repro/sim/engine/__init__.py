@@ -14,10 +14,12 @@ declarative sweeps:
   on-demand-compiled C kernel (``REPRO_KERNEL=auto|numpy|compiled``),
   bit-identical by construction and locked down by the differential
   oracle suite.
-* :mod:`repro.sim.engine.batched` — the vectorized lockstep LRU kernel:
-  LRU sets are independent, so a block trace sharded by set index can
-  advance every set one access per "round" with numpy, bit-identical
-  to :class:`~repro.cache.fastsim.FastColumnCache`.
+* :mod:`repro.sim.engine.batched` — the one cache engine: the
+  vectorized lockstep LRU kernel (LRU sets are independent, so a block
+  trace sharded by set index can advance every set one access per
+  "round") behind the stateful
+  :class:`~repro.sim.engine.batched.LockstepCache`, bit-identical to
+  the reference :class:`~repro.cache.column_cache.ColumnCache`.
 * :mod:`repro.sim.engine.sharded` — single-point set sharding: one
   large columnar trace is split by ``set_index % shards``, streamed
   in bounded chunks across workers, and the per-shard tallies merge
@@ -40,7 +42,6 @@ from repro.sim.engine.backends import (
 from repro.sim.engine.batched import (
     LockstepCache,
     LockstepState,
-    batched_simulate,
     lockstep_run,
 )
 from repro.sim.engine.cache import ResultCache
@@ -67,7 +68,6 @@ __all__ = [
     "SweepEngine",
     "SweepSpec",
     "active_backend",
-    "batched_simulate",
     "compiled_available",
     "lockstep_run",
     "reset_backend",

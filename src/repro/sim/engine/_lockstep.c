@@ -7,9 +7,10 @@
  *   - per-row clocks: the k-th access (0-based) to a row gets
  *     timestamp clock[row] + k, and the clock advances on every
  *     access, including bypasses;
- *   - a resident tag occupies exactly one way, empty lines hold -1
- *     and input tags are non-negative, so the first tag match is the
- *     only one;
+ *   - a line is valid iff its last_use is >= 0 (empty lines keep
+ *     last_use -1; their tag is meaningless), so any int64 tag,
+ *     negative ones included, is a real tag; a resident tag occupies
+ *     exactly one valid way, so the first valid match is the only one;
  *   - the victim is the mask-candidate way with the smallest
  *     last_use, ties resolved toward the lowest way (strict <);
  *   - a miss whose mask has no candidate way inside the geometry
@@ -37,7 +38,7 @@ step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
     int64_t now = state_clock[row];
     state_clock[row] = now + 1;
     for (int64_t way = 0; way < ways; way++) {
-        if (line_tags[way] == tag) {
+        if (line_tags[way] == tag && line_use[way] >= 0) {
             line_use[way] = now;
             *bypass = 0;
             return 1;

@@ -1,11 +1,15 @@
 """Vectorized lockstep LRU: simulate many independent cache sets at once.
 
-Under (masked) LRU, cache sets never interact: an access touches
-exactly the set its block indexes, and replacement decisions depend
-only on the relative recency of lines *within that set*.  The scalar
-:class:`~repro.cache.fastsim.FastColumnCache` walks the trace one
-access at a time; this module instead shards the trace by set index
-(vectorized with numpy) and advances **every set one access per
+This is the one fast engine for the paper's Section 2 mechanism — a
+column cache searches every column on lookup and replaces only inside
+the access's column mask — and :class:`LockstepCache` is its stateful
+front door.  The reference
+:class:`~repro.cache.column_cache.ColumnCache` walks a trace one
+access at a time; this module instead exploits that under (masked)
+LRU, cache sets never interact: an access touches exactly the set its
+block indexes, and replacement decisions depend only on the relative
+recency of lines *within that set*.  So the trace is sharded by set
+index (vectorized with numpy) and **every set advances one access per
 round**.  Each round touches each set at most once, so the per-round
 work — tag compare, LRU victim selection, fill — is a handful of numpy
 operations over all active sets simultaneously.
@@ -28,19 +32,21 @@ the packed state.
 
 Bit-exactness: per-row clocks preserve each set's recency order, the
 victim scan resolves ties toward the lowest way exactly like the
-scalar loop, and an empty mask is a counted bypass.  The property
-tests drive this kernel and ``FastColumnCache`` with identical random
-traces and assert equal per-access outcomes.
+reference model, an empty mask is a counted bypass, and a line is
+valid iff it has ever been used (:meth:`LockstepState.valid`), so any
+int64 tag — negative ones included — is a real tag.  The differential
+oracle (``tests/test_differential_oracle.py``) drives this kernel, its
+compiled twin and ``ColumnCache`` with identical random traces and
+asserts equal per-access outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cache.fastsim import FastSimResult
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import _compiled, backends
 
@@ -51,9 +57,35 @@ DEFAULT_SCALAR_CUTOFF = 96
 #: Sentinel larger than any real timestamp (victim scan masking).
 _FAR = np.int64(1) << np.int64(62)
 
-#: 32-bit twin of :data:`_FAR`, and the value ceiling below which the
-#: kernel may run its hot path on int32 columns.
+#: 32-bit twin of :data:`_FAR`, and the magnitude bound below which
+#: the kernel may run its hot path on int32 columns.
 _FAR32 = 1 << 30
+
+#: Widest associativity whose per-access masks map to candidate ways
+#: through a precomputed ``2**ways``-row table (48 KiB at 12 ways);
+#: wider caches derive each miss row's candidates from its mask bits.
+_MASK_TABLE_MAX_WAYS = 12
+
+
+@dataclass
+class FastSimResult:
+    """Aggregate outcome of a simulation run."""
+
+    hits: int
+    misses: int
+    bypasses: int
+
+    @property
+    def accesses(self) -> int:
+        """Total accesses simulated."""
+        return self.hits + self.misses
+
+    @property
+    def miss_rate(self) -> float:
+        """Fraction of accesses that missed."""
+        if self.accesses == 0:
+            return 0.0
+        return self.misses / self.accesses
 
 
 @dataclass
@@ -61,7 +93,9 @@ class LockstepState:
     """Mutable cache state for a bank of independent LRU rows.
 
     Attributes:
-        tags: ``(rows, ways)`` resident tag per line, ``-1`` = empty.
+        tags: ``(rows, ways)`` resident tag per line (any int64; ``-1``
+            in lines that were never filled, but only :meth:`valid`
+            lines hold a meaningful tag).
         last_use: ``(rows, ways)`` per-row timestamp of last touch,
             ``-1`` = never used.
         clock: ``(rows,)`` accesses seen per row so far (the per-row
@@ -95,6 +129,31 @@ class LockstepState:
         """Associativity of every row."""
         return self.tags.shape[1]
 
+    def valid(self) -> np.ndarray:
+        """``(rows, ways)`` valid-line mask: the one empty-line rule.
+
+        A line is valid iff it has been used (``last_use >= 0``); its
+        tag is then whatever was filled, negative values included.
+        Both kernels and every occupancy reader follow this rule.
+        """
+        return self.last_use >= 0
+
+
+def narrow_blocks(blocks: np.ndarray) -> np.ndarray:
+    """``blocks`` as int32 when every value fits, else unchanged.
+
+    Narrow block columns keep the gather/sort/kernel paths on half the
+    memory traffic; both kernels accept int32 or int64.  Both ends are
+    checked, so very negative blocks never wrap onto small ones.
+    """
+    if (
+        blocks.dtype != np.int32
+        and -(1 << 31) <= int(blocks.min())
+        and int(blocks.max()) < (1 << 31)
+    ):
+        return blocks.astype(np.int32)
+    return blocks
+
 
 def _sort_by_row(rows: np.ndarray) -> np.ndarray:
     """Stable argsort by row, using a narrow key when it fits (numpy
@@ -110,6 +169,11 @@ def _sort_by_row(rows: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
+#: Outcome codes of the scalar tail (a filled miss is 0).
+_HIT = 1
+_BYPASS = 2
+
+
 def _scalar_finish_group(
     tags_row: np.ndarray,
     use_row: np.ndarray,
@@ -118,28 +182,27 @@ def _scalar_finish_group(
     group_masks: Optional[np.ndarray],
     uniform_candidates: Optional[tuple[int, ...]],
     first_occurrence: int,
-    hit_out: np.ndarray,
-    bypass_out: np.ndarray,
-    out_positions: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Finish one row's residual accesses with the scalar LRU loop.
 
     Operates directly on the packed state rows, so lockstep rounds and
-    the scalar tail compose exactly.
+    the scalar tail compose exactly.  Returns one outcome code per
+    access: ``_HIT``, ``_BYPASS`` or 0 for a filled miss.
     """
     ways = len(tags_row)
     tag_to_way = {
         int(tags_row[way]): way
         for way in range(ways)
-        if tags_row[way] >= 0
+        if use_row[way] >= 0
     }
+    codes = bytearray(len(group_tags))
     for offset in range(len(group_tags)):
         tag = int(group_tags[offset])
         clock = clock_base + first_occurrence + offset
         way = tag_to_way.get(tag)
         if way is not None:
             use_row[way] = clock
-            hit_out[out_positions[offset]] = True
+            codes[offset] = _HIT
             continue
         if uniform_candidates is not None:
             candidates = uniform_candidates
@@ -147,7 +210,7 @@ def _scalar_finish_group(
             bits = int(group_masks[offset])
             candidates = tuple(w for w in range(ways) if bits >> w & 1)
         if not candidates:
-            bypass_out[out_positions[offset]] = True
+            codes[offset] = _BYPASS
             continue
         victim = -1
         best = 1 << 62
@@ -156,65 +219,30 @@ def _scalar_finish_group(
             if use < best:
                 best = use
                 victim = candidate
-        old = int(tags_row[victim])
-        if old >= 0:
-            del tag_to_way[old]
+        if best >= 0:  # the victim line is valid: evict its tag
+            del tag_to_way[int(tags_row[victim])]
         tags_row[victim] = tag
         tag_to_way[tag] = victim
         use_row[victim] = clock
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
-def _scalar_finish_group_misses(
-    tags_row: np.ndarray,
-    use_row: np.ndarray,
-    clock_base: int,
-    group_tags: np.ndarray,
-    group_masks: Optional[np.ndarray],
-    uniform_candidates: Optional[tuple[int, ...]],
-    first_occurrence: int,
-    sorted_start: int,
-    miss_positions: list[int],
-) -> None:
-    """Miss-collecting twin of :func:`_scalar_finish_group`.
+def _absent_tag(tags: np.ndarray, low: int, high: int) -> int:
+    """An int64 value not among ``tags`` (whose extremes are given).
 
-    Appends the *sorted-order* position of every non-hit (bypasses
-    included) instead of writing flag arrays; cache state evolves
-    identically.
+    Just below the minimum when that fits in int64 (and, for batches
+    that fit the compact int32 gate, in int32 too), else just above
+    the maximum, else — a batch spanning the whole int64 range — the
+    first gap between its distinct values.
     """
-    ways = len(tags_row)
-    tag_to_way = {
-        int(tags_row[way]): way
-        for way in range(ways)
-        if tags_row[way] >= 0
-    }
-    for offset in range(len(group_tags)):
-        tag = int(group_tags[offset])
-        clock = clock_base + first_occurrence + offset
-        way = tag_to_way.get(tag)
-        if way is not None:
-            use_row[way] = clock
-            continue
-        miss_positions.append(sorted_start + offset)
-        if uniform_candidates is not None:
-            candidates = uniform_candidates
-        else:
-            bits = int(group_masks[offset])
-            candidates = tuple(w for w in range(ways) if bits >> w & 1)
-        if not candidates:
-            continue
-        victim = -1
-        best = 1 << 62
-        for candidate in candidates:
-            use = int(use_row[candidate])
-            if use < best:
-                best = use
-                victim = candidate
-        old = int(tags_row[victim])
-        if old >= 0:
-            del tag_to_way[old]
-        tags_row[victim] = tag
-        tag_to_way[tag] = victim
-        use_row[victim] = clock
+    if low > -(1 << 63):
+        return low - 1
+    if high < (1 << 63) - 1:
+        return high + 1
+    distinct = np.unique(tags)
+    # Differences of sorted int64 values, exact once read as uint64.
+    steps = (distinct[1:] - distinct[:-1]).view(np.uint64)
+    return int(distinct[int(np.flatnonzero(steps > 1)[0])]) + 1
 
 
 def lockstep_run(
@@ -232,8 +260,8 @@ def lockstep_run(
     Args:
         rows: Per-access row (set) index (any integer dtype), all
             within ``state.rows``.
-        tags: Per-access tag (any integer dtype); tags must be
-            non-negative (``-1`` is the empty-line sentinel).
+        tags: Per-access tag (any integer dtype, any value —
+            emptiness is tracked by ``last_use``, not by tag).
         state: Mutable cache state, advanced in place.
         mask_bits: Per-access replacement masks, or None.
         uniform_mask: One mask for every access (mutually exclusive
@@ -360,14 +388,20 @@ def lockstep_run(
     # memory traffic, so when tags and clocks fit in 32 bits (they do
     # for every realistic trace) the whole hot path runs on half the
     # bytes.  State in/out stays int64 — this is internal only.  The
-    # gate covers the batch's tags AND the resident state's tags (a
-    # previous batch may have filled wide tags that would otherwise
-    # wrap on the narrowing astype and falsely match small tags);
-    # resident last_use values are bounded by the rows' clocks.
+    # gate bounds both ends of the batch's tags AND of the resident
+    # state's tags (a previous batch may have filled wide or very
+    # negative tags that would otherwise wrap on the narrowing astype
+    # and falsely match small tags); resident last_use values are
+    # bounded by the rows' clocks.
     clock_limit = int(state.clock[rows_d].max()) + total_rounds
+    tag_low = int(tags_sorted.min())
+    tag_high = int(tags_sorted.max())
+    resident_tags = state.tags[rows_d]
     compact = (
-        int(tags_sorted.max()) < _FAR32
-        and int(state.tags[rows_d].max()) < _FAR32
+        -_FAR32 < tag_low
+        and tag_high < _FAR32
+        and -_FAR32 < int(resident_tags.min())
+        and int(resident_tags.max()) < _FAR32
         and clock_limit < _FAR32
     )
     value_dtype = np.int32 if compact else np.int64
@@ -376,9 +410,17 @@ def lockstep_run(
     tags_t = np.empty(n, dtype=value_dtype)
     tags_t[transposed] = tags_sorted.astype(value_dtype, copy=False)
 
-    # Packed state: one dense row per active group.
-    packed_tags = state.tags[rows_d].astype(value_dtype)
+    # Packed state: one dense row per active group.  Empty lines get a
+    # tag no access of this batch carries, so the round loop's plain
+    # tag compare can never hit one (any tag value is a real tag).
+    packed_tags = resident_tags.astype(value_dtype)
     packed_use = state.last_use[rows_d].astype(value_dtype)
+    empty_lines = packed_use < 0
+    np.copyto(
+        packed_tags,
+        _absent_tag(tags_sorted, tag_low, tag_high),
+        where=empty_lines,
+    )
     clock_base = state.clock[rows_d].astype(value_dtype)
     # Flat views: every per-round update below is one 1D scatter.
     flat_tags = packed_tags.reshape(-1)
@@ -388,19 +430,20 @@ def lockstep_run(
     if misses_only:
         hit_t = bypass_t = None
         miss_parts: list[np.ndarray] = []
-        tail_misses: list[int] = []
     else:
         hit_t = np.zeros(n, dtype=bool)
         bypass_t = np.zeros(n, dtype=bool)
     way_shift = np.arange(ways, dtype=np.int64)
     row_index = np.arange(group_count, dtype=np.int64)
 
+    mask_table: Optional[np.ndarray] = None
     if masks is not None:
-        # mask bits -> candidate-way boolean row, for every mask value.
-        mask_table = (
-            (np.arange(1 << ways, dtype=np.int64)[:, None] >> way_shift)
-            & 1
-        ) > 0
+        if ways <= _MASK_TABLE_MAX_WAYS:
+            # mask bits -> candidate-way boolean row, every mask value.
+            mask_table = (
+                (np.arange(1 << ways, dtype=np.int64)[:, None] >> way_shift)
+                & 1
+            ) > 0
         any_empty_mask = bool((masks == 0).any())
         full_row_mask = np.int64(full_mask)
     uniform_full = (
@@ -502,11 +545,14 @@ def lockstep_run(
             if any_empty_mask or not bool(
                 (miss_masks == full_row_mask).all()
             ):
-                np.copyto(
-                    miss_use,
-                    far,
-                    where=~mask_table[miss_masks],
-                )
+                if mask_table is not None:
+                    allowed = mask_table[miss_masks]
+                else:
+                    allowed = (
+                        (miss_masks.astype(np.int64)[:, None] >> way_shift)
+                        & 1
+                    ) > 0
+                np.copyto(miss_use, far, where=~allowed)
             if any_empty_mask:
                 fillable = miss_masks != 0
                 if not bool(fillable.all()):
@@ -540,23 +586,7 @@ def lockstep_run(
             start = int(starts_d[group])
             size = int(sizes_d[group])
             span = slice(start + stop_round, start + size)
-            if misses_only:
-                _scalar_finish_group_misses(
-                    packed_tags[group],
-                    packed_use[group],
-                    int(clock_base[group]),
-                    tags_sorted[span],
-                    masks_sorted[span] if masks is not None else None,
-                    uniform_candidates,
-                    stop_round,
-                    start + stop_round,
-                    tail_misses,
-                )
-                continue
-            out_positions = (
-                round_start[stop_round:size] + row_index[group]
-            )
-            _scalar_finish_group(
+            codes = _scalar_finish_group(
                 packed_tags[group],
                 packed_use[group],
                 int(clock_base[group]),
@@ -564,18 +594,25 @@ def lockstep_run(
                 masks_sorted[span] if masks is not None else None,
                 uniform_candidates,
                 stop_round,
-                hit_t,
-                bypass_t,
-                out_positions,
             )
+            if misses_only:
+                miss_parts.append(
+                    start + stop_round + np.flatnonzero(codes != _HIT)
+                )
+                continue
+            out_positions = (
+                round_start[stop_round:size] + row_index[group]
+            )
+            hit_t[out_positions[codes == _HIT]] = True
+            bypass_t[out_positions[codes == _BYPASS]] = True
 
-    # Write packed state back; un-transpose the flags in one gather.
+    # Write packed state back (still-empty lines get their -1 tag
+    # back); un-transpose the flags in one gather.
+    np.copyto(packed_tags, -1, where=packed_use < 0)
     state.tags[rows_d] = packed_tags
     state.last_use[rows_d] = packed_use
     state.clock[rows_d] = clock_base + sizes_d
     if misses_only:
-        if tail_misses:
-            miss_parts.append(np.asarray(tail_misses, dtype=np.int64))
         if not miss_parts:
             return np.zeros(0, dtype=np.int64)
         return order[np.concatenate(miss_parts)]
@@ -587,13 +624,13 @@ def lockstep_run(
 class LockstepCache:
     """A stateful column cache backed by the lockstep kernel.
 
-    Drop-in for the scalar
-    :class:`~repro.cache.fastsim.FastColumnCache` wherever the caller
-    holds *numpy block columns* (the columnar trace pipeline): state
-    persists across :meth:`run` calls, counters accumulate, and the
-    per-access outcomes are bit-identical to the scalar model — but
-    each call is one vectorized kernel invocation, with no Python-list
-    round-trip.
+    The production cache model: executors, baselines, the trace CLI
+    and the multitask simulator all run on it.  It consumes *numpy
+    block columns* (the columnar trace pipeline): state persists
+    across :meth:`run` calls, counters accumulate, and the per-access
+    outcomes are bit-identical to the reference
+    :class:`~repro.cache.column_cache.ColumnCache` — but each call is
+    one kernel invocation, with no Python-list round-trip.
 
     ``backend`` pins every call to one kernel backend (``"numpy"`` /
     ``"compiled"`` / ``"auto"``); None follows the session's active
@@ -678,50 +715,3 @@ class LockstepCache:
         return FastSimResult(
             hits=self.hits, misses=self.misses, bypasses=self.bypasses
         )
-
-
-def batched_simulate(
-    blocks: Sequence[int] | np.ndarray,
-    geometry: CacheGeometry,
-    mask_bits: Optional[Sequence[int] | np.ndarray] = None,
-    uniform_mask: Optional[int] = None,
-    state: Optional[LockstepState] = None,
-    scalar_cutoff: int = DEFAULT_SCALAR_CUTOFF,
-    return_flags: bool = False,
-    backend: Optional[str] = None,
-) -> Union[
-    FastSimResult, tuple[FastSimResult, np.ndarray, np.ndarray]
-]:
-    """One-shot lockstep simulation of a block trace.
-
-    Drop-in counterpart of
-    :func:`repro.cache.fastsim.simulate_trace` operating on block
-    numbers; returns a :class:`FastSimResult` (and per-access flags
-    when ``return_flags``), bit-identical to the scalar model.
-    """
-    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    rows = blocks & np.int64(geometry.sets - 1)
-    tags = blocks >> np.int64(geometry.index_bits)
-    if state is None:
-        state = LockstepState.cold(geometry.sets, geometry.columns)
-    masks = None
-    if mask_bits is not None:
-        masks = np.ascontiguousarray(mask_bits, dtype=np.int64)
-    hit_flags, bypass_flags = lockstep_run(
-        rows,
-        tags,
-        state,
-        mask_bits=masks,
-        uniform_mask=uniform_mask,
-        scalar_cutoff=scalar_cutoff,
-        backend=backend,
-    )
-    hits = int(hit_flags.sum())
-    result = FastSimResult(
-        hits=hits,
-        misses=len(blocks) - hits,
-        bypasses=int(bypass_flags.sum()),
-    )
-    if return_flags:
-        return result, hit_flags, bypass_flags
-    return result

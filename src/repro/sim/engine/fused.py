@@ -34,7 +34,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.sim.engine import _compiled, backends
-from repro.sim.engine.batched import LockstepState, lockstep_run
+from repro.sim.engine.batched import (
+    LockstepState,
+    lockstep_run,
+    narrow_blocks,
+)
 from repro.sim.multitask import QuantumSchedule
 
 
@@ -70,11 +74,7 @@ class TenantBatch:
         offsets = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
         )
-        blocks = np.concatenate(tenant_blocks)
-        # Narrow columns keep the gather/kernel path on half the
-        # memory traffic; both kernels accept int32 or int64.
-        if blocks.dtype != np.int32 and int(blocks.max()) < (1 << 31):
-            blocks = blocks.astype(np.int32)
+        blocks = narrow_blocks(np.concatenate(tenant_blocks))
         return cls(blocks=blocks, offsets=offsets, lengths=lengths)
 
     @property

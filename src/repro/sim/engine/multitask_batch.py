@@ -1,10 +1,10 @@
 """Batched multitasking simulation: closed-form schedule + lockstep LRU.
 
-The scalar :class:`~repro.sim.multitask.MultitaskSimulator` interleaves
-per-quantum slices of each job's trace through one shared cache, which
-costs Python bookkeeping per quantum (brutal at quantum=1: one
-``searchsorted`` and one ``cache.run`` call per access).  This module
-exploits three structural facts:
+The reference :class:`~repro.sim.multitask.MultitaskSimulator` walks
+the schedule one quantum slice at a time, which costs Python
+bookkeeping per quantum (brutal at quantum=1: one ``searchsorted`` per
+access), and then runs the walked stream through the cache.  This
+module exploits three structural facts:
 
 1. **The schedule does not depend on cache contents.**  A quantum ends
    after a fixed number of instructions, and instruction counts come
@@ -28,7 +28,7 @@ exploits three structural facts:
    is exactly this) reuses each quantum's schedule and access stream
    across every variant.
 
-Results are bit-identical to the scalar simulator (asserted by the
+Results are bit-identical to the per-quantum simulator (asserted by the
 equivalence tests): same hits, misses, instructions, wraps and quantum
 counts per job, hence the same CPI to the last ulp.
 """
@@ -45,6 +45,7 @@ from repro.sim.engine.batched import (
     DEFAULT_SCALAR_CUTOFF,
     LockstepState,
     lockstep_run,
+    narrow_blocks,
 )
 from repro.sim.multitask import (
     Job,
@@ -68,14 +69,9 @@ class _BatchJob:
     def __init__(self, job: Job, geometry: CacheGeometry) -> None:
         if len(job.trace) == 0:
             raise ValueError(f"job {job.name!r} has an empty trace")
-        blocks = job.trace.blocks_for(
-            geometry.offset_bits, job.address_offset
+        self.blocks = narrow_blocks(
+            job.trace.blocks_for(geometry.offset_bits, job.address_offset)
         )
-        # Narrow columns keep the streaming/sort/kernel path on half
-        # the memory traffic; the kernel accepts any integer dtype.
-        if int(blocks.max()) < (1 << 31):
-            blocks = blocks.astype(np.int32)
-        self.blocks = blocks
         self.cum = job.trace.cumulative_instructions
         self.total_instructions = int(self.cum[-1])
         self.mask_bits = job.mask_bits(geometry.columns)

@@ -20,7 +20,8 @@ parallelizes *across* sweep points; this fans the sets of a single
 point across cores.
 
 The equivalence suite asserts the sharded runs agree bit-for-bit with
-the scalar oracles and the unsharded lockstep run, on both kernels.
+the reference ``ColumnCache`` and the unsharded lockstep run, on both
+kernels.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.trace.columnar import ColumnarTrace
 
-from repro.cache.fastsim import FastSimResult
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import backends
-from repro.sim.engine.batched import LockstepState, lockstep_run
+from repro.sim.engine.batched import (
+    FastSimResult,
+    LockstepState,
+    lockstep_run,
+)
 
 
 # ----------------------------------------------------------------------

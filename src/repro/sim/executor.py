@@ -10,8 +10,9 @@ Cycle model (both paths, identical by construction):
   then always hits.
 
 The fast path classifies every access by layout unit with vectorized
-interval lookup and only simulates the genuinely cached accesses in the
-array-based cache.  The reference path realizes the assignment into a
+interval lookup and only simulates the genuinely cached accesses, in
+one :class:`~repro.sim.engine.batched.LockstepCache` call per trace
+(or window, or phase).  The reference path realizes the assignment into a
 page table + tint table and pushes every access through the TLB and the
 reference :class:`~repro.cache.column_cache.ColumnCache` — the whole
 Figure 2 mechanism.  ``tests/test_executor.py`` asserts the two paths
@@ -25,7 +26,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.inspect.snapshots import (
     ExecutorWindowSnapshot,
@@ -144,36 +144,29 @@ class TraceExecutor:
         self,
         trace: Trace,
         assignment: ColumnAssignment,
-        cache: Optional[FastColumnCache | LockstepCache] = None,
+        cache: Optional[LockstepCache] = None,
         name: Optional[str] = None,
         charge_setup: bool = True,
     ) -> SimulationResult:
         """Simulate ``trace`` under ``assignment`` (fast path).
 
         Pass a ``cache`` to carry state across calls (phased runs);
-        by default a cold cache is created.  A
-        :class:`~repro.sim.engine.batched.LockstepCache` consumes the
-        trace's cached block column as numpy arrays (no Python-list
-        round-trip); the scalar cache gets the one-off list its loop
-        is fastest over.  Results are bit-identical either way.
+        by default a cold cache is created.  The trace's cached block
+        column goes to the cache as numpy arrays, in one kernel call.
         """
         geometry = self.geometry_for(assignment)
         if cache is None:
-            cache = FastColumnCache(geometry)
+            cache = LockstepCache(geometry)
         codes, bits = self.classify(trace, assignment)
 
         cached_positions = np.flatnonzero(codes == _CACHED)
         scratchpad_count = int((codes == _SCRATCHPAD).sum())
         uncached_count = int((codes == _UNCACHED).sum())
 
-        blocks = trace.blocks_for(geometry.offset_bits)[cached_positions]
-        mask_bits = bits[cached_positions]
-        if isinstance(cache, LockstepCache):
-            outcome = cache.run(blocks, mask_bits=mask_bits)
-        else:
-            outcome = cache.run(
-                blocks.tolist(), mask_bits=mask_bits.tolist()
-            )
+        outcome = cache.run(
+            trace.blocks_for(geometry.offset_bits)[cached_positions],
+            mask_bits=bits[cached_positions],
+        )
 
         timing = self.timing
         # Misses with an empty mask are bypasses: they cost a full
@@ -204,7 +197,7 @@ class TraceExecutor:
         trace: Trace,
         assignment: ColumnAssignment,
         window_accesses: int = 4096,
-        cache: Optional[FastColumnCache | LockstepCache] = None,
+        cache: Optional[LockstepCache] = None,
         name: Optional[str] = None,
         charge_setup: bool = True,
         observer: Optional[Any] = None,
@@ -225,7 +218,7 @@ class TraceExecutor:
                 f"window_accesses must be >= 1, got {window_accesses}"
             )
         if cache is None:
-            cache = FastColumnCache(self.geometry_for(assignment))
+            cache = LockstepCache(self.geometry_for(assignment))
         totals: Optional[SimulationResult] = None
         window_index = 0
         for start in range(0, max(len(trace), 1), window_accesses):
@@ -276,7 +269,6 @@ class TraceExecutor:
         under ``"<other>"``.
         """
         geometry = self.geometry_for(assignment)
-        cache = FastColumnCache(geometry)
         codes, bits = self.classify(trace, assignment)
 
         ordered = list(assignment.layout_symbols)
@@ -287,11 +279,10 @@ class TraceExecutor:
         inside = (slot >= 0) & (trace.addresses < ends[clipped])
 
         cached_positions = np.flatnonzero(codes == _CACHED)
-        blocks = (
-            trace.addresses[cached_positions] >> geometry.offset_bits
-        ).tolist()
-        mask_bits = bits[cached_positions].tolist()
-        flags = cache.run_with_flags(blocks, mask_bits=mask_bits)
+        flags = LockstepCache(geometry).run_with_flags(
+            trace.blocks_for(geometry.offset_bits)[cached_positions],
+            mask_bits=bits[cached_positions],
+        )
         hit_at = np.ones(len(trace), dtype=bool)
         hit_at[cached_positions] = flags
 
@@ -336,7 +327,7 @@ class TraceExecutor:
             phase.label: phase for phase in plan.phases
         }
         result = PhasedRunResult(name=name or run.name)
-        cache: Optional[FastColumnCache] = None
+        cache: Optional[LockstepCache] = None
         active: Optional[ColumnAssignment] = None
         for marker in run.phases:
             phase_plan = assignments.get(marker.label)
@@ -346,7 +337,7 @@ class TraceExecutor:
                 )
             assignment = phase_plan.assignment
             if cache is None:
-                cache = FastColumnCache(self.geometry_for(assignment))
+                cache = LockstepCache(self.geometry_for(assignment))
             remap_cycles = 0
             remapped = False
             if assignment is not active:

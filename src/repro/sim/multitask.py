@@ -11,10 +11,14 @@ Per-job column masks express the mapped configuration: job A gets its
 own columns, B and C share the rest.  ``mask = None`` means the full
 cache (the standard shared configuration).
 
-Besides the scalar reference simulator, this module owns the
-**closed-form quantum schedule**: because a quantum ends after a fixed
-number of instructions and instruction counts come from the trace
-alone, where every quantum starts and stops is a pure function of
+:class:`MultitaskSimulator` walks the schedule one quantum slice at a
+time through :func:`next_quantum_slice` — the independent reference the
+closed-form schedule is held to — and runs the walked slices through
+the lockstep cache in one pass.  Besides that simulator, this module
+owns the **closed-form quantum schedule**: because a quantum ends
+after a fixed number of instructions and instruction counts come from
+the trace alone, where every quantum starts and stops is a pure
+function of
 (traces, quantum, budget) — no cache state involved.
 :func:`quantum_tables` computes one quantum from *every* start
 position at once, :func:`orbit_positions` unrolls the successor map,
@@ -32,9 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.sim.config import TimingConfig
+from repro.sim.engine.batched import LockstepCache
 from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
 
@@ -54,8 +58,8 @@ def next_quantum_slice(
     instructions; a quantum of 1 advances exactly one access.
 
     This is the single source of truth for step-by-step quantum
-    slicing: the scalar round-robin :class:`MultitaskSimulator` and
-    the scalar fleet oracle under ``tests/oracles/`` both slice
+    slicing: the round-robin :class:`MultitaskSimulator` and the
+    scalar fleet oracle under ``tests/oracles/`` both slice
     through it, and the closed-form :func:`quantum_schedule` is held
     to it access-for-access.
     """
@@ -446,12 +450,9 @@ class _JobState:
 
     def __init__(self, job: Job, geometry: CacheGeometry):
         self.job = job
-        # The scalar reference loop is fastest over native ints, so
-        # this simulator converts the cached block column once; the
-        # batched engine consumes the columnar arrays directly.
-        self.blocks: list[int] = job.trace.blocks_for(
+        self.blocks = job.trace.blocks_for(
             geometry.offset_bits, job.address_offset
-        ).tolist()
+        )
         # cumulative[i] = instructions contributed by accesses 0..i.
         self.cumulative = job.trace.cumulative_instructions
         self.total_instructions = int(self.cumulative[-1]) if len(
@@ -469,7 +470,15 @@ class _JobState:
 
 
 class MultitaskSimulator:
-    """Round-robin scheduler over a shared column cache."""
+    """Round-robin scheduler over a shared column cache.
+
+    :meth:`run` walks the schedule quantum by quantum, slice by slice,
+    then replays the walked slices in schedule order — each access
+    under its job's mask — through one
+    :class:`~repro.sim.engine.batched.LockstepCache` pass; the cache
+    never needs stepping per slice, because the schedule does not
+    depend on cache contents.
+    """
 
     def __init__(
         self,
@@ -484,12 +493,22 @@ class MultitaskSimulator:
             raise ValueError(f"duplicate job names: {names}")
         self.geometry = geometry
         self.timing = timing or TimingConfig()
-        self.cache = FastColumnCache(geometry)
+        self.cache = LockstepCache(geometry)
         self._states = [_JobState(job, geometry) for job in jobs]
         for state in self._states:
             state.mask_bits = state.job.mask_bits(geometry.columns)
             if len(state.blocks) == 0:
                 raise ValueError(f"job {state.job.name!r} has an empty trace")
+        lengths = np.array(
+            [len(state.blocks) for state in self._states], dtype=np.int64
+        )
+        self._offsets = np.cumsum(lengths) - lengths
+        self._blocks = np.concatenate(
+            [state.blocks for state in self._states]
+        )
+        self._mask_table = np.array(
+            [state.mask_bits for state in self._states], dtype=np.int64
+        )
 
     def warm_up(self, passes: int = 1) -> None:
         """Run every job's full trace ``passes`` times, then reset
@@ -532,16 +551,21 @@ class MultitaskSimulator:
             )
         executed_total = 0
         job_index = 0
-        states = self._states
+        slices: list[tuple[int, int, int]] = []
         while executed_total < total_instructions:
-            state = states[job_index]
-            executed = self._run_quantum(state, quantum_instructions)
-            executed_total += executed
-            job_index = (job_index + 1) % len(states)
-        return {state.job.name: state.result for state in states}
+            executed_total += self._run_quantum(
+                job_index, quantum_instructions, slices
+            )
+            job_index = (job_index + 1) % len(self._states)
+        self._simulate(slices)
+        return self.results()
 
-    def _run_quantum(self, state: _JobState, quantum: int) -> int:
-        """Execute one quantum of one job; returns instructions run."""
+    def _run_quantum(
+        self, job_index: int, quantum: int, slices: list
+    ) -> int:
+        """Walk one quantum of one job, appending its ``(job, start,
+        stop)`` trace slices; returns instructions run."""
+        state = self._states[job_index]
         remaining = quantum
         executed = 0
         result = state.result
@@ -550,16 +574,9 @@ class MultitaskSimulator:
             stop, ran = next_quantum_slice(
                 state.cumulative, state.position, remaining
             )
-            outcome = self.cache.run(
-                state.blocks,
-                uniform_mask=state.mask_bits,
-                start=state.position,
-                stop=stop,
-            )
+            slices.append((job_index, state.position, stop))
             result.instructions += ran
             result.accesses += stop - state.position
-            result.hits += outcome.hits
-            result.misses += outcome.misses
             executed += ran
             remaining -= ran
             state.position = stop
@@ -567,6 +584,33 @@ class MultitaskSimulator:
                 state.position = 0
                 result.wraps += 1
         return executed
+
+    def _simulate(self, slices: list[tuple[int, int, int]]) -> None:
+        """Run the walked slices through the cache in one pass and
+        credit each job its hits and misses."""
+        if not slices:
+            return
+        jobs, starts, stops = (
+            np.array(column, dtype=np.int64) for column in zip(*slices)
+        )
+        lengths = stops - starts
+        job_per_access = np.repeat(jobs, lengths)
+        # Access k of slice s reads _blocks[offset(job) + start + k].
+        stream_start = np.cumsum(lengths) - lengths
+        positions = np.arange(len(job_per_access), dtype=np.int64)
+        positions += np.repeat(
+            self._offsets[jobs] + starts - stream_start, lengths
+        )
+        hit_flags = self.cache.run_with_flags(
+            self._blocks[positions],
+            mask_bits=self._mask_table[job_per_access],
+        )
+        count = len(self._states)
+        hits = np.bincount(job_per_access[hit_flags], minlength=count)
+        accesses = np.bincount(job_per_access, minlength=count)
+        for index, state in enumerate(self._states):
+            state.result.hits += int(hits[index])
+            state.result.misses += int(accesses[index] - hits[index])
 
     def results(self) -> dict[str, JobResult]:
         """Per-job results accumulated so far."""

@@ -12,13 +12,12 @@ Usage::
 (The ``repro-trace`` console script accepts the same subcommands.)
 
 ``stats`` prints per-variable access counts and lifetimes; ``generate``
-writes a synthetic trace in dinero format; ``simulate`` runs a trace
-through a (standard, full-mask) cache and prints hit/miss totals;
-``record`` records any workload-suite kernel into the columnar
-``.npz`` on-disk format (or dinero, by extension); ``replay`` streams
-a recorded ``.npz``/dinero trace through the vectorized lockstep
-cache, memory-mapping ``.npz`` archives so arbitrarily long traces
-replay at a flat footprint (``--kernel`` selects the lockstep
+writes a synthetic trace in dinero format; ``record`` records any
+workload-suite kernel into the columnar ``.npz`` on-disk format (or
+dinero, by extension); ``replay`` (alias ``simulate``) streams a
+recorded ``.npz``/dinero trace through the lockstep cache and prints
+hit/miss totals, memory-mapping ``.npz`` archives so arbitrarily long
+traces replay at a flat footprint (``--kernel`` selects the lockstep
 backend; ``--shards``/``--workers`` partition one replay by cache-set
 index over processes, merging tallies bit-identically); ``profile`` dumps the planner-facing
 per-variable profile (counts, density, lifetime) of a recorded
@@ -33,7 +32,6 @@ import sys
 import time
 from typing import Sequence
 
-from repro.cache.fastsim import FastColumnCache, blocks_of
 from repro.cache.geometry import CacheGeometry
 from repro.profiling.profiler import profile_trace
 from repro.trace.columnar import ColumnarTrace, load_npz
@@ -104,23 +102,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     trace = _GENERATORS[args.kind](args)
     lines = save_trace(trace, args.output)
     print(f"wrote {lines} accesses to {args.output}")
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
-    geometry = CacheGeometry.from_sizes(
-        args.size, line_size=args.line_size, columns=args.columns
-    )
-    # Stream in bounded chunks: flat memory however long the trace is.
-    result = FastColumnCache(geometry).run_chunked(
-        blocks_of(trace.addresses, geometry)
-    )
-    print(f"cache: {geometry}")
-    print(
-        f"accesses={result.accesses} hits={result.hits} "
-        f"misses={result.misses} miss_rate={result.miss_rate:.4f}"
-    )
     return 0
 
 
@@ -285,15 +266,6 @@ def main(
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(handler=_cmd_generate)
 
-    simulate = commands.add_parser(
-        "simulate", help="run a trace through a cache"
-    )
-    simulate.add_argument("trace", help="dinero trace file")
-    simulate.add_argument("--size", type=int, default=16384)
-    simulate.add_argument("--line-size", type=int, default=16)
-    simulate.add_argument("--columns", type=int, default=4)
-    simulate.set_defaults(handler=_cmd_simulate)
-
     record = commands.add_parser(
         "record", help="record a workload-suite kernel to disk"
     )
@@ -311,6 +283,7 @@ def main(
 
     replay = commands.add_parser(
         "replay",
+        aliases=["simulate"],
         help="stream a recorded trace through the lockstep cache",
     )
     replay.add_argument("trace", help=".npz or dinero trace file")

@@ -9,8 +9,9 @@ tenant's column mask) with the broker rewriting tints between
 segments.  Where production builds each segment's round-robin schedule
 in closed form and runs it in one fused kernel walk, this oracle
 slices every quantum with :func:`~repro.sim.multitask.next_quantum_slice`
-and steps each slice through the scalar
-:class:`~repro.cache.fastsim.FastColumnCache`.  Event replay,
+and steps each slice through the reference
+:class:`~repro.cache.column_cache.ColumnCache` (the block-level
+:class:`~oracles.column_cache.ReferenceCache`).  Event replay,
 telemetry and the feeding of each tenant's phase detector follow the
 same contract, written out again here; only the per-tenant state
 (:class:`~repro.fleet.tenant.TenantRuntime`, detector included) and
@@ -27,7 +28,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.fleet import (
     ColumnBroker,
@@ -42,6 +42,8 @@ from repro.fleet import (
 from repro.fleet.tenant import TenantRuntime
 from repro.sim.config import TimingConfig
 from repro.sim.multitask import next_quantum_slice
+
+from oracles.column_cache import ReferenceCache
 
 
 def run_reference_fleet(
@@ -58,7 +60,7 @@ def run_reference_fleet(
     """
     if broker is None:
         broker = ColumnBroker(geometry, timing)
-    cache = FastColumnCache(geometry)
+    cache = ReferenceCache(geometry)
     runtimes: dict[str, TenantRuntime] = {}
     blocks: dict[str, list[int]] = {}
     pending_remap: dict[str, int] = {}
@@ -143,7 +145,7 @@ def run_reference_fleet(
                 stop, ran = next_quantum_slice(
                     runtime.cumulative, start, remaining
                 )
-                flags = cache.run_with_flags(
+                flags, _bypasses = cache.run(
                     blocks[name][start:stop], uniform_mask=mask
                 )
                 flag_parts.append(flags)

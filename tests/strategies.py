@@ -1,21 +1,26 @@
 """Shared Hypothesis strategies for the differential-testing harness.
 
 Every simulator backend in this repository models the *same* machine:
-the reference :class:`~repro.cache.column_cache.ColumnCache`, the
-scalar :class:`~repro.cache.fastsim.FastColumnCache`, the lockstep
-kernel in :mod:`repro.sim.engine.batched`, the set-sharded runner and
-the adaptive runtime must all produce bit-identical hit/miss streams
-on any trace.  These strategies generate the random inputs the
-differential suites drive them with; keeping them here means a new
-backend gets the whole oracle battery by adding one test that imports
-them (see ``docs/testing.md``).
+the reference :class:`~repro.cache.column_cache.ColumnCache` (the one
+scalar model, driven through ``tests/oracles/column_cache.py``), the
+lockstep kernel in :mod:`repro.sim.engine.batched` on its numpy and
+compiled backends, :class:`~repro.sim.engine.batched.LockstepCache`,
+the set-sharded runners, the fused fleet walk and the adaptive runtime
+must all produce bit-identical hit/miss streams on any trace.  These
+strategies generate the random inputs the differential suites drive
+them with; keeping them here means a new backend gets the whole oracle
+battery by adding one test that imports them (see
+``docs/testing.md``).
 
 Strategies:
 
 * :func:`small_geometries` — cache shapes small enough to force
-  evictions within short traces.
+  evictions within short traces, plus the edges: a single set and the
+  compiled kernel's 63-way limit.
 * :func:`block_trace_cases` — (geometry, blocks, mask_bits) triples
-  with skewed block distributions and occasional empty masks.
+  with skewed block distributions over the whole block domain
+  (:data:`BLOCK_DOMAINS`: negative blocks, blocks up to ``2**58``),
+  single-access traces and occasional empty masks.
 * :func:`sharded_replay_cases` — (geometry, trace, shards, chunk)
   draws whose shard counts and chunk sizes bracket the degenerate
   boundaries of the set-sharded single-point simulators.
@@ -134,34 +139,60 @@ def suite_mask_bits(trace: Trace, columns: int) -> np.ndarray:
 
 @st.composite
 def small_geometries(draw) -> CacheGeometry:
-    """Small geometries: 2-8 sets, 1-8 columns, 16/32-byte lines."""
+    """Small geometries: 1-8 sets, 1-8 columns or the compiled kernel's
+    63-way limit, 16/32-byte lines."""
     return CacheGeometry(
         line_size=draw(st.sampled_from([16, 32])),
-        sets=draw(st.sampled_from([2, 4, 8])),
-        columns=draw(st.sampled_from([1, 2, 3, 4, 8])),
+        sets=draw(st.sampled_from([1, 2, 4, 8])),
+        columns=draw(st.sampled_from([1, 2, 3, 4, 8, 63])),
     )
+
+
+#: Where drawn block numbers live.  ``straddle`` puts blocks on both
+#: sides of zero (so tag -1, the empty-line marker in cold state, is a
+#: real tag); ``negative`` and ``high`` sit at the ends of the domain
+#: the recorders and ``.npz`` archives can carry (blocks in
+#: ``[-2**58, 2**58)``, so 32-byte-line addresses still fit int64);
+#: ``far-ends`` mixes both ends in one trace.
+BLOCK_DOMAINS = ("low", "straddle", "negative", "high", "far-ends")
+
+_BLOCK_LIMIT = 1 << 58
+
+
+def draw_blocks(draw, rng, geometry: CacheGeometry, length: int):
+    """``length`` int64 blocks over a span a few times the cache size
+    (so sets see real contention), placed in a drawn block domain."""
+    span = max(geometry.total_lines * draw(st.sampled_from([1, 2, 4])), 2)
+    blocks = rng.integers(0, span, length).astype(np.int64)
+    domain = draw(st.sampled_from(BLOCK_DOMAINS))
+    if domain == "straddle":
+        blocks -= span // 2
+    elif domain == "negative":
+        blocks -= _BLOCK_LIMIT
+    elif domain == "high":
+        blocks += _BLOCK_LIMIT - span
+    elif domain == "far-ends":
+        blocks -= np.where(rng.random(length) < 0.5, _BLOCK_LIMIT, 0)
+    return blocks
 
 
 @st.composite
 def block_trace_cases(draw, max_length: int = 400):
     """A (geometry, blocks, mask_bits) case for the cache oracles.
 
-    Blocks are drawn from a span a few times the cache size so sets
-    see real contention; each access's mask is drawn from a small
+    Blocks come from :func:`draw_blocks` (single-access traces are
+    drawn on purpose); each access's mask is drawn from a small
     palette (including sometimes the empty mask, which must bypass).
     """
     geometry = draw(small_geometries())
-    length = draw(st.integers(1, max_length))
+    length = draw(st.one_of(st.just(1), st.integers(1, max_length)))
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
-    span = geometry.total_lines * draw(st.sampled_from([1, 2, 4]))
-    blocks = rng.integers(0, max(span, 2), length).astype(np.int64)
+    blocks = draw_blocks(draw, rng, geometry, length)
     full = (1 << geometry.columns) - 1
     palette_size = draw(st.integers(1, 4))
     include_empty = draw(st.booleans())
-    palette = [
-        int(rng.integers(0, full + 1)) for _ in range(palette_size)
-    ] or [full]
+    palette = [draw(st.integers(0, full)) for _ in range(palette_size)]
     if not include_empty:
         palette = [bits or full for bits in palette]
     mask_bits = [
@@ -183,13 +214,11 @@ def sharded_replay_cases(draw, max_length: int = 500):
     The merged tallies must equal the unsharded run on every draw.
     """
     geometry = draw(small_geometries())
-    length = draw(st.integers(2, max_length))
+    length = draw(st.integers(1, max_length))
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
-    span = geometry.total_lines * draw(st.sampled_from([1, 2, 4]))
-    addresses = (
-        rng.integers(0, max(span, 2), length).astype(np.int64)
-        * geometry.line_size
+    addresses = draw_blocks(draw, rng, geometry, length) << np.int64(
+        geometry.offset_bits
     )
     trace = Trace.from_columns(addresses, name="sharded-case")
     sets = geometry.sets
@@ -245,14 +274,21 @@ def random_workload(draw, max_length: int = 300):
     return run, scratchpad, split
 
 
+#: Where a fleet tenant's disjoint 4 GiB address space may sit: the
+#: usual low addresses, just below zero, or near either end of the
+#: block domain — so co-resident tenants mix far-apart blocks.
+TENANT_SPACE_BASES = (0, -(1 << 36), -(1 << 62), 1 << 61)
+
+
 @st.composite
 def fleet_scenario(draw):
     """A small multi-tenant fleet: geometry, events, scheduling knobs.
 
     Used by the fleet differential suite: the lockstep and reference
     executors must agree per access on any scenario this produces —
-    including arrivals/departures that cut scheduling windows short
-    and broker rebalances that rewrite tints mid-run.
+    including arrivals/departures that cut scheduling windows short,
+    broker rebalances that rewrite tints mid-run, and tenants placed
+    anywhere in the block domain (:data:`TENANT_SPACE_BASES`).
     """
     geometry = CacheGeometry(
         line_size=16,
@@ -296,7 +332,8 @@ def fleet_scenario(draw):
             name=f"tenant{index}",
             run=run,
             priority=draw(st.integers(1, 3)),
-            address_offset=index << 32,
+            address_offset=draw(st.sampled_from(TENANT_SPACE_BASES))
+            + (index << 32),
         )
         arrival = draw(st.integers(0, horizon // 2))
         events.append(

@@ -109,6 +109,19 @@ class TestTraceCLIDetails:
         assert "hits=0" in captured
         assert "accesses=256" in captured
 
+    def test_simulate_is_an_alias_of_replay(self, tmp_path, capsys):
+        """Same defaults, same two result lines (the throughput line
+        that follows them is wall-clock)."""
+        out = tmp_path / "z.din"
+        trace_main(["generate", str(out), "--count", "500"])
+        results = []
+        for verb in ("simulate", "replay"):
+            capsys.readouterr()
+            assert trace_main([verb, str(out), "--columns", "2"]) == 0
+            results.append(capsys.readouterr().out.splitlines()[:2])
+        assert results[0] == results[1]
+        assert results[0][1].startswith("accesses=500 ")
+
     def test_stats_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             trace_main(["stats", str(tmp_path / "missing.din")])

@@ -1,14 +1,17 @@
 """The differential-testing oracle: every backend, one machine.
 
 Random traces and geometries drive the reference
-:class:`~repro.cache.column_cache.ColumnCache`, the scalar
-:class:`~repro.cache.fastsim.FastColumnCache`, the numpy lockstep
+:class:`~repro.cache.column_cache.ColumnCache` (through the block-level
+adapter in ``tests/oracles/column_cache.py``), the numpy lockstep
 kernel, the on-demand-compiled C kernel (skip-marked when no system
-compiler is usable) and the set-sharded runners; the *per-access* hit
-and bypass streams (not just totals) must be bit-identical.  The adaptive runtime joins the
-triangle at the system level: the fast windowed executor and a live
-remap replay through the full TLB/tint/replacement mechanism must
-agree hit-for-hit and cycle-for-cycle.
+compiler is usable), :class:`~repro.sim.engine.batched.LockstepCache`
+and the set-sharded runners; the *per-access* hit and bypass streams
+(not just totals) must be bit-identical.  The drawn blocks cover the
+whole block domain — negative blocks and blocks up to ``2**58`` — on
+every backend leg.  The adaptive runtime joins the triangle at the
+system level: the fast windowed executor and a live remap replay
+through the full TLB/tint/replacement mechanism must agree
+hit-for-hit and cycle-for-cycle.
 
 The input strategies live in ``tests/strategies.py`` so a new backend
 can reuse them verbatim — see ``docs/testing.md`` for the recipe.
@@ -19,8 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.column_cache import ColumnCache
-from repro.cache.fastsim import FastColumnCache, blocks_of
 from repro.cache.geometry import CacheGeometry
 from repro.fleet import (
     ColumnBroker,
@@ -41,13 +42,11 @@ from repro.sim.engine.backends import (
 from repro.sim.engine.batched import (
     LockstepCache,
     LockstepState,
-    batched_simulate,
     lockstep_run,
 )
 from repro.sim.engine.sharded import simulate_columnar_sharded
 
-from repro.utils.bitvector import ColumnMask
-
+from oracles.column_cache import reference_streams
 from oracles.fleet import assert_same_run, run_reference_fleet
 from strategies import (
     block_trace_cases,
@@ -69,57 +68,49 @@ requires_compiled = pytest.mark.skipif(
     reason="compiled lockstep kernel unavailable (no usable C compiler)",
 )
 
+#: Every kernel backend this host can run.
+KERNELS = ("numpy", "compiled") if compiled_available() else ("numpy",)
 
-def reference_streams(geometry, blocks, mask_bits):
-    """Per-access (hit, bypass) streams from the reference model."""
-    cache = ColumnCache(geometry, policy="lru")
-    hits = np.zeros(len(blocks), dtype=bool)
-    bypasses = np.zeros(len(blocks), dtype=bool)
-    for position, (block, bits) in enumerate(zip(blocks, mask_bits)):
-        result = cache.access(
-            block << geometry.offset_bits,
-            mask=ColumnMask(bits, geometry.columns),
-        )
-        hits[position] = result.hit
-        bypasses[position] = result.bypassed
-    return hits, bypasses, cache
+
+def lockstep_streams(geometry, blocks, mask_bits, kernel):
+    """Per-access (hit, bypass) streams from one cold lockstep run."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    return lockstep_run(
+        blocks & (geometry.sets - 1),
+        blocks >> geometry.index_bits,
+        LockstepState.cold(geometry.sets, geometry.columns),
+        mask_bits=np.asarray(mask_bits, dtype=np.int64),
+        backend=kernel,
+    )
 
 
 @given(case=block_trace_cases())
 def test_backends_agree_per_access(case):
-    """Reference, scalar, and lockstep: identical access streams."""
+    """Reference, both kernels and LockstepCache: identical streams."""
     geometry, blocks, mask_bits = case
     ref_hits, ref_bypasses, reference = reference_streams(
         geometry, blocks, mask_bits
     )
-
-    fast = FastColumnCache(geometry)
-    fast_hits = fast.run_with_flags(blocks, mask_bits=mask_bits)
-    # A bypass is a miss whose mask allows no fill; the scalar model
-    # counts them, and per access they are determined by (hit, mask).
-    fast_bypasses = ~fast_hits & (np.asarray(mask_bits) == 0)
-
-    lockstep, lock_hits, lock_bypasses = batched_simulate(
-        blocks, geometry, mask_bits=mask_bits, return_flags=True
-    )
-
-    assert np.array_equal(fast_hits, ref_hits)
-    assert np.array_equal(lock_hits, ref_hits)
-    assert np.array_equal(fast_bypasses, ref_bypasses)
-    assert np.array_equal(lock_bypasses, ref_bypasses)
-
-    # Aggregate stats line up with the streams on every backend.
     expected_hits = int(ref_hits.sum())
     expected_bypasses = int(ref_bypasses.sum())
-    assert fast.hits == expected_hits
-    assert fast.misses == len(blocks) - expected_hits
-    assert fast.bypasses == expected_bypasses
-    assert lockstep.hits == expected_hits
-    assert lockstep.misses == len(blocks) - expected_hits
-    assert lockstep.bypasses == expected_bypasses
     assert reference.stats.hits == expected_hits
     assert reference.stats.misses == len(blocks) - expected_hits
     assert reference.stats.bypasses == expected_bypasses
+
+    for kernel in KERNELS:
+        lock_hits, lock_bypasses = lockstep_streams(
+            geometry, blocks, mask_bits, kernel
+        )
+        assert np.array_equal(lock_hits, ref_hits), kernel
+        assert np.array_equal(lock_bypasses, ref_bypasses), kernel
+
+        # The stateful front door: same stream, counters to match.
+        cache = LockstepCache(geometry, backend=kernel)
+        cache_hits = cache.run_with_flags(blocks, mask_bits=mask_bits)
+        assert np.array_equal(cache_hits, ref_hits), kernel
+        assert cache.hits == expected_hits
+        assert cache.misses == len(blocks) - expected_hits
+        assert cache.bypasses == expected_bypasses
 
 
 @requires_compiled
@@ -166,10 +157,14 @@ def test_compiled_kernel_agrees_per_access(case):
     assert np.array_equal(miss_flags, ~numpy_hits)
 
 
-@given(case=block_trace_cases(), shards=st.integers(1, 3))
-def test_sharded_totals_match_reference(case, shards):
+@given(
+    case=block_trace_cases(),
+    shards=st.integers(1, 3),
+    kernel=st.sampled_from(KERNELS),
+)
+def test_sharded_totals_match_reference(case, shards, kernel):
     """The set-sharded runner reports the same totals, bypasses
-    included, under arbitrary per-access masks."""
+    included, under arbitrary per-access masks, on either kernel."""
     geometry, blocks, mask_bits = case
     ref_hits, ref_bypasses, _ = reference_streams(
         geometry, blocks, mask_bits
@@ -178,25 +173,32 @@ def test_sharded_totals_match_reference(case, shards):
         geometry, blocks, mask_bits
     )
     sharded = simulate_columnar_sharded(
-        trace, geometry, shards=shards, variable_masks=variable_masks
+        trace,
+        geometry,
+        shards=shards,
+        variable_masks=variable_masks,
+        kernel=kernel,
     )
     assert sharded.hits == int(ref_hits.sum())
     assert sharded.misses == len(blocks) - int(ref_hits.sum())
     assert sharded.bypasses == int(ref_bypasses.sum())
 
 
-@given(case=block_trace_cases())
-def test_resumed_scalar_equals_one_shot(case):
-    """Splitting a run across calls must not change the streams."""
+@given(case=block_trace_cases(), kernel=st.sampled_from(KERNELS))
+def test_resumed_lockstep_cache_equals_one_shot(case, kernel):
+    """Splitting a LockstepCache run across calls must not change the
+    stream: the resumed halves equal the reference's one-shot run."""
     geometry, blocks, mask_bits = case
-    one_shot = FastColumnCache(geometry)
-    expected = one_shot.run_with_flags(blocks, mask_bits=mask_bits)
-    resumed = FastColumnCache(geometry)
+    ref_hits, ref_bypasses, _ = reference_streams(
+        geometry, blocks, mask_bits
+    )
+    resumed = LockstepCache(geometry, backend=kernel)
     cut = len(blocks) // 2
     first = resumed.run_with_flags(blocks[:cut], mask_bits=mask_bits[:cut])
     second = resumed.run_with_flags(blocks[cut:], mask_bits=mask_bits[cut:])
-    assert np.array_equal(np.concatenate([first, second]), expected)
-    assert resumed.result() == one_shot.result()
+    assert np.array_equal(np.concatenate([first, second]), ref_hits)
+    assert resumed.hits == int(ref_hits.sum())
+    assert resumed.bypasses == int(ref_bypasses.sum())
 
 
 # ----------------------------------------------------------------------
@@ -204,10 +206,6 @@ def test_resumed_scalar_equals_one_shot(case):
 # ----------------------------------------------------------------------
 _SUITE_GEOMETRY = CacheGeometry(line_size=16, sets=16, columns=4)
 
-#: ColumnCache walks accesses one Python call at a time; bounding its
-#: share keeps the whole-suite oracle inside tier-1 time while the
-#: vectorized backends still cover every access of every trace.
-_REFERENCE_PREFIX = 4096
 
 
 @pytest.mark.parametrize(
@@ -233,33 +231,30 @@ class TestWorkloadSuiteColumnar:
         assert columnar.variable_names == legacy.variable_names
 
     def test_backends_agree_on_recorded_trace(self, name, kwargs):
+        """The reference model checks every access of every recorded
+        suite trace against the numpy kernel's flag and counting
+        modes, the stateful LockstepCache and the sharded runner."""
         geometry = _SUITE_GEOMETRY
-        run = record_suite_case(name, kwargs)
-        trace = run.trace
-        blocks = blocks_of(trace, geometry)
+        trace = record_suite_case(name, kwargs).trace
+        blocks = trace.blocks_for(geometry.offset_bits)
         mask_bits = suite_mask_bits(trace, geometry.columns)
-
-        # Legacy list path: the scalar cache over Python lists.
-        scalar = FastColumnCache(geometry)
-        scalar_hits = scalar.run_with_flags(
-            blocks.tolist(), mask_bits=mask_bits.tolist()
+        ref_hits, ref_bypasses, _ = reference_streams(
+            geometry, blocks, mask_bits
         )
-        scalar_bypasses = ~scalar_hits & (mask_bits == 0)
 
-        # Columnar paths: one-shot lockstep, stateful LockstepCache,
-        # and the counting mode the sweep engine batches through.
-        lockstep, lock_hits, lock_bypasses = batched_simulate(
-            blocks, geometry, mask_bits=mask_bits, return_flags=True
+        lock_hits, lock_bypasses = lockstep_streams(
+            geometry, blocks, mask_bits, "numpy"
         )
-        assert np.array_equal(lock_hits, scalar_hits)
-        assert np.array_equal(lock_bypasses, scalar_bypasses)
+        assert np.array_equal(lock_hits, ref_hits)
+        assert np.array_equal(lock_bypasses, ref_bypasses)
 
-        stateful = LockstepCache(geometry)
+        stateful = LockstepCache(geometry, backend="numpy")
         stateful_hits = stateful.run_with_flags(
             blocks, mask_bits=mask_bits
         )
-        assert np.array_equal(stateful_hits, scalar_hits)
+        assert np.array_equal(stateful_hits, ref_hits)
 
+        # The counting mode the sweep engine batches through.
         state = LockstepState.cold(geometry.sets, geometry.columns)
         miss_positions = lockstep_run(
             blocks & (geometry.sets - 1),
@@ -267,10 +262,11 @@ class TestWorkloadSuiteColumnar:
             state,
             mask_bits=mask_bits,
             collect="misses",
+            backend="numpy",
         )
         miss_flags = np.zeros(len(blocks), dtype=bool)
         miss_flags[miss_positions] = True
-        assert np.array_equal(miss_flags, ~scalar_hits)
+        assert np.array_equal(miss_flags, ~ref_hits)
 
         sharded = simulate_columnar_sharded(
             trace,
@@ -279,19 +275,8 @@ class TestWorkloadSuiteColumnar:
             variable_masks=suite_variable_masks(trace, geometry.columns),
             kernel="numpy",
         )
-        assert sharded.hits == int(scalar_hits.sum())
-        assert sharded.bypasses == int(scalar_bypasses.sum())
-        assert lockstep.hits == int(scalar_hits.sum())
-
-        # The per-access reference model anchors a bounded prefix.
-        prefix = slice(0, _REFERENCE_PREFIX)
-        ref_hits, ref_bypasses, _ = reference_streams(
-            geometry,
-            blocks[prefix].tolist(),
-            mask_bits[prefix].tolist(),
-        )
-        assert np.array_equal(ref_hits, scalar_hits[prefix])
-        assert np.array_equal(ref_bypasses, scalar_bypasses[prefix])
+        assert sharded.hits == int(ref_hits.sum())
+        assert sharded.bypasses == int(ref_bypasses.sum())
 
     @requires_compiled
     def test_compiled_backend_agrees_on_recorded_trace(self, name, kwargs):
@@ -304,26 +289,17 @@ class TestWorkloadSuiteColumnar:
         """
         geometry = _SUITE_GEOMETRY
         trace = record_suite_case(name, kwargs).trace
-        blocks = blocks_of(trace, geometry)
+        blocks = trace.blocks_for(geometry.offset_bits)
         mask_bits = suite_mask_bits(trace, geometry.columns)
 
-        reference, numpy_hits, numpy_bypasses = batched_simulate(
-            blocks,
-            geometry,
-            mask_bits=mask_bits,
-            return_flags=True,
-            backend="numpy",
+        numpy_hits, numpy_bypasses = lockstep_streams(
+            geometry, blocks, mask_bits, "numpy"
         )
-        compiled, compiled_hits, compiled_bypasses = batched_simulate(
-            blocks,
-            geometry,
-            mask_bits=mask_bits,
-            return_flags=True,
-            backend="compiled",
+        compiled_hits, compiled_bypasses = lockstep_streams(
+            geometry, blocks, mask_bits, "compiled"
         )
         assert np.array_equal(compiled_hits, numpy_hits)
         assert np.array_equal(compiled_bypasses, numpy_bypasses)
-        assert compiled == reference
 
         stateful = LockstepCache(geometry, backend="compiled")
         stateful_hits = stateful.run_with_flags(
@@ -344,9 +320,9 @@ class TestWorkloadSuiteColumnar:
                 variable_masks=variable_masks,
                 kernel=kernel,
             )
-            assert sharded.hits == reference.hits, kernel
-            assert sharded.misses == reference.misses, kernel
-            assert sharded.bypasses == reference.bypasses, kernel
+            assert sharded.hits == int(numpy_hits.sum()), kernel
+            assert sharded.misses == len(blocks) - sharded.hits, kernel
+            assert sharded.bypasses == int(numpy_bypasses.sum()), kernel
 
     def test_fleet_backends_agree_on_workload(self, name, kwargs):
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)

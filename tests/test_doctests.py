@@ -29,7 +29,6 @@ LEGACY_MODULES = frozenset(
         "repro.mem.tint",
         "repro.cache.geometry",
         "repro.cache.replacement",
-        "repro.cache.fastsim",
         "repro.cache.scratchpad",
         "repro.trace.trace",
         "repro.profiling.lifetime",

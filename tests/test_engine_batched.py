@@ -1,11 +1,11 @@
 """Equivalence tests for the lockstep kernel and the sharded path.
 
-The lockstep kernel, the set-sharded runner and the chunked streaming
-entry point must all be bit-identical to the scalar
-:class:`~repro.cache.fastsim.FastColumnCache` — same hit, miss and
-bypass counts on every trace, for every mask shape, at every
-scalar-cutoff setting (the cutoff only moves the vector/scalar
-boundary, never the results).
+The lockstep kernel (at every scalar-cutoff setting — the cutoff only
+moves the vector/scalar boundary, never the results), the stateful
+:class:`~repro.sim.engine.batched.LockstepCache` and the set-sharded
+runner must all be bit-identical to the reference ``ColumnCache``
+(``tests/oracles/column_cache.py``) — same hit, miss and bypass counts
+on every trace, for every mask shape.
 """
 
 import numpy as np
@@ -13,12 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine.batched import (
     LockstepCache,
     LockstepState,
-    batched_simulate,
     lockstep_run,
 )
 from repro.sim.engine.sharded import (
@@ -27,11 +25,37 @@ from repro.sim.engine.sharded import (
 )
 from repro.trace.trace import Trace
 
+from oracles.column_cache import ReferenceCache, reference_streams
 from strategies import mask_labelled_trace
 
 
 def counts(result):
     return (result.hits, result.misses, result.bypasses)
+
+
+def reference_counts(geometry, blocks, masks=None, uniform=None):
+    """(hits, misses, bypasses) of one cold reference run."""
+    hits, bypasses, _ = reference_streams(
+        geometry, blocks, mask_bits=masks, uniform_mask=uniform
+    )
+    return (
+        int(hits.sum()),
+        len(blocks) - int(hits.sum()),
+        int(bypasses.sum()),
+    )
+
+
+def kernel_streams(geometry, blocks, masks, uniform, cutoff):
+    """Per-access (hit, bypass) flags of one cold numpy lockstep run."""
+    return lockstep_run(
+        blocks & (geometry.sets - 1),
+        blocks >> geometry.index_bits,
+        LockstepState.cold(geometry.sets, geometry.columns),
+        mask_bits=masks,
+        uniform_mask=uniform,
+        scalar_cutoff=cutoff,
+        backend="numpy",
+    )
 
 
 @st.composite
@@ -42,9 +66,11 @@ def kernel_case(draw):
     geometry = CacheGeometry(line_size=16, sets=sets, columns=columns)
     length = draw(st.integers(1, 300))
     block_span = draw(st.sampled_from([4, 64, 1024]))
+    block_base = draw(st.sampled_from([0, -512, -(1 << 40)]))
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, block_span, length).astype(np.int64)
+    blocks += block_base
     mask_kind = draw(st.sampled_from(["none", "uniform", "per-access"]))
     uniform = None
     masks = None
@@ -59,42 +85,26 @@ def kernel_case(draw):
 class TestLockstepEquivalence:
     @given(case=kernel_case())
     @settings(max_examples=120, deadline=None)
-    def test_counts_match_scalar(self, case):
+    def test_counts_match_reference(self, case):
         geometry, blocks, masks, uniform, cutoff = case
-        cache = FastColumnCache(geometry)
-        if masks is not None:
-            reference = cache.run(blocks.tolist(), mask_bits=masks.tolist())
-        else:
-            reference = cache.run(blocks.tolist(), uniform_mask=uniform)
-        batched = batched_simulate(
-            blocks,
-            geometry,
-            mask_bits=masks,
-            uniform_mask=uniform,
-            scalar_cutoff=cutoff,
+        hit_flags, bypass_flags = kernel_streams(
+            geometry, blocks, masks, uniform, cutoff
         )
-        assert counts(batched) == counts(reference)
+        assert (
+            int(hit_flags.sum()),
+            len(blocks) - int(hit_flags.sum()),
+            int(bypass_flags.sum()),
+        ) == reference_counts(geometry, blocks, masks, uniform)
 
     @given(case=kernel_case())
     @settings(max_examples=60, deadline=None)
-    def test_flags_match_scalar_flags(self, case):
+    def test_flags_match_reference_flags(self, case):
         geometry, blocks, masks, uniform, cutoff = case
-        cache = FastColumnCache(geometry)
-        if masks is not None:
-            reference = cache.run_with_flags(
-                blocks.tolist(), mask_bits=masks.tolist()
-            )
-        else:
-            reference = cache.run_with_flags(
-                blocks.tolist(), uniform_mask=uniform
-            )
-        _, hit_flags, _ = batched_simulate(
-            blocks,
-            geometry,
-            mask_bits=masks,
-            uniform_mask=uniform,
-            scalar_cutoff=cutoff,
-            return_flags=True,
+        reference, _, _ = reference_streams(
+            geometry, blocks, mask_bits=masks, uniform_mask=uniform
+        )
+        hit_flags, _ = kernel_streams(
+            geometry, blocks, masks, uniform, cutoff
         )
         assert np.array_equal(hit_flags, reference)
 
@@ -102,14 +112,12 @@ class TestLockstepEquivalence:
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)
         rng = np.random.default_rng(3)
         blocks = rng.integers(0, 256, 4000).astype(np.int64)
-        cache = FastColumnCache(geometry)
-        first = cache.run(blocks[:2000].tolist())
-        second = cache.run(blocks[2000:].tolist())
-        state = LockstepState.cold(geometry.sets, geometry.columns)
-        batched_first = batched_simulate(blocks[:2000], geometry, state=state)
-        batched_second = batched_simulate(blocks[2000:], geometry, state=state)
-        assert counts(batched_first) == counts(first)
-        assert counts(batched_second) == counts(second)
+        reference = ReferenceCache(geometry)
+        first, _ = reference.run(blocks[:2000])
+        second, _ = reference.run(blocks[2000:])
+        cache = LockstepCache(geometry, backend="numpy")
+        assert cache.run(blocks[:2000]).hits == int(first.sum())
+        assert cache.run(blocks[2000:]).hits == int(second.sum())
 
     def test_stacked_rows_are_independent(self):
         """Two points stacked with a row offset equal two separate runs."""
@@ -117,8 +125,8 @@ class TestLockstepEquivalence:
         rng = np.random.default_rng(4)
         blocks_a = rng.integers(0, 64, 500).astype(np.int64)
         blocks_b = rng.integers(0, 64, 500).astype(np.int64)
-        separate_a = batched_simulate(blocks_a, geometry)
-        separate_b = batched_simulate(blocks_b, geometry)
+        separate_a = LockstepCache(geometry).run(blocks_a)
+        separate_b = LockstepCache(geometry).run(blocks_b)
         state = LockstepState.cold(2 * geometry.sets, geometry.columns)
         rows = np.concatenate(
             (
@@ -165,18 +173,15 @@ class TestCompactDtypeGate:
         # narrow the resident state and falsely hit.
         wide = np.array([(1 << 36) + 7 * 4], dtype=np.int64)
         small = np.array([7 * 4], dtype=np.int64)
-        lock = LockstepCache(geometry)
+        lock = LockstepCache(geometry, backend="numpy")
         lock.run(wide)
         outcome = lock.run(small)
-        reference = FastColumnCache(geometry)
-        reference.run(wide.tolist())
-        expected = reference.run(small.tolist())
-        assert (outcome.hits, outcome.misses) == (
-            expected.hits,
-            expected.misses,
-        )
+        reference = ReferenceCache(geometry)
+        reference.run(wide)
+        expected, _ = reference.run(small)
+        assert outcome.hits == int(expected.sum()) == 0
 
-    def test_wide_and_narrow_batches_match_scalar(self):
+    def test_wide_and_narrow_batches_match_reference(self):
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)
         rng = np.random.default_rng(11)
         wide = (
@@ -184,22 +189,20 @@ class TestCompactDtypeGate:
         ) * 16
         narrow = rng.integers(0, 1024, 300).astype(np.int64) * 16
         for first, second in ((wide, narrow), (narrow, wide)):
-            lock = LockstepCache(geometry)
-            scalar = FastColumnCache(geometry)
+            lock = LockstepCache(geometry, backend="numpy")
+            reference = ReferenceCache(geometry)
             for batch in (first >> 4, second >> 4):
                 lock_flags = lock.run_with_flags(batch)
-                scalar_flags = scalar.run_with_flags(batch.tolist())
-                assert np.array_equal(lock_flags, scalar_flags)
+                reference_flags, _ = reference.run(batch)
+                assert np.array_equal(lock_flags, reference_flags)
 
 
 class TestShardedEquivalence:
     @given(case=kernel_case(), shards=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_counts_match_scalar(self, case, shards):
+    def test_counts_match_reference(self, case, shards):
         geometry, blocks, masks, uniform, _cutoff = case
-        cache = FastColumnCache(geometry)
         if masks is not None:
-            reference = cache.run(blocks.tolist(), mask_bits=masks.tolist())
             trace, variable_masks = mask_labelled_trace(
                 geometry, blocks, masks
             )
@@ -210,14 +213,15 @@ class TestShardedEquivalence:
                 variable_masks=variable_masks,
             )
         else:
-            reference = cache.run(blocks.tolist(), uniform_mask=uniform)
             sharded = simulate_columnar_sharded(
                 Trace.from_columns(blocks << geometry.offset_bits),
                 geometry,
                 shards=shards,
                 uniform_mask=uniform,
             )
-        assert counts(sharded) == counts(reference)
+        assert counts(sharded) == reference_counts(
+            geometry, blocks, masks, uniform
+        )
 
     def test_shards_partition_all_accesses(self):
         """Each shard worker streams exactly the accesses whose set
@@ -239,39 +243,6 @@ class TestShardedEquivalence:
         for shard, (accesses, _hits, _bypasses) in enumerate(tallies):
             assert accesses == int(np.count_nonzero(rows % shards == shard))
         assert sum(tally[0] for tally in tallies) == len(blocks)
-        reference = FastColumnCache(geometry).run(blocks.tolist())
-        assert sum(tally[1] for tally in tallies) == reference.hits
-        assert sum(tally[2] for tally in tallies) == reference.bypasses
-
-
-class TestChunkedRun:
-    def test_chunked_equals_single_run(self):
-        geometry = CacheGeometry(line_size=16, sets=8, columns=4)
-        rng = np.random.default_rng(5)
-        blocks = rng.integers(0, 512, 10_000).astype(np.int64)
-        masks = rng.integers(0, 16, 10_000).astype(np.int64)
-        reference = FastColumnCache(geometry).run(
-            blocks.tolist(), mask_bits=masks.tolist()
-        )
-        streaming = FastColumnCache(geometry).run_chunked(
-            blocks, mask_bits=masks, chunk_size=777
-        )
-        assert counts(streaming) == counts(reference)
-
-    def test_chunked_uniform_mask(self):
-        geometry = CacheGeometry(line_size=16, sets=4, columns=2)
-        blocks = np.arange(1000, dtype=np.int64) % 64
-        reference = FastColumnCache(geometry).run(
-            blocks.tolist(), uniform_mask=0b01
-        )
-        streaming = FastColumnCache(geometry).run_chunked(
-            blocks, uniform_mask=0b01, chunk_size=64
-        )
-        assert counts(streaming) == counts(reference)
-
-    def test_chunk_size_validation(self):
-        geometry = CacheGeometry(line_size=16, sets=4, columns=2)
-        with pytest.raises(ValueError, match="chunk_size"):
-            FastColumnCache(geometry).run_chunked(
-                np.zeros(1, dtype=np.int64), chunk_size=0
-            )
+        hits, _misses, bypasses = reference_counts(geometry, blocks)
+        assert sum(tally[1] for tally in tallies) == hits
+        assert sum(tally[2] for tally in tallies) == bypasses

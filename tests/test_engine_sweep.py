@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cache.geometry import CacheGeometry
 from repro.sim.engine.cache import MISS, ResultCache
 from repro.sim.engine.scheduler import SweepEngine
 from repro.sim.engine.spec import (
@@ -13,6 +14,9 @@ from repro.sim.engine.spec import (
     resolve_runner,
     runner_path,
 )
+from repro.trace import generator
+
+from oracles.column_cache import reference_streams
 
 TRACE_SIM = "repro.experiments.runners:trace_sim"
 
@@ -120,15 +124,24 @@ class TestEngineExecution:
         pooled = SweepEngine(workers=2, backend="process").values(spec)
         assert serial == pooled
 
-    def test_batched_and_scalar_runners_agree(self):
+    def test_trace_sim_matches_reference(self):
         base = {"kind": "looped", "count": 3000, "span": 4096}
         fast = SweepEngine(workers=1, backend="serial").values(
-            [SimJob(runner=TRACE_SIM, params={**base, "batched": True})]
+            [SimJob(runner=TRACE_SIM, params=base)]
         )[0]
-        scalar = SweepEngine(workers=1, backend="serial").values(
-            [SimJob(runner=TRACE_SIM, params={**base, "batched": False})]
-        )[0]
-        assert fast == scalar
+        geometry = CacheGeometry.from_sizes(16384, line_size=16, columns=4)
+        trace = generator.looped_working_set(
+            0x10000, 4096, max(3000 // 2048, 1), element_size=2
+        )
+        hits, bypasses, _ = reference_streams(
+            geometry, trace.blocks_for(geometry.offset_bits)
+        )
+        assert fast == {
+            "accesses": len(trace),
+            "hits": int(hits.sum()),
+            "misses": len(trace) - int(hits.sum()),
+            "bypasses": int(bypasses.sum()),
+        }
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):

@@ -13,13 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.fastsim import FastColumnCache
 from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig
 from repro.sim.config import TimingConfig
-from repro.sim.engine.batched import batched_simulate
+from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.sim.engine.sharded import simulate_columnar_sharded
 from repro.sim.executor import TraceExecutor
 
+from oracles.column_cache import reference_streams
 from strategies import mask_labelled_trace, random_workload
 
 TIMING = TimingConfig(miss_penalty=13, uncached_penalty=29,
@@ -54,13 +54,13 @@ def test_fast_matches_reference_on_random_workloads(workload):
     cutoff=st.sampled_from([0, 2, 10_000]),
 )
 @settings(max_examples=40, deadline=None)
-def test_sharded_and_lockstep_match_scalar_on_planner_masks(
+def test_sharded_and_lockstep_match_reference_on_planner_masks(
     workload, shards, cutoff
 ):
     """The engine's batched paths on real planner-produced masks.
 
     Extracts the cached access stream exactly as the fast executor
-    does, then runs it through the scalar cache, the set-sharded
+    does, then runs it through the reference cache, the set-sharded
     runner and the lockstep kernel: hit/miss/bypass counts must be
     bit-identical for every random layout.
     """
@@ -79,17 +79,21 @@ def test_sharded_and_lockstep_match_scalar_on_planner_masks(
     blocks = run.trace.addresses[cached] >> geometry.offset_bits
     masks = bits[cached]
 
-    scalar = FastColumnCache(geometry).run(
-        blocks.tolist(), mask_bits=masks.tolist()
-    )
+    ref_hits, ref_bypasses, _ = reference_streams(geometry, blocks, masks)
     trace, variable_masks = mask_labelled_trace(geometry, blocks, masks)
     sharded = simulate_columnar_sharded(
         trace, geometry, shards=shards, variable_masks=variable_masks
     )
-    lockstep = batched_simulate(
-        blocks, geometry, mask_bits=masks, scalar_cutoff=cutoff
+    assert sharded.hits == int(ref_hits.sum())
+    assert sharded.misses == len(blocks) - int(ref_hits.sum())
+    assert sharded.bypasses == int(ref_bypasses.sum())
+    lock_hits, lock_bypasses = lockstep_run(
+        blocks & (geometry.sets - 1),
+        blocks >> geometry.index_bits,
+        LockstepState.cold(geometry.sets, geometry.columns),
+        mask_bits=masks,
+        scalar_cutoff=cutoff,
+        backend="numpy",
     )
-    for other in (sharded, lockstep):
-        assert other.hits == scalar.hits
-        assert other.misses == scalar.misses
-        assert other.bypasses == scalar.bypasses
+    assert np.array_equal(lock_hits, ref_hits)
+    assert np.array_equal(lock_bypasses, ref_bypasses)

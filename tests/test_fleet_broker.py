@@ -16,7 +16,7 @@ from repro.layout.algorithm import LayoutConfig
 from repro.layout.partition import split_for_columns
 from repro.layout.session import PlannerSession
 from repro.sim.config import MULTITASK_TIMING
-from repro.sim.engine.batched import batched_simulate
+from repro.sim.engine.batched import LockstepCache
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.suite import make_workload
 
@@ -107,7 +107,7 @@ def per_candidate_demand(run, geometry, profile_accesses=8192):
             columns=columns,
         )
         measured_costs.append(
-            int(batched_simulate(blocks, candidate).misses)
+            int(LockstepCache(candidate).run(blocks).misses)
         )
     return ColumnDemand(
         plan_costs=tuple(plan_costs),

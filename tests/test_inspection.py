@@ -1,7 +1,7 @@
 """The snapshot layer: occupancy, broker maps, executor observers.
 
 The inspection contract has two halves: snapshots must report the
-truth (column counts match the cache backends, broker owner maps
+truth (column counts match the reference cache, broker owner maps
 match the disjoint grants) and observing must be free (a run's
 results are bit-identical with and without an observer wired in).
 """
@@ -9,7 +9,6 @@ results are bit-identical with and without an observer wired in).
 import numpy as np
 import pytest
 
-from repro.cache.fastsim import FastColumnCache
 from repro.cache.geometry import CacheGeometry
 from repro.fleet import (
     ColumnBroker,
@@ -30,10 +29,12 @@ from repro.inspect import (
 from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig
 from repro.runtime import AdaptiveConfig, AdaptiveExecutor, PhaseDetector
 from repro.sim.config import MULTITASK_TIMING, TimingConfig
-from repro.sim.engine.batched import LockstepCache
+from repro.sim.engine.batched import LockstepCache, LockstepState
 from repro.sim.executor import TraceExecutor
 from repro.workloads.suite import make_workload
 from repro.workloads.transform import PhasedFFT
+
+from oracles.column_cache import ReferenceCache
 
 TIMING = TimingConfig(miss_penalty=10, uncached_penalty=25)
 LAYOUT = LayoutConfig(columns=4, column_bytes=512, line_size=16)
@@ -52,20 +53,23 @@ def assignment(run):
 class TestColumnOccupancy:
     def test_cold_caches_are_empty(self):
         geometry = CacheGeometry(line_size=16, sets=32, columns=4)
-        assert column_occupancy(FastColumnCache(geometry)) == (0,) * 4
         assert column_occupancy(LockstepCache(geometry)) == (0,) * 4
+        assert column_occupancy(
+            LockstepState.cold(geometry.sets, geometry.columns)
+        ) == (0,) * 4
 
-    def test_backends_agree_after_identical_runs(self):
+    def test_matches_reference_after_identical_runs(self):
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)
         blocks = [(seed * 37) % 64 for seed in range(200)]
-        scalar = FastColumnCache(geometry)
-        scalar.run(blocks, uniform_mask=0b1111)
+        reference = ReferenceCache(geometry)
+        reference.run(blocks, uniform_mask=0b1111)
         batched = LockstepCache(geometry)
         batched.run(np.array(blocks, dtype=np.int64), uniform_mask=0b1111)
-        scalar_counts = column_occupancy(scalar)
-        assert scalar_counts == column_occupancy(batched)
-        assert all(0 <= count <= 8 for count in scalar_counts)
-        assert sum(scalar_counts) > 0
+        reference_counts = reference.occupancy()
+        assert reference_counts == column_occupancy(batched)
+        assert reference_counts == column_occupancy(batched.state)
+        assert all(0 <= count <= 8 for count in reference_counts)
+        assert sum(reference_counts) > 0
 
     def test_rejects_unknown_objects(self):
         with pytest.raises(TypeError):

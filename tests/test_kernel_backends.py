@@ -29,7 +29,6 @@ from repro.sim.engine import _compiled, backends
 from repro.sim.engine.batched import (
     LockstepCache,
     LockstepState,
-    batched_simulate,
     lockstep_run,
 )
 from repro.sim.engine.sharded import (
@@ -282,6 +281,6 @@ def test_one_shot_compiled_equals_numpy_on_sharded_cases(case):
     """Cross-check: the same drawn traces one-shot on both kernels."""
     geometry, trace, _shards, _chunk = case
     blocks = trace.blocks_for(geometry.offset_bits)
-    numpy_result = batched_simulate(blocks, geometry, backend="numpy")
-    compiled_result = batched_simulate(blocks, geometry, backend="compiled")
+    numpy_result = LockstepCache(geometry, backend="numpy").run(blocks)
+    compiled_result = LockstepCache(geometry, backend="compiled").run(blocks)
     assert compiled_result == numpy_result

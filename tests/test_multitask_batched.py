@@ -1,4 +1,4 @@
-"""Batched multitask simulation must be bit-identical to the scalar
+"""Batched multitask simulation must be bit-identical to the per-quantum
 round-robin simulator — every JobResult field, at every quantum shape
 (per-access switching, mid-trace, multi-wrap, batch)."""
 
@@ -11,13 +11,14 @@ from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import _compiled
 from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.batched import LockstepState, lockstep_run
+from repro.sim.engine.fused import TenantBatch
 from repro.sim.engine.multitask_batch import (
     simulate_multitask_batched,
     simulate_multitask_matrix,
     simulate_multitask_sweep,
 )
 from repro.sim.multitask import Job, MultitaskSimulator
-from repro.trace.trace import TraceBuilder
+from repro.trace.trace import Trace, TraceBuilder
 from repro.utils.bitvector import ColumnMask
 
 
@@ -71,7 +72,10 @@ def multitask_case(draw):
                     f"job{index}",
                 ),
                 mask=mask,
-                address_offset=index << 20,
+                # Jobs below zero, including far enough down that their
+                # blocks do not fit int32 while their neighbours' do.
+                address_offset=draw(st.sampled_from([0, -(1 << 36)]))
+                + (index << 20),
             )
         )
     quantum = draw(st.sampled_from([1, 2, 3, 7, 50, 1000, 10**6]))
@@ -96,6 +100,42 @@ class TestBatchedMultitask:
             assert result_tuple(batched[name]) == result_tuple(
                 reference[name]
             ), name
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_negative_blocks_do_not_wrap_onto_small_ones(self, kernel):
+        """Job a's block -2**32 + 5 must not narrow to int32 as block
+        5, job b's: each job hits only its own line, 9 times in 10."""
+        geometry = CacheGeometry(line_size=16, sets=4, columns=2)
+
+        def job(name, block):
+            trace = Trace.from_columns(
+                np.full(20, block * 16, dtype=np.int64),
+                gaps=np.ones(20, dtype=np.int64),
+            )
+            return Job(name=name, trace=trace)
+
+        jobs = [job("a", -(1 << 32) + 5), job("b", 5)]
+        batched = simulate_multitask_batched(
+            geometry, jobs, 1, 40, kernel=kernel
+        )
+        walked = MultitaskSimulator(geometry, jobs).run(1, 40)
+        for results in (batched, walked):
+            counts = {
+                name: (result.accesses, result.hits)
+                for name, result in results.items()
+            }
+            assert counts == {"a": (10, 9), "b": (10, 9)}
+
+    def test_tenant_batch_keeps_wide_negative_blocks(self):
+        """The fused fleet batch narrows to int32 only when every
+        block fits at both ends."""
+        wide = TenantBatch.build(
+            [np.array([-(1 << 32) + 5]), np.array([5])]
+        )
+        assert wide.blocks.dtype == np.int64
+        assert list(wide.blocks) == [-(1 << 32) + 5, 5]
+        narrow = TenantBatch.build([np.array([-(1 << 31)]), np.array([5])])
+        assert narrow.blocks.dtype == np.int32
 
     def test_quantum_one_switches_every_access(self):
         rng = np.random.default_rng(0)

@@ -358,14 +358,16 @@ class TestStreamScan:
     def test_scan_misses_nearly_every_access(self):
         """The polluter contract: stride >= line size means near-zero
         reuse in any cache smaller than the buffer."""
-        from repro.cache.fastsim import simulate_trace
         from repro.cache.geometry import CacheGeometry
+        from repro.sim.engine.batched import LockstepCache
 
         run = make_workload(
             "scan", buffer_bytes=8192, stride_bytes=16, passes=2
         ).record()
         geometry = CacheGeometry(line_size=16, sets=32, columns=4)
-        outcome = simulate_trace(run.trace.addresses, geometry)
+        outcome = LockstepCache(geometry).run(
+            run.trace.blocks_for(geometry.offset_bits)
+        )
         assert outcome.miss_rate > 0.95
 
     def test_stride_validation(self):
