@@ -13,7 +13,7 @@ through the sweep engine's batched lockstep hot path — then:
   noise) and writes ``BENCH_trace.json``;
 * measures the planner engine — full-suite profile+plan through the
   vectorized profiling/conflict-graph path, differentially checked
-  against the retained legacy scalar path — and writes
+  against the legacy scalar reference in ``tests/oracles/`` — and writes
   ``BENCH_planner.json``;
 * runs the fleet-service smoke — the live asyncio daemon serving the
   quick Poisson population with migration enabled — and writes
@@ -59,6 +59,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))  # oracles: the references
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import fleet_hotpath  # noqa: E402
@@ -305,10 +306,10 @@ def measure_planner() -> dict:
 
     * the **vectorized engine path** (``profile_trace`` +
       ``Profile.weight_matrix`` + the contraction-state merge loop);
-    * the **legacy scalar path** retained as the differential
-      reference (``legacy_profile_trace`` + per-pair ``pair_weight``
-      graph construction, same search) — per-assignment outputs are
-      asserted identical between the two.
+    * the **legacy scalar path**, the differential reference
+      (``legacy_profile_trace`` from ``tests/oracles/profiling.py`` +
+      per-pair ``pair_weight`` graph construction, same search) —
+      per-assignment outputs are asserted identical between the two.
 
     The speedup that matters is scored against
     :data:`PRE_ENGINE_PLANS_PER_SEC`, the full pre-refactor pipeline
@@ -316,11 +317,10 @@ def measure_planner() -> dict:
     """
     from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig
     from repro.layout.partition import split_for_columns
-    from repro.profiling.profiler import (
-        legacy_profile_trace,
-        profile_trace,
-    )
+    from repro.profiling.profiler import profile_trace
     from repro.workloads.suite import available_workloads
+
+    from oracles.profiling import legacy_profile_trace
 
     class _PairwiseOnly:
         """Hide ``weight_matrix`` so graphs build via pair_weight."""

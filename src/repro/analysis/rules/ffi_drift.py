@@ -49,8 +49,8 @@ class FfiDrift(Rule):
             "catches the drift at commit time."
         ),
         example=(
-            "ctypes declaration of repro_blocks_count() drifted "
-            "from its C prototype: argument 2 (int32_t blocks_is32) "
+            "ctypes declaration of repro_fused_multitask() drifted "
+            "from its C prototype: argument 7 (int32_t blocks_is32) "
             "expects c_int32, argtypes declares c_int64"
         ),
     )

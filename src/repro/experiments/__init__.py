@@ -16,9 +16,6 @@ Run everything from the command line::
 from repro.experiments.figure4 import (
     Figure4Config,
     run_figure4_routine,
-    run_figure4a,
-    run_figure4b,
-    run_figure4c,
     run_figure4d,
 )
 from repro.experiments.figure5 import Figure5Config, run_figure5
@@ -30,9 +27,6 @@ __all__ = [
     "Figure5Config",
     "ShapeCheck",
     "run_figure4_routine",
-    "run_figure4a",
-    "run_figure4b",
-    "run_figure4c",
     "run_figure4d",
     "run_figure5",
 ]

@@ -182,30 +182,6 @@ def run_figure4_routine(
     return series
 
 
-def run_figure4a(
-    config: Figure4Config | None = None,
-    engine: Optional[SweepEngine] = None,
-) -> ExperimentSeries:
-    """Figure 4(a): the dequant routine."""
-    return run_figure4_routine("dequant", config, engine)
-
-
-def run_figure4b(
-    config: Figure4Config | None = None,
-    engine: Optional[SweepEngine] = None,
-) -> ExperimentSeries:
-    """Figure 4(b): the plus routine."""
-    return run_figure4_routine("plus", config, engine)
-
-
-def run_figure4c(
-    config: Figure4Config | None = None,
-    engine: Optional[SweepEngine] = None,
-) -> ExperimentSeries:
-    """Figure 4(c): the idct routine."""
-    return run_figure4_routine("idct", config, engine)
-
-
 @dataclass
 class Figure4dResult:
     """The combined-application result.

@@ -321,32 +321,3 @@ def color_with_merging(
         cost=cost,
         merges=merges,
     )
-
-
-def optimal_cost_reference(graph: ConflictGraph, k: int) -> int:
-    """Brute-force minimum W over *all* k-assignments (tests only).
-
-    Exponential; callable only on tiny graphs to verify the heuristic's
-    quality bounds.
-    """
-    names = graph.vertex_names()
-    if len(names) > 10:
-        raise ValueError("brute force limited to 10 vertices")
-    best = None
-    assignment = [0] * len(names)
-
-    def recurse(position: int) -> None:
-        nonlocal best
-        if position == len(names):
-            coloring = dict(zip(names, assignment))
-            cost = graph.monochromatic_cost(coloring)
-            if best is None or cost < best:
-                best = cost
-            return
-        for color in range(k):
-            assignment[position] = color
-            recurse(position + 1)
-
-    recurse(0)
-    assert best is not None
-    return best

@@ -16,7 +16,7 @@ matter for the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.mem.address import AddressRange, align_up
 from repro.mem.symbols import SymbolTable, Variable, VariableKind
@@ -127,13 +127,6 @@ class MemoryMap:
     def pages_of(self, variable: Variable) -> list[int]:
         """Virtual page numbers the variable's range touches."""
         return list(variable.range.pages(self.page_size))
-
-    def pages_of_many(self, variables: Iterable[Variable]) -> set[int]:
-        """Union of the page numbers of several variables."""
-        pages: set[int] = set()
-        for variable in variables:
-            pages.update(variable.range.pages(self.page_size))
-        return pages
 
     def shares_page(self, first: Variable, second: Variable) -> bool:
         """True if the two variables touch a common page.

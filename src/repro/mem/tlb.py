@@ -100,10 +100,6 @@ class TLB:
         """The cached entry for ``vpn`` without touching LRU or stats."""
         return self._entries.get(vpn)
 
-    def resident_pages(self) -> list[int]:
-        """VPNs currently cached, LRU first."""
-        return list(self._entries)
-
     def flush(self) -> None:
         """Invalidate every entry (the heavy hammer after re-tinting)."""
         self._entries.clear()

@@ -6,7 +6,8 @@ the conflict graph:
 * the **profile-based method** — run the program on representative data,
   record the variable access sequence, compute per-variable lifetimes
   and count potentially-conflicting accesses in lifetime overlaps
-  (:mod:`repro.profiling.profiler`, :mod:`repro.profiling.conflict`);
+  (:mod:`repro.profiling.profiler`: :meth:`Profile.pair_weight` for one
+  pair, :meth:`Profile.weight_matrix` for all of them at once);
 * the **program-analysis method** — walk an intermediate-form (IF)
   representation estimating loop trip counts and branch probabilities
   (:mod:`repro.profiling.ir`, :mod:`repro.profiling.static_analysis`).
@@ -15,13 +16,10 @@ Both produce objects satisfying :class:`ProfileLike`, which the layout
 algorithm consumes.
 """
 
-from repro.profiling.conflict import pair_weight, pairwise_weights
-from repro.profiling.lifetime import variable_lifetimes
 from repro.profiling.profiler import (
     Profile,
     ProfileLike,
     VariableProfile,
-    legacy_profile_trace,
     profile_trace,
 )
 from repro.profiling.ir import (
@@ -44,9 +42,5 @@ __all__ = [
     "StaticProfile",
     "VariableProfile",
     "analyze_program",
-    "legacy_profile_trace",
-    "pair_weight",
-    "pairwise_weights",
     "profile_trace",
-    "variable_lifetimes",
 ]

@@ -18,10 +18,9 @@ The profiler is columnar end to end: attribution is one vectorized
 ``searchsorted`` pass over the address column, per-variable position
 arrays come from one stable argsort of the owner column split at group
 boundaries, and :meth:`Profile.weight_matrix` evaluates *all* pairwise
-conflict weights in one vectorized pass.  The original per-variable /
-per-pair loops survive as :func:`legacy_profile_trace` — the
-differential reference the test suite holds the vectorized path
-bit-identical to.
+conflict weights in one vectorized pass (:meth:`Profile.pair_weight`
+gives one pair).  Each :class:`VariableProfile` carries the variable's
+lifetime, the interval between its first and last access.
 """
 
 from __future__ import annotations
@@ -359,62 +358,6 @@ def profile_trace(
         entry.access_count for entry in variables.values()
     )
     _maybe_warn_unattributed(trace, by_address, unattributed)
-    return Profile(
-        trace_name=trace.name,
-        total_accesses=len(trace),
-        total_instructions=trace.instruction_count,
-        variables=variables,
-        unattributed=unattributed,
-    )
-
-
-def legacy_profile_trace(
-    trace: Trace,
-    symbols: Optional[SymbolTable] = None,
-    by_address: bool = False,
-) -> Profile:
-    """The original per-variable-scan profiler (differential reference).
-
-    Scans the trace once per variable (``flatnonzero`` per name).  The
-    vectorized :func:`profile_trace` must produce a bit-identical
-    :class:`Profile`; the differential suite asserts exactly that over
-    the whole workload suite.
-    """
-    if by_address and symbols is None:
-        raise ValueError("by_address attribution requires a symbol table")
-
-    variables: dict[str, VariableProfile] = {}
-    if by_address:
-        assert symbols is not None
-        ordered = list(symbols)
-        owner = _attribute_by_address(trace, symbols)
-        for index, variable in enumerate(ordered):
-            positions = np.flatnonzero(owner == index)
-            if len(positions) == 0:
-                continue
-            variables[variable.name] = _variable_entry(
-                variable.name,
-                positions,
-                trace,
-                variable.size,
-                variable.element_size,
-                variable.kind,
-            )
-    else:
-        for identifier, name in enumerate(trace.variable_names):
-            positions = np.flatnonzero(trace.variable_ids == identifier)
-            if len(positions) == 0:
-                continue
-            size, element_size, kind = _label_stats(
-                trace, symbols, name, positions
-            )
-            variables[name] = _variable_entry(
-                name, positions, trace, size, element_size, kind
-            )
-
-    unattributed = len(trace) - sum(
-        entry.access_count for entry in variables.values()
-    )
     return Profile(
         trace_name=trace.name,
         total_accesses=len(trace),

@@ -1,15 +1,15 @@
 """Trace-driven simulation: timing model, executors, multitasking.
 
-Two execution paths exist on purpose:
-
-* :class:`~repro.sim.executor.TraceExecutor` — the fast path used by
-  the experiments: vectorized access classification + the lockstep
-  cache engine.
-* :meth:`~repro.sim.executor.TraceExecutor.run_reference` — the full
-  mechanism path: assignment realized as page-table tints, every access
-  translated through the TLB, masks delivered to the reference
-  :class:`~repro.cache.column_cache.ColumnCache`.  Slower, used for
-  validation (tests assert both paths agree cycle-for-cycle).
+:class:`~repro.sim.executor.TraceExecutor` runs a trace under a
+column assignment: vectorized access classification plus the lockstep
+cache engine.  The paper's full Figure 2 mechanism — the assignment
+realized as page-table tints, every access translated through the TLB,
+masks delivered to the reference
+:class:`~repro.cache.column_cache.ColumnCache` — is the test suite's
+reference (``tests/oracles/figure2.py``), held cycle-for-cycle equal to
+the executor.  :class:`~repro.sim.memory_system.MemorySystem`, that
+mechanism's TLB-plus-cache core, also drives the adaptive runtime's
+scalar replay.
 
 :mod:`repro.sim.multitask` adds the round-robin scheduler of the
 paper's Section 4.2 multitasking experiment, and :mod:`repro.sim.

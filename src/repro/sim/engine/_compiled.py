@@ -4,7 +4,11 @@ The kernel source (``_lockstep.c``, shipped next to this module) has
 zero dependencies beyond a C compiler: it is compiled on demand with
 ``cc``/``gcc``/``clang`` into a shared library cached under
 ``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) and
-loaded through :mod:`ctypes`.  Nothing here compiles at import time —
+loaded through :mod:`ctypes`.  It exports two entry points:
+``repro_lockstep_flags``, the per-access loop behind
+:func:`lockstep_run_compiled`, and ``repro_fused_multitask``, the
+schedule walk behind :func:`schedule_count_compiled` and
+:func:`fused_multitask_compiled`.  Nothing here compiles at import time —
 :func:`available` performs the (cached) probe, and
 :mod:`repro.sim.engine.backends` decides when to call it.
 
@@ -108,11 +112,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_lockstep_flags.restype = None
     lib.repro_lockstep_flags.argtypes = [
         i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
-    ]
-    lib.repro_blocks_count.restype = None
-    lib.repro_blocks_count.argtypes = [
-        i64, ptr, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,
-        ptr, ptr, ptr, ptr, ptr,
     ]
     lib.repro_fused_multitask.restype = None
     lib.repro_fused_multitask.argtypes = [
@@ -286,76 +285,6 @@ def lockstep_run_compiled(
     if collect == "misses":
         return np.flatnonzero(~hit_flags)
     return hit_flags, bypass_flags
-
-
-def blocks_count_compiled(
-    blocks: np.ndarray,
-    state: "LockstepState",
-    *,
-    sets_mask: int,
-    index_bits: int,
-    jobs: Optional[np.ndarray] = None,
-    mask_table: Optional[np.ndarray] = None,
-    mask_bits: Optional[np.ndarray] = None,
-    uniform_mask: Optional[int] = None,
-    shard: int = 0,
-    shards: int = 1,
-    job_misses: Optional[np.ndarray] = None,
-) -> tuple[int, int, int]:
-    """Count (accesses, hits, bypasses) over raw block numbers.
-
-    Splits row/tag inline and optionally keeps only the accesses of
-    one set shard (``row % shards == shard``); skipped accesses do not
-    touch the state at all.  ``job_misses`` (int64, one slot per job)
-    accumulates per-job misses with bypasses included, matching
-    ``collect="misses"`` accounting.
-    """
-    lib = load()
-    ways = state.ways
-    if blocks.dtype == np.int32:
-        blocks_native = np.ascontiguousarray(blocks)
-        is32 = 1
-    else:
-        blocks_native = np.ascontiguousarray(blocks, dtype=np.int64)
-        is32 = 0
-    jobs64 = (
-        None if jobs is None else np.ascontiguousarray(jobs, np.int64)
-    )
-    table64 = (
-        None
-        if mask_table is None
-        else np.ascontiguousarray(mask_table, np.int64)
-    )
-    masks64 = (
-        None
-        if mask_bits is None
-        else np.ascontiguousarray(mask_bits, np.int64)
-    )
-    uniform = (
-        (1 << ways) - 1 if uniform_mask is None else int(uniform_mask)
-    )
-    ensure_state_native(state)
-    counts = np.zeros(3, dtype=np.int64)
-    lib.repro_blocks_count(
-        len(blocks_native),
-        _addr(blocks_native),
-        is32,
-        _addr(jobs64),
-        _addr(table64),
-        _addr(masks64),
-        uniform,
-        sets_mask,
-        index_bits,
-        ways,
-        shard,
-        shards,
-        _addr(state.tags),
-        _addr(state.last_use),
-        _addr(state.clock),
-        _addr(job_misses),
-        _addr(counts),
-    )
-    return int(counts[0]), int(counts[1]), int(counts[2])
 
 
 def _schedule_walk(

@@ -87,59 +87,6 @@ repro_lockstep_flags(int64_t n, const int64_t *rows,
     }
 }
 
-/* Counting entry over raw block numbers: row/tag split happens
- * inline (row = block & sets_mask, tag = block >> index_bits), with
- * optional set-shard filtering (shards > 1 keeps only rows where
- * row % shards == shard; skipped accesses touch nothing, not even
- * the clock).  blocks is int32 when blocks_is32, else int64.
- *
- * Mask priority per access: mask_bits[i] if given, else
- * mask_table[jobs ? jobs[i] : 0] if given, else uniform_mask.
- * job_misses (nullable) accumulates per-job misses (bypasses
- * included, matching collect="misses").  counts accumulates
- * {accesses simulated, hits, bypasses}. */
-API void
-repro_blocks_count(int64_t n, const void *blocks, int32_t blocks_is32,
-                   const int64_t *jobs, const int64_t *mask_table,
-                   const int64_t *mask_bits, int64_t uniform_mask,
-                   int64_t sets_mask, int64_t index_bits, int64_t ways,
-                   int64_t shard, int64_t shards, int64_t *state_tags,
-                   int64_t *state_use, int64_t *state_clock,
-                   int64_t *job_misses, int64_t *counts)
-{
-    int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
-    const int32_t *blocks32 = (const int32_t *)blocks;
-    const int64_t *blocks64 = (const int64_t *)blocks;
-    int64_t seen = 0, hits = 0, bypasses = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t block =
-            blocks_is32 ? (int64_t)blocks32[i] : blocks64[i];
-        int64_t row = block & sets_mask;
-        if (shards > 1 && row % shards != shard)
-            continue;
-        int64_t job = jobs ? jobs[i] : 0;
-        int64_t mask;
-        if (mask_bits)
-            mask = mask_bits[i];
-        else if (mask_table)
-            mask = mask_table[job];
-        else
-            mask = uniform_mask;
-        int bypass = 0;
-        int hit = step(row, block >> index_bits, mask & ways_mask,
-                       ways, state_tags, state_use, state_clock,
-                       &bypass);
-        seen++;
-        hits += hit;
-        bypasses += bypass;
-        if (!hit && job_misses)
-            job_misses[job]++;
-    }
-    counts[0] += seen;
-    counts[1] += hits;
-    counts[2] += bypasses;
-}
-
 /* Fused schedule walk: simulates a round-robin quantum schedule
  * straight off the per-job block arrays, without materializing the
  * interleaved access stream.  Segment s runs seg_len[s] accesses of

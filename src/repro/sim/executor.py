@@ -1,6 +1,6 @@
-"""Trace executors: the fast vectorized path and the reference path.
+"""The trace executor: a trace under a column assignment, in cycles.
 
-Cycle model (both paths, identical by construction):
+Cycle model:
 
 * every instruction (access or gap) costs 1 cycle;
 * a cache miss adds ``miss_penalty``;
@@ -9,14 +9,16 @@ Cycle model (both paths, identical by construction):
 * scratchpad-pinned data is preloaded up front (``setup_cycles``) and
   then always hits.
 
-The fast path classifies every access by layout unit with vectorized
-interval lookup and only simulates the genuinely cached accesses, in
-one :class:`~repro.sim.engine.batched.LockstepCache` call per trace
-(or window, or phase).  The reference path realizes the assignment into a
-page table + tint table and pushes every access through the TLB and the
-reference :class:`~repro.cache.column_cache.ColumnCache` — the whole
-Figure 2 mechanism.  ``tests/test_executor.py`` asserts the two paths
-agree cycle-for-cycle.
+:class:`TraceExecutor` classifies every access by layout unit with
+vectorized interval lookup and only simulates the genuinely cached
+accesses, in one :class:`~repro.sim.engine.batched.LockstepCache` call
+per trace (or window, or phase).  The paper's Figure 2 mechanism —
+the assignment realized as page-table tints, every access translated
+through the TLB into the reference
+:class:`~repro.cache.column_cache.ColumnCache` — lives in
+``tests/oracles/figure2.py``; ``tests/test_executor.py`` and
+``tests/test_equivalence_property.py`` hold :meth:`TraceExecutor.run`
+to it cycle for cycle.
 """
 
 from __future__ import annotations
@@ -34,10 +36,7 @@ from repro.inspect.snapshots import (
 from repro.layout.assignment import ColumnAssignment, Disposition
 from repro.sim.engine.batched import LockstepCache
 from repro.layout.dynamic import DynamicLayoutPlan
-from repro.mem.page_table import PageTable
-from repro.mem.tint import TintTable
 from repro.sim.config import TimingConfig
-from repro.sim.memory_system import MemorySystem
 from repro.sim.results import PhasedRunResult, PhaseResult, SimulationResult
 from repro.trace.trace import Trace
 from repro.workloads.base import WorkloadRun
@@ -387,85 +386,3 @@ class TraceExecutor:
                     * timing.preload_line_cycles
                 )
         return cycles
-
-    # ------------------------------------------------------------------
-    # Reference path
-    # ------------------------------------------------------------------
-    def run_reference(
-        self,
-        trace: Trace,
-        assignment: ColumnAssignment,
-        page_size: int = 64,
-        tlb_capacity: int = 4096,
-        name: Optional[str] = None,
-    ) -> SimulationResult:
-        """Simulate through the full TLB/tint/replacement mechanism.
-
-        The assignment is *realized*: tints installed in a tint table,
-        page tints written into a page table, the default tint remapped
-        to exclude the scratchpad columns, scratchpad units preloaded
-        through the cache.  Then every access runs the Figure 2 path.
-        """
-        geometry = self.geometry_for(assignment)
-        page_table = PageTable(page_size=page_size)
-        tint_table = TintTable(columns=assignment.columns)
-        tint_table.remap(tint_table.default_tint, assignment.cache_mask)
-        assignment.realize(page_table, tint_table)
-
-        system = MemorySystem(
-            geometry=geometry,
-            timing=self.timing,
-            page_table=page_table,
-            tint_table=tint_table,
-            tlb_capacity=tlb_capacity,
-        )
-        setup_cycles = 0
-        for placement in assignment.units_with(Disposition.SCRATCHPAD):
-            setup_cycles += system.preload_region(
-                placement.variable.base, placement.variable.size
-            )
-        system.cache.reset_stats()
-        system.cycles = 0
-
-        codes, _ = self.classify(trace, assignment)
-        scratchpad_count = 0
-        uncached_count = 0
-        cached_count = 0
-        hits = 0
-        misses = 0
-        cycles = 0
-        writebacks_before = system.cache.stats.writebacks
-        for position in range(len(trace)):
-            address = int(trace.addresses[position])
-            is_write = bool(trace.writes[position])
-            gap = int(trace.gaps[position])
-            cycles += gap
-            outcome = system.access(address, is_write=is_write)
-            cycles += outcome.cycles
-            code = codes[position]
-            if code == _SCRATCHPAD:
-                scratchpad_count += 1
-            elif code == _UNCACHED or outcome.bypassed:
-                uncached_count += 1
-            else:
-                cached_count += 1
-                if outcome.hit:
-                    hits += 1
-                else:
-                    misses += 1
-
-        return SimulationResult(
-            name=name or trace.name,
-            instructions=trace.instruction_count,
-            accesses=len(trace),
-            cached_accesses=cached_count,
-            scratchpad_accesses=scratchpad_count,
-            uncached_accesses=uncached_count,
-            hits=hits,
-            misses=misses,
-            writebacks=system.cache.stats.writebacks - writebacks_before,
-            cycles=cycles,
-            setup_cycles=setup_cycles,
-            tlb_hits=system.tlb.stats.hits,
-            tlb_misses=system.tlb.stats.misses,
-        )

@@ -462,12 +462,6 @@ class _JobState:
         self.position = 0
         self.result = JobResult(name=job.name)
 
-    def instructions_done_in_pass(self) -> int:
-        """Instructions consumed in the current pass over the trace."""
-        if self.position == 0:
-            return 0
-        return int(self.cumulative[self.position - 1])
-
 
 class MultitaskSimulator:
     """Round-robin scheduler over a shared column cache.

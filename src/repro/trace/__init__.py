@@ -13,9 +13,9 @@ accesses, each carrying
 Traces are stored columnar
 (:class:`~repro.trace.columnar.ColumnarTrace`: parallel numpy arrays,
 with cached block-number and mask columns) so million-access traces
-stay cheap; :class:`~repro.trace.columnar.ColumnarRecorder` is the
-append-only constructor the instrumented workloads record into, and
-:func:`~repro.trace.columnar.load_npz` /
+stay cheap; :class:`~repro.trace.columnar.ColumnarRecorder` is the one
+recorder, the append-only constructor the instrumented workloads
+record into, and :func:`~repro.trace.columnar.load_npz` /
 :meth:`~repro.trace.columnar.ColumnarTrace.save_npz` are the on-disk
 ``.npz`` format (memory-mappable for streaming replay).
 """
@@ -42,14 +42,13 @@ from repro.trace.generator import (
     strided_stream,
     zipf_accesses,
 )
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.trace import Trace
 
 __all__ = [
     "ColumnarRecorder",
     "ColumnarTrace",
     "MemoryAccess",
     "Trace",
-    "TraceBuilder",
     "load_npz",
     "open_npz",
     "concatenate",

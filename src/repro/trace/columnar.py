@@ -10,9 +10,10 @@ round-trips the stream through per-access Python objects.
 
 Three ways in:
 
-* :class:`ColumnarRecorder` — what instrumented workloads record into
-  directly (chunked numpy buffers; scalar ``append`` for instrumented
-  kernels, ``append_many``/``append_run`` for vectorizable patterns);
+* :class:`ColumnarRecorder` — the one recorder, what instrumented
+  workloads record into directly (chunked numpy buffers; scalar
+  ``append`` for instrumented kernels, ``append_many``/``append_run``
+  for vectorizable patterns);
 * :meth:`ColumnarTrace.from_columns` — wrap arrays you already have;
 * :func:`load_npz` / :func:`open_npz` — the on-disk format (below).
 
@@ -24,7 +25,9 @@ local headers, finds each member's data offset, and hands the columns
 to :class:`ColumnarTrace` as read-only ``np.memmap`` views — a
 million-access trace replays with a file-cache-sized footprint.
 :meth:`ColumnarTrace.iter_chunks` streams bounded windows off either
-representation.
+representation.  The loader checks each column's dtype from its npy
+header (integer, or bool for the write flag) and rejects any other,
+so a float column never reaches the int64 casts.
 """
 
 from __future__ import annotations
@@ -44,7 +47,19 @@ NO_VARIABLE = -1
 #: On-disk format version written into every archive.
 NPZ_FORMAT_VERSION = 1
 
-_COLUMNS = ("addresses", "sizes", "writes", "gaps", "variable_ids")
+#: Each archive column and the numpy dtype kinds it may be stored as:
+#: integers, and for the write flag also bools.
+_COLUMN_KINDS = {
+    "addresses": "iu",
+    "sizes": "iu",
+    "writes": "biu",
+    "gaps": "iu",
+    "variable_ids": "iu",
+}
+
+#: Accesses per preallocated chunk of :class:`ColumnarRecorder`'s
+#: scalar-append buffers.
+_CHUNK_LENGTH = 1 << 14
 
 
 class ColumnarTrace:
@@ -144,18 +159,16 @@ class ColumnarTrace:
     def from_accesses(
         cls, accesses: Sequence[MemoryAccess], name: str = "trace"
     ) -> "ColumnarTrace":
-        """Build a trace from per-access records (legacy/slow path)."""
-        from repro.trace.trace import TraceBuilder
-
-        builder = TraceBuilder(name=name)
+        """Build a trace from per-access records (slow path)."""
+        recorder = ColumnarRecorder(name=name)
         for access in accesses:
-            builder.add_gap(access.gap)
-            builder.append(
+            recorder.add_gap(access.gap)
+            recorder.append(
                 access.address,
                 is_write=access.is_write,
                 variable=access.variable,
             )
-        return builder.build()
+        return recorder.build()
 
     @classmethod
     def empty(cls, name: str = "trace") -> "ColumnarTrace":
@@ -445,14 +458,29 @@ def load_npz(
     trace opens in O(1) and pages stream in as consumers touch them
     (combine with :meth:`ColumnarTrace.iter_chunks` for flat-memory
     replay of arbitrarily long traces).
+
+    Raises:
+        ValueError: when a column is missing, or stored with a dtype
+            other than integer (bool or integer for ``writes``), such
+            as float.
     """
     path = Path(path)
     arrays = _npz_member_arrays(path, mmap=mmap)
-    missing = [column for column in _COLUMNS if column not in arrays]
+    missing = [column for column in _COLUMN_KINDS if column not in arrays]
     if missing:
         raise ValueError(
             f"{path}: not a columnar trace archive (missing {missing})"
         )
+    # The dtype comes from each member's npy header, so this reads no
+    # column data even when the columns are memory-mapped.
+    for column, kinds in _COLUMN_KINDS.items():
+        dtype = arrays[column].dtype
+        if dtype.kind not in kinds:
+            expected = "bool or integer" if "b" in kinds else "integer"
+            raise ValueError(
+                f"{path}: member {column!r} has dtype {dtype}; "
+                f"a trace column must be {expected}"
+            )
     version = int(arrays.get("format_version", np.int64(1)))
     if version > NPZ_FORMAT_VERSION:
         raise ValueError(
@@ -487,13 +515,11 @@ class ColumnarRecorder:
     """Append-only columnar trace constructor (chunked numpy buffers).
 
     The recorder instrumented kernels write into directly: scalar
-    :meth:`append` fills preallocated numpy chunks (no per-access
-    Python objects or list round-trips), and the bulk methods
-    :meth:`append_many` / :meth:`append_run` record whole vectorized
-    access patterns in one call.  API-compatible with the legacy
-    :class:`~repro.trace.trace.TraceBuilder` (``add_gap`` / ``append``
-    / ``pending_gap`` / ``build``), which remains as the list-based
-    reference the differential suite compares against.
+    :meth:`append` fills preallocated numpy chunks of 16,384 accesses
+    (no per-access Python objects or list round-trips), and the bulk
+    methods :meth:`append_many` / :meth:`append_run` record whole
+    vectorized access patterns in one call.  Accesses default to a
+    size of 1 byte.
 
     >>> recorder = ColumnarRecorder()
     >>> recorder.add_gap(3)          # three ALU instructions
@@ -503,17 +529,8 @@ class ColumnarRecorder:
     8
     """
 
-    def __init__(
-        self,
-        name: str = "trace",
-        chunk_size: int = 1 << 14,
-        default_size: int = 1,
-    ):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, name: str = "trace"):
         self.name = name
-        self.chunk_size = chunk_size
-        self.default_size = default_size
         self._full: list[tuple[np.ndarray, ...]] = []
         self._count_full = 0
         self._names: list[str] = []
@@ -522,12 +539,13 @@ class ColumnarRecorder:
         self._new_chunk()
 
     def _new_chunk(self) -> None:
-        size = self.chunk_size
-        self._addresses = np.zeros(size, dtype=np.int64)
-        self._sizes = np.full(size, self.default_size, dtype=np.int32)
-        self._writes = np.zeros(size, dtype=bool)
-        self._gaps = np.zeros(size, dtype=np.int64)
-        self._variable_ids = np.full(size, NO_VARIABLE, dtype=np.int64)
+        self._addresses = np.zeros(_CHUNK_LENGTH, dtype=np.int64)
+        self._sizes = np.ones(_CHUNK_LENGTH, dtype=np.int32)
+        self._writes = np.zeros(_CHUNK_LENGTH, dtype=bool)
+        self._gaps = np.zeros(_CHUNK_LENGTH, dtype=np.int64)
+        self._variable_ids = np.full(
+            _CHUNK_LENGTH, NO_VARIABLE, dtype=np.int64
+        )
         self._fill = 0
 
     def _seal_chunk(self) -> None:
@@ -570,7 +588,7 @@ class ColumnarRecorder:
         """Record one memory access."""
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        if self._fill == self.chunk_size:
+        if self._fill == _CHUNK_LENGTH:
             self._seal_chunk()
         fill = self._fill
         self._addresses[fill] = address
@@ -631,7 +649,7 @@ class ColumnarRecorder:
             if len(writes) != count:
                 raise ValueError("is_write length mismatch")
         if sizes is None:
-            sizes = np.full(count, self.default_size, dtype=np.int32)
+            sizes = np.ones(count, dtype=np.int32)
         else:
             sizes = np.array(sizes, dtype=np.int32)  # owned copy
             if len(sizes) != count:

@@ -1,152 +1,13 @@
-"""The trace type plus the legacy list-based builder.
+"""The trace type under its historical name.
 
-The trace representation itself lives in
-:mod:`repro.trace.columnar` — :class:`Trace` is the columnar class
-under its historical name, so every existing import keeps working
-while the whole stack shares one parallel-array representation.
-
-:class:`TraceBuilder` is the original append-only constructor kept as
-the *legacy list path*: it accumulates per-access Python values and
-converts once at :meth:`TraceBuilder.build`.  Instrumented workloads
-now record into :class:`~repro.trace.columnar.ColumnarRecorder`
-directly; the builder remains because the differential suite replays
-every workload through both constructors and asserts the resulting
-simulations are bit-identical.
+:class:`Trace` is :class:`~repro.trace.columnar.ColumnarTrace`: every
+consumer imports the columnar class by this name, so the whole stack
+shares one parallel-array representation.  The representation, the
+:class:`~repro.trace.columnar.ColumnarRecorder` that workloads record
+into, and the ``.npz`` format all live in :mod:`repro.trace.columnar`.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-from repro.trace.columnar import NO_VARIABLE, ColumnarTrace
-
-import numpy as np
+from repro.trace.columnar import ColumnarTrace
 
 #: Historical name: every consumer imports the columnar class as Trace.
 Trace = ColumnarTrace
-
-_NO_VARIABLE = NO_VARIABLE
-
-
-class TraceBuilder:
-    """Append-only trace constructor (legacy list-based reference).
-
-    >>> builder = TraceBuilder()
-    >>> builder.add_gap(3)          # three ALU instructions
-    >>> builder.append(0x1000, variable="block")
-    >>> builder.build().instruction_count
-    4
-    """
-
-    def __init__(self, name: str = "trace"):
-        self.name = name
-        self._addresses: list[int] = []
-        self._writes: list[bool] = []
-        self._gaps: list[int] = []
-        self._sizes: list[int] = []
-        self._variable_ids: list[int] = []
-        self._names: list[str] = []
-        self._name_ids: dict[str, int] = {}
-        self._pending_gap = 0
-
-    def _variable_id(self, variable: Optional[str]) -> int:
-        if variable is None:
-            return _NO_VARIABLE
-        identifier = self._name_ids.get(variable)
-        if identifier is None:
-            identifier = len(self._names)
-            self._names.append(variable)
-            self._name_ids[variable] = identifier
-        return identifier
-
-    def add_gap(self, instructions: int = 1) -> None:
-        """Record non-memory instructions before the next access."""
-        if instructions < 0:
-            raise ValueError(f"gap must be non-negative, got {instructions}")
-        self._pending_gap += instructions
-
-    def append(
-        self,
-        address: int,
-        is_write: bool = False,
-        variable: Optional[str] = None,
-        size: int = 1,
-    ) -> None:
-        """Record one memory access."""
-        if address < 0:
-            raise ValueError(f"address must be non-negative, got {address}")
-        self._addresses.append(address)
-        self._writes.append(is_write)
-        self._sizes.append(size)
-        self._gaps.append(self._pending_gap)
-        self._variable_ids.append(self._variable_id(variable))
-        self._pending_gap = 0
-
-    def append_many(
-        self,
-        addresses,
-        is_write=False,
-        variable: Optional[str] = None,
-        gaps=None,
-        sizes=None,
-        gap_each: int = 0,
-    ) -> None:
-        """Record an access batch one element at a time.
-
-        The legacy (per-access) twin of
-        :meth:`~repro.trace.columnar.ColumnarRecorder.append_many`,
-        with identical semantics — the differential suite relies on
-        the two producing the same trace.
-        """
-        count = len(addresses)
-        scalar_write = isinstance(is_write, (bool, int))
-        for position in range(count):
-            if gaps is not None:
-                gap = int(gaps[position])
-                if gap < 0:
-                    raise ValueError("gaps must be non-negative")
-                self.add_gap(gap)
-            elif gap_each:
-                if gap_each < 0:
-                    raise ValueError("gap_each must be non-negative")
-                self.add_gap(gap_each)
-            self.append(
-                int(addresses[position]),
-                is_write=bool(
-                    is_write if scalar_write else is_write[position]
-                ),
-                variable=variable,
-                size=(
-                    1 if sizes is None else int(sizes[position])
-                ),
-            )
-
-    def extend(self, trace: Trace) -> None:
-        """Append a whole existing trace (variables are re-interned)."""
-        for access in trace:
-            self.add_gap(access.gap)
-            self.append(
-                access.address,
-                is_write=access.is_write,
-                variable=access.variable,
-            )
-
-    @property
-    def pending_gap(self) -> int:
-        """Gap instructions not yet attached to an access."""
-        return self._pending_gap
-
-    def __len__(self) -> int:
-        return len(self._addresses)
-
-    def build(self) -> Trace:
-        """Freeze into an immutable :class:`Trace`."""
-        return Trace(
-            np.array(self._addresses, dtype=np.int64),
-            np.array(self._writes, dtype=bool),
-            np.array(self._gaps, dtype=np.int64),
-            np.array(self._variable_ids, dtype=np.int64),
-            list(self._names),
-            name=self.name,
-            sizes=np.array(self._sizes, dtype=np.int32),
-        )

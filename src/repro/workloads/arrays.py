@@ -4,7 +4,11 @@ A :class:`TracedArray` behaves like a C array — integer indices, real
 values, no bounds magic — and appends one trace entry per element read
 or write.  Kernels therefore compute *actual results* while their
 reference stream is captured, which is what keeps the workloads honest
-(tests verify both the numerics and the traces).
+(tests verify both the numerics and the traces).  Every entry goes
+into the owning workload's
+:class:`~repro.trace.columnar.ColumnarRecorder`: scalar indexing
+appends one access, and :meth:`TracedArray.read_many` records a whole
+read pattern in one vectorized ``append_many`` call.
 """
 
 from __future__ import annotations
@@ -15,13 +19,8 @@ import numpy as np
 
 from repro.mem.symbols import Variable
 from repro.trace.columnar import ColumnarRecorder
-from repro.trace.trace import TraceBuilder
 
 Number = Union[int, float]
-
-#: Either trace constructor: the columnar recorder (default) or the
-#: legacy list-based builder the differential suite compares against.
-Recorder = Union[ColumnarRecorder, TraceBuilder]
 
 
 class TracedArray:
@@ -36,7 +35,7 @@ class TracedArray:
     def __init__(
         self,
         variable: Variable,
-        builder: Recorder,
+        builder: ColumnarRecorder,
         dtype: np.dtype | type = np.int64,
         initial: Optional[Sequence[Number]] = None,
     ):
@@ -125,37 +124,6 @@ class TracedArray:
             self._builder.add_gap(work_each)
         return self._values[indices].copy()
 
-    def write_many(
-        self,
-        indices: Sequence[int] | np.ndarray,
-        values: Sequence[Number] | np.ndarray,
-        work_each: int = 0,
-    ) -> None:
-        """Traced bulk write (vectorized twin of :meth:`read_many`)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values)
-        if len(values) != len(indices):
-            raise ValueError(
-                f"{self.name}: {len(values)} values for "
-                f"{len(indices)} indices"
-            )
-        if len(indices) == 0:
-            return
-        gaps = np.full(len(indices), work_each, dtype=np.int64)
-        gaps[0] = 0
-        self._builder.append_many(
-            self._addresses_of(indices),
-            is_write=True,
-            variable=self.name,
-            gaps=gaps,
-            sizes=np.full(
-                len(indices), self.variable.element_size, dtype=np.int32
-            ),
-        )
-        if work_each:
-            self._builder.add_gap(work_each)
-        self._values[indices] = values
-
     def peek(self, index: int) -> Number:
         """Read a value without recording an access."""
         return self._values[index].item()
@@ -199,7 +167,7 @@ class TracedScalar:
     def __init__(
         self,
         variable: Variable,
-        builder: Recorder,
+        builder: ColumnarRecorder,
         initial: Number = 0,
     ):
         if variable.element_count != 1:

@@ -1,18 +1,22 @@
-"""Workload base class: memory map + trace builder + phase markers."""
+"""Workload base class: memory map + trace recorder + phase markers.
+
+Every workload records through one
+:class:`~repro.trace.columnar.ColumnarRecorder`, built in
+:meth:`Workload.__init__` and shared by all of its traced storage.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.mem.layout import MemoryMap
 from repro.mem.symbols import SymbolTable
 from repro.trace.columnar import ColumnarRecorder
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.trace import Trace
 from repro.workloads.arrays import Number, TracedArray, TracedScalar
 
 
@@ -76,32 +80,6 @@ class WorkloadRun:
         return seen
 
 
-#: Builds the trace constructor workloads record into.  The columnar
-#: recorder is the production path; :func:`legacy_trace_builder` swaps
-#: in the list-based builder so the differential suite can replay any
-#: workload through both and assert the traces agree.
-_RECORDER_FACTORY: Callable[
-    [str], Union[ColumnarRecorder, TraceBuilder]
-] = ColumnarRecorder
-
-
-@contextmanager
-def legacy_trace_builder() -> Iterator[None]:
-    """Record workloads through the legacy list-based TraceBuilder.
-
-    Differential-testing hook: workloads constructed inside the
-    context append per-access Python values instead of filling
-    columnar buffers; their recorded traces must be identical.
-    """
-    global _RECORDER_FACTORY
-    previous = _RECORDER_FACTORY
-    _RECORDER_FACTORY = TraceBuilder
-    try:
-        yield
-    finally:
-        _RECORDER_FACTORY = previous
-
-
 class Workload(ABC):
     """Base class for instrumented kernels.
 
@@ -133,7 +111,7 @@ class Workload(ABC):
         self.memory_map = MemoryMap(
             base=base_address, page_size=page_size, page_aligned=True
         )
-        self.builder = _RECORDER_FACTORY(name)
+        self.builder = ColumnarRecorder(name)
         self.phases: list[PhaseMarker] = []
         self.outputs: dict[str, np.ndarray] = {}
         self._phase_stack: list[tuple[str, int]] = []

@@ -46,19 +46,6 @@ def crc32_table() -> np.ndarray:
     return table
 
 
-def reference_crc32(data: bytes) -> int:
-    """Bitwise reference CRC-32 (matches zlib.crc32)."""
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ CRC32_POLYNOMIAL
-            else:
-                crc >>= 1
-    return crc ^ 0xFFFFFFFF
-
-
 class CRC32(Workload):
     """Table-driven CRC-32 over a message buffer."""
 
@@ -152,29 +139,6 @@ class ADPCMEncoder(Workload):
         self.outputs["samples"] = self.samples.snapshot()
 
 
-def adpcm_decode(codes: np.ndarray) -> np.ndarray:
-    """Reference IMA ADPCM decoder (pure computation)."""
-    predicted = 0
-    index = 0
-    output = np.empty(len(codes), dtype=np.int64)
-    for position, code in enumerate(codes):
-        code = int(code)
-        step = IMA_STEP_TABLE[index]
-        delta = step >> 3
-        if code & 4:
-            delta += step
-        if code & 2:
-            delta += step >> 1
-        if code & 1:
-            delta += step >> 2
-        predicted += -delta if code & 8 else delta
-        predicted = max(-32768, min(32767, predicted))
-        output[position] = predicted
-        index += IMA_INDEX_TABLE[code & 7]
-        index = max(0, min(len(IMA_STEP_TABLE) - 1, index))
-    return output
-
-
 class IIRCascade(Workload):
     """A cascade of direct-form-I biquad sections over a signal."""
 
@@ -237,22 +201,3 @@ class IIRCascade(Workload):
             self.output[position] = value
         self.end_phase()
         self.outputs["output"] = self.output.snapshot()
-
-
-def reference_iir(signal: np.ndarray, coefficients: np.ndarray,
-                  sections: int) -> np.ndarray:
-    """Reference biquad cascade using scipy-style difference equations."""
-    value = signal.astype(np.float64)
-    for section in range(sections):
-        b0, b1, b2, a1, a2 = coefficients[section * 5:section * 5 + 5]
-        out = np.empty_like(value)
-        x1 = x2 = y1 = y2 = 0.0
-        for position, sample in enumerate(value):
-            result = (
-                b0 * sample + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
-            )
-            x2, x1 = x1, sample
-            y2, y1 = y1, result
-            out[position] = result
-        value = out
-    return value

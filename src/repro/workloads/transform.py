@@ -150,41 +150,6 @@ class TwoPassTransform(Workload):
         self.outputs["output"] = self.output.snapshot()
 
 
-def reference_twopass(
-    blocks: int, frames: int, seed: int
-) -> dict[str, np.ndarray]:
-    """Untraced recomputation of :class:`TwoPassTransform`."""
-    rng = np.random.default_rng(seed)
-    count = blocks * POINT * POINT
-    image = rng.integers(-128, 128, count).astype(np.int64)
-    costab = np.array(scaled_cosine_table(), dtype=np.int64)
-    qtable = rng.integers(1, 32, POINT * POINT).astype(np.int64)
-    zigzag = np.array(zigzag_order(), dtype=np.int64)
-    coeffs = np.zeros(count, dtype=np.int64)
-    output = np.zeros(count, dtype=np.int64)
-    for _ in range(frames):
-        for block in range(blocks):
-            base = block * POINT * POINT
-            for row in range(POINT):
-                row_base = base + row * POINT
-                for u in range(POINT):
-                    total = int(
-                        (
-                            costab[u * POINT:(u + 1) * POINT]
-                            * image[row_base:row_base + POINT]
-                        ).sum()
-                    )
-                    coeffs[row_base + u] = (total >> 6) & MASK16
-        for block in range(blocks):
-            base = block * POINT * POINT
-            for index in range(POINT * POINT):
-                source = int(zigzag[index])
-                output[base + index] = (
-                    int(coeffs[base + source]) // (int(qtable[source]) + 1)
-                ) & MASK16
-    return {"coeffs": coeffs, "output": output}
-
-
 # ----------------------------------------------------------------------
 # Phased FFT
 # ----------------------------------------------------------------------

@@ -37,18 +37,20 @@ set-sharded simulators (which derive masks from labels) replay it.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.mem.layout import MemoryMap
-from repro.trace.trace import Trace, TraceBuilder
-from repro.workloads.base import (
-    PhaseMarker,
-    WorkloadRun,
-    legacy_trace_builder,
-)
+from repro.trace.columnar import ColumnarRecorder
+from repro.trace.trace import Trace
+from repro.workloads import base as workload_base
+from repro.workloads.base import PhaseMarker, WorkloadRun
 from repro.workloads.suite import available_workloads, make_workload
+
+from oracles.recording import TraceBuilder
 
 #: Downsized constructor kwargs so whole-suite differential sweeps
 #: stay fast; workloads not listed record at their defaults.
@@ -78,9 +80,14 @@ def suite_cases() -> list[tuple[str, dict[str, int]]]:
 def record_suite_case(
     name: str, kwargs: dict[str, int], legacy: bool = False
 ) -> WorkloadRun:
-    """Record one suite workload via the columnar or legacy recorder."""
+    """Record one suite workload via the columnar or legacy recorder.
+
+    ``legacy=True`` swaps the list-based reference
+    :class:`~oracles.recording.TraceBuilder` in for the production
+    recorder for this one recording.
+    """
     if legacy:
-        with legacy_trace_builder():
+        with patch.object(workload_base, "ColumnarRecorder", TraceBuilder):
             return make_workload(name, **kwargs).record()
     return make_workload(name, **kwargs).record()
 
@@ -256,7 +263,7 @@ def random_workload(draw, max_length: int = 300):
     length = draw(st.integers(10, max_length))
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
-    builder = TraceBuilder(name="random")
+    builder = ColumnarRecorder(name="random")
     for _ in range(length):
         variable = variables[int(rng.integers(0, variable_count))]
         index = int(rng.integers(0, variable.element_count))
@@ -310,7 +317,7 @@ def fleet_scenario(draw):
             )
             for v in range(draw(st.integers(1, 3)))
         ]
-        builder = TraceBuilder(name=f"tenant{index}")
+        builder = ColumnarRecorder(name=f"tenant{index}")
         for position in range(draw(st.integers(30, 200))):
             variable = variables[int(rng.integers(0, len(variables)))]
             builder.add_gap(int(rng.integers(0, 3)))
@@ -381,7 +388,7 @@ def phased_workload(draw, max_phases: int = 4):
     ]
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
-    builder = TraceBuilder(name="phased")
+    builder = ColumnarRecorder(name="phased")
     phases: list[PhaseMarker] = []
     phase_count = draw(st.integers(1, max_phases))
     for phase_index in range(phase_count):

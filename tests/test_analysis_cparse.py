@@ -31,7 +31,6 @@ WRAPPER_PY = ENGINE_DIR / "_compiled.py"
 #: The kernel's exported functions and their C-side arity.
 EXPORTED = {
     "repro_lockstep_flags": 11,
-    "repro_blocks_count": 17,
     "repro_fused_multitask": 17,
 }
 
@@ -114,16 +113,16 @@ class TestRealKernelPair:
 #: R003 finding naming the mutated function.
 MUTATIONS = {
     "wrong-width": (
-        "        i64, ptr, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,",
-        "        i64, ptr, i64, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,",
+        "        i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,",
+        "        i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, i64, i64,",
     ),
     "swapped-arg-order": (
-        "        i64, ptr, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,",
-        "        ptr, i64, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,",
+        "        i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,",
+        "        i64, ptr, ptr, ptr, ptr, ptr, i32, ptr, ptr, i64, i64, i64,",
     ),
     "missing-arg": (
-        "        i64, ptr, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,",
-        "        i64, ptr, i32, ptr, ptr, i64, i64, i64, i64, i64, i64,",
+        "        i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,",
+        "        i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64,",
     ),
 }
 
@@ -157,7 +156,7 @@ class TestMutationFixtures:
         assert len(findings) == 1, [f.render() for f in findings]
         finding = findings[0]
         assert finding.rule == "R003"
-        assert "repro_blocks_count" in finding.message
+        assert "repro_fused_multitask" in finding.message
 
     def test_missing_c_source_flagged(self, tmp_path: Path):
         """Declarations with no sibling .c file cannot be checked."""

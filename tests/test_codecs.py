@@ -7,11 +7,10 @@ from repro.workloads.codecs import (
     ADPCMEncoder,
     CRC32,
     IIRCascade,
-    adpcm_decode,
     crc32_table,
-    reference_crc32,
-    reference_iir,
 )
+
+from oracles.numerics import adpcm_decode, reference_crc32, reference_iir
 
 
 class TestCRC32:

@@ -1,5 +1,7 @@
 """The columnar trace core: recorder, derived columns, on-disk format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,12 @@ from repro.trace import (
     ColumnarRecorder,
     ColumnarTrace,
     Trace,
-    TraceBuilder,
     load_npz,
     open_npz,
 )
-from repro.trace.columnar import NO_VARIABLE
+from repro.trace.columnar import _CHUNK_LENGTH, NO_VARIABLE
+
+from oracles.recording import TraceBuilder
 
 
 def small_trace() -> ColumnarTrace:
@@ -25,12 +28,21 @@ def small_trace() -> ColumnarTrace:
     return recorder.build()
 
 
+def assert_same_recording(recorded, reference) -> None:
+    """Every column and the variable-name table are identical."""
+    for column in ("addresses", "sizes", "writes", "gaps", "variable_ids"):
+        assert np.array_equal(
+            getattr(recorded, column), getattr(reference, column)
+        ), column
+    assert recorded.variable_names == reference.variable_names
+
+
 class TestRecorder:
     def test_trace_is_the_columnar_class(self):
         assert Trace is ColumnarTrace
 
     def test_scalar_appends_match_legacy_builder(self):
-        recorder = ColumnarRecorder(name="t", chunk_size=2)  # force seals
+        recorder = ColumnarRecorder(name="t")
         legacy = TraceBuilder(name="t")
         for builder in (recorder, legacy):
             builder.add_gap(3)
@@ -39,14 +51,60 @@ class TestRecorder:
             builder.add_gap(1)
             builder.append(0x30)
             builder.append(0x40, variable="x")
-        a, b = recorder.build(), legacy.build()
-        for column in (
-            "addresses", "sizes", "writes", "gaps", "variable_ids"
-        ):
-            assert np.array_equal(
-                getattr(a, column), getattr(b, column)
-            ), column
-        assert a.variable_names == b.variable_names
+        assert_same_recording(recorder.build(), legacy.build())
+
+    def test_recording_across_chunk_seals_matches_reference(self):
+        """More than two full chunks of scalar appends, interleaved
+        with every bulk call and with pending gaps, record what the
+        reference recorder records; lengths agree after every step
+        (phase markers are taken from them)."""
+        recorder = ColumnarRecorder(name="t")
+        legacy = TraceBuilder(name="t")
+        donor = small_trace()
+
+        def scalars(builder, count, base):
+            for index in range(count):
+                if index % 7 == 0:
+                    builder.add_gap(index % 4 + 1)
+                builder.append(
+                    base + 2 * index,
+                    is_write=index % 3 == 0,
+                    variable=("p", "q", None)[index % 3],
+                    size=4 if index % 5 == 0 else None,
+                )
+
+        steps = [
+            lambda builder: builder.add_gap(3),
+            lambda builder: scalars(builder, 100, 0x1000),
+            lambda builder: builder.add_gap(2),
+            lambda builder: builder.append_many(
+                [0x50, 0x60, 0x70],
+                is_write=[True, False, True],
+                variable="q",
+                gaps=[0, 4, 1],
+                sizes=[2, 2, 8],
+            ),
+            lambda builder: scalars(
+                builder, 2 * _CHUNK_LENGTH + 5, 0x40000
+            ),
+            lambda builder: builder.add_gap(6),
+            lambda builder: builder.append_run(
+                0x9000, count=9, stride=16, variable="r", gap_each=2,
+                size=2,
+            ),
+            lambda builder: builder.add_gap(1),
+            lambda builder: builder.extend(donor),
+            lambda builder: builder.append_many([0x77, 0x78], gap_each=3),
+            lambda builder: scalars(builder, 11, 0x200000),
+        ]
+        for step in steps:
+            step(recorder)
+            step(legacy)
+            assert len(recorder) == len(legacy)
+            assert recorder.pending_gap == legacy.pending_gap
+        recorded = recorder.build()
+        assert len(recorded) > 2 * _CHUNK_LENGTH
+        assert_same_recording(recorded, legacy.build())
 
     def test_append_many_matches_scalar_loop(self):
         bulk = ColumnarRecorder(name="t")
@@ -207,6 +265,57 @@ class TestNpzFormat:
         np.savez(path, whatever=np.arange(3))
         with pytest.raises(ValueError, match="not a columnar trace"):
             load_npz(path)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        ("column", "values"),
+        [
+            ("addresses", np.array([16.7, 1e30])),
+            ("sizes", np.array([1.0, 2.5])),
+            ("gaps", np.array([0.0, 3.9])),
+            ("variable_ids", np.array([0.0, 0.5])),
+            ("writes", np.array([0.0, 0.25])),
+            ("addresses", np.array(["16", "32"])),
+        ],
+    )
+    def test_rejects_non_integer_columns(
+        self, tmp_path, mmap, column, values
+    ):
+        """A float (or string) column is an error naming the file, the
+        member and its dtype, raised before any value is converted."""
+        columns = {
+            "addresses": np.array([16, 32], dtype=np.int64),
+            "sizes": np.ones(2, dtype=np.int32),
+            "writes": np.array([False, True]),
+            "gaps": np.zeros(2, dtype=np.int64),
+            "variable_ids": np.zeros(2, dtype=np.int64),
+        }
+        columns[column] = values
+        path = tmp_path / "bad.npz"
+        np.savez(path, variable_names=np.array(["v"]), **columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no lossy cast happens
+            with pytest.raises(ValueError) as raised:
+                load_npz(path, mmap=mmap)
+        message = str(raised.value)
+        assert str(path) in message
+        assert repr(column) in message
+        assert str(values.dtype) in message
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_accepts_integer_write_flags(self, tmp_path, mmap):
+        path = tmp_path / "int_writes.npz"
+        np.savez(
+            path,
+            addresses=np.array([16, 32], dtype=np.uint32),
+            sizes=np.ones(2, dtype=np.int16),
+            writes=np.array([0, 1], dtype=np.uint8),
+            gaps=np.zeros(2, dtype=np.int32),
+            variable_ids=np.array([-1, -1], dtype=np.int8),
+        )
+        trace = load_npz(path, mmap=mmap)
+        assert trace.writes.tolist() == [False, True]
+        assert trace.addresses.tolist() == [16, 32]
 
     def test_rejects_future_format_version(self, tmp_path):
         trace = small_trace()

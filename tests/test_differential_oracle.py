@@ -220,8 +220,12 @@ class TestWorkloadSuiteColumnar:
     on every backend."""
 
     def test_legacy_and_columnar_recordings_identical(self, name, kwargs):
-        columnar = record_suite_case(name, kwargs).trace
-        legacy = record_suite_case(name, kwargs, legacy=True).trace
+        """The whole recording matches the reference recorder's: the
+        five columns, the name table, the phase markers and the
+        workload's outputs."""
+        columnar_run = record_suite_case(name, kwargs)
+        legacy_run = record_suite_case(name, kwargs, legacy=True)
+        columnar, legacy = columnar_run.trace, legacy_run.trace
         for column in (
             "addresses", "sizes", "writes", "gaps", "variable_ids"
         ):
@@ -229,6 +233,10 @@ class TestWorkloadSuiteColumnar:
                 getattr(columnar, column), getattr(legacy, column)
             ), column
         assert columnar.variable_names == legacy.variable_names
+        assert columnar_run.phases == legacy_run.phases
+        assert list(columnar_run.outputs) == list(legacy_run.outputs)
+        for key, value in columnar_run.outputs.items():
+            assert np.array_equal(value, legacy_run.outputs[key]), key
 
     def test_backends_agree_on_recorded_trace(self, name, kwargs):
         """The reference model checks every access of every recorded

@@ -30,8 +30,6 @@ LEGACY_MODULES = frozenset(
         "repro.cache.geometry",
         "repro.cache.replacement",
         "repro.cache.scratchpad",
-        "repro.trace.trace",
-        "repro.profiling.lifetime",
         "repro.layout.partition",
         "repro.workloads.suite",
     }

@@ -20,6 +20,7 @@ from repro.sim.engine.sharded import simulate_columnar_sharded
 from repro.sim.executor import TraceExecutor
 
 from oracles.column_cache import reference_streams
+from oracles.figure2 import run_reference
 from strategies import mask_labelled_trace, random_workload
 
 TIMING = TimingConfig(miss_penalty=13, uncached_penalty=29,
@@ -39,7 +40,7 @@ def test_fast_matches_reference_on_random_workloads(workload):
     assignment = DataLayoutPlanner(config).plan(run)
     executor = TraceExecutor(TIMING)
     fast = executor.run(run.trace, assignment)
-    reference = executor.run_reference(run.trace, assignment)
+    reference = run_reference(executor, run.trace, assignment)
     assert fast.cycles == reference.cycles
     assert fast.hits == reference.hits
     assert fast.misses == reference.misses

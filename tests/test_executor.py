@@ -9,6 +9,8 @@ from repro.sim.executor import TraceExecutor
 from repro.workloads.base import Workload
 from repro.workloads.mpeg import DequantRoutine, IdctRoutine, MPEGDecodeApp
 
+from oracles.figure2 import run_reference
+
 TIMING = TimingConfig(
     miss_penalty=10, uncached_penalty=25, preload_line_cycles=10
 )
@@ -92,7 +94,7 @@ class TestReferenceEquivalence:
         assignment = plan(run, scratchpad=scratchpad)
         executor = TraceExecutor(TIMING)
         fast = executor.run(run.trace, assignment)
-        reference = executor.run_reference(run.trace, assignment)
+        reference = run_reference(executor, run.trace, assignment)
         assert fast.cycles == reference.cycles
         assert fast.hits == reference.hits
         assert fast.misses == reference.misses
@@ -106,7 +108,7 @@ class TestReferenceEquivalence:
         assignment = plan(run, scratchpad=scratchpad, split_oversized=False)
         executor = TraceExecutor(TIMING)
         fast = executor.run(run.trace, assignment)
-        reference = executor.run_reference(run.trace, assignment)
+        reference = run_reference(executor, run.trace, assignment)
         assert fast.cycles == reference.cycles
         assert fast.misses == reference.misses
 
@@ -119,14 +121,14 @@ class TestReferenceEquivalence:
         assignment = DataLayoutPlanner(config).plan(run)
         executor = TraceExecutor(TIMING)
         fast = executor.run(run.trace, assignment)
-        reference = executor.run_reference(run.trace, assignment)
+        reference = run_reference(executor, run.trace, assignment)
         assert fast.cycles == reference.cycles
         assert fast.uncached_accesses == reference.uncached_accesses
 
     def test_reference_reports_tlb_stats(self):
         run = _Loop().record()
-        reference = TraceExecutor(TIMING).run_reference(
-            run.trace, plan(run)
+        reference = run_reference(
+            TraceExecutor(TIMING), run.trace, plan(run)
         )
         assert reference.tlb_hits + reference.tlb_misses == len(run.trace)
         assert reference.tlb_hits > reference.tlb_misses

@@ -13,6 +13,8 @@ from repro.sim.config import EMBEDDED_TIMING
 from repro.sim.executor import TraceExecutor
 from repro.workloads.mpeg import DequantRoutine, IdctRoutine, PlusRoutine
 
+from oracles.figure2 import run_reference
+
 
 @pytest.mark.parametrize(
     "factory,kwargs,scratchpad",
@@ -34,7 +36,7 @@ def test_sweep_point_matches_reference(factory, kwargs, scratchpad):
     assignment = DataLayoutPlanner(config).plan(run)
     executor = TraceExecutor(EMBEDDED_TIMING)
     fast = executor.run(run.trace, assignment)
-    reference = executor.run_reference(run.trace, assignment)
+    reference = run_reference(executor, run.trace, assignment)
     assert fast.cycles == reference.cycles
     assert fast.misses == reference.misses
     assert fast.uncached_accesses == reference.uncached_accesses

@@ -14,10 +14,9 @@ from repro.layout.coloring import (
     greedy_coloring,
 )
 from repro.layout.graph import ConflictGraph, VertexInfo
-from repro.layout.merge import (
-    color_with_merging,
-    optimal_cost_reference,
-)
+from repro.layout.merge import color_with_merging
+
+from oracles.merge import optimal_cost_reference
 
 
 def make_graph(names, weighted_edges, internal=0):

@@ -9,7 +9,6 @@ from repro.mem.address import AddressRange
 from repro.mem.page_table import PageTable
 from repro.mem.symbols import SymbolTable, Variable, VariableKind
 from repro.mem.tint import TintTable
-from repro.trace.trace import TraceBuilder
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.base import Workload
 from repro.workloads.mpeg import DequantRoutine, IdctRoutine

@@ -18,7 +18,8 @@ from repro.sim.engine.multitask_batch import (
     simulate_multitask_sweep,
 )
 from repro.sim.multitask import Job, MultitaskSimulator
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.columnar import ColumnarRecorder
+from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
 
 
@@ -30,7 +31,7 @@ requires_compiled = pytest.mark.skipif(
 
 
 def build_trace(rng, length, span, name):
-    builder = TraceBuilder(name=name)
+    builder = ColumnarRecorder(name=name)
     for _ in range(length):
         builder.add_gap(int(rng.integers(0, 4)))
         builder.append(int(rng.integers(0, span)) * 2, is_write=False)

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine.multitask_batch import _BatchJob, _Schedule
 from repro.sim.multitask import Job
-from repro.trace.trace import TraceBuilder
+from repro.trace.columnar import ColumnarRecorder
 
 GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
 
 
 def build_trace(rng, length, name):
-    builder = TraceBuilder(name=name)
+    builder = ColumnarRecorder(name=name)
     for _ in range(length):
         builder.add_gap(int(rng.integers(0, 6)))
         builder.append(int(rng.integers(0, 1024)) * 2)

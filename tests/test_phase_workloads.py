@@ -12,9 +12,10 @@ from repro.workloads.transform import (
     PhasedFFT,
     TwoPassTransform,
     reference_fft,
-    reference_twopass,
     zigzag_order,
 )
+
+from oracles.numerics import reference_twopass
 
 
 class TestPacketPipeline:

@@ -42,13 +42,12 @@ from repro.layout.coloring import (
 )
 from repro.layout.merge import color_with_merging
 from repro.layout.partition import split_for_columns
-from repro.profiling.profiler import (
-    legacy_profile_trace,
-    profile_trace,
-)
+from repro.profiling.profiler import profile_trace
 from repro.runtime.policy import RepartitionPolicy
-from repro.trace.trace import TraceBuilder
+from repro.trace.columnar import ColumnarRecorder
 from strategies import random_workload, record_suite_case, suite_cases
+
+from oracles.profiling import legacy_profile_trace
 
 COLUMN_BYTES = 512
 
@@ -154,7 +153,7 @@ class TestUnattributed:
 
         memory_map = MemoryMap(base=0x10000, page_size=64)
         variable = memory_map.allocate_array("v", 32)
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         for index in range(labelled):
             builder.append(
                 variable.address_of(index % variable.element_count),
@@ -182,7 +181,7 @@ class TestUnattributed:
 
     def test_unlabelled_accesses_counted_by_label_mode(self):
         """Label attribution reports unlabelled accesses too."""
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0x100, variable="v")
         builder.append(0x200)
         profile = profile_trace(builder.build())

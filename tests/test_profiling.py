@@ -5,18 +5,16 @@ import pytest
 
 from repro.mem.address import AddressRange
 from repro.mem.symbols import SymbolTable, Variable, VariableKind
-from repro.profiling.conflict import pairwise_weights
 from repro.profiling.ir import access, branch, compute, loop
-from repro.profiling.lifetime import lifetimes_disjoint, variable_lifetimes
 from repro.profiling.profiler import Profile, profile_trace
 from repro.profiling.static_analysis import analyze_program
-from repro.trace.trace import TraceBuilder
+from repro.trace.columnar import ColumnarRecorder
 from repro.utils.intervals import Interval
 
 
 def interleaved_trace():
     """a a b a b b c c — canonical lifetimes fixture."""
-    builder = TraceBuilder()
+    builder = ColumnarRecorder()
     pattern = ["a", "a", "b", "a", "b", "b", "c", "c"]
     bases = {"a": 0x100, "b": 0x200, "c": 0x300}
     cursor = {"a": 0, "b": 0, "c": 0}
@@ -26,17 +24,25 @@ def interleaved_trace():
     return builder.build()
 
 
+def lifetimes(trace) -> dict[str, Interval]:
+    """Each variable's lifetime as the profile records it."""
+    return {
+        name: entry.lifetime
+        for name, entry in profile_trace(trace).variables.items()
+    }
+
+
 class TestLifetimes:
     def test_intervals(self):
-        lifetimes = variable_lifetimes(interleaved_trace())
-        assert lifetimes["a"] == Interval(0, 4)
-        assert lifetimes["b"] == Interval(2, 6)
-        assert lifetimes["c"] == Interval(6, 8)
+        intervals = lifetimes(interleaved_trace())
+        assert intervals["a"] == Interval(0, 4)
+        assert intervals["b"] == Interval(2, 6)
+        assert intervals["c"] == Interval(6, 8)
 
     def test_disjoint(self):
-        lifetimes = variable_lifetimes(interleaved_trace())
-        assert lifetimes_disjoint(lifetimes["a"], lifetimes["c"])
-        assert not lifetimes_disjoint(lifetimes["a"], lifetimes["b"])
+        intervals = lifetimes(interleaved_trace())
+        assert not intervals["a"].overlaps(intervals["c"])
+        assert intervals["a"].overlaps(intervals["b"])
 
 
 class TestProfiler:
@@ -48,7 +54,7 @@ class TestProfiler:
         assert a.read_count == 3 and a.write_count == 0
 
     def test_write_counts(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0, is_write=True, variable="x")
         builder.append(2, is_write=False, variable="x")
         profile = profile_trace(builder.build())
@@ -58,7 +64,7 @@ class TestProfiler:
     def test_sizes_from_symbols(self):
         table = SymbolTable()
         table.add(Variable("a", AddressRange(0x100, 64), element_size=2))
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0x100, variable="a")
         profile = profile_trace(builder.build(), table)
         assert profile.variables["a"].size == 64
@@ -67,7 +73,7 @@ class TestProfiler:
         table = SymbolTable()
         table.add(Variable("lo", AddressRange(0x100, 16)))
         table.add(Variable("hi", AddressRange(0x200, 16)))
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0x104, variable="whatever")
         builder.append(0x20A, variable="whatever")
         builder.append(0x900)  # outside everything
@@ -86,7 +92,7 @@ class TestProfiler:
         table = SymbolTable()
         for piece in parent.split(32):
             table.add(piece)
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0x00, variable="big")
         builder.append(0x20, variable="big")
         builder.append(0x3E, variable="big")
@@ -97,7 +103,7 @@ class TestProfiler:
     def test_density(self):
         table = SymbolTable()
         table.add(Variable("a", AddressRange(0, 16)))
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         for _ in range(32):
             builder.append(0, variable="a")
         profile = profile_trace(builder.build(), table)
@@ -132,21 +138,25 @@ class TestPairWeights:
         profile = profile_trace(interleaved_trace())
         assert profile.pair_weight("a", "b") == profile.pair_weight("b", "a")
 
-    def test_pairwise_weights_drops_zero(self):
+    def test_weight_matrix_gives_min_rule_weights(self):
         profile = profile_trace(interleaved_trace())
-        weights = pairwise_weights(profile)
-        assert frozenset(("a", "c")) not in weights
-        assert weights[frozenset(("a", "b"))] == 1
+        names = ["a", "b", "c"]
+        matrix = profile.weight_matrix(names)
+        assert matrix.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+        for i, first in enumerate(names):
+            for j, second in enumerate(names):
+                if i != j:
+                    assert matrix[i, j] == profile.pair_weight(first, second)
 
-    def test_pairwise_weights_keep_zero(self):
+    def test_weight_matrix_zero_for_disjoint_lifetimes(self):
         profile = profile_trace(interleaved_trace())
-        weights = pairwise_weights(profile, drop_zero=False)
-        assert weights[frozenset(("a", "c"))] == 0
+        matrix = profile.weight_matrix(["c", "a"])
+        assert matrix.tolist() == [[0, 0], [0, 0]]
 
     def test_relative_ordering(self):
         """The paper's stated requirement: heavier interleaving gives a
         relatively heavier edge."""
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         # x and y interleave 10 times; x and z once.
         for index in range(10):
             builder.append(0x000 + index, variable="x")
@@ -204,7 +214,7 @@ class TestStaticAnalysis:
         """The static estimate tracks a measured profile of the same
         loop nest (relative ordering, not exact values)."""
         # Measured: for i in 100: read a, read b; then for i in 50: c.
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         for index in range(100):
             builder.append(0x000 + (index % 8) * 2, variable="a")
             builder.append(0x100 + (index % 8) * 2, variable="b")

@@ -24,12 +24,13 @@ from repro.trace.generator import (
     strided_stream,
     zipf_accesses,
 )
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.columnar import ColumnarRecorder
+from repro.trace.trace import Trace
 
 
 class TestBuilder:
     def test_gap_attaches_to_next_access(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.add_gap(3)
         builder.append(0x100, variable="a")
         builder.append(0x104, variable="a")
@@ -38,17 +39,17 @@ class TestBuilder:
         assert trace.instruction_count == 5
 
     def test_negative_gap_rejected(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         with pytest.raises(ValueError):
             builder.add_gap(-1)
 
     def test_negative_address_rejected(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         with pytest.raises(ValueError):
             builder.append(-5)
 
     def test_variable_interning(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0, variable="a")
         builder.append(4, variable="b")
         builder.append(8, variable="a")
@@ -57,19 +58,19 @@ class TestBuilder:
         assert trace.variable_of(2) == "a"
 
     def test_unlabelled_access(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.append(0)
         assert builder.build().variable_of(0) is None
 
     def test_pending_gap_visible(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.add_gap(2)
         assert builder.pending_gap == 2
 
     def test_extend(self):
-        first = TraceBuilder()
+        first = ColumnarRecorder()
         first.append(0, variable="a")
-        second = TraceBuilder()
+        second = ColumnarRecorder()
         second.add_gap(1)
         second.append(4, variable="b")
         first.extend(second.build())
@@ -80,7 +81,7 @@ class TestBuilder:
 
 class TestTrace:
     def build(self):
-        builder = TraceBuilder(name="t")
+        builder = ColumnarRecorder(name="t")
         for index in range(10):
             builder.add_gap(1)
             builder.append(
@@ -192,7 +193,7 @@ class TestGenerators:
 
 class TestDinero:
     def test_round_trip_with_extensions(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         builder.add_gap(3)
         builder.append(0x1000, is_write=True, variable="block")
         builder.append(0x2000)
@@ -263,7 +264,7 @@ class TestDinero:
 )
 @settings(max_examples=30, deadline=None)
 def test_dinero_round_trip_property(entries):
-    builder = TraceBuilder()
+    builder = ColumnarRecorder()
     for address, is_write, gap, variable in entries:
         builder.add_gap(gap)
         builder.append(address, is_write=is_write, variable=variable)
@@ -281,7 +282,7 @@ def test_dinero_round_trip_property(entries):
 
 class TestFilters:
     def build(self):
-        builder = TraceBuilder()
+        builder = ColumnarRecorder()
         for index in range(8):
             builder.add_gap(2)
             builder.append(

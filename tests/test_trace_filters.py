@@ -15,11 +15,11 @@ from repro.trace.filters import (
     filter_by_variable,
     relocate,
 )
-from repro.trace.trace import TraceBuilder
+from repro.trace.columnar import ColumnarRecorder
 
 
 def build_two_variable_trace():
-    builder = TraceBuilder(name="mixed")
+    builder = ColumnarRecorder(name="mixed")
     # a@0x100 (gap 1), b@0x200 (gap 2), a@0x104 (gap 0), b@0x204 (gap 3)
     builder.add_gap(1)
     builder.append(0x100, variable="a")

@@ -5,6 +5,8 @@ from repro.sim.config import TimingConfig
 from repro.sim.executor import TraceExecutor
 from repro.workloads.base import Workload
 
+from oracles.figure2 import run_reference
+
 TIMING = TimingConfig(miss_penalty=10)
 
 
@@ -86,6 +88,6 @@ class TestWidening:
         assignment = plan(run, widen=True)
         executor = TraceExecutor(TIMING)
         fast = executor.run(run.trace, assignment)
-        reference = executor.run_reference(run.trace, assignment)
+        reference = run_reference(executor, run.trace, assignment)
         assert fast.cycles == reference.cycles
         assert fast.misses == reference.misses
