@@ -11,9 +11,9 @@ round-trips the stream through per-access Python objects.
 Three ways in:
 
 * :class:`ColumnarRecorder` — the one recorder, what instrumented
-  workloads record into directly (chunked numpy buffers; scalar
-  ``append`` for instrumented kernels, ``append_many``/``append_run``
-  for vectorizable patterns);
+  workloads record into directly (a scalar access appends its address
+  and a slot code to flat buffers that become columns at each seal;
+  ``append_many``/``append_run`` for vectorizable patterns);
 * :meth:`ColumnarTrace.from_columns` — wrap arrays you already have;
 * :func:`load_npz` / :func:`open_npz` — the on-disk format (below).
 
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import struct
 import zipfile
+from array import array
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,9 +58,23 @@ _COLUMN_KINDS = {
     "variable_ids": "iu",
 }
 
-#: Accesses per preallocated chunk of :class:`ColumnarRecorder`'s
-#: scalar-append buffers.
-_CHUNK_LENGTH = 1 << 14
+
+def _check_domain(
+    column: str, values: np.ndarray, low: int, high: Optional[int] = None
+) -> None:
+    """Raise a ValueError naming the first value outside ``[low, high)``."""
+    if not len(values) or (
+        values.min() >= low and (high is None or values.max() < high)
+    ):
+        return
+    outside = values < low
+    if high is not None:
+        outside |= values >= high
+    index = int(np.argmax(outside))
+    allowed = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ValueError(
+        f"{column}[{index}] = {int(values[index])}; must be {allowed}"
+    )
 
 
 class ColumnarTrace:
@@ -128,6 +143,11 @@ class ColumnarTrace:
         ``variable`` labels every access with one name; pass
         ``variable_ids`` + ``variable_names`` instead for multi-variable
         columns.  Omitted columns default to reads / zero gaps / size 1.
+
+        Raises:
+            ValueError: when a gap is negative, or a variable id is
+                outside ``[-1, len(variable_names))``; the message
+                names the first such entry and its value.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         length = len(addresses)
@@ -137,8 +157,14 @@ class ColumnarTrace:
             writes = np.full(length, bool(writes))
         if gaps is None:
             gaps = np.zeros(length, dtype=np.int64)
+        gaps = np.asarray(gaps, dtype=np.int64)
+        _check_domain("gaps", gaps, 0)
         if variable_ids is not None:
             names = list(variable_names or [])
+            variable_ids = np.asarray(variable_ids, dtype=np.int64)
+            _check_domain(
+                "variable_ids", variable_ids, NO_VARIABLE, len(names)
+            )
         elif variable is not None:
             names = [variable]
             variable_ids = np.zeros(length, dtype=np.int64)
@@ -148,7 +174,7 @@ class ColumnarTrace:
         return cls(
             addresses,
             np.asarray(writes, dtype=bool),
-            np.asarray(gaps, dtype=np.int64),
+            gaps,
             variable_ids,
             names,
             name=name,
@@ -512,14 +538,24 @@ def open_npz(path: Union[str, Path]) -> ColumnarTrace:
 
 
 class ColumnarRecorder:
-    """Append-only columnar trace constructor (chunked numpy buffers).
+    """Append-only columnar trace constructor.
 
-    The recorder instrumented kernels write into directly: scalar
-    :meth:`append` fills preallocated numpy chunks of 16,384 accesses
-    (no per-access Python objects or list round-trips), and the bulk
+    The recorder instrumented kernels write into directly.  A scalar
+    access costs two appends to flat fixed-width buffers: its address,
+    and the code of its *slot*, the interned ``(variable, size,
+    is_write)`` triple it was recorded under.  :meth:`add_gap` appends
+    one marker, ``~instructions``, to the code buffer, so a marker is
+    the one negative code and its position among the accesses is
+    implicit.  A seal (every bulk call, and :meth:`build`) turns the
+    buffers into columns with one numpy gather through the slot table,
+    and interns the variable names in order of first access.  The bulk
     methods :meth:`append_many` / :meth:`append_run` record whole
     vectorized access patterns in one call.  Accesses default to a
     size of 1 byte.
+
+    Traced storage resolves its slots once, with :meth:`slot`, and
+    records through the two appenders :meth:`sinks` returns;
+    :meth:`append` is the general form, resolving its slot per call.
 
     >>> recorder = ColumnarRecorder()
     >>> recorder.add_gap(3)          # three ALU instructions
@@ -531,36 +567,19 @@ class ColumnarRecorder:
 
     def __init__(self, name: str = "trace"):
         self.name = name
-        self._full: list[tuple[np.ndarray, ...]] = []
-        self._count_full = 0
+        # Sealed column parts: (addresses, sizes, writes, gaps, ids).
+        self._parts: list[tuple[np.ndarray, ...]] = []
+        self._sealed = 0
         self._names: list[str] = []
         self._name_ids: dict[str, int] = {}
-        self._pending_gap = 0
-        self._new_chunk()
-
-    def _new_chunk(self) -> None:
-        self._addresses = np.zeros(_CHUNK_LENGTH, dtype=np.int64)
-        self._sizes = np.ones(_CHUNK_LENGTH, dtype=np.int32)
-        self._writes = np.zeros(_CHUNK_LENGTH, dtype=bool)
-        self._gaps = np.zeros(_CHUNK_LENGTH, dtype=np.int64)
-        self._variable_ids = np.full(
-            _CHUNK_LENGTH, NO_VARIABLE, dtype=np.int64
-        )
-        self._fill = 0
-
-    def _seal_chunk(self) -> None:
-        fill = self._fill
-        self._full.append(
-            (
-                self._addresses[:fill],
-                self._sizes[:fill],
-                self._writes[:fill],
-                self._gaps[:fill],
-                self._variable_ids[:fill],
-            )
-        )
-        self._count_full += fill
-        self._new_chunk()
+        # Slot (variable, size, is_write) -> its code, in code order.
+        self._slots: dict[tuple[Optional[str], int, bool], int] = {}
+        # The scalar buffer, since the last seal: one address per
+        # access; slot codes interleaved with gap markers.  A seal
+        # empties both in place, so the appenders sinks() hands out
+        # stay valid for the recorder's lifetime.
+        self._addresses = array("q")
+        self._codes = array("q")
 
     def _variable_id(self, variable: Optional[str]) -> int:
         if variable is None:
@@ -572,11 +591,36 @@ class ColumnarRecorder:
             self._name_ids[variable] = identifier
         return identifier
 
+    def slot(
+        self,
+        variable: Optional[str],
+        size: int = 1,
+        is_write: bool = False,
+    ) -> int:
+        """The code of the ``(variable, size, is_write)`` access slot.
+
+        Interned on first use; the variable's name is interned only
+        when an access recorded under the slot is sealed, so the name
+        table stays in first-access order.
+        """
+        key = (variable, size, bool(is_write))
+        return self._slots.setdefault(key, len(self._slots))
+
+    def sinks(self) -> tuple[Callable[[int], None], Callable[[int], None]]:
+        """The appenders of one scalar access: address, then slot code.
+
+        Traced storage records an access by passing its address to the
+        first and then a :meth:`slot` code to the second.  Neither
+        checks its argument: the caller guarantees a non-negative
+        address.
+        """
+        return self._addresses.append, self._codes.append
+
     def add_gap(self, instructions: int = 1) -> None:
         """Record non-memory instructions before the next access."""
         if instructions < 0:
             raise ValueError(f"gap must be non-negative, got {instructions}")
-        self._pending_gap += instructions
+        self._codes.append(~instructions)
 
     def append(
         self,
@@ -588,20 +632,50 @@ class ColumnarRecorder:
         """Record one memory access."""
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        if self._fill == _CHUNK_LENGTH:
-            self._seal_chunk()
-        fill = self._fill
-        self._addresses[fill] = address
-        if is_write:
-            self._writes[fill] = True
-        if size is not None:
-            self._sizes[fill] = size
-        gap = self._pending_gap
-        if gap:
-            self._gaps[fill] = gap
-            self._pending_gap = 0
-        self._variable_ids[fill] = self._variable_id(variable)
-        self._fill = fill + 1
+        code = self.slot(variable, 1 if size is None else size, is_write)
+        self._addresses.append(address)
+        self._codes.append(code)
+
+    def _seal(self) -> int:
+        """Move the scalar buffer into a sealed part.
+
+        Returns the gap instructions recorded after the buffer's last
+        access; the caller folds them into its own first access or
+        records them again as pending.
+        """
+        count = len(self._addresses)
+        stream = np.array(self._codes, dtype=np.int64)
+        del self._codes[:]
+        # A marker's position is the number of accesses before it.
+        markers = np.flatnonzero(stream < 0)
+        gaps = np.zeros(count + 1, dtype=np.int64)
+        np.add.at(gaps, markers - np.arange(len(markers)), ~stream[markers])
+        if count:
+            addresses = np.array(self._addresses, dtype=np.int64)
+            del self._addresses[:]
+            sizes, writes, ids = self._slot_columns(np.delete(stream, markers))
+            self._parts.append((addresses, sizes, writes, gaps[:count], ids))
+            self._sealed += count
+        return int(gaps[count])
+
+    def _slot_columns(
+        self, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sizes, writes and variable ids of a run of slot codes.
+
+        Interns the slots' variable names in order of each slot's first
+        occurrence, which keeps the name table in first-access order.
+        """
+        slots = list(self._slots)
+        first = np.full(len(slots), len(codes), dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(len(codes)))
+        used = np.flatnonzero(first < len(codes))
+        variable_ids = np.full(len(slots), NO_VARIABLE, dtype=np.int64)
+        for code in used[np.argsort(first[used])].tolist():
+            variable_ids[code] = self._variable_id(slots[code][0])
+        sizes = np.array([size for _, size, _ in slots], dtype=np.int32)
+        writes = np.array([write for _, _, write in slots], dtype=bool)
+        return sizes[codes], writes[codes], variable_ids[codes]
 
     def append_many(
         self,
@@ -639,9 +713,6 @@ class ColumnarRecorder:
             gaps = np.full(count, gap_each, dtype=np.int64)
         else:
             gaps = np.zeros(count, dtype=np.int64)
-        if self._pending_gap:
-            gaps[0] += self._pending_gap
-            self._pending_gap = 0
         if np.isscalar(is_write) or isinstance(is_write, bool):
             writes = np.full(count, bool(is_write))
         else:
@@ -654,12 +725,12 @@ class ColumnarRecorder:
             sizes = np.array(sizes, dtype=np.int32)  # owned copy
             if len(sizes) != count:
                 raise ValueError("sizes length mismatch")
-        identifier = self._variable_id(variable)
-        ids = np.full(count, identifier, dtype=np.int64)
-        # Seal the current scalar chunk and splice the batch in whole.
-        self._seal_chunk()
-        self._full.append((addresses, sizes, writes, gaps, ids))
-        self._count_full += count
+        # Seal first, so the scalar buffer's names are interned before
+        # the batch's variable.
+        gaps[0] += self._seal()
+        ids = np.full(count, self._variable_id(variable), dtype=np.int64)
+        self._parts.append((addresses, sizes, writes, gaps, ids))
+        self._sealed += count
 
     def append_run(
         self,
@@ -693,18 +764,17 @@ class ColumnarRecorder:
         """Append a whole existing trace (variables are re-interned)."""
         if len(trace) == 0:
             return
+        pending = self._seal()
         id_map = np.full(
             len(trace.variable_names) + 1, NO_VARIABLE, dtype=np.int64
         )
         for local_id, variable in enumerate(trace.variable_names):
             id_map[local_id] = self._variable_id(variable)
         gaps = trace.gaps
-        if self._pending_gap:
+        if pending:
             gaps = gaps.copy()
-            gaps[0] += self._pending_gap
-            self._pending_gap = 0
-        self._seal_chunk()
-        self._full.append(
+            gaps[0] += pending
+        self._parts.append(
             (
                 np.asarray(trace.addresses, dtype=np.int64),
                 np.asarray(trace.sizes, dtype=np.int32),
@@ -713,28 +783,33 @@ class ColumnarRecorder:
                 id_map[trace.variable_ids],
             )
         )
-        self._count_full += len(trace)
+        self._sealed += len(trace)
 
     @property
     def pending_gap(self) -> int:
         """Gap instructions not yet attached to an access."""
-        return self._pending_gap
+        codes = self._codes
+        index = len(codes)
+        pending = 0
+        while index and codes[index - 1] < 0:
+            index -= 1
+            pending += ~codes[index]
+        return pending
 
     def __len__(self) -> int:
-        return self._count_full + self._fill
+        return self._sealed + len(self._addresses)
 
     def build(self) -> ColumnarTrace:
-        """Freeze into an immutable :class:`ColumnarTrace`."""
-        parts = self._full + [
-            (
-                self._addresses[: self._fill],
-                self._sizes[: self._fill],
-                self._writes[: self._fill],
-                self._gaps[: self._fill],
-                self._variable_ids[: self._fill],
-            )
-        ]
-        columns = [np.concatenate(column) for column in zip(*parts)]
+        """Freeze into an immutable :class:`ColumnarTrace`.
+
+        A gap recorded after the last access stays pending.
+        """
+        pending = self._seal()
+        if pending:
+            self.add_gap(pending)
+        if not self._parts:
+            return ColumnarTrace.empty(self.name)
+        columns = [np.concatenate(column) for column in zip(*self._parts)]
         return ColumnarTrace(
             columns[0],
             columns[2],

@@ -6,9 +6,13 @@ or write.  Kernels therefore compute *actual results* while their
 reference stream is captured, which is what keeps the workloads honest
 (tests verify both the numerics and the traces).  Every entry goes
 into the owning workload's
-:class:`~repro.trace.columnar.ColumnarRecorder`: scalar indexing
-appends one access, and :meth:`TracedArray.read_many` records a whole
-read pattern in one vectorized ``append_many`` call.
+:class:`~repro.trace.columnar.ColumnarRecorder`.  Each traced variable
+resolves its base, element size, length and read and write slot codes
+(:meth:`~repro.trace.columnar.ColumnarRecorder.slot`) once, at
+construction, so scalar indexing is an index check plus two appends:
+the element's address, then the slot code.  Values stay in a numpy
+array of the variable's dtype.  :meth:`TracedArray.read_many` records
+a whole read pattern in one vectorized ``append_many`` call.
 """
 
 from __future__ import annotations
@@ -23,7 +27,35 @@ from repro.trace.columnar import ColumnarRecorder
 Number = Union[int, float]
 
 
-class TracedArray:
+class _Traced:
+    """Traced storage of one variable: its access path, resolved once.
+
+    The base address is checked here, so an in-range index always
+    yields a non-negative address and the per-access path needs no
+    check.
+    """
+
+    def __init__(self, variable: Variable, builder: ColumnarRecorder):
+        if variable.base < 0:
+            raise ValueError(
+                f"{variable.name!r}: base address must be non-negative, "
+                f"got {variable.base}"
+            )
+        self.variable = variable
+        self._builder = builder
+        self._base = variable.base
+        self._size = variable.element_size
+        self._read_slot = builder.slot(variable.name, self._size, False)
+        self._write_slot = builder.slot(variable.name, self._size, True)
+        self._record_address, self._record_slot = builder.sinks()
+
+    @property
+    def name(self) -> str:
+        """The underlying variable's name."""
+        return self.variable.name
+
+
+class TracedArray(_Traced):
     """An instrumented fixed-size array bound to a placed variable.
 
     Reads (``array[i]``) and writes (``array[i] = v``) append trace
@@ -39,8 +71,7 @@ class TracedArray:
         dtype: np.dtype | type = np.int64,
         initial: Optional[Sequence[Number]] = None,
     ):
-        self.variable = variable
-        self._builder = builder
+        super().__init__(variable, builder)
         self._values = np.zeros(variable.element_count, dtype=dtype)
         if initial is not None:
             initial_array = np.asarray(initial)
@@ -51,50 +82,36 @@ class TracedArray:
                     f"{variable.element_count}"
                 )
             self._values[:] = initial_array
+        self._length = variable.element_count
 
-    @property
-    def name(self) -> str:
-        """The underlying variable's name."""
-        return self.variable.name
-
-    def _address(self, index: int) -> int:
-        if not 0 <= index < len(self._values):
-            raise IndexError(
-                f"{self.name}[{index}]: out of range "
-                f"(size {len(self._values)})"
-            )
-        return self.variable.base + index * self.variable.element_size
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(
+            f"{self.name}[{index}]: out of range (size {self._length})"
+        )
 
     def __getitem__(self, index: int) -> Number:
-        self._builder.append(
-            self._address(index),
-            is_write=False,
-            variable=self.name,
-            size=self.variable.element_size,
-        )
-        return self._values[index].item()
+        if not 0 <= index < self._length:
+            raise self._out_of_range(index)
+        self._record_address(self._base + index * self._size)
+        self._record_slot(self._read_slot)
+        return self._values.item(index)
 
     def __setitem__(self, index: int, value: Number) -> None:
-        self._builder.append(
-            self._address(index),
-            is_write=True,
-            variable=self.name,
-            size=self.variable.element_size,
-        )
+        if not 0 <= index < self._length:
+            raise self._out_of_range(index)
+        self._record_address(self._base + index * self._size)
+        self._record_slot(self._write_slot)
         self._values[index] = value
 
     def _addresses_of(self, indices: np.ndarray) -> np.ndarray:
         if len(indices) and (
-            indices.min() < 0 or indices.max() >= len(self._values)
+            indices.min() < 0 or indices.max() >= self._length
         ):
             raise IndexError(
                 f"{self.name}: bulk index out of range "
-                f"(size {len(self._values)})"
+                f"(size {self._length})"
             )
-        return (
-            self.variable.base
-            + indices * np.int64(self.variable.element_size)
-        )
+        return self._base + indices * np.int64(self._size)
 
     def read_many(
         self, indices: Sequence[int] | np.ndarray, work_each: int = 0
@@ -116,9 +133,7 @@ class TracedArray:
             is_write=False,
             variable=self.name,
             gaps=gaps,
-            sizes=np.full(
-                len(indices), self.variable.element_size, dtype=np.int32
-            ),
+            sizes=np.full(len(indices), self._size, dtype=np.int32),
         )
         if work_each:
             self._builder.add_gap(work_each)
@@ -156,7 +171,7 @@ class TracedArray:
         )
 
 
-class TracedScalar:
+class TracedScalar(_Traced):
     """An instrumented scalar variable (one element).
 
     The paper's Step 1 identifies "heavily accessed scalar variables";
@@ -175,33 +190,19 @@ class TracedScalar:
                 f"scalar variable {variable.name!r} must have exactly "
                 f"one element, has {variable.element_count}"
             )
-        self.variable = variable
-        self._builder = builder
+        super().__init__(variable, builder)
         self._value: Number = initial
-
-    @property
-    def name(self) -> str:
-        """The underlying variable's name."""
-        return self.variable.name
 
     def get(self) -> Number:
         """Traced read."""
-        self._builder.append(
-            self.variable.base,
-            is_write=False,
-            variable=self.name,
-            size=self.variable.element_size,
-        )
+        self._record_address(self._base)
+        self._record_slot(self._read_slot)
         return self._value
 
     def set(self, value: Number) -> None:
         """Traced write."""
-        self._builder.append(
-            self.variable.base,
-            is_write=True,
-            variable=self.name,
-            size=self.variable.element_size,
-        )
+        self._record_address(self._base)
+        self._record_slot(self._write_slot)
         self._value = value
 
     def add(self, delta: Number) -> None:

@@ -34,13 +34,10 @@ police}, shape {flow, stats, police}, emit {route, stats, police} —
 plus ``payload`` everywhere.
 
 The computation is real: a toy checksum/state pipeline whose final
-table contents :func:`reference_pipeline` recomputes untraced and the
-tests verify.
+table contents the tests recompute untraced and verify.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.workloads.base import Workload
 
@@ -128,31 +125,3 @@ class PacketPipeline(Workload):
         for name, table in self.tables.items():
             self.outputs[name] = table.snapshot()
 
-
-def reference_pipeline(
-    batches: int, rounds: int, seed: int
-) -> dict[str, np.ndarray]:
-    """Untraced recomputation of the pipeline (for verification)."""
-    rng = np.random.default_rng(seed)
-    tables = {
-        "flow_tbl": rng.integers(0, 1 << 14, SLOTS).astype(np.int64),
-        "route_tbl": rng.integers(0, 1 << 14, SLOTS).astype(np.int64),
-        "stats_tbl": np.zeros(SLOTS, dtype=np.int64),
-        "police_tbl": np.zeros(SLOTS, dtype=np.int64),
-    }
-    payload = rng.integers(0, 256, PAYLOAD_ELEMENTS).astype(np.int64)
-    for _ in range(batches):
-        for _, (first, second, accumulate) in STAGES:
-            for _ in range(rounds):
-                for slot in range(SLOTS):
-                    base = slot * PAYLOAD_PER_SLOT
-                    checksum = int(
-                        payload[base:base + PAYLOAD_PER_SLOT].sum()
-                    )
-                    tables[accumulate][slot] = (
-                        tables[accumulate][slot]
-                        + tables[first][slot]
-                        + tables[second][slot]
-                        + checksum
-                    ) & 0x3FFF
-    return tables

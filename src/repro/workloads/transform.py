@@ -166,10 +166,11 @@ class PhasedFFT(Workload):
     """A staged integer FFT: bit-reversal, then log2(n) butterflies.
 
     All arithmetic is modulo 2^16 with an integer twiddle table, so
-    the result is exact and :func:`reference_fft` reproduces it.  The
-    working set (``work`` + ``twiddle``) is *stable* across butterfly
-    stages — only the stride changes — which makes this the detector's
-    false-positive stress: a good run remaps once and then holds.
+    the result is exact and an untraced recomputation reproduces it.
+    The working set (``work`` + ``twiddle``) is *stable* across
+    butterfly stages — only the stride changes — which makes this the
+    detector's false-positive stress: a good run remaps once and then
+    holds.
 
     Args:
         n: Transform size (power of two).
@@ -232,28 +233,3 @@ class PhasedFFT(Workload):
                 self.end_phase()
         self.outputs["fft_work"] = self.fft_work.snapshot()
 
-
-def reference_fft(n: int, transforms: int, seed: int) -> np.ndarray:
-    """Untraced recomputation of :class:`PhasedFFT`."""
-    rng = np.random.default_rng(seed)
-    data = rng.integers(0, MASK16 + 1, n).astype(np.int64)
-    twiddle = np.array(
-        [(3 ** k) & MASK16 for k in range(n // 2)], dtype=np.int64
-    )
-    bits = n.bit_length() - 1
-    work = np.zeros(n, dtype=np.int64)
-    for _ in range(transforms):
-        for index in range(n):
-            work[index] = data[_bit_reverse(index, bits)]
-        for stage in range(bits):
-            span = 1 << stage
-            stride = n // (span * 2)
-            for start in range(0, n, span * 2):
-                for j in range(span):
-                    product = (
-                        int(twiddle[j * stride]) * int(work[start + j + span])
-                    ) & MASK16
-                    low = int(work[start + j])
-                    work[start + j] = (low + product) & MASK16
-                    work[start + j + span] = (low - product) & MASK16
-    return work

@@ -11,7 +11,11 @@ so the workload tests can check the numbers a recording produced:
 * :func:`reference_iir` — the biquad cascade's difference equations,
   against :class:`~repro.workloads.codecs.IIRCascade`;
 * :func:`reference_twopass` — both passes of
-  :class:`~repro.workloads.transform.TwoPassTransform` on whole rows.
+  :class:`~repro.workloads.transform.TwoPassTransform` on whole rows;
+* :func:`reference_pipeline` — every stage of
+  :class:`~repro.workloads.packet.PacketPipeline` on numpy tables;
+* :func:`reference_fft` — the bit reversal and butterflies of
+  :class:`~repro.workloads.transform.PhasedFFT`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from repro.workloads.codecs import (
     CRC32_POLYNOMIAL,
     IMA_INDEX_TABLE,
     IMA_STEP_TABLE,
+)
+from repro.workloads.packet import (
+    PAYLOAD_ELEMENTS,
+    PAYLOAD_PER_SLOT,
+    SLOTS,
+    STAGES,
 )
 from repro.workloads.transform import (
     MASK16,
@@ -119,3 +129,58 @@ def reference_twopass(
                     int(coeffs[base + source]) // (int(qtable[source]) + 1)
                 ) & MASK16
     return {"coeffs": coeffs, "output": output}
+
+
+def reference_pipeline(
+    batches: int, rounds: int, seed: int
+) -> dict[str, np.ndarray]:
+    """Untraced recomputation of :class:`PacketPipeline`."""
+    rng = np.random.default_rng(seed)
+    tables = {
+        "flow_tbl": rng.integers(0, 1 << 14, SLOTS).astype(np.int64),
+        "route_tbl": rng.integers(0, 1 << 14, SLOTS).astype(np.int64),
+        "stats_tbl": np.zeros(SLOTS, dtype=np.int64),
+        "police_tbl": np.zeros(SLOTS, dtype=np.int64),
+    }
+    payload = rng.integers(0, 256, PAYLOAD_ELEMENTS).astype(np.int64)
+    for _ in range(batches):
+        for _, (first, second, accumulate) in STAGES:
+            for _ in range(rounds):
+                for slot in range(SLOTS):
+                    base = slot * PAYLOAD_PER_SLOT
+                    checksum = int(
+                        payload[base:base + PAYLOAD_PER_SLOT].sum()
+                    )
+                    tables[accumulate][slot] = (
+                        tables[accumulate][slot]
+                        + tables[first][slot]
+                        + tables[second][slot]
+                        + checksum
+                    ) & 0x3FFF
+    return tables
+
+
+def reference_fft(n: int, transforms: int, seed: int) -> np.ndarray:
+    """Untraced recomputation of :class:`PhasedFFT`."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, MASK16 + 1, n).astype(np.int64)
+    twiddle = np.array(
+        [(3 ** k) & MASK16 for k in range(n // 2)], dtype=np.int64
+    )
+    bits = n.bit_length() - 1
+    work = np.zeros(n, dtype=np.int64)
+    for _ in range(transforms):
+        for index in range(n):
+            work[index] = data[int(f"{index:0{bits}b}"[::-1], 2)]
+        for stage in range(bits):
+            span = 1 << stage
+            stride = n // (span * 2)
+            for start in range(0, n, span * 2):
+                for j in range(span):
+                    product = (
+                        int(twiddle[j * stride]) * int(work[start + j + span])
+                    ) & MASK16
+                    low = int(work[start + j])
+                    work[start + j] = (low + product) & MASK16
+                    work[start + j + span] = (low - product) & MASK16
+    return work

@@ -3,13 +3,16 @@
 :class:`TraceBuilder` records the way the workloads first did: one
 Python value per column per access, converted to arrays once at
 :meth:`TraceBuilder.build`.  Production records into
-:class:`~repro.trace.columnar.ColumnarRecorder` (chunked numpy
-buffers, vectorized bulk appends); this builder takes every bulk call
-one access at a time instead.  The two share the recorder API
-(``add_gap``, ``append``, ``append_many``, ``append_run``, ``extend``,
-``pending_gap``, ``len`` and ``build``), so the differential suite can
-record any workload through either and assert the recordings are
-identical (``tests/strategies.record_suite_case(legacy=True)``).
+:class:`~repro.trace.columnar.ColumnarRecorder` (address and slot-code
+buffers gathered into columns at each seal, vectorized bulk appends);
+this builder takes every access, scalar or bulk, through its own
+per-access :meth:`TraceBuilder.append` instead.  The two share the
+recorder API (``add_gap``, ``append``, ``append_many``,
+``append_run``, ``extend``, ``pending_gap``, ``len`` and ``build``,
+plus the ``slot``/``sinks`` hook traced storage records through), so
+the differential suite can record any workload through either and
+assert the recordings are identical
+(``tests/strategies.record_suite_case(legacy=True)``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ class TraceBuilder:
         self._names: list[str] = []
         self._name_ids: dict[str, int] = {}
         self._pending_gap = 0
+        self._slots: list[tuple[Optional[str], int, bool]] = []
+        self._held_address = 0
 
     def _variable_id(self, variable: Optional[str]) -> int:
         if variable is None:
@@ -67,6 +72,32 @@ class TraceBuilder:
         self._gaps.append(self._pending_gap)
         self._variable_ids.append(self._variable_id(variable))
         self._pending_gap = 0
+
+    def slot(
+        self,
+        variable: Optional[str],
+        size: int = 1,
+        is_write: bool = False,
+    ) -> int:
+        """A code standing for ``(variable, size, is_write)``."""
+        self._slots.append((variable, size, bool(is_write)))
+        return len(self._slots) - 1
+
+    def sinks(self):
+        """Appenders of one access: hold the address, then append it."""
+        return self._hold_address, self._append_held
+
+    def _hold_address(self, address: int) -> None:
+        self._held_address = address
+
+    def _append_held(self, code: int) -> None:
+        variable, size, is_write = self._slots[code]
+        self.append(
+            self._held_address,
+            is_write=is_write,
+            variable=variable,
+            size=size,
+        )
 
     def append_many(
         self,

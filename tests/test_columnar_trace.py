@@ -13,9 +13,13 @@ from repro.trace import (
     load_npz,
     open_npz,
 )
-from repro.trace.columnar import _CHUNK_LENGTH, NO_VARIABLE
+from repro.trace.columnar import NO_VARIABLE
 
 from oracles.recording import TraceBuilder
+
+#: Length of the long scalar runs the seal test records between bulk
+#: calls.
+LONG_RUN = 1 << 14
 
 
 def small_trace() -> ColumnarTrace:
@@ -54,10 +58,10 @@ class TestRecorder:
         assert_same_recording(recorder.build(), legacy.build())
 
     def test_recording_across_chunk_seals_matches_reference(self):
-        """More than two full chunks of scalar appends, interleaved
-        with every bulk call and with pending gaps, record what the
-        reference recorder records; lengths agree after every step
-        (phase markers are taken from them)."""
+        """Long runs of scalar appends, sealed by every bulk call and
+        interleaved with pending gaps, record what the reference
+        recorder records; lengths and pending gaps agree after every
+        step (phase markers are taken from them)."""
         recorder = ColumnarRecorder(name="t")
         legacy = TraceBuilder(name="t")
         donor = small_trace()
@@ -85,7 +89,7 @@ class TestRecorder:
                 sizes=[2, 2, 8],
             ),
             lambda builder: scalars(
-                builder, 2 * _CHUNK_LENGTH + 5, 0x40000
+                builder, 2 * LONG_RUN + 5, 0x40000
             ),
             lambda builder: builder.add_gap(6),
             lambda builder: builder.append_run(
@@ -103,7 +107,7 @@ class TestRecorder:
             assert len(recorder) == len(legacy)
             assert recorder.pending_gap == legacy.pending_gap
         recorded = recorder.build()
-        assert len(recorded) > 2 * _CHUNK_LENGTH
+        assert len(recorded) > 2 * LONG_RUN
         assert_same_recording(recorded, legacy.build())
 
     def test_append_many_matches_scalar_loop(self):
@@ -168,6 +172,81 @@ class TestRecorder:
             recorder.append_many([-5])
         with pytest.raises(ValueError):
             recorder.append_many([1, 2], gaps=[1])
+
+    def test_trailing_gap_stays_pending_across_build(self):
+        recorder = ColumnarRecorder(name="t")
+        legacy = TraceBuilder(name="t")
+        for builder in (recorder, legacy):
+            builder.append(0x10, variable="x")
+            builder.add_gap(4)
+            builder.add_gap(2)
+        assert recorder.pending_gap == legacy.pending_gap == 6
+        assert recorder.build().instruction_count == 1
+        assert recorder.pending_gap == 6
+        for builder in (recorder, legacy):
+            builder.append(0x20, variable="y")
+        assert recorder.pending_gap == 0
+        assert_same_recording(recorder.build(), legacy.build())
+
+    def test_traced_slots_match_general_append(self):
+        """Recording through slot codes equals the general append."""
+        slotted = ColumnarRecorder(name="t")
+        general = ColumnarRecorder(name="t")
+        record_address, record_slot = slotted.sinks()
+        write_b = slotted.slot("b", 4, True)
+        read_a = slotted.slot("a", 2, False)
+        for address, code, variable, size, write in (
+            (0x10, write_b, "b", 4, True),
+            (0x20, read_a, "a", 2, False),
+            (0x14, write_b, "b", 4, True),
+        ):
+            record_address(address)
+            record_slot(code)
+            general.append(address, write, variable, size)
+        assert slotted.slot("a", 2, False) == read_a
+        assert_same_recording(slotted.build(), general.build())
+        assert general.build().variable_names == ["b", "a"]
+
+    def test_empty_build(self):
+        recorder = ColumnarRecorder(name="t")
+        recorder.slot("unused", 4, True)
+        trace = recorder.build()
+        assert len(trace) == 0 and trace.variable_names == []
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize(
+        "ids, names, message",
+        [
+            ([0, -2, 1], ["a", "b"], r"variable_ids\[1\] = -2; must be in "
+             r"\[-1, 2\)"),
+            ([0, 5, 0], ["a"], r"variable_ids\[1\] = 5; must be in "
+             r"\[-1, 1\)"),
+            ([0, 0, 0], None, r"variable_ids\[0\] = 0; must be in "
+             r"\[-1, 0\)"),
+        ],
+    )
+    def test_rejects_variable_ids_outside_name_table(
+        self, ids, names, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            ColumnarTrace.from_columns(
+                [1, 2, 3], variable_ids=ids, variable_names=names
+            )
+
+    def test_rejects_negative_gaps(self):
+        with pytest.raises(ValueError, match=r"gaps\[2\] = -3; must be >= 0"):
+            ColumnarTrace.from_columns([1, 2, 3], gaps=[0, 1, -3])
+
+    def test_accepts_the_edges_of_both_domains(self):
+        trace = ColumnarTrace.from_columns(
+            [1, 2, 3],
+            gaps=[0, 0, 7],
+            variable_ids=[NO_VARIABLE, 0, 1],
+            variable_names=["a", "b"],
+        )
+        assert trace.variables() == ["a", "b"]
+        assert trace.cumulative_instructions.tolist() == [1, 2, 10]
 
 
 class TestDerivedColumns:

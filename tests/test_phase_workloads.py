@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.workloads.packet import (
-    PacketPipeline,
-    reference_pipeline,
-)
+from repro.workloads.packet import PacketPipeline
 from repro.workloads.suite import available_workloads, make_workload
 from repro.workloads.transform import (
     PhasedFFT,
     TwoPassTransform,
-    reference_fft,
     zigzag_order,
 )
 
-from oracles.numerics import reference_twopass
+from oracles.numerics import (
+    reference_fft,
+    reference_pipeline,
+    reference_twopass,
+)
 
 
 class TestPacketPipeline:

@@ -1,5 +1,7 @@
 """Tests for the instrumented workloads: numerics and trace properties."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,10 +64,12 @@ class TestTracedStorage:
 
     def test_array_bounds(self):
         probe = _Probe()
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^data\[4\]: out of range "
+                           r"\(size 4\)$"):
             probe.data[4] = 0
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^data\[-1\]: out of range"):
             _ = probe.data[-1]
+        assert len(probe.builder) == 0
 
     def test_peek_poke_untraced(self):
         probe = _Probe()
@@ -101,6 +105,28 @@ class TestTracedStorage:
         probe = _Probe()
         with pytest.raises(ValueError, match="one element"):
             TracedScalar(probe.data.variable, probe.builder)
+
+    def test_negative_base_rejected_at_construction(self):
+        probe = _Probe()
+        variable = SimpleNamespace(
+            name="low", base=-8, element_size=2, element_count=4
+        )
+        with pytest.raises(ValueError, match="'low': base address"):
+            TracedArray(variable, probe.builder)
+        variable.element_count = 1
+        with pytest.raises(ValueError, match="'low': base address"):
+            TracedScalar(variable, probe.builder)
+
+    def test_values_keep_their_dtype(self):
+        probe = _Probe()
+        small = probe.array("small", 2, element_size=1, dtype=np.uint8)
+        small[0] = 255
+        value = small[0]
+        assert value == 255 and type(value) is int
+        with pytest.raises(OverflowError):
+            small[1] = 256
+        # The failed store was recorded before numpy rejected it.
+        assert len(probe.builder) == 3
 
 
 class TestWorkloadBase:
