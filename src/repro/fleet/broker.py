@@ -5,12 +5,14 @@ a **disjoint** subset of them — the paper's multitasking isolation
 property (Section 4.2), made dynamic.  Three mechanisms:
 
 * **Benefit-aware sizing.**  On admission (and on phase change) a
-  tenant's trace window is profiled and the *existing* layout planner
-  (:class:`~repro.layout.algorithm.DataLayoutPlanner`) plans its
-  working set into ``c`` columns for every candidate ``c``; the
-  planner's predicted conflict cost ``W(c)`` becomes a demand curve.
-  Columns are granted greedily to the tenant with the highest
-  ``priority x marginal-benefit`` until all columns are placed — so a
+  tenant's trace window is profiled once and the layout planner's
+  predicted conflict cost ``W(c)`` of its working set is priced for
+  every candidate grant size ``c`` by one contraction pass
+  (:func:`~repro.layout.algorithm.predicted_costs`, the paper's
+  merging heuristic walked once for all ``c``); ``W(c)`` becomes a
+  demand curve.  Columns are granted greedily to the tenant with the
+  highest ``priority x marginal-benefit`` until all columns are
+  placed — so a
   low-value tenant never holds a column a high-value tenant would use
   better (the prioritized-reclamation idea of the GC literature,
   applied to columns).
@@ -43,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.layout.algorithm import LayoutConfig
+from repro.layout.algorithm import predicted_costs
 from repro.layout.partition import split_for_columns
 from repro.layout.session import (
     PlannerSession,
@@ -51,6 +53,7 @@ from repro.layout.session import (
     units_digest,
 )
 from repro.mem.tint import TintTable
+from repro.profiling.profiler import profile_trace
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.trace.trace import Trace
@@ -128,8 +131,13 @@ def demand_curves(
     the run's trace prefix (the admission path), a concrete window
     profiles the slice that revealed a phase change.  Curves are
     content-cached on the session
-    (:meth:`~repro.layout.session.PlannerSession.memo_batch`); all
-    cache-missing probes' **measured** curves are then evaluated in
+    (:meth:`~repro.layout.session.PlannerSession.memo_batch`), one
+    entry per probe.  A cache-missing probe profiles its window once
+    and prices its **plan** curve ``W(1..columns)`` with one
+    :func:`~repro.layout.algorithm.predicted_costs` pass — the
+    ``predicted_cost`` a plan at each grant size would report, with
+    no plan built.  All cache-missing probes' **measured** curves are
+    then evaluated in
     *one* lockstep kernel call: a ``c``-column grant behaves exactly
     like a solo ``c``-way cache with the same sets (fills are
     restricted to the granted columns and nobody else touches them),
@@ -216,21 +224,12 @@ def demand_curves(
         )
         curves = []
         for slot, index in enumerate(indices):
-            profile = session.profile(
+            profile = profile_trace(
                 traces[index], units_list[index], by_address=True
             )
-            plan_costs = []
-            for columns in range(1, candidates + 1):
-                config = LayoutConfig(
-                    columns=columns,
-                    column_bytes=column_bytes,
-                    line_size=geometry.line_size,
-                    split_oversized=False,
-                )
-                assignment = session.plan_from_profile(
-                    config, profile, units_list[index]
-                )
-                plan_costs.append(int(assignment.predicted_cost))
+            plan_costs = predicted_costs(
+                profile, units_list[index], range(1, candidates + 1)
+            )
             base = slot * candidates
             curves.append(
                 ColumnDemand(

@@ -18,7 +18,7 @@ ablation benches; the defaults are the paper's choices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.layout.assignment import (
     ColumnAssignment,
@@ -28,6 +28,7 @@ from repro.layout.assignment import (
 from repro.layout.backends import available_backends, get_backend
 from repro.layout.coloring import DEFAULT_NODE_BUDGET
 from repro.layout.graph import ConflictGraph
+from repro.layout.merge import merge_ladder
 from repro.layout.partition import split_for_columns
 from repro.mem.symbols import SymbolTable, Variable
 from repro.profiling.profiler import Profile, ProfileLike, profile_trace
@@ -135,6 +136,60 @@ class LayoutConfig:
         )
 
 
+def _accessed_units(
+    profile: ProfileLike, units: SymbolTable
+) -> list[Variable]:
+    """The profiled layout units in base-address order.
+
+    This order is the conflict graph's vertex order, which exact
+    coloring's ties break by.  Every profiled variable must be a unit
+    in ``units``: a name mismatch (e.g. a whole-variable profile
+    against split units) would silently produce an empty layout, so
+    it is an error.
+    """
+    missing = sorted(
+        name
+        for name, stats in profile.variables.items()
+        if stats.access_count > 0 and name not in units
+    )
+    if missing:
+        raise ValueError(
+            f"profiled variables {missing} are not layout units; "
+            "profile the trace against the same (split) symbol "
+            "table the planner uses"
+        )
+    accessed = [
+        units.get(name) for name in profile.variables if name in units
+    ]
+    accessed.sort(key=lambda unit: unit.base)
+    return accessed
+
+
+def predicted_costs(
+    profile: ProfileLike,
+    units: SymbolTable,
+    cache_columns: Sequence[int],
+) -> list[int]:
+    """The planner's predicted conflict cost W for each column count.
+
+    Entry ``i`` is the ``predicted_cost`` that
+    :meth:`DataLayoutPlanner.plan_from_profile` reports for a default
+    :class:`LayoutConfig` with ``cache_columns[i]`` columns — the
+    paper's MIN weights, exact coloring with merging, no scratchpad —
+    from one conflict graph and one
+    :func:`~repro.layout.merge.merge_ladder` pass over every count,
+    with no plan built.
+    """
+    accessed = _accessed_units(profile, units)
+    if not accessed:
+        return [0] * len(cache_columns)
+    graph = ConflictGraph.from_profile(
+        profile, variables=[unit.name for unit in accessed]
+    )
+    results = merge_ladder(graph, cache_columns)
+    return [results[columns].cost for columns in cache_columns]
+
+
 class _ScratchpadPacker:
     """Tracks per-set slot usage in the scratchpad columns.
 
@@ -219,29 +274,11 @@ class DataLayoutPlanner:
     ) -> ColumnAssignment:
         """Plan a layout from an existing profile of the layout units.
 
-        Every profiled variable must be a unit in ``units``: a name
-        mismatch (e.g. a whole-variable profile against split units)
-        would silently produce an empty layout, so it is an error.
+        Every profiled variable must be a unit in ``units`` (a
+        ``ValueError`` names any that is not).
         """
         config = self.config
-        missing = sorted(
-            name
-            for name, stats in profile.variables.items()
-            if stats.access_count > 0 and name not in units
-        )
-        if missing:
-            raise ValueError(
-                f"profiled variables {missing} are not layout units; "
-                "profile the trace against the same (split) symbol "
-                "table the planner uses"
-            )
-        accessed = [
-            units.get(name)
-            for name in profile.variables
-            if name in units
-        ]
-        accessed.sort(key=lambda unit: unit.base)
-
+        accessed = _accessed_units(profile, units)
         pinned = self._select_scratchpad(profile, accessed)
         remaining = [
             unit for unit in accessed if unit.name not in pinned

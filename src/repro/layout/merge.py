@@ -8,6 +8,12 @@ number of colors required is less than or equal to k, and assign
 columns to vertices by the coloring.  Any merged vertices are assigned
 to the same column."
 
+The merge order does not depend on ``k``, so :func:`merge_ladder`
+walks the contractions once and returns the result for every requested
+``k`` — the planner's predicted cost W(k) over a whole range of grant
+sizes for the price of one pass (the fleet broker's demand curves).
+:func:`color_with_merging` is that walk at a single ``k``.
+
 For the coloring-strategy ablation the exact oracle can be swapped for
 plain greedy DSATUR or a seeded random assignment.
 
@@ -31,7 +37,7 @@ import heapq
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.layout.coloring import (
     DEFAULT_NODE_BUDGET,
@@ -231,6 +237,175 @@ class MergeResult:
         return max(self.coloring.values()) + 1
 
 
+
+
+def _colors_used(coloring: dict[str, int]) -> int:
+    return (max(coloring.values()) + 1) if coloring else 0
+
+
+def _result(
+    current: ConflictGraph,
+    coloring: dict[str, int],
+    merges: list[tuple[str, str, int]],
+) -> MergeResult:
+    assignment: dict[str, int] = {}
+    for vertex_name, color in coloring.items():
+        for member in current.vertex(vertex_name).members:
+            assignment[member] = color
+    return MergeResult(
+        graph=current,
+        coloring=coloring,
+        assignment=assignment,
+        cost=current.monochromatic_cost(coloring),
+        merges=list(merges),
+    )
+
+
+def merge_ladder(
+    graph: ConflictGraph,
+    ks: Iterable[int],
+    strategy: str = "exact",
+    seed: int = 0,
+    node_budget: Optional[int] = DEFAULT_NODE_BUDGET,
+) -> dict[int, MergeResult]:
+    """Color ``graph`` with at most ``k`` colors for every ``k`` in
+    ``ks``, merging as needed, in one contraction pass.
+
+    Each result equals what the merge loop run for that ``k`` alone
+    returns.  The loop for ``k`` walks the graph's min-weight-edge
+    contractions — an order that does not depend on ``k`` — and stops
+    at the first k-colorable state, so one walk reaches every ``k``'s
+    stopping point in turn:
+
+    * **One pass covers every k.**  A k-coloring is also a
+      (k+1)-coloring, so ``k`` never stops before ``k + 1`` does.  At
+      each state the ladder tests only the largest pending ``k`` and
+      merges only when that test fails: if the search finds no
+      coloring for ``k``, it finds none for any smaller ``k`` either.
+    * **One search covers a range of k.**  For ``k' < k``,
+      :func:`~repro.layout.coloring.color_with_k`'s search tree is the
+      ``k``-tree pruned to colors below ``k'``, visited in the same
+      order (vertex choice depends only on the partial coloring).  So
+      a coloring the ``k`` search finds with ``m`` colors is exactly
+      the ``k'`` search's result for every ``k'`` in ``[m, k]`` —
+      recorded from that one call — and a ``k`` search that fails
+      within the node budget means the ``k'`` search fails within it
+      too, so skipping ``k'`` at earlier states hides no budget
+      overrun.
+    * **Clique certificate.**  The skip stays per ``k``: while the
+      maintained clique exceeds ``k``, no attempt is made for ``k``.
+    * **Node budget.**  When a ``k``'s own exact attempt exceeds the
+      budget, that ``k`` warns once and continues with greedy DSATUR
+      from that state on, exactly as its own loop would; smaller
+      ``k`` go on with the exact search from the same state.
+    * **Strategies.**  ``greedy`` runs the same walk: its color count
+      at a state does not depend on ``k``.  ``random`` is a seeded
+      random assignment per ``k``, with no merging.
+
+    Every ``k`` in ``ks`` resolved by the same coloring at the same
+    state shares one :class:`MergeResult`.
+
+    Args:
+        graph: The conflict graph (zero edges already dropped).
+        ks: Available column counts to color for (each at least 1).
+        strategy: "exact" (paper), "greedy" (DSATUR only, no
+            backtracking) or "random" (ablation baselines).
+        seed: Seed for the random strategy.
+        node_budget: Per-attempt search budget for the exact oracle;
+            on exhaustion that ``k`` falls back to greedy DSATUR with a
+            warning (None = unbounded).
+
+    Returns:
+        One result per distinct ``k``, keyed by ``k`` in ascending
+        order.
+    """
+    ks = sorted(set(ks))
+    if ks and ks[0] < 1:
+        raise ValueError(f"need at least one color, got k={ks[0]}")
+    if strategy not in ("exact", "greedy", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    results: dict[int, MergeResult] = {}
+    if strategy == "random":
+        for k in ks:
+            rng = random.Random(seed)
+            coloring = {
+                vertex: rng.randrange(k) for vertex in graph.vertex_names()
+            }
+            results[k] = MergeResult(
+                graph=graph,
+                coloring=coloring,
+                assignment=dict(coloring),
+                cost=graph.monochromatic_cost(coloring),
+            )
+        return results
+
+    merges: list[tuple[str, str, int]] = []
+    state = _ContractionState(graph)
+    # Pending ks still searched exactly (ascending: the ladder tests
+    # the last), and pending ks colored by greedy DSATUR — all of them
+    # under the greedy strategy, else those whose exact attempt blew
+    # the node budget.
+    exact = list(ks) if strategy == "exact" else []
+    greedy = [] if strategy == "exact" else list(ks)
+    while exact or greedy:
+        adjacency = None
+        found: list[tuple[list[int], dict[str, int]]] = []
+        # While the clique certificate exceeds k the graph is provably
+        # not k-colorable — skip the exact attempt that would only
+        # burn (worst-case exponential) time failing.
+        while exact and state.clique_size() <= exact[-1]:
+            if adjacency is None:
+                adjacency = state.adjacency_by_name()
+            try:
+                coloring = color_with_k(
+                    adjacency, exact[-1], node_budget=node_budget
+                )
+            except ColoringBudgetExceeded:
+                assert node_budget is not None
+                warnings.warn(
+                    f"exact coloring exceeded its {node_budget}-node"
+                    " search budget during merging; continuing with "
+                    "greedy DSATUR",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                greedy.append(exact.pop())
+                continue
+            if coloring is None:
+                break
+            used = _colors_used(coloring)
+            covered: list[int] = []
+            while exact and exact[-1] >= used:
+                covered.append(exact.pop())
+            found.append((covered, coloring))
+        if greedy:
+            if adjacency is None:
+                adjacency = state.adjacency_by_name()
+            coloring = greedy_coloring(adjacency)
+            used = _colors_used(coloring)
+            covered = [k for k in greedy if k >= used]
+            if covered:
+                greedy = [k for k in greedy if k < used]
+                found.append((covered, coloring))
+        if found:
+            current = state.to_graph()
+            for covered, coloring in found:
+                result = _result(current, coloring, merges)
+                for k in covered:
+                    results[k] = result
+        if not (exact or greedy):
+            break
+        if state.edge_count() == 0:
+            # No edges but too many colors is impossible (an edgeless
+            # graph is 1-colorable); defensive guard.
+            raise AssertionError(
+                "coloring requires more colors than k on an edgeless graph"
+            )
+        merges.append(state.merge(*state.min_edge()))
+    return {k: results[k] for k in ks}
+
+
 def color_with_merging(
     graph: ConflictGraph,
     k: int,
@@ -240,84 +415,7 @@ def color_with_merging(
 ) -> MergeResult:
     """Color ``graph`` with at most ``k`` colors, merging as needed.
 
-    Args:
-        graph: The conflict graph (zero edges already dropped).
-        k: Available columns.
-        strategy: "exact" (paper), "greedy" (DSATUR only, no
-            backtracking) or "random" (ablation baselines).
-        seed: Seed for the random strategy.
-        node_budget: Per-attempt search budget for the exact oracle;
-            on exhaustion the loop falls back to greedy DSATUR with a
-            warning (None = unbounded).
+    The :func:`merge_ladder` at the single ``k``; the arguments are
+    the ladder's.
     """
-    if k < 1:
-        raise ValueError(f"need at least one color, got k={k}")
-    if strategy not in ("exact", "greedy", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if strategy == "random":
-        rng = random.Random(seed)
-        coloring = {
-            vertex: rng.randrange(k) for vertex in graph.vertex_names()
-        }
-        return MergeResult(
-            graph=graph,
-            coloring=coloring,
-            assignment=dict(coloring),
-            cost=graph.monochromatic_cost(coloring),
-        )
-
-    merges: list[tuple[str, str, int]] = []
-    state = _ContractionState(graph)
-    budget_blown = False
-    while True:
-        coloring = None
-        if strategy == "exact" and not budget_blown:
-            # While the clique certificate exceeds k the graph is
-            # provably not k-colorable — skip the exact attempt that
-            # would only burn (worst-case exponential) time failing.
-            if state.clique_size() <= k:
-                try:
-                    coloring = color_with_k(
-                        state.adjacency_by_name(),
-                        k,
-                        node_budget=node_budget,
-                    )
-                except ColoringBudgetExceeded:
-                    assert node_budget is not None
-                    warnings.warn(
-                        f"exact coloring exceeded its {node_budget}-node"
-                        " search budget during merging; continuing with "
-                        "greedy DSATUR",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    budget_blown = True
-        if strategy == "greedy" or budget_blown:
-            greedy = greedy_coloring(state.adjacency_by_name())
-            needed = (max(greedy.values()) + 1) if greedy else 0
-            if needed <= k:
-                coloring = greedy
-        if coloring is not None:
-            break
-        if state.edge_count() == 0:
-            # No edges but too many colors is impossible (an edgeless
-            # graph is 1-colorable); defensive guard.
-            raise AssertionError(
-                "coloring requires more colors than k on an edgeless graph"
-            )
-        merges.append(state.merge(*state.min_edge()))
-    current = state.to_graph()
-
-    assignment: dict[str, int] = {}
-    for vertex_name, color in coloring.items():
-        for member in current.vertex(vertex_name).members:
-            assignment[member] = color
-    cost = current.monochromatic_cost(coloring)
-    return MergeResult(
-        graph=current,
-        coloring=coloring,
-        assignment=assignment,
-        cost=cost,
-        merges=merges,
-    )
+    return merge_ladder(graph, (k,), strategy, seed, node_budget)[k]

@@ -4,12 +4,15 @@
 sweep engine's result cache: every consumer that plans repeatedly —
 the per-phase :class:`~repro.layout.dynamic.DynamicLayoutPlanner`, the
 adaptive runtime's :class:`~repro.runtime.policy.RepartitionPolicy`,
-the fleet broker's demand-curve probes — routes its profiling, conflict
-graphs and plans through one session, keyed by the *content hash* of
-(trace window, layout units, config).  A workload that revisits a
-phase, or a broker that probes the same window at several candidate
-grant sizes, then recomputes nothing: identical inputs are served from
-the session's :class:`~repro.sim.engine.cache.ResultCache`.
+the fleet broker's demand-curve probes — routes its work through one
+session, keyed by the *content hash* of its inputs: profiling,
+conflict graphs and plans by (trace window, layout units, config),
+and any whole result through :meth:`PlannerSession.memo` /
+:meth:`PlannerSession.memo_batch`.  A workload that revisits a phase,
+or a broker that probes a window it has priced before (one
+demand-curve entry per window), then recomputes nothing: identical
+inputs are served from the session's
+:class:`~repro.sim.engine.cache.ResultCache`.
 
 The session's cache tier is memory-only (profiles, graphs and
 assignments are rich Python objects, not JSON) — sharing across
@@ -19,7 +22,6 @@ work *within* a planning consumer's lifetime.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
@@ -74,36 +76,17 @@ def units_digest(units: SymbolTable) -> str:
     return digest.hexdigest()
 
 
-#: Bound of the :func:`config_digest` memo.  Consumers plan with a
-#: handful of distinct configurations (the fleet's demand probes use
-#: one per candidate grant size), so this is never the working set.
-CONFIG_DIGEST_ENTRIES = 256
-
-_config_digests: dict[str, str] = {}
-
-
 def config_digest(config: LayoutConfig) -> str:
     """Stable content digest of a layout configuration.
 
-    The digest is a sha256 of the configuration's sorted-key JSON.
-    It is memoized (at most :data:`CONFIG_DIGEST_ENTRIES` entries,
-    oldest evicted first) by ``repr(config)``, which, unlike ``==``,
-    tells ``1`` from ``1.0`` and ``True``; equal configurations whose
-    JSON differs keep their own digests.
+    The digest is a sha256 of the configuration's sorted-key JSON, so
+    equal configurations whose JSON differs (``seed=1`` and
+    ``seed=True``) keep their own digests.  Every field is a plain
+    value or a tuple of them, so the instance's own field dict renders
+    the same JSON as ``dataclasses.asdict``, without its deep copy.
     """
-    key = repr(config)
-    digest = _config_digests.get(key)
-    if digest is None:
-        rendered = json.dumps(
-            dataclasses.asdict(config),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        digest = hashlib.sha256(rendered.encode()).hexdigest()
-        if len(_config_digests) >= CONFIG_DIGEST_ENTRIES:
-            _config_digests.pop(next(iter(_config_digests)), None)
-        _config_digests[key] = digest
-    return digest
+    rendered = json.dumps(vars(config), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(rendered.encode()).hexdigest()
 
 
 def profile_digest(profile: Profile) -> str:

@@ -761,15 +761,25 @@ class ColumnarRecorder:
         )
 
     def extend(self, trace: ColumnarTrace) -> None:
-        """Append a whole existing trace (variables are re-interned)."""
+        """Append a whole existing trace.
+
+        Its variables are re-interned as scalar appends would intern
+        them: only names some access uses, in first-access order.
+        """
         if len(trace) == 0:
             return
         pending = self._seal()
         id_map = np.full(
             len(trace.variable_names) + 1, NO_VARIABLE, dtype=np.int64
         )
-        for local_id, variable in enumerate(trace.variable_names):
-            id_map[local_id] = self._variable_id(variable)
+        local_ids, first_access = np.unique(
+            trace.variable_ids, return_index=True
+        )
+        for local_id in local_ids[np.argsort(first_access)].tolist():
+            if local_id != NO_VARIABLE:
+                id_map[local_id] = self._variable_id(
+                    trace.variable_names[local_id]
+                )
         gaps = trace.gaps
         if pending:
             gaps = gaps.copy()

@@ -12,9 +12,10 @@ from repro.mem.layout import MemoryMap
 
 # Bounded-examples profiles: "tier1" (default) keeps the property
 # suites fast enough for the tier-1 gate; "thorough" is for local deep
-# runs and scheduled CI (HYPOTHESIS_PROFILE=thorough).  Suites that
-# pin their own ``max_examples`` via @settings keep it — profiles only
-# set the default.
+# runs and the weekly scheduled CI workflow
+# (.github/workflows/deep-properties.yml, HYPOTHESIS_PROFILE=thorough).
+# Suites that pin their own ``max_examples`` via @settings keep it —
+# profiles only set the default.
 settings.register_profile("tier1", max_examples=25, deadline=None)
 settings.register_profile("thorough", max_examples=400, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))

@@ -64,7 +64,16 @@ class TestRecorder:
         step (phase markers are taken from them)."""
         recorder = ColumnarRecorder(name="t")
         legacy = TraceBuilder(name="t")
-        donor = small_trace()
+        # An unused name, a name the recorder already knows and a new
+        # one, first used out of table order, plus an unlabelled access.
+        donor = ColumnarTrace.from_columns(
+            [0x5000, 0x5008, 0x5010, 0x5018, 0x5020],
+            writes=[False, True, False, False, True],
+            gaps=[1, 0, 2, 0, 3],
+            variable_ids=[2, 1, NO_VARIABLE, 2, 1],
+            variable_names=["unused", "q", "s"],
+            sizes=[4, 2, 1, 4, 8],
+        )
 
         def scalars(builder, count, base):
             for index in range(count):
@@ -108,6 +117,34 @@ class TestRecorder:
             assert recorder.pending_gap == legacy.pending_gap
         recorded = recorder.build()
         assert len(recorded) > 2 * LONG_RUN
+        assert_same_recording(recorded, legacy.build())
+
+    @pytest.mark.parametrize(
+        "first, variable_ids, names, ids",
+        [
+            (None, [1, 1], ["b"], [0, 0]),
+            ("z", [1, 0, 1], ["z", "b", "a"], [0, 1, 2, 1]),
+        ],
+    )
+    def test_extend_interns_used_names_in_first_access_order(
+        self, first, variable_ids, names, ids
+    ):
+        """A donor's unused names are dropped and its used ones are
+        interned in the order its accesses first use them."""
+        donor = ColumnarTrace.from_columns(
+            [8 * (index + 1) for index in range(len(variable_ids))],
+            variable_ids=variable_ids,
+            variable_names=["a", "b"],
+        )
+        recorder = ColumnarRecorder(name="t")
+        legacy = TraceBuilder(name="t")
+        for builder in (recorder, legacy):
+            if first is not None:
+                builder.append(0x100, variable=first)
+            builder.extend(donor)
+        recorded = recorder.build()
+        assert recorded.variable_names == names
+        assert recorded.variable_ids.tolist() == ids
         assert_same_recording(recorded, legacy.build())
 
     def test_append_many_matches_scalar_loop(self):

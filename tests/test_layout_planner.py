@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig, plan_layout
+from repro.layout.algorithm import (
+    DataLayoutPlanner,
+    LayoutConfig,
+    plan_layout,
+    predicted_costs,
+)
 from repro.layout.assignment import Disposition
 from repro.layout.partition import split_for_columns, units_of
 from repro.mem.address import AddressRange
 from repro.mem.page_table import PageTable
 from repro.mem.symbols import SymbolTable, Variable, VariableKind
 from repro.mem.tint import TintTable
+from repro.profiling.profiler import profile_trace
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.base import Workload
 from repro.workloads.mpeg import DequantRoutine, IdctRoutine
@@ -182,6 +188,34 @@ class TestPlanner:
         run = _TwoStream().record()
         assignment = plan_layout(run, columns=4, column_bytes=512)
         assert assignment.columns == 4
+
+    def test_predicted_costs_match_plans(self):
+        """One ladder pass prices W exactly as a plan per column count."""
+        run = IdctRoutine().record()
+        units = split_for_columns(run.memory_map.symbols, 512)
+        profile = profile_trace(run.trace, units, by_address=True)
+        counts = range(1, 9)
+        costs = predicted_costs(profile, units, counts)
+        assert costs[0] > costs[-1]
+        for columns, cost in zip(counts, costs):
+            config = LayoutConfig(
+                columns=columns, column_bytes=512, split_oversized=False
+            )
+            plan = DataLayoutPlanner(config).plan_from_profile(profile, units)
+            assert plan.predicted_cost == cost
+
+    def test_profile_of_other_units_rejected(self):
+        """A whole-variable profile against split units is an error
+        for a plan and for the W ladder alike."""
+        run = _TwoStream().record()
+        symbols = run.memory_map.symbols
+        whole = profile_trace(run.trace, symbols, by_address=True)
+        split = split_for_columns(symbols, 64)
+        planner = DataLayoutPlanner(self.config())
+        with pytest.raises(ValueError, match="not layout units"):
+            planner.plan_from_profile(whole, split)
+        with pytest.raises(ValueError, match="not layout units"):
+            predicted_costs(whole, split, [1, 2])
 
     @pytest.mark.parametrize("metric", ["min", "sum", "unweighted"])
     def test_weight_metrics_run(self, metric):

@@ -488,7 +488,8 @@ def unmemoized_digest(config: LayoutConfig) -> str:
 
 
 class TestConfigDigestMemo:
-    """``config_digest`` is memoized without changing any digest."""
+    """``config_digest`` is sha256 over the config's sorted-key JSON;
+    session plan keys are built on it, so its values are pinned."""
 
     CONFIGS = (
         dict(columns=4, column_bytes=COLUMN_BYTES),
@@ -537,17 +538,6 @@ class TestConfigDigestMemo:
         assert session_module.config_digest(as_int) != (
             session_module.config_digest(as_bool)
         )
-
-    def test_memo_is_bounded(self):
-        bound = session_module.CONFIG_DIGEST_ENTRIES
-        for seed in range(bound + 40):
-            config = LayoutConfig(
-                columns=4, column_bytes=COLUMN_BYTES, seed=seed
-            )
-            assert session_module.config_digest(config) == (
-                unmemoized_digest(config)
-            )
-            assert len(session_module._config_digests) <= bound
 
     def test_session_plan_keys_unchanged(self):
         """Plans are cached under the unmemoized digest's key."""
