@@ -45,11 +45,7 @@ from repro.sim.engine.batched import (
     lockstep_run,
 )
 from repro.sim.engine.cache import ResultCache
-from repro.sim.engine.multitask_batch import (
-    simulate_multitask_batched,
-    simulate_multitask_matrix,
-    simulate_multitask_sweep,
-)
+from repro.sim.engine.multitask_batch import simulate_multitask_matrix
 from repro.sim.engine.scheduler import JobOutcome, SweepEngine
 from repro.sim.engine.sharded import (
     simulate_columnar_sharded,
@@ -74,8 +70,6 @@ __all__ = [
     "resolve_backend",
     "set_backend",
     "simulate_columnar_sharded",
-    "simulate_multitask_batched",
     "simulate_multitask_matrix",
-    "simulate_multitask_sweep",
     "simulate_npz_sharded",
 ]

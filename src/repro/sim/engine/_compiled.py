@@ -4,11 +4,13 @@ The kernel source (``_lockstep.c``, shipped next to this module) has
 zero dependencies beyond a C compiler: it is compiled on demand with
 ``cc``/``gcc``/``clang`` into a shared library cached under
 ``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) and
-loaded through :mod:`ctypes`.  It exports two entry points:
+loaded through :mod:`ctypes`.  It exports three entry points:
 ``repro_lockstep_flags``, the per-access loop behind
-:func:`lockstep_run_compiled`, and ``repro_fused_multitask``, the
+:func:`lockstep_run_compiled`; ``repro_fused_multitask``, the
 schedule walk behind :func:`schedule_count_compiled` and
-:func:`fused_multitask_compiled`.  Nothing here compiles at import time —
+:func:`fused_multitask_compiled`; and ``repro_quantum_orbit``, one
+job's closed-form quantum orbit behind :func:`quantum_orbit_compiled`
+(the Figure 5 matrix's schedule).  Nothing here compiles at import time —
 :func:`available` performs the (cached) probe, and
 :mod:`repro.sim.engine.backends` decides when to call it.
 
@@ -43,6 +45,8 @@ _COMPILERS = ("cc", "gcc", "clang")
 
 #: Widest associativity the C kernel handles (mask fits int64).
 MAX_COMPILED_WAYS = 63
+
+_INT64_MAX = (1 << 63) - 1
 
 _lib: Optional[ctypes.CDLL] = None
 _probe_error: Optional[str] = None
@@ -117,6 +121,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_fused_multitask.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,
         ptr, ptr, ptr, ptr, ptr,
+    ]
+    lib.repro_quantum_orbit.restype = None
+    lib.repro_quantum_orbit.argtypes = [
+        ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr,
     ]
     return lib
 
@@ -428,3 +436,62 @@ def fused_multitask_compiled(
         job_hits,
         hit_flags,
     )
+
+
+def quantum_orbit_compiled(
+    cumulative: np.ndarray, quantum: int, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One job's first ``count`` quanta from ``start``, in C.
+
+    Returns ``(positions, accesses, ran, wraps)``: entry ``i`` is
+    quantum ``i``'s start position, the accesses it performs, the
+    instructions it runs and the trace wraps it causes, exactly as
+    :func:`repro.sim.multitask.quantum_tables` gathered along
+    :func:`repro.sim.multitask.orbit_positions` gives them, or as
+    :func:`repro.sim.multitask.single_quantum` iterated from ``start``.
+    ``repro_quantum_orbit`` gallops to each quantum's end from the
+    cursor, so the orbit costs O(count x log accesses-per-quantum)
+    and builds no table over the trace's positions.  ``cumulative``
+    must be strictly increasing, as
+    :attr:`repro.trace.columnar.ColumnarTrace.cumulative_instructions`
+    is; checking that would cost a pass over the trace, so only the
+    O(1) conditions that keep the C loop in bounds are checked.
+
+    Raises:
+        ValueError: when ``cumulative`` is empty or charges some
+            access no instruction (its last entry is below its
+            length), ``start`` is not a position of it, or
+            ``quantum`` is outside ``[1, 2**63 - 1 - cumulative[-1]]``.
+    """
+    cum64 = np.ascontiguousarray(cumulative, dtype=np.int64)
+    length = len(cum64)
+    total = int(cum64[-1]) if length else 0
+    if length == 0 or total < length:
+        raise ValueError(
+            f"cumulative instructions must charge each of the "
+            f"{length} accesses at least one (total {total})"
+        )
+    if not 0 <= start < length:
+        raise ValueError(f"start {start} out of range 0..{length - 1}")
+    if not 1 <= quantum <= _INT64_MAX - total:
+        raise ValueError(
+            f"quantum must be in [1, {_INT64_MAX - total}], "
+            f"got {quantum}"
+        )
+    lib = load()
+    positions = np.empty(count, dtype=np.int64)
+    accesses = np.empty(count, dtype=np.int64)
+    ran = np.empty(count, dtype=np.int64)
+    wraps = np.empty(count, dtype=np.int64)
+    lib.repro_quantum_orbit(
+        _addr(cum64),
+        length,
+        quantum,
+        start,
+        count,
+        _addr(positions),
+        _addr(accesses),
+        _addr(ran),
+        _addr(wraps),
+    )
+    return positions, accesses, ran, wraps

@@ -2,7 +2,11 @@
  *
  * Scalar C twin of the numpy kernel in batched.py, built on demand by
  * _compiled.py with the system C compiler and loaded through ctypes.
- * Semantics are bit-identical to LockstepState / lockstep_run:
+ * Three exports: repro_lockstep_flags (the per-access loop),
+ * repro_fused_multitask (the schedule walk) and repro_quantum_orbit
+ * (one job's quantum-by-quantum schedule, which touches no cache).
+ * The two cache entries are bit-identical to LockstepState /
+ * lockstep_run:
  *
  *   - per-row clocks: the k-th access (0-based) to a row gets
  *     timestamp clock[row] + k, and the clock advances on every
@@ -139,5 +143,79 @@ repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
         }
         stream += count;
         job_hits[job] += hits;
+    }
+}
+
+/* Smallest index in [low, n) whose cumulative count reaches value.
+ * Gallops from low (probes low, low + 1, low + 3, low + 7, ...) and
+ * then bisects the bracket, so the cost grows with the log of the
+ * distance from low, not of n.  Callers guarantee
+ * cumulative[n - 1] >= value. */
+static inline int64_t
+gallop_left(const int64_t *cumulative, int64_t n, int64_t low,
+            int64_t value)
+{
+    if (cumulative[low] >= value)
+        return low;
+    /* Invariant: cumulative[low] < value. */
+    int64_t stride = 1;
+    int64_t high = low + 1;
+    for (;;) {
+        if (high >= n - 1) {
+            high = n - 1;
+            break;
+        }
+        if (cumulative[high] >= value)
+            break;
+        low = high;
+        stride <<= 1;
+        high = low + stride;
+    }
+    /* cumulative[low] < value <= cumulative[high] */
+    while (high - low > 1) {
+        int64_t mid = low + (high - low) / 2;
+        if (cumulative[mid] < value)
+            low = mid;
+        else
+            high = mid;
+    }
+    return high;
+}
+
+/* Closed-form quantum orbit of one job.  cumulative[i] counts the
+ * instructions of accesses 0..i of one pass (strictly increasing:
+ * every access costs at least one instruction).  From start, each of
+ * count successive quanta of `quantum` instructions is cut by
+ * single_quantum's formula in sim/multitask.py: the quantum ends at
+ * the first access whose cumulative count, across wraps, reaches the
+ * pass-relative target, its final access running whole.  Quantum i
+ * writes its start position, accesses, instructions run and wraps;
+ * the next quantum starts where it stopped.  The end is found by
+ * galloping from the cursor, or from 0 once the quantum crosses the
+ * end of the trace, so an orbit builds no trace-sized table.
+ * Callers guarantee n >= 1, cumulative[n - 1] >= n, 0 <= start < n
+ * and 1 <= quantum <= INT64_MAX - cumulative[n - 1]. */
+API void
+repro_quantum_orbit(const int64_t *cumulative, int64_t n,
+                    int64_t quantum, int64_t start, int64_t count,
+                    int64_t *positions, int64_t *accesses, int64_t *ran,
+                    int64_t *wraps)
+{
+    int64_t total = cumulative[n - 1];
+    int64_t position = start;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t done = position ? cumulative[position - 1] : 0;
+        int64_t target = done + quantum;
+        int64_t passes = (target - 1) / total;
+        int64_t within = target - passes * total; /* in [1, total] */
+        int64_t end = gallop_left(cumulative, n, passes ? 0 : position,
+                                  within);
+        int64_t next = end + 1;
+        int64_t wrapped = next >= n;
+        positions[i] = position;
+        accesses[i] = passes * n + next - position;
+        ran[i] = passes * total + cumulative[end] - done;
+        wraps[i] = passes + wrapped;
+        position = wrapped ? 0 : next;
     }
 }

@@ -9,24 +9,31 @@ module exploits three structural facts:
 1. **The schedule does not depend on cache contents.**  A quantum ends
    after a fixed number of instructions, and instruction counts come
    from the trace alone — so where every quantum starts and stops is a
-   pure function of (traces, quantum, budget).  The successor map
-   "position -> position after one quantum" is computed for *all*
-   positions at once with vectorized ``searchsorted``; the start
-   positions of a job's successive quanta are that map's orbit, which
-   is eventually periodic over a finite trace and therefore tiles to
-   any length.
+   pure function of (traces, quantum, budget).  The start positions of
+   a job's successive quanta are the orbit of the successor map
+   "position -> position after one quantum".  On the compiled kernel
+   one C call (``repro_quantum_orbit``) walks that orbit quantum by
+   quantum, galloping to each quantum's end from the cursor, so it
+   costs O(quanta x log accesses-per-quantum) and builds no table over
+   the trace.  On the numpy kernel the closed-form tables
+   (:func:`~repro.sim.multitask.quantum_tables`) compute the map for
+   *all* positions at once with vectorized ``searchsorted``, and
+   :func:`~repro.sim.multitask.orbit_positions` unrolls it; that path
+   is also the reference the C orbit is tested against.
 
 2. **The cache stream is then data-parallel.**  With the schedule in
    closed form, the full interleaved access stream (round-robin
    quanta, wrapped traces) is materialized with numpy gathers and fed
    to the lockstep kernel, and many sweep points share one kernel
-   invocation by stacking each point's sets as extra independent rows.
+   invocation by stacking each point's sets as extra independent rows
+   (the compiled kernel instead walks the schedule's segments in C).
 
 3. **The schedule is geometry-free.**  Cache size, column count and
    column masks do not enter the schedule, so a whole experiment
    matrix (several geometries x mapped/shared x all quanta — Figure 5
-   is exactly this) reuses each quantum's schedule and access stream
-   across every variant.
+   is exactly this) reuses each quantum's schedule, its per-job
+   totals (instructions, accesses, wraps, quanta) and its access
+   stream across every variant.
 
 Results are bit-identical to the per-quantum simulator (asserted by the
 equivalence tests): same hits, misses, instructions, wraps and quantum
@@ -83,10 +90,20 @@ class _BatchJob:
 # the fused fleet hot path consumes them too)
 # ----------------------------------------------------------------------
 def _job_quanta(
-    batch_job: _BatchJob, quantum: int, count: int
+    batch_job: _BatchJob, quantum: int, count: int, compiled: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Start position, accesses, instructions, wraps of the job's
-    first ``count`` quanta."""
+    first ``count`` quanta.
+
+    On the compiled kernel one C call walks the orbit quantum by
+    quantum; the numpy path builds the closed-form tables over every
+    start position and unrolls their successor map, the reference
+    the C orbit is held to.
+    """
+    if compiled:
+        return _compiled.quantum_orbit_compiled(
+            batch_job.cum, quantum, 0, count
+        )
     next_pos, accesses, ran, wraps = _quantum_tables(
         batch_job.cum, quantum
     )
@@ -95,10 +112,20 @@ def _job_quanta(
 
 
 class _Schedule:
-    """The global round-robin schedule of one sweep point."""
+    """The global round-robin schedule of one sweep point.
+
+    Besides the per-quantum columns it holds each job's totals over
+    the schedule (``job_instructions``, ``job_accesses``,
+    ``job_wraps``, ``job_quanta``), which every variant's results
+    share.
+    """
 
     def __init__(
-        self, batch_jobs: Sequence[_BatchJob], quantum: int, budget: int
+        self,
+        batch_jobs: Sequence[_BatchJob],
+        quantum: int,
+        budget: int,
+        compiled: bool = False,
     ) -> None:
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1, got {quantum}")
@@ -109,30 +136,34 @@ class _Schedule:
         # the number of quanta the budget can demand.
         global_bound = -(-budget // quantum)
         per_job = -(-global_bound // job_count) + 1
-        columns = [
-            _job_quanta(batch_job, quantum, per_job)
-            for batch_job in batch_jobs
-        ]
-        ran_flat = np.column_stack(
-            [column[2] for column in columns]
-        ).ravel()
-        executed = np.cumsum(ran_flat)
+        # (column, round, job): row r of a column is round-robin round r.
+        table = np.empty((4, per_job, job_count), dtype=np.int64)
+        for index, batch_job in enumerate(batch_jobs):
+            quanta = _job_quanta(batch_job, quantum, per_job, compiled)
+            for column, values in zip(table, quanta):
+                column[:, index] = values
+        flat = table.reshape(4, -1)
+        executed = np.cumsum(flat[2])
         total_quanta = int(np.searchsorted(executed, budget, "left")) + 1
-        take = slice(0, total_quanta)
-        self.job_ids = np.tile(
-            np.arange(job_count, dtype=np.int64), per_job
-        )[take]
-        self.positions = np.column_stack(
-            [column[0] for column in columns]
-        ).ravel()[take]
-        self.accesses = np.column_stack(
-            [column[1] for column in columns]
-        ).ravel()[take]
-        self.ran = ran_flat[take]
-        self.wraps = np.column_stack(
-            [column[3] for column in columns]
-        ).ravel()[take]
-        self.total_accesses = int(self.accesses.sum())
+        job_indices = np.arange(job_count, dtype=np.int64)
+        self.job_ids = np.tile(job_indices, per_job)[:total_quanta]
+        self.positions, self.accesses, self.ran, self.wraps = (
+            flat[:, :total_quanta]
+        )
+        # Job j runs the first job_quanta[j] rounds of its column.
+        self.job_quanta = -((job_indices - total_quanta) // job_count)
+        totals = np.array(
+            [
+                [
+                    column[:rounds, index].sum()
+                    for index, rounds in enumerate(self.job_quanta)
+                ]
+                for column in table[1:]
+            ],
+            dtype=np.int64,
+        )
+        self.job_accesses, self.job_instructions, self.job_wraps = totals
+        self.total_accesses = int(self.job_accesses.sum())
 
     def access_stream(
         self, batch_jobs: Sequence[_BatchJob]
@@ -187,30 +218,22 @@ def _warmup_stream(
 def _results_for_point(
     batch_jobs: Sequence[_BatchJob],
     schedule: _Schedule,
-    accesses: np.ndarray,
     misses: np.ndarray,
 ) -> dict[str, JobResult]:
-    """Assemble per-job :class:`JobResult`\\ s from per-job counts."""
-    job_count = len(batch_jobs)
-    instructions = np.bincount(
-        schedule.job_ids, weights=schedule.ran, minlength=job_count
-    )
-    wraps = np.bincount(
-        schedule.job_ids, weights=schedule.wraps, minlength=job_count
-    )
-    quanta = np.bincount(schedule.job_ids, minlength=job_count)
-    results = {}
-    for index, batch_job in enumerate(batch_jobs):
-        results[batch_job.name] = JobResult(
+    """Assemble per-job :class:`JobResult`\\ s from per-job misses
+    and the schedule's per-job totals."""
+    return {
+        batch_job.name: JobResult(
             name=batch_job.name,
-            instructions=int(instructions[index]),
-            accesses=int(accesses[index]),
-            hits=int(accesses[index] - misses[index]),
+            instructions=int(schedule.job_instructions[index]),
+            accesses=int(schedule.job_accesses[index]),
+            hits=int(schedule.job_accesses[index] - misses[index]),
             misses=int(misses[index]),
-            wraps=int(wraps[index]),
-            quanta=int(quanta[index]),
+            wraps=int(schedule.job_wraps[index]),
+            quanta=int(schedule.job_quanta[index]),
         )
-    return results
+        for index, batch_job in enumerate(batch_jobs)
+    }
 
 
 class _KernelGroup:
@@ -307,19 +330,16 @@ class _KernelGroup:
             collect="misses",
             backend=self.backend,
         )
-        accesses = np.bincount(segments, minlength=self.segment_count)
         misses = np.bincount(
             segments[miss_positions], minlength=self.segment_count
         )
         base = 0
         for variant_index, point_index, schedule in self.points:
             job_count = len(batch_lists[variant_index])
-            span = slice(base, base + job_count)
             results[variant_index][point_index] = _results_for_point(
                 batch_lists[variant_index],
                 schedule,
-                accesses[span],
-                misses[span],
+                misses[base:base + job_count],
             )
             base += job_count
         self.states.clear()
@@ -339,11 +359,12 @@ def _simulate_matrix_compiled(
 ) -> list[list[dict[str, JobResult]]]:
     """Matrix fast path on the compiled kernel: fused schedule walk.
 
-    Instead of materializing each quantum's interleaved access stream
-    and buffering (rows, tags, masks) columns for a stacked lockstep
-    call, the C kernel walks the schedule's quantum segments directly
-    over the concatenated per-job block arrays — zero stream
-    assembly, one call per (variant, quantum).  The warm-up runs
+    Each quantum's schedule comes from the C quantum orbit.  Instead
+    of materializing its interleaved access stream and buffering
+    (rows, tags, masks) columns for a stacked lockstep call, the C
+    kernel walks the schedule's quantum segments directly over the
+    concatenated per-job block arrays — zero stream assembly, one
+    call per (variant, quantum).  The warm-up runs
     through the same entry as one wrap-around segment per job, which
     reproduces ``_warmup_stream``'s tiling exactly.  Results are
     bit-identical to the numpy path (the schedule, and therefore each
@@ -362,7 +383,9 @@ def _simulate_matrix_compiled(
         [batch_job.blocks for batch_job in base_jobs]
     )
     schedules = [
-        _Schedule(base_jobs, int(quantum), int(budget_instructions))
+        _Schedule(
+            base_jobs, int(quantum), int(budget_instructions), compiled=True
+        )
         for quantum in quanta
     ]
     warm_seg_jobs = np.arange(job_count, dtype=np.int64)
@@ -411,17 +434,9 @@ def _simulate_matrix_compiled(
                 index_bits=index_bits,
                 job_misses=job_misses,
             )
-            accesses = np.bincount(
-                schedule.job_ids,
-                weights=schedule.accesses,
-                minlength=job_count,
-            ).astype(np.int64)
             variant_results.append(
                 _results_for_point(
-                    batch_lists[variant_index],
-                    schedule,
-                    accesses,
-                    job_misses,
+                    batch_lists[variant_index], schedule, job_misses
                 )
             )
         results.append(variant_results)
@@ -429,7 +444,7 @@ def _simulate_matrix_compiled(
 
 
 # ----------------------------------------------------------------------
-# Public entry points
+# Public entry point
 # ----------------------------------------------------------------------
 def simulate_multitask_matrix(
     variants: Sequence[tuple[CacheGeometry, Sequence[Job]]],
@@ -453,9 +468,9 @@ def simulate_multitask_matrix(
     ``kernel`` selects the lockstep backend for this matrix
     (``"numpy"`` / ``"compiled"`` / ``"auto"``; None follows the
     session's active backend).  On the compiled backend the matrix
-    takes a fused fast path — the C kernel walks the schedule
-    directly, no access stream is materialized — with bit-identical
-    results.
+    takes a fused fast path — the C kernel computes each job's quantum
+    orbit and walks the schedule directly, no access stream is
+    materialized — with bit-identical results.
 
     Returns ``results[variant_index][quantum_index]``, each entry
     equivalent to ``MultitaskSimulator`` + ``warm_up(warmup_passes)``
@@ -641,56 +656,3 @@ def simulate_multitask_matrix(
         [point for point in variant_results if point is not None]
         for variant_results in results
     ]
-
-
-def simulate_multitask_sweep(
-    geometry: CacheGeometry,
-    jobs: Sequence[Job],
-    quanta: Sequence[int],
-    budget_instructions: int,
-    warmup_passes: int = 0,
-    max_batch_accesses: int = DEFAULT_MAX_BATCH_ACCESSES,
-    scalar_cutoff: int = DEFAULT_SCALAR_CUTOFF,
-    kernel: Optional[str] = None,
-) -> list[dict[str, JobResult]]:
-    """Run a whole quantum sweep through the lockstep kernel.
-
-    Each sweep point owns an independent bank of cache sets (stacked
-    as extra lockstep rows) so points share kernel calls.  Per point
-    this is equivalent to ``MultitaskSimulator`` +
-    ``warm_up(warmup_passes)`` + ``run(quantum,
-    budget_instructions)``.
-    """
-    return simulate_multitask_matrix(
-        [(geometry, jobs)],
-        quanta,
-        budget_instructions,
-        warmup_passes=warmup_passes,
-        max_batch_accesses=max_batch_accesses,
-        scalar_cutoff=scalar_cutoff,
-        kernel=kernel,
-    )[0]
-
-
-def simulate_multitask_batched(
-    geometry: CacheGeometry,
-    jobs: Sequence[Job],
-    quantum_instructions: int,
-    total_instructions: int,
-    warmup_passes: int = 0,
-    kernel: Optional[str] = None,
-) -> dict[str, JobResult]:
-    """Batched equivalent of one ``MultitaskSimulator`` run.
-
-    Same contract as ``MultitaskSimulator(geometry, jobs)`` followed
-    by ``warm_up(warmup_passes)`` and ``run(quantum_instructions,
-    total_instructions)``; returns bit-identical per-job results.
-    """
-    return simulate_multitask_sweep(
-        geometry,
-        jobs,
-        [quantum_instructions],
-        total_instructions,
-        warmup_passes=warmup_passes,
-        kernel=kernel,
-    )[0]

@@ -18,14 +18,16 @@ the lockstep cache in one pass.  Besides that simulator, this module
 owns the **closed-form quantum schedule**: because a quantum ends
 after a fixed number of instructions and instruction counts come from
 the trace alone, where every quantum starts and stops is a pure
-function of
-(traces, quantum, budget) — no cache state involved.
+function of (traces, quantum, budget) — no cache state involved.
 :func:`quantum_tables` computes one quantum from *every* start
-position at once, :func:`orbit_positions` unrolls the successor map,
-and :func:`quantum_schedule` assembles a whole round-robin scheduling
+position at once and :func:`orbit_positions` unrolls the successor
+map; the batched sweep engine
+(:mod:`repro.sim.engine.multitask_batch`) schedules through these two
+on the numpy kernel, and on the compiled kernel iterates
+:func:`single_quantum`'s formula in C instead.
+:func:`quantum_schedule` assembles a whole round-robin scheduling
 window (with exact, instruction-precise budget boundaries) that the
-batched sweep engine (:mod:`repro.sim.engine.multitask_batch`) and the
-fused fleet hot path (:mod:`repro.sim.engine.fused`) both consume.
+fused fleet hot path (:mod:`repro.sim.engine.fused`) consumes.
 """
 
 from __future__ import annotations
@@ -207,7 +209,10 @@ def single_quantum(
     The scalar counterpart of :func:`quantum_tables` — same formula,
     one position — used to re-cut the final quantum of a scheduling
     window when the remaining budget is smaller than the full quantum.
-    Returns ``(next_pos, accesses, ran, wraps)``.
+    The compiled kernel's quantum orbit
+    (:func:`repro.sim.engine._compiled.quantum_orbit_compiled`)
+    iterates this formula.  Returns ``(next_pos, accesses, ran,
+    wraps)``.
     """
     n = len(cumulative)
     total = int(cumulative[-1])

@@ -239,8 +239,16 @@ class ColumnarTrace:
 
         Cached; shared by the multitask schedulers and the fleet
         executor.  Treat as read-only.
+
+        Raises:
+            ValueError: when a gap is negative (an archive from
+                :func:`load_npz` may carry one); the message names the
+                trace and the first such gap's index and value.  The
+                schedulers need every access to cost at least one
+                instruction.
         """
         if self._cumulative is None:
+            _check_domain(f"trace {self.name!r}: gaps", self.gaps, 0)
             self._cumulative = np.cumsum(self.gaps + 1, dtype=np.int64)
         return self._cumulative
 

@@ -17,6 +17,7 @@ a whole read pattern in one vectorized ``append_many`` call.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -90,6 +91,10 @@ class TracedArray(_Traced):
         )
 
     def __getitem__(self, index: int) -> Number:
+        if index.__class__ is not int:
+            # A numpy integer would do the address arithmetic in its
+            # own dtype and overflow.
+            index = operator.index(index)
         if not 0 <= index < self._length:
             raise self._out_of_range(index)
         self._record_address(self._base + index * self._size)
@@ -97,6 +102,8 @@ class TracedArray(_Traced):
         return self._values.item(index)
 
     def __setitem__(self, index: int, value: Number) -> None:
+        if index.__class__ is not int:
+            index = operator.index(index)
         if not 0 <= index < self._length:
             raise self._out_of_range(index)
         self._record_address(self._base + index * self._size)

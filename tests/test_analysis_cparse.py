@@ -32,6 +32,7 @@ WRAPPER_PY = ENGINE_DIR / "_compiled.py"
 EXPORTED = {
     "repro_lockstep_flags": 11,
     "repro_fused_multitask": 17,
+    "repro_quantum_orbit": 9,
 }
 
 

@@ -308,6 +308,30 @@ class TestDerivedColumns:
         expected = np.cumsum(trace.gaps + 1)
         assert np.array_equal(trace.cumulative_instructions, expected)
 
+    @pytest.mark.parametrize(
+        ("gaps", "message"),
+        [
+            ([-1, -1, -1], r"trace 'g': gaps\[0\] = -1; must be >= 0"),
+            ([0, 1, -3], r"trace 'g': gaps\[2\] = -3; must be >= 0"),
+        ],
+    )
+    def test_cumulative_instructions_rejects_negative_gaps(
+        self, gaps, message
+    ):
+        """The constructor admits any gap (``load_npz`` checks dtypes
+        only); the column the schedulers read names the first
+        negative one instead of yielding a non-increasing sum."""
+        trace = ColumnarTrace(
+            np.arange(3, dtype=np.int64),
+            np.zeros(3, dtype=bool),
+            np.array(gaps, dtype=np.int64),
+            np.full(3, NO_VARIABLE, dtype=np.int64),
+            [],
+            name="g",
+        )
+        with pytest.raises(ValueError, match=message):
+            trace.cumulative_instructions
+
     def test_mask_bits_for(self):
         trace = small_trace()
         bits = trace.mask_bits_for({"a": 0b01, "b": 0b10}, default=0b11)

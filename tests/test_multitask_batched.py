@@ -12,13 +12,9 @@ from repro.sim.engine import _compiled
 from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.sim.engine.fused import TenantBatch
-from repro.sim.engine.multitask_batch import (
-    simulate_multitask_batched,
-    simulate_multitask_matrix,
-    simulate_multitask_sweep,
-)
+from repro.sim.engine.multitask_batch import simulate_multitask_matrix
 from repro.sim.multitask import Job, MultitaskSimulator
-from repro.trace.columnar import ColumnarRecorder
+from repro.trace.columnar import ColumnarRecorder, load_npz
 from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
 
@@ -36,6 +32,19 @@ def build_trace(rng, length, span, name):
         builder.add_gap(int(rng.integers(0, 4)))
         builder.append(int(rng.integers(0, span)) * 2, is_write=False)
     return builder.build()
+
+
+def simulate_sweep(geometry, jobs, quanta, budget, **options):
+    """One variant's quantum sweep through the matrix."""
+    return simulate_multitask_matrix(
+        [(geometry, jobs)], quanta, budget, **options
+    )[0]
+
+
+def simulate_point(geometry, jobs, quantum, budget, **options):
+    """One matrix point: ``MultitaskSimulator`` + ``warm_up`` +
+    ``run``'s batched equivalent."""
+    return simulate_sweep(geometry, jobs, [quantum], budget, **options)[0]
 
 
 def result_tuple(result):
@@ -93,7 +102,7 @@ class TestBatchedMultitask:
         simulator = MultitaskSimulator(geometry, jobs)
         simulator.warm_up(warmup)
         reference = simulator.run(quantum, budget)
-        batched = simulate_multitask_batched(
+        batched = simulate_point(
             geometry, jobs, quantum, budget, warmup_passes=warmup
         )
         assert set(batched) == set(reference)
@@ -116,7 +125,7 @@ class TestBatchedMultitask:
             return Job(name=name, trace=trace)
 
         jobs = [job("a", -(1 << 32) + 5), job("b", 5)]
-        batched = simulate_multitask_batched(
+        batched = simulate_point(
             geometry, jobs, 1, 40, kernel=kernel
         )
         walked = MultitaskSimulator(geometry, jobs).run(1, 40)
@@ -151,7 +160,7 @@ class TestBatchedMultitask:
         ]
         simulator = MultitaskSimulator(geometry, jobs)
         reference = simulator.run(1, 500)
-        batched = simulate_multitask_batched(geometry, jobs, 1, 500)
+        batched = simulate_point(geometry, jobs, 1, 500)
         for name in reference:
             assert result_tuple(batched[name]) == result_tuple(
                 reference[name]
@@ -171,13 +180,13 @@ class TestBatchedMultitask:
             for index in range(3)
         ]
         quanta = [1, 4, 16, 64, 100_000]
-        swept = simulate_multitask_sweep(
+        swept = simulate_sweep(
             geometry, jobs, quanta, 3000, warmup_passes=1,
             max_batch_accesses=500,  # force several kernel flushes
         )
         assert len(swept) == len(quanta)
         for quantum, point in zip(quanta, swept):
-            single = simulate_multitask_batched(
+            single = simulate_point(
                 geometry, jobs, quantum, 3000, warmup_passes=1
             )
             for name in single:
@@ -264,13 +273,53 @@ class TestBatchedMultitask:
     def test_rejects_empty_jobs_and_bad_quanta(self):
         geometry = CacheGeometry(line_size=16, sets=4, columns=2)
         with pytest.raises(ValueError, match="at least one job"):
-            simulate_multitask_batched(geometry, [], 1, 1)
+            simulate_point(geometry, [], 1, 1)
         rng = np.random.default_rng(1)
         jobs = [Job(name="j0", trace=build_trace(rng, 5, 32, "j0"))]
         with pytest.raises(ValueError, match="quantum"):
-            simulate_multitask_batched(geometry, jobs, 0, 10)
+            simulate_point(geometry, jobs, 0, 10)
         with pytest.raises(ValueError, match="budget"):
-            simulate_multitask_batched(geometry, jobs, 1, 0)
+            simulate_point(geometry, jobs, 1, 0)
+
+
+class TestNegativeGaps:
+    """An archive whose gaps are negative loads (``load_npz`` checks
+    dtypes, not values); every scheduler then fails on the
+    cumulative-instruction column with an error naming the trace and
+    the first negative gap, on either kernel."""
+
+    MESSAGE = r"trace 'negative': gaps\[0\] = -1; must be >= 0"
+    GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
+
+    @staticmethod
+    def load_jobs(tmp_path, mmap=False):
+        path = tmp_path / "negative.npz"
+        np.savez(
+            path,
+            name=np.array("negative"),
+            addresses=np.array([0, 16, 32], dtype=np.int64),
+            sizes=np.ones(3, dtype=np.int32),
+            writes=np.zeros(3, dtype=bool),
+            gaps=np.full(3, -1, dtype=np.int64),
+            variable_ids=np.full(3, -1, dtype=np.int64),
+        )
+        return [Job(name="a", trace=load_npz(path, mmap=mmap))]
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matrix_names_the_first_negative_gap(
+        self, tmp_path, kernel, mmap
+    ):
+        jobs = self.load_jobs(tmp_path, mmap)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simulate_multitask_matrix(
+                [(self.GEOMETRY, jobs)], [1, 4], 10, kernel=kernel
+            )
+
+    def test_simulator_names_the_first_negative_gap(self, tmp_path):
+        jobs = self.load_jobs(tmp_path)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            MultitaskSimulator(self.GEOMETRY, jobs)
 
 
 class TestMatrixKernels:

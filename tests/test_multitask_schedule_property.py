@@ -1,24 +1,47 @@
 """The closed-form multitask schedule vs a step-by-step rebuild.
 
 ``repro.sim.engine.multitask_batch`` computes where every round-robin
-quantum starts and stops in closed form (vectorized successor tables +
-orbit tiling).  These property tests rebuild the schedule the way the
-scalar :class:`~repro.sim.multitask.MultitaskSimulator` walks it — one
+quantum starts and stops in closed form: on the numpy kernel through
+vectorized successor tables and orbit tiling
+(:func:`~repro.sim.multitask.quantum_tables` +
+:func:`~repro.sim.multitask.orbit_positions`), on the compiled kernel
+through the C quantum orbit (``repro_quantum_orbit``).  These property
+tests rebuild the schedule the way the scalar
+:class:`~repro.sim.multitask.MultitaskSimulator` walks it — one
 quantum at a time, one searchsorted per step, honoring the atomic
-overshoot of the final access — and assert the closed form matches
+overshoot of the final access — and assert both closed forms match
 *entry by entry*: same job order, same start positions, same access
 counts, same instructions executed, same wrap counts, for random
-quantum and trace lengths.
+quantum and trace lengths.  A second property holds the C orbit to
+both numpy references directly, on the edges of its input domain.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.sim.engine import _compiled
+from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.multitask_batch import _BatchJob, _Schedule
-from repro.sim.multitask import Job
+from repro.sim.multitask import (
+    Job,
+    orbit_positions,
+    quantum_tables,
+    single_quantum,
+)
 from repro.trace.columnar import ColumnarRecorder
+
+requires_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="compiled kernel unavailable"
+)
+
+#: The two orbit paths a schedule can be built on.
+ORBITS = [
+    pytest.param(False, id="numpy-orbit"),
+    pytest.param(True, id="compiled-orbit", marks=requires_compiled),
+]
 
 GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
 
@@ -95,12 +118,13 @@ def schedule_case(draw):
     return jobs, quantum, budget
 
 
+@pytest.mark.parametrize("compiled", ORBITS)
 @given(case=schedule_case())
 @settings(deadline=None)
-def test_closed_form_schedule_matches_scalar_walk(case):
+def test_closed_form_schedule_matches_scalar_walk(case, compiled):
     jobs, quantum, budget = case
     batch_jobs = [_BatchJob(job, GEOMETRY) for job in jobs]
-    schedule = _Schedule(batch_jobs, quantum, budget)
+    schedule = _Schedule(batch_jobs, quantum, budget, compiled=compiled)
     expected = scalar_schedule(
         [batch_job.cum for batch_job in batch_jobs], quantum, budget
     )
@@ -114,6 +138,18 @@ def test_closed_form_schedule_matches_scalar_walk(case):
     assert schedule.total_accesses == sum(
         entry[2] for entry in expected
     )
+    # Per-job totals, which every variant's results read.
+    for job in range(len(jobs)):
+        entries = [entry for entry in expected if entry[0] == job]
+        assert int(schedule.job_quanta[job]) == len(entries), job
+        for column, totals in (
+            (2, schedule.job_accesses),
+            (3, schedule.job_instructions),
+            (4, schedule.job_wraps),
+        ):
+            assert int(totals[job]) == sum(
+                entry[column] for entry in entries
+            ), (job, column)
 
 
 @given(case=schedule_case())
@@ -139,3 +175,96 @@ def test_access_stream_walks_each_trace_in_order(case):
         assert (stream_jobs[cursor:cursor + count] == job).all()
         cursor += count
     assert cursor == len(stream_blocks)
+
+
+@st.composite
+def orbit_case(draw):
+    """``(gaps, quantum, start, count)`` on the orbit's domain edges:
+    1-access traces, all-zero gaps, one gap >= 2**32; quanta of 1,
+    the pass total, total +- 1 and several passes."""
+    length = draw(st.sampled_from([1, 2]) | st.integers(1, 80))
+    kind = draw(st.sampled_from(["random", "zero", "huge"]))
+    if kind == "zero":
+        gaps = [0] * length
+    else:
+        gaps = draw(
+            st.lists(st.integers(0, 5), min_size=length, max_size=length)
+        )
+        if kind == "huge":
+            gaps[draw(st.integers(0, length - 1))] = draw(
+                st.integers(2**32, 2**32 + 9)
+            )
+    total = sum(gaps) + length
+    quantum = draw(
+        st.sampled_from([1, total, max(1, total - 1), total + 1])
+        | st.integers(1, 2 * total)
+        | st.builds(
+            lambda passes, extra: passes * total + extra,
+            st.integers(2, 5),
+            st.integers(-1, 3),
+        )
+    )
+    start = draw(st.integers(0, length - 1))
+    count = draw(st.integers(0, 3000))
+    return gaps, quantum, start, count
+
+
+@requires_compiled
+@given(case=orbit_case())
+@settings(deadline=None)
+@example(case=([0], 1, 0, 5))
+@example(case=([0, 0, 0, 0], 1, 2, 9))
+@example(case=([3, 0, 1], 4, 0, 12))
+@example(case=([0, 2**32, 0], 2**32 + 3, 1, 7))
+def test_compiled_orbit_matches_tables_and_single_quantum(case):
+    """The C orbit, entry for entry, against the closed-form tables
+    unrolled along their successor map and against
+    :func:`~repro.sim.multitask.single_quantum` iterated from the
+    start."""
+    gaps, quantum, start, count = case
+    cumulative = np.cumsum(np.array(gaps, dtype=np.int64) + 1)
+    got = _compiled.quantum_orbit_compiled(cumulative, quantum, start, count)
+    assert all(column.dtype == np.int64 for column in got)
+    assert all(len(column) == count for column in got)
+
+    next_pos, accesses, ran, wraps = quantum_tables(cumulative, quantum)
+    positions = orbit_positions(next_pos, count, start)
+    tabled = (positions, accesses[positions], ran[positions], wraps[positions])
+    for name, column, expected in zip(
+        ("positions", "accesses", "ran", "wraps"), got, tabled
+    ):
+        assert column.tolist() == expected.tolist(), name
+
+    position = start
+    for index in range(count):
+        next_position, quantum_accesses, quantum_ran, quantum_wraps = (
+            single_quantum(cumulative, position, quantum)
+        )
+        assert (
+            int(got[0][index]),
+            int(got[1][index]),
+            int(got[2][index]),
+            int(got[3][index]),
+        ) == (position, quantum_accesses, quantum_ran, quantum_wraps), index
+        position = next_position
+
+
+@requires_compiled
+@pytest.mark.parametrize(
+    ("cumulative", "quantum", "start", "message"),
+    [
+        (np.zeros(0, dtype=np.int64), 1, 0, "at least one"),
+        (np.array([0, 0, 0], dtype=np.int64), 1, 0, "at least one"),
+        (np.array([1, 2, 3], dtype=np.int64), 1, 3, "start 3"),
+        (np.array([1, 2, 3], dtype=np.int64), 0, 0, "quantum"),
+        (np.array([1, 2, 3], dtype=np.int64), 2**63 - 3, 0, "quantum"),
+    ],
+    ids=["empty", "zero-total", "start-off-trace", "quantum-0", "overflow"],
+)
+def test_compiled_orbit_rejects_inputs_outside_its_domain(
+    cumulative, quantum, start, message
+):
+    """What the C loop cannot survive (a zero pass total, a cursor off
+    the trace, an overflowing target) is refused before the call."""
+    with pytest.raises(ValueError, match=message):
+        _compiled.quantum_orbit_compiled(cumulative, quantum, start, 4)

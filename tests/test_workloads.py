@@ -71,6 +71,33 @@ class TestTracedStorage:
             _ = probe.data[-1]
         assert len(probe.builder) == 0
 
+    @pytest.mark.parametrize("index_type", [np.uint8, np.int64])
+    def test_numpy_integer_index_records_the_python_address(
+        self, index_type
+    ):
+        """``base + index * size`` is computed on Python ints: a uint8
+        index of 200 into a 4-byte array records base + 800 instead of
+        overflowing in the index's dtype."""
+        probe = _Probe()
+        wide = probe.array("wide", 256, element_size=4)
+        index = index_type(200)
+        wide[index] = 5
+        assert wide[index] == 5
+        trace = probe.builder.build()
+        base = wide.variable.base
+        assert trace.addresses.tolist() == [base + 800, base + 800]
+        assert list(trace.writes) == [True, False]
+
+    @pytest.mark.parametrize("index_type", [np.uint8, np.int64])
+    def test_numpy_integer_index_bounds(self, index_type):
+        probe = _Probe()
+        with pytest.raises(IndexError, match=r"^data\[4\]: out of range "
+                           r"\(size 4\)$"):
+            probe.data[index_type(4)] = 0
+        with pytest.raises(IndexError, match=r"^data\[200\]: out of range"):
+            _ = probe.data[index_type(200)]
+        assert len(probe.builder) == 0
+
     def test_peek_poke_untraced(self):
         probe = _Probe()
         probe.data.poke(0, 9)
