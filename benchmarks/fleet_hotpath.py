@@ -14,9 +14,9 @@ Measures the two rates the multi-tenant serving path lives on:
   benchmark fails loudly on divergence.
 * **Demand-curve pricing** — admission probes/sec through
   :func:`repro.fleet.broker.demand_curves`, which prices every
-  candidate grant size for every pending probe in one lockstep
-  batch, plus the memoized replay rate of the same probes through a
-  warm :class:`~repro.layout.session.PlannerSession`.
+  candidate grant size for every pending probe off one lockstep
+  pass's stack depths, plus the memoized replay rate of the same
+  probes through a warm :class:`~repro.layout.session.PlannerSession`.
 
 The report merges into ``BENCH_fleet.json`` under a ``"hotpath"``
 key, preserving whatever the fleet-service smoke already wrote.

@@ -56,13 +56,16 @@ from repro.mem.tint import TintTable
 from repro.profiling.profiler import profile_trace
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState, lockstep_run
-from repro.trace.trace import Trace
+from repro.trace.filters import concatenate
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.base import WorkloadRun
 
 #: Accesses profiled per demand-curve estimate (bounds planner cost).
 DEFAULT_PROFILE_ACCESSES = 8192
 
+#: A probe's window: ``[start, stop)`` slices of its run's trace, in
+#: execution order, or None for the trace's prefix.
+Slices = Optional[Sequence[tuple[int, int]]]
 
 class FleetAdmissionError(Exception):
     """Raised when a tenant cannot be admitted (no free columns)."""
@@ -81,7 +84,7 @@ class ColumnDemand:
             columns (conflicting accesses).
         measured_costs: Misses actually observed when the profiled
             trace window is simulated solo in a ``c``-column cache
-            (one batched lockstep run per candidate).
+            (every ``c`` read off one pass's LRU stack depths).
 
     The planner's W is a *structural* signal — it sees which units
     fight for sets — but it does not model capacity: a scan whose
@@ -119,42 +122,80 @@ class ColumnDemand:
         )
 
 
+def _clip(slices: Slices, length: int, limit: int) -> tuple:
+    """The first ``limit`` accesses of ``slices`` (None: of the first
+    ``length``), empty pieces dropped and adjacent ones merged."""
+    pieces: list[tuple[int, int]] = []
+    for start, stop in [(0, length)] if slices is None else slices:
+        stop = min(stop, start + limit)
+        if stop > start:
+            limit -= stop - start
+            if pieces and pieces[-1][1] == start:
+                start = pieces.pop()[0]
+            pieces.append((start, stop))
+    return tuple(pieces)
+
+
+def solo_misses(
+    windows: Sequence[np.ndarray], geometry: CacheGeometry
+) -> np.ndarray:
+    """``[i, c - 1]``: misses of block window ``i`` in a cold ``c``-way
+    cache with ``geometry``'s sets, for ``c`` in ``1..columns``.
+
+    Every window runs once, as its own cold full-width bank of rows.
+    A ``c``-way LRU set holds the ``c`` most recently used lines of
+    the full-width set (LRU is a stack algorithm; Mattson et al.,
+    1970), so the accesses of stack depth ``>= c`` (a miss has depth
+    ``columns``) are exactly the misses at ``c`` columns.
+    """
+    count, columns = len(windows), geometry.columns
+    blocks = np.concatenate(windows)
+    bank = np.repeat(
+        np.arange(count, dtype=np.int64), [len(w) for w in windows]
+    )
+    depths = lockstep_run(
+        (blocks & np.int64(geometry.sets - 1)) + bank * geometry.sets,
+        blocks >> np.int64(geometry.index_bits),
+        LockstepState.cold(count * geometry.sets, columns),
+        collect="depths",
+    )
+    at_depth = np.bincount(
+        bank * (columns + 1) + depths, minlength=count * (columns + 1)
+    ).reshape(count, columns + 1)
+    # Suffix sums: accesses of depth >= c, for c = columns .. 1.
+    return np.cumsum(at_depth[:, ::-1], axis=1)[:, -2::-1]
+
+
 def demand_curves(
-    probes: Sequence[tuple[WorkloadRun, Optional[Trace]]],
+    probes: Sequence[tuple[WorkloadRun, Slices]],
     geometry: CacheGeometry,
     profile_accesses: int = DEFAULT_PROFILE_ACCESSES,
     session: Optional[PlannerSession] = None,
 ) -> list[ColumnDemand]:
     """Estimate demand curves for a batch of prospective tenants.
 
-    Every probe is a ``(run, window)`` pair — ``window=None`` profiles
-    the run's trace prefix (the admission path), a concrete window
-    profiles the slice that revealed a phase change.  Curves are
-    content-cached on the session
+    Every probe is a ``(run, slices)`` pair: ``slices=None`` profiles
+    the run's trace prefix (the admission path), concrete slices the
+    window that revealed a phase change; either is cut to its first
+    ``profile_accesses`` accesses.  Curves are memoized on the session
     (:meth:`~repro.layout.session.PlannerSession.memo_batch`), one
-    entry per probe.  A cache-missing probe profiles its window once
-    and prices its **plan** curve ``W(1..columns)`` with one
-    :func:`~repro.layout.algorithm.predicted_costs` pass — the
-    ``predicted_cost`` a plan at each grant size would report, with
-    no plan built.  All cache-missing probes' **measured** curves are
-    then evaluated in
-    *one* lockstep kernel call: a ``c``-column grant behaves exactly
-    like a solo ``c``-way cache with the same sets (fills are
-    restricted to the granted columns and nobody else touches them),
-    and a ``c``-way cache is in turn a bank of a ``columns``-way state
-    whose replacement mask is ``(1 << c) - 1`` — ways outside the mask
-    start cold and are never filled, so they cannot hit or be chosen
-    as victims.  Stacking every (probe, candidate) pair as a distinct
-    row bank therefore prices all candidate grant sizes for all
-    pending admissions in one kernel batch, bit-identical to simulating
-    each candidate geometry by itself.
+    entry per probe, keyed by the run trace's digest (pinned on the
+    trace), the clipped slices and the column units' digest (pinned on
+    the symbol table), so a memo hit hashes, splits and builds nothing.
+
+    Only cache-missing probes build their window.  Each profiles it
+    once and prices its **plan** curve ``W(1..columns)`` with one
+    :func:`~repro.layout.algorithm.predicted_costs` pass, with no plan
+    built.  A ``c``-column grant behaves exactly like a solo ``c``-way
+    cache with the same sets, so their **measured** curves come from
+    one kernel pass over full-width banks (:func:`solo_misses`).
 
     Args:
-        probes: ``(run, window)`` pairs to price.
+        probes: ``(run, slices)`` pairs to price.
         geometry: The shared cache; ``c`` ranges over
             ``1..geometry.columns``.
-        profile_accesses: Trace-prefix bound per probe (keeps
-            admission cost independent of trace length).
+        profile_accesses: Window bound per probe (keeps admission
+            cost independent of trace length).
         session: Planner session the probes run through; re-probing an
             identical window (a recurring phase, or re-admission of
             the same workload) recomputes nothing.
@@ -163,81 +204,47 @@ def demand_curves(
         One :class:`ColumnDemand` per probe, in probe order.
     """
     session = session if session is not None else PlannerSession()
+    columns = geometry.columns
     column_bytes = geometry.sets * geometry.line_size
     units_list = []
-    traces = []
+    spans = []
     keys = []
-    for run, window in probes:
-        units = split_for_columns(run.memory_map.symbols, column_bytes)
-        trace = window if window is not None else run.trace
-        if len(trace) > profile_accesses:
-            trace = trace.slice(0, profile_accesses)
+    for run, slices in probes:
+        units = run.memory_map.symbols.derived(
+            ("units", column_bytes),
+            lambda table: split_for_columns(table, column_bytes),
+        )
+        span = _clip(slices, len(run.trace), profile_accesses)
         units_list.append(units)
-        traces.append(trace)
+        spans.append(span)
         keys.append(
-            f"demand:{trace_digest(trace)}:{units_digest(units)}:"
-            f"{geometry.line_size}:{geometry.sets}:{geometry.columns}"
+            f"demand:{trace_digest(run.trace)}:{span}:"
+            f"{units_digest(units)}:"
+            f"{geometry.line_size}:{geometry.sets}:{columns}"
         )
 
     def compute(indices: list[int]) -> list[ColumnDemand]:
-        candidates = geometry.columns
-        sets = geometry.sets
-        rows_parts = []
-        tags_parts = []
-        mask_parts = []
-        starts = []
-        cursor = 0
-        bank = 0
+        traces = []
         for index in indices:
-            blocks = traces[index].addresses >> np.int64(
-                geometry.offset_bits
+            trace = probes[index][0].trace
+            pieces = [trace.slice(*piece) for piece in spans[index]]
+            traces.append(
+                pieces[0] if len(pieces) == 1 else concatenate(pieces)
             )
-            local_rows = blocks & np.int64(sets - 1)
-            local_tags = blocks >> np.int64(geometry.index_bits)
-            for columns in range(1, candidates + 1):
-                rows_parts.append(local_rows + bank * sets)
-                tags_parts.append(local_tags)
-                mask_parts.append(
-                    np.full(
-                        len(blocks), (1 << columns) - 1, dtype=np.int64
-                    )
-                )
-                starts.append(cursor)
-                cursor += len(blocks)
-                bank += 1
-        state = LockstepState.cold(bank * sets, candidates)
-        miss_positions = lockstep_run(
-            np.concatenate(rows_parts),
-            np.concatenate(tags_parts),
-            state,
-            mask_bits=np.concatenate(mask_parts),
-            collect="misses",
-        )
-        per_bank = np.bincount(
-            np.searchsorted(
-                np.asarray(starts, dtype=np.int64),
-                miss_positions,
-                side="right",
-            )
-            - 1,
-            minlength=bank,
+        misses = solo_misses(
+            [trace.blocks_for(geometry.offset_bits) for trace in traces],
+            geometry,
         )
         curves = []
-        for slot, index in enumerate(indices):
-            profile = profile_trace(
-                traces[index], units_list[index], by_address=True
-            )
-            plan_costs = predicted_costs(
-                profile, units_list[index], range(1, candidates + 1)
-            )
-            base = slot * candidates
+        for trace, index, row in zip(traces, indices, misses):
+            units = units_list[index]
+            profile = profile_trace(trace, units, by_address=True)
             curves.append(
                 ColumnDemand(
-                    plan_costs=tuple(plan_costs),
-                    measured_costs=tuple(
-                        int(per_bank[base + c])
-                        for c in range(candidates)
+                    plan_costs=tuple(
+                        predicted_costs(profile, units, range(1, columns + 1))
                     ),
+                    measured_costs=tuple(int(m) for m in row),
                 )
             )
         return curves
@@ -249,34 +256,19 @@ def demand_curve(
     run: WorkloadRun,
     geometry: CacheGeometry,
     profile_accesses: int = DEFAULT_PROFILE_ACCESSES,
-    window: Optional[Trace] = None,
+    slices: Slices = None,
     session: Optional[PlannerSession] = None,
 ) -> ColumnDemand:
     """Estimate one tenant's demand curve: plan costs + measured misses.
 
-    The single-probe face of :func:`demand_curves` (same cache keys,
-    same kernel batch — a probe already primed by a batched call is a
-    pure cache hit here).
-
-    Args:
-        run: The tenant's recorded workload (symbols + trace).
-        geometry: The shared cache; ``c`` ranges over
-            ``1..geometry.columns``.
-        profile_accesses: Trace-prefix bound for the profile (keeps
-            admission cost independent of trace length).
-        window: Profile this trace window instead of the run's prefix
-            (the phase-change path profiles the window that revealed
-            the new phase).
-        session: Planner session the probes run through; the whole
-            curve is content-cached on it, so re-probing an identical
-            window (a recurring phase, or re-admission of the same
-            workload) recomputes nothing.
+    The single-probe face of :func:`demand_curves`, whose arguments it
+    takes (same memo keys, same kernel pass — a probe already primed
+    by a batched call is a pure cache hit here).  ``slices=None``
+    profiles the run's trace prefix; the phase-change path passes the
+    ``[start, stop)`` slices that revealed the new phase.
     """
     return demand_curves(
-        [(run, window)],
-        geometry,
-        profile_accesses,
-        session=session,
+        [(run, slices)], geometry, profile_accesses, session=session
     )[0]
 
 
@@ -392,7 +384,7 @@ class ColumnBroker:
         """Precompute demand curves for prospective tenants, batched.
 
         One :func:`demand_curves` call prices every not-yet-cached
-        workload's candidate grant sizes in a single kernel batch and
+        workload's candidate grant sizes in a single kernel pass and
         seeds the session cache, so the subsequent one-by-one
         :meth:`admit` decisions are pure cache hits.  Safe to call
         speculatively: a primed workload that is never admitted just
@@ -411,7 +403,7 @@ class ColumnBroker:
         name: str,
         run: WorkloadRun,
         priority: int = 1,
-        window: Optional[Trace] = None,
+        slices: Slices = None,
     ) -> dict[str, int]:
         """Try to admit a tenant; returns per-tenant remap cycles.
 
@@ -430,7 +422,7 @@ class ColumnBroker:
             run,
             self.geometry,
             self.profile_accesses,
-            window=window,
+            slices=slices,
             session=self.session,
         )
         self.priorities[name] = priority
@@ -450,12 +442,13 @@ class ColumnBroker:
         return self._rebalance(reason="departure", force=True)
 
     def refresh(
-        self, name: str, run: WorkloadRun, window: Trace
+        self, name: str, run: WorkloadRun, slices: Slices
     ) -> dict[str, int]:
         """Phase change: re-estimate one tenant's demand and rebalance.
 
-        The window that revealed the phase is profiled (the same move
-        the adaptive runtime's
+        The window that revealed the phase, the ``slices`` of the
+        run's trace the segment ran, is profiled (the same move the
+        adaptive runtime's
         :class:`~repro.runtime.policy.RepartitionPolicy` makes) and
         the global allocation is recomputed; it is applied only if the
         predicted benefit beats the tint-rewrite cost.
@@ -466,7 +459,7 @@ class ColumnBroker:
             run,
             self.geometry,
             self.profile_accesses,
-            window=window,
+            slices=slices,
             session=self.session,
         )
         return self._rebalance(reason="phase", force=False)
@@ -624,7 +617,7 @@ class SharedPool:
         name: str,
         run: WorkloadRun,
         priority: int = 1,
-        window: Optional[Trace] = None,
+        slices: Slices = None,
     ) -> dict[str, int]:
         """Admit up to ``max_tenants`` tenants onto the full mask."""
         if name in self.grants:
@@ -644,7 +637,7 @@ class SharedPool:
         return {}
 
     def refresh(
-        self, name: str, run: WorkloadRun, window: Trace
+        self, name: str, run: WorkloadRun, slices: Slices
     ) -> dict[str, int]:
         """Phase changes never repartition a shared cache."""
         return {}
@@ -693,7 +686,7 @@ class StaticEqualSplit:
         name: str,
         run: WorkloadRun,
         priority: int = 1,
-        window: Optional[Trace] = None,
+        slices: Slices = None,
     ) -> dict[str, int]:
         """Occupy a free equal-split slot, or reject."""
         if name in self.grants:
@@ -726,7 +719,7 @@ class StaticEqualSplit:
         return {}
 
     def refresh(
-        self, name: str, run: WorkloadRun, window: Trace
+        self, name: str, run: WorkloadRun, slices: Slices
     ) -> dict[str, int]:
         """Phase changes never move a static partition."""
         return {}

@@ -164,7 +164,7 @@ class ShardServer:
 
         The daemon calls this with everything it is about to decide
         this segment; the broker evaluates all candidate grant sizes
-        for all specs in one kernel batch, so each following
+        for all specs in one kernel pass, so each following
         :meth:`admit` finds its curve already cached.
         """
         self.broker.prime([spec.run for spec in specs])
@@ -440,9 +440,7 @@ class ShardServer:
             self.events.record(self.now, EventKind.PHASE, name)
             before = self._grant_bits()
             charges = self.broker.refresh(
-                name,
-                runtime.spec.run,
-                runtime.window_trace(tenant_slices),
+                name, runtime.spec.run, tenant_slices
             )
             self._record_grant_changes(before, charges)
             self._charge(charges)

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.runtime.detector import PhaseDetector
 from repro.sim.config import TimingConfig
-from repro.trace.filters import concatenate
-from repro.trace.trace import Trace
 from repro.workloads.base import WorkloadRun
 
 #: Tenants live in disjoint address spaces, offset by index << this.
@@ -298,19 +296,4 @@ class TenantRuntime:
             signature_threshold=config.signature_threshold,
             miss_rate_threshold=config.miss_rate_threshold,
             hysteresis_windows=config.hysteresis_windows,
-        )
-
-    def window_trace(self, slices: Sequence[tuple[int, int]]) -> Trace:
-        """The original-trace window the given slices covered.
-
-        Used by the broker's phase-change path: the segment that
-        revealed the phase is profiled against the tenant's own
-        (un-relocated) symbols.
-        """
-        trace = self.spec.run.trace
-        pieces = [trace.slice(start, stop) for start, stop in slices]
-        if len(pieces) == 1:
-            return pieces[0]
-        return concatenate(
-            pieces, name=f"{self.spec.name}:phase-window"
         )

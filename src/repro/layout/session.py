@@ -51,22 +51,30 @@ def _engine_cache():
 
 
 def trace_digest(trace: Trace) -> str:
-    """Stable content digest of a trace's profiling-relevant columns."""
-    digest = hashlib.sha256()
-    digest.update(str(len(trace)).encode())
-    for column in (
-        trace.addresses,
-        trace.writes,
-        trace.gaps,
-        trace.variable_ids,
-    ):
-        digest.update(column.tobytes())
-    digest.update("\x00".join(trace.variable_names).encode())
-    return digest.hexdigest()
+    """Stable content digest of a trace's profiling-relevant columns,
+    computed once per (immutable) trace object and pinned on it."""
+    if trace._digest is None:
+        digest = hashlib.sha256()
+        digest.update(str(len(trace)).encode())
+        for column in (
+            trace.addresses,
+            trace.writes,
+            trace.gaps,
+            trace.variable_ids,
+        ):
+            digest.update(column.tobytes())
+        digest.update("\x00".join(trace.variable_names).encode())
+        trace._digest = digest.hexdigest()
+    return trace._digest
 
 
 def units_digest(units: SymbolTable) -> str:
-    """Stable content digest of a symbol table's layout units."""
+    """Stable content digest of a symbol table's layout units, pinned
+    on the table until it gains a variable."""
+    return units.derived(units_digest, _hash_units)
+
+
+def _hash_units(units: SymbolTable) -> str:
     digest = hashlib.sha256()
     for variable in units:
         digest.update(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.mem.address import AddressRange
 from repro.utils.validation import check_positive
@@ -120,9 +120,20 @@ class SymbolTable:
     _by_name: dict[str, Variable] = field(default_factory=dict)
     _bases: list[int] = field(default_factory=list)
     _ordered: list[Variable] = field(default_factory=list)
+    _derived: dict[Any, Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def derived(self, key: Any, compute: Callable[..., Any]) -> Any:
+        """``compute(self)``, pinned under ``key`` until the next
+        :meth:`add` (layout units per column size, digests)."""
+        if key not in self._derived:
+            self._derived[key] = compute(self)
+        return self._derived[key]
 
     def add(self, variable: Variable) -> Variable:
         """Insert a variable; rejects duplicate names and overlaps."""
+        self._derived.clear()
         if variable.name in self._by_name:
             raise ValueError(f"duplicate variable name {variable.name!r}")
         index = bisect.bisect_left(self._bases, variable.base)

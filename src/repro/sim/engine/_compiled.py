@@ -6,11 +6,13 @@ zero dependencies beyond a C compiler: it is compiled on demand with
 ``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) and
 loaded through :mod:`ctypes`.  It exports three entry points:
 ``repro_lockstep_flags``, the per-access loop behind
-:func:`lockstep_run_compiled`; ``repro_fused_multitask``, the
-schedule walk behind :func:`schedule_count_compiled` and
-:func:`fused_multitask_compiled`; and ``repro_quantum_orbit``, one
-job's closed-form quantum orbit behind :func:`quantum_orbit_compiled`
-(the Figure 5 matrix's schedule).  Nothing here compiles at import time —
+:func:`lockstep_run_compiled` (hit and bypass flags, miss positions
+or LRU stack depths); ``repro_fused_multitask``, the schedule walk
+behind :func:`fused_multitask_compiled` (also bound as
+``schedule_count_compiled``, the Figure 5 matrix's name for it); and
+``repro_quantum_orbit``, one job's closed-form quantum orbit behind
+:func:`quantum_orbit_compiled` (the Figure 5 matrix's schedule).
+Nothing here compiles at import time —
 :func:`available` performs the (cached) probe, and
 :mod:`repro.sim.engine.backends` decides when to call it.
 
@@ -38,6 +40,8 @@ if TYPE_CHECKING:
 
 import numpy as np
 
+from repro.utils.validation import check_quantum
+
 _SOURCE = Path(__file__).with_name("_lockstep.c")
 
 #: Compiler candidates, first found wins (``$CC`` overrides).
@@ -45,8 +49,6 @@ _COMPILERS = ("cc", "gcc", "clang")
 
 #: Widest associativity the C kernel handles (mask fits int64).
 MAX_COMPILED_WAYS = 63
-
-_INT64_MAX = (1 << 63) - 1
 
 _lib: Optional[ctypes.CDLL] = None
 _probe_error: Optional[str] = None
@@ -115,7 +117,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr = ctypes.c_void_p
     lib.repro_lockstep_flags.restype = None
     lib.repro_lockstep_flags.argtypes = [
-        i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+        i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
     ]
     lib.repro_fused_multitask.restype = None
     lib.repro_fused_multitask.argtypes = [
@@ -256,8 +258,8 @@ def lockstep_run_compiled(
     """Compiled twin of :func:`repro.sim.engine.batched.lockstep_run`.
 
     Arguments are pre-validated by the dispatching wrapper; state
-    evolution and returned flags/positions are bit-identical to the
-    numpy kernel.
+    evolution and returned flags, positions or depths are
+    bit-identical to the numpy kernel.
     """
     lib = load()
     n = len(rows)
@@ -273,9 +275,10 @@ def lockstep_run_compiled(
             (1 << ways) - 1 if uniform_mask is None else int(uniform_mask)
         )
     ensure_state_native(state)
-    hit_flags = np.zeros(n, dtype=np.bool_)
+    depths = np.empty(n, dtype=np.uint8) if collect == "depths" else None
+    hit_flags = None if depths is not None else np.zeros(n, np.bool_)
     bypass_flags = (
-        None if collect == "misses" else np.zeros(n, dtype=np.bool_)
+        np.zeros(n, dtype=np.bool_) if collect == "flags" else None
     )
     lib.repro_lockstep_flags(
         n,
@@ -289,13 +292,16 @@ def lockstep_run_compiled(
         _addr(state.clock),
         _addr(hit_flags),
         _addr(bypass_flags),
+        _addr(depths),
     )
+    if depths is not None:
+        return depths
     if collect == "misses":
         return np.flatnonzero(~hit_flags)
     return hit_flags, bypass_flags
 
 
-def _schedule_walk(
+def fused_multitask_compiled(
     seg_jobs: np.ndarray,
     seg_pos: np.ndarray,
     seg_len: np.ndarray,
@@ -304,16 +310,23 @@ def _schedule_walk(
     blocks_concat: np.ndarray,
     mask_table: np.ndarray,
     state: "LockstepState",
+    *,
     sets_mask: int,
     index_bits: int,
     job_hits: np.ndarray,
-    hit_flags: Optional[np.ndarray],
+    hit_flags: Optional[np.ndarray] = None,
 ) -> None:
-    """Marshal one schedule walk into ``repro_fused_multitask``.
+    """Run a quantum schedule without materializing its access stream.
 
-    The export's one call site.  Both public wrappers come here, never
-    through each other, so a profiler wrapping both names counts each
-    kernel entry (and its accesses) once.
+    The compiled schedule walk of the fused fleet walk
+    (:func:`repro.sim.engine.fused.fused_multitask_run`'s hot path)
+    and of the Figure 5 matrix: segment ``s`` simulates ``seg_len[s]``
+    accesses of job ``seg_jobs[s]``, walking that job's slice of
+    ``blocks_concat`` circularly from ``seg_pos[s]`` — exactly the
+    stream ``_Schedule.access_stream`` would materialize.  Per-job
+    hits accumulate into ``job_hits``; when ``hit_flags`` (uint8, one
+    slot per scheduled access) is given, per-access hit flags are
+    written in global schedule order.
     """
     lib = load()
     if blocks_concat.dtype == np.int32:
@@ -352,90 +365,10 @@ def _schedule_walk(
     )
 
 
-def schedule_count_compiled(
-    seg_jobs: np.ndarray,
-    seg_pos: np.ndarray,
-    seg_len: np.ndarray,
-    job_offsets: np.ndarray,
-    job_lengths: np.ndarray,
-    blocks_concat: np.ndarray,
-    mask_table: np.ndarray,
-    state: "LockstepState",
-    *,
-    sets_mask: int,
-    index_bits: int,
-    job_misses: np.ndarray,
-) -> None:
-    """Run a quantum schedule without materializing its access stream.
-
-    Segment ``s`` simulates ``seg_len[s]`` accesses of job
-    ``seg_jobs[s]``, walking that job's slice of ``blocks_concat``
-    circularly from ``seg_pos[s]`` — exactly the stream
-    ``_Schedule.access_stream`` would materialize.  Per-job misses
-    (bypasses included) accumulate into ``job_misses``: each job's
-    scheduled accesses minus the hits the walk counted.
-    """
-    job_hits = np.zeros(len(job_misses), dtype=np.int64)
-    _schedule_walk(
-        seg_jobs,
-        seg_pos,
-        seg_len,
-        job_offsets,
-        job_lengths,
-        blocks_concat,
-        mask_table,
-        state,
-        sets_mask,
-        index_bits,
-        job_hits,
-        None,
-    )
-    job_accesses = np.bincount(
-        seg_jobs, weights=seg_len, minlength=len(job_misses)
-    ).astype(np.int64)
-    job_misses += job_accesses - job_hits
-
-
-def fused_multitask_compiled(
-    seg_jobs: np.ndarray,
-    seg_pos: np.ndarray,
-    seg_len: np.ndarray,
-    job_offsets: np.ndarray,
-    job_lengths: np.ndarray,
-    blocks_concat: np.ndarray,
-    mask_table: np.ndarray,
-    state: "LockstepState",
-    *,
-    sets_mask: int,
-    index_bits: int,
-    job_hits: np.ndarray,
-    hit_flags: Optional[np.ndarray] = None,
-) -> None:
-    """Run a fleet quantum schedule, accumulating per-tenant hits.
-
-    The compiled twin of the fused fleet walk
-    (:func:`repro.sim.engine.fused.fused_multitask_run`'s hot path):
-    segment ``s`` simulates ``seg_len[s]`` accesses of tenant
-    ``seg_jobs[s]``, walking that tenant's slice of ``blocks_concat``
-    circularly from ``seg_pos[s]``.  Per-tenant hits accumulate into
-    ``job_hits``; when ``hit_flags`` (uint8, one slot per scheduled
-    access) is given, per-access hit flags are written in global
-    schedule order.
-    """
-    _schedule_walk(
-        seg_jobs,
-        seg_pos,
-        seg_len,
-        job_offsets,
-        job_lengths,
-        blocks_concat,
-        mask_table,
-        state,
-        sets_mask,
-        index_bits,
-        job_hits,
-        hit_flags,
-    )
+#: The Figure 5 matrix's name for the same walk, kept as its own
+#: module attribute so a profiler can wrap the matrix's calls apart
+#: from the fleet's.
+schedule_count_compiled = fused_multitask_compiled
 
 
 def quantum_orbit_compiled(
@@ -461,7 +394,9 @@ def quantum_orbit_compiled(
         ValueError: when ``cumulative`` is empty or charges some
             access no instruction (its last entry is below its
             length), ``start`` is not a position of it, or
-            ``quantum`` is outside ``[1, 2**63 - 1 - cumulative[-1]]``.
+            ``quantum`` is outside ``[1, 2**63 - 1 - cumulative[-1]]``
+            (:func:`~repro.utils.validation.check_quantum`, the check
+            the numpy path's ``quantum_tables`` makes too).
     """
     cum64 = np.ascontiguousarray(cumulative, dtype=np.int64)
     length = len(cum64)
@@ -473,11 +408,7 @@ def quantum_orbit_compiled(
         )
     if not 0 <= start < length:
         raise ValueError(f"start {start} out of range 0..{length - 1}")
-    if not 1 <= quantum <= _INT64_MAX - total:
-        raise ValueError(
-            f"quantum must be in [1, {_INT64_MAX - total}], "
-            f"got {quantum}"
-        )
+    check_quantum(quantum, total)
     lib = load()
     positions = np.empty(count, dtype=np.int64)
     accesses = np.empty(count, dtype=np.int64)

@@ -19,7 +19,13 @@
  *     last_use, ties resolved toward the lowest way (strict <);
  *   - a miss whose mask has no candidate way inside the geometry
  *     (mask & ((1 << ways) - 1) == 0) is a counted bypass: the clock
- *     still advances, nothing fills.
+ *     still advances, nothing fills;
+ *   - the optional depth output is each access's LRU stack depth:
+ *     on a hit, the number of the row's valid ways used more recently
+ *     than the hit line, read before the touch (0 = the most recent);
+ *     on a miss or bypass, `ways`.  LRU is a stack algorithm, so on a
+ *     cold, unmasked state an access hits in every c-way cache with
+ *     c > depth: one full-width pass prices every grant size.
  *
  * All pointers are passed as raw addresses (ctypes c_void_p); arrays
  * are C-contiguous int64 unless stated otherwise.  Callers guarantee
@@ -31,11 +37,15 @@
 #define API __attribute__((visibility("default")))
 
 /* One access against one row.  Returns 1 on hit; *bypass is set when
- * the access missed with an empty candidate mask. */
+ * the access missed with an empty candidate mask.  When depth is
+ * non-NULL, a hit stores the line's recency rank before the touch:
+ * the number of ways used more recently (empty lines keep last_use
+ * -1, below any valid line's, so they never count). */
 static inline int
 step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
      int64_t *restrict state_tags, int64_t *restrict state_use,
-     int64_t *restrict state_clock, int *restrict bypass)
+     int64_t *restrict state_clock, int *restrict bypass,
+     int64_t *restrict depth)
 {
     int64_t *line_tags = state_tags + row * ways;
     int64_t *line_use = state_use + row * ways;
@@ -43,6 +53,13 @@ step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
     state_clock[row] = now + 1;
     for (int64_t way = 0; way < ways; way++) {
         if (line_tags[way] == tag && line_use[way] >= 0) {
+            if (depth) {
+                int64_t last = line_use[way];
+                int64_t newer = 0;
+                for (int64_t other = 0; other < ways; other++)
+                    newer += line_use[other] > last;
+                *depth = newer;
+            }
             line_use[way] = now;
             *bypass = 0;
             return 1;
@@ -66,29 +83,55 @@ step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
     return 0;
 }
 
-/* Generic per-access entry: rows/tags precomputed by the caller.
- * mask_bits may be NULL (then uniform_mask applies to every access);
- * hit_out / bypass_out may be NULL (counting-only callers). */
-API void
-repro_lockstep_flags(int64_t n, const int64_t *rows,
-                     const int64_t *tags, int64_t ways,
-                     const int64_t *mask_bits, int64_t uniform_mask,
-                     int64_t *state_tags, int64_t *state_use,
-                     int64_t *state_clock, uint8_t *hit_out,
-                     uint8_t *bypass_out)
+/* The per-access loop of repro_lockstep_flags, inlined once with a
+ * NULL depth_out so the flags path carries no depth code. */
+static inline __attribute__((always_inline)) void
+flags_loop(int64_t n, const int64_t *rows, const int64_t *tags,
+           int64_t ways, const int64_t *mask_bits, int64_t uniform_mask,
+           int64_t *state_tags, int64_t *state_use, int64_t *state_clock,
+           uint8_t *hit_out, uint8_t *bypass_out, uint8_t *depth_out)
 {
     int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
     for (int64_t i = 0; i < n; i++) {
         int64_t mask =
             (mask_bits ? mask_bits[i] : uniform_mask) & ways_mask;
         int bypass = 0;
+        int64_t depth = ways;
         int hit = step(rows[i], tags[i], mask, ways, state_tags,
-                       state_use, state_clock, &bypass);
+                       state_use, state_clock, &bypass,
+                       depth_out ? &depth : 0);
         if (hit_out)
             hit_out[i] = (uint8_t)hit;
         if (bypass_out)
             bypass_out[i] = (uint8_t)bypass;
+        if (depth_out)
+            depth_out[i] = (uint8_t)depth;
     }
+}
+
+/* Generic per-access entry: rows/tags precomputed by the caller.
+ * mask_bits may be NULL (then uniform_mask applies to every access);
+ * hit_out / bypass_out / depth_out may each be NULL.  depth_out gets
+ * one LRU stack depth per access: a hit's recency rank among its
+ * row's valid ways (0 = most recently used), `ways` on a miss or
+ * bypass.  The hit scan stops at the first match, so the rank costs
+ * one more pass over the ways, on hits only. */
+API void
+repro_lockstep_flags(int64_t n, const int64_t *rows,
+                     const int64_t *tags, int64_t ways,
+                     const int64_t *mask_bits, int64_t uniform_mask,
+                     int64_t *state_tags, int64_t *state_use,
+                     int64_t *state_clock, uint8_t *hit_out,
+                     uint8_t *bypass_out, uint8_t *depth_out)
+{
+    if (depth_out)
+        flags_loop(n, rows, tags, ways, mask_bits, uniform_mask,
+                   state_tags, state_use, state_clock, hit_out,
+                   bypass_out, depth_out);
+    else
+        flags_loop(n, rows, tags, ways, mask_bits, uniform_mask,
+                   state_tags, state_use, state_clock, hit_out,
+                   bypass_out, 0);
 }
 
 /* Fused schedule walk: simulates a round-robin quantum schedule
@@ -136,7 +179,7 @@ repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
             int bypass = 0;
             int hit = step(block & sets_mask, block >> index_bits,
                            mask, ways, state_tags, state_use,
-                           state_clock, &bypass);
+                           state_clock, &bypass, 0);
             hits += hit;
             if (hit_flags)
                 hit_flags[stream + k] = (uint8_t)hit;

@@ -182,12 +182,15 @@ def _scalar_finish_group(
     group_masks: Optional[np.ndarray],
     uniform_candidates: Optional[tuple[int, ...]],
     first_occurrence: int,
+    depths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Finish one row's residual accesses with the scalar LRU loop.
 
     Operates directly on the packed state rows, so lockstep rounds and
     the scalar tail compose exactly.  Returns one outcome code per
-    access: ``_HIT``, ``_BYPASS`` or 0 for a filled miss.
+    access: ``_HIT``, ``_BYPASS`` or 0 for a filled miss.  When
+    ``depths`` is given, each hit also stores its stack depth there
+    (misses leave their entry untouched).
     """
     ways = len(tags_row)
     tag_to_way = {
@@ -201,6 +204,8 @@ def _scalar_finish_group(
         clock = clock_base + first_occurrence + offset
         way = tag_to_way.get(tag)
         if way is not None:
+            if depths is not None:
+                depths[offset] = int((use_row > use_row[way]).sum())
             use_row[way] = clock
             codes[offset] = _HIT
             continue
@@ -273,7 +278,8 @@ def lockstep_run(
         collect: ``"flags"`` returns per-access flag arrays;
             ``"misses"`` skips all per-access flag materialization and
             returns only the positions of the misses — the batching
-            engine's counting path, measurably faster on huge batches.
+            engine's counting path, measurably faster on huge batches;
+            ``"depths"`` returns each access's LRU stack depth.
         backend: Kernel backend for this call — ``"numpy"``,
             ``"compiled"`` or ``"auto"``; None (the default) uses the
             session's active backend
@@ -289,29 +295,39 @@ def lockstep_run(
         ``bypass_flags``, and a filled miss sets neither.
         With ``collect="misses"``: one int64 array of the access
         positions that missed (bypasses included), in no particular
-        order.  State evolution is identical in both modes.
+        order.
+        With ``collect="depths"``: each access's LRU stack depth, in
+        access order (uint8 up to 255 ways): a hit line's rank among
+        its row's valid ways by ``last_use`` before the touch (0 =
+        most recently used), ``state.ways`` on a miss or bypass.  On
+        a cold, unmasked state an access hits in a ``c``-way cache
+        iff its depth is below ``c`` (LRU is a stack algorithm).
+        State evolution is identical in all modes.
     """
     if mask_bits is not None and uniform_mask is not None:
         raise ValueError("give either mask_bits or uniform_mask, not both")
-    if collect not in ("flags", "misses"):
+    if collect not in ("flags", "misses", "depths"):
         raise ValueError(f"unknown collect mode {collect!r}")
     misses_only = collect == "misses"
+    flags = collect == "flags"
     rows = np.ascontiguousarray(rows)
     tags = np.ascontiguousarray(tags)
     n = len(rows)
-    if misses_only:
-        hit_flags = bypass_flags = None
-    else:
+    ways = state.ways
+    depth_dtype = np.min_scalar_type(ways)
+    hit_flags = bypass_flags = None
+    if flags:
         hit_flags = np.zeros(n, dtype=bool)
         bypass_flags = np.zeros(n, dtype=bool)
     if n == 0:
         if misses_only:
             return np.zeros(0, dtype=np.int64)
+        if not flags:
+            return np.zeros(0, dtype=depth_dtype)
         return hit_flags, bypass_flags
     if len(tags) != n:
         raise ValueError("rows and tags length mismatch")
 
-    ways = state.ways
     backend_name = (
         backends.active_backend()
         if backend is None
@@ -427,12 +443,14 @@ def lockstep_run(
     flat_use = packed_use.reshape(-1)
     row_base = np.arange(group_count, dtype=np.int64) * np.int64(ways)
 
-    if misses_only:
-        hit_t = bypass_t = None
-        miss_parts: list[np.ndarray] = []
-    else:
+    miss_parts: list[np.ndarray] = []
+    hit_t = bypass_t = None
+    if flags:
         hit_t = np.zeros(n, dtype=bool)
         bypass_t = np.zeros(n, dtype=bool)
+    depth_t = (
+        None if collect != "depths" else np.full(n, ways, depth_dtype)
+    )
     way_shift = np.arange(ways, dtype=np.int64)
     row_index = np.arange(group_count, dtype=np.int64)
 
@@ -511,8 +529,16 @@ def lockstep_run(
             taken = taken_buf[:alive]
             np.take(flat_tags, probe, out=taken)
             np.equal(taken, chunk_tags, out=hit)
-        if not misses_only:
+        if flags:
             hit_t[chunk] = hit
+        if depth_t is not None:
+            # Rank each hit line among its row's lines before the
+            # touch (empty lines hold last_use -1 and never count).
+            hit_rows = np.flatnonzero(hit)
+            last = flat_use[probe[hit_rows]]
+            depth_t[chunk.start + hit_rows] = (
+                packed_use[hit_rows] > last[:, None]
+            ).sum(axis=1)
         clock_now = clock_buf[:alive]
         np.add(clock_base[:alive], round_index, out=clock_now)
 
@@ -556,7 +582,7 @@ def lockstep_run(
             if any_empty_mask:
                 fillable = miss_masks != 0
                 if not bool(fillable.all()):
-                    if not misses_only:
+                    if flags:
                         bypass_at = np.zeros(alive, dtype=bool)
                         bypass_at[miss_idx[~fillable]] = True
                         bypass_t[chunk] = bypass_at
@@ -566,7 +592,7 @@ def lockstep_run(
                     victim = victim_buf[: len(miss_idx)]
         elif not uniform_candidates:
             # Empty uniform mask: every miss bypasses, nothing fills.
-            if not misses_only:
+            if flags:
                 bypass_at = np.zeros(alive, dtype=bool)
                 bypass_at[miss_idx] = True
                 bypass_t[chunk] = bypass_at
@@ -586,6 +612,11 @@ def lockstep_run(
             start = int(starts_d[group])
             size = int(sizes_d[group])
             span = slice(start + stop_round, start + size)
+            group_depths = (
+                None
+                if depth_t is None
+                else np.full(size - stop_round, ways, depth_dtype)
+            )
             codes = _scalar_finish_group(
                 packed_tags[group],
                 packed_use[group],
@@ -594,6 +625,7 @@ def lockstep_run(
                 masks_sorted[span] if masks is not None else None,
                 uniform_candidates,
                 stop_round,
+                group_depths,
             )
             if misses_only:
                 miss_parts.append(
@@ -603,6 +635,9 @@ def lockstep_run(
             out_positions = (
                 round_start[stop_round:size] + row_index[group]
             )
+            if depth_t is not None:
+                depth_t[out_positions] = group_depths
+                continue
             hit_t[out_positions[codes == _HIT]] = True
             bypass_t[out_positions[codes == _BYPASS]] = True
 
@@ -616,6 +651,10 @@ def lockstep_run(
         if not miss_parts:
             return np.zeros(0, dtype=np.int64)
         return order[np.concatenate(miss_parts)]
+    if depth_t is not None:
+        depths = np.empty(n, dtype=depth_dtype)
+        depths[order] = depth_t[transposed]
+        return depths
     hit_flags[order] = hit_t[transposed]
     bypass_flags[order] = bypass_t[transposed]
     return hit_flags, bypass_flags

@@ -411,7 +411,7 @@ def _simulate_matrix_compiled(
                 warm,
                 sets_mask=sets_mask,
                 index_bits=index_bits,
-                job_misses=np.zeros(job_count, dtype=np.int64),
+                job_hits=np.zeros(job_count, dtype=np.int64),
             )
         variant_results = []
         for schedule in schedules:
@@ -420,7 +420,7 @@ def _simulate_matrix_compiled(
                 last_use=warm.last_use.copy(),
                 clock=warm.clock.copy(),
             )
-            job_misses = np.zeros(job_count, dtype=np.int64)
+            job_hits = np.zeros(job_count, dtype=np.int64)
             _compiled.schedule_count_compiled(
                 schedule.job_ids,
                 schedule.positions,
@@ -432,11 +432,13 @@ def _simulate_matrix_compiled(
                 state,
                 sets_mask=sets_mask,
                 index_bits=index_bits,
-                job_misses=job_misses,
+                job_hits=job_hits,
             )
             variant_results.append(
                 _results_for_point(
-                    batch_lists[variant_index], schedule, job_misses
+                    batch_lists[variant_index],
+                    schedule,
+                    schedule.job_accesses - job_hits,
                 )
             )
         results.append(variant_results)

@@ -43,6 +43,7 @@ from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepCache
 from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
+from repro.utils.validation import check_quantum
 
 
 def next_quantum_slice(
@@ -91,9 +92,15 @@ def quantum_tables(
     overshoot of the final access, exactly like the iterative
     :func:`next_quantum_slice` loop in
     :meth:`MultitaskSimulator._run_quantum`.
+
+    Raises:
+        ValueError: when ``quantum`` is outside
+            ``[1, 2**63 - 1 - cumulative[-1]]``
+            (:func:`~repro.utils.validation.check_quantum`).
     """
     n = len(cumulative)
     total = int(cumulative[-1])
+    check_quantum(quantum, total)
     cum_prev = np.concatenate(
         (np.zeros(1, dtype=np.int64), cumulative[:-1])
     )
@@ -271,8 +278,8 @@ class QuantumSchedule:
         Decomposes each of the tenant's quanta into the exact
         ``[start, stop)`` cuts the iterative executor would have made
         (cuts happen only at the end of the trace), so slice-consuming
-        paths — phase-detection windows, ``window_trace`` — see the
-        same pieces the per-quantum loop produced.
+        paths — phase-detection windows, the broker's phase probes —
+        see the same pieces the per-quantum loop produced.
         """
         chosen = self.tenant_ids == tenant
         slices: list[tuple[int, int]] = []

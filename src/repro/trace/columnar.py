@@ -118,10 +118,11 @@ class ColumnarTrace:
         self.variable_names = list(variable_names)
         self.name = name
         # Derived-column caches (offset_bits -> blocks, cumulative
-        # instruction counts).  Computed lazily, shared by every
-        # consumer of this trace object.
+        # instruction counts, the session's content digest).  Computed
+        # lazily, shared by every consumer of this trace object.
         self._blocks: dict[int, np.ndarray] = {}
         self._cumulative: Optional[np.ndarray] = None
+        self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Constructors

@@ -45,6 +45,24 @@ def check_alignment(value: int, alignment: int, name: str) -> int:
     return value
 
 
+#: Largest int64, the range of every schedule column.
+INT64_MAX = (1 << 63) - 1
+
+
+def check_quantum(quantum: int, total: int) -> int:
+    """Validate a scheduling quantum against a trace's pass total.
+
+    The closed-form schedule adds the quantum to cumulative
+    instruction counts of up to ``total`` in int64 (both kernels), so
+    it must lie in ``[1, 2**63 - 1 - total]``; returns it.
+    """
+    if not 1 <= quantum <= INT64_MAX - total:
+        raise ValueError(
+            f"quantum must be in [1, {INT64_MAX - total}], got {quantum}"
+        )
+    return quantum
+
+
 def log2_exact(value: int, name: str = "value") -> int:
     """Return log2 of ``value``, requiring an exact power of two."""
     check_power_of_two(value, name)

@@ -193,14 +193,8 @@ def run_reference_fleet(
                     boundaries.append(name)
         for name in boundaries:
             if name in broker.grants:
-                runtime = runtimes[name]
-                charge(
-                    broker.refresh(
-                        name,
-                        runtime.spec.run,
-                        runtime.window_trace(slices[name]),
-                    )
-                )
+                run = runtimes[name].spec.run
+                charge(broker.refresh(name, run, slices[name]))
         segment += 1
 
     return FleetResult(

@@ -12,12 +12,20 @@ from repro.fleet import (
     demand_curve,
     demand_curves,
 )
+from repro.fleet import broker as broker_module
+from repro.layout import partition
+from repro.layout import session as session_module
 from repro.layout.algorithm import LayoutConfig
 from repro.layout.partition import split_for_columns
 from repro.layout.session import PlannerSession
+from repro.mem.address import AddressRange
+from repro.mem.layout import MemoryMap
+from repro.mem.symbols import Variable
 from repro.sim.config import MULTITASK_TIMING
 from repro.sim.engine.batched import LockstepCache
+from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
+from repro.workloads.base import WorkloadRun
 from repro.workloads.suite import make_workload
 
 
@@ -79,9 +87,29 @@ class TestDemandCurve:
             demand.cost(0)
 
 
+def per_candidate_misses(blocks, geometry):
+    """One solo simulation per candidate grant size, each against its
+    own ``c``-column geometry: the misses at ``c = 1..columns``."""
+    return [
+        int(
+            LockstepCache(
+                CacheGeometry(
+                    line_size=geometry.line_size,
+                    sets=geometry.sets,
+                    columns=columns,
+                )
+            )
+            .run(blocks)
+            .misses
+        )
+        for columns in range(1, geometry.columns + 1)
+    ]
+
+
 def per_candidate_demand(run, geometry, profile_accesses=8192):
-    """The pre-batching reference: one solo simulation per candidate
-    grant size, each against its own ``c``-column geometry."""
+    """The pre-batching reference: one plan and one solo simulation
+    per candidate grant size, each against its own ``c``-column
+    geometry."""
     session = PlannerSession()
     column_bytes = geometry.sets * geometry.line_size
     units = split_for_columns(run.memory_map.symbols, column_bytes)
@@ -89,9 +117,7 @@ def per_candidate_demand(run, geometry, profile_accesses=8192):
     if len(trace) > profile_accesses:
         trace = trace.slice(0, profile_accesses)
     profile = session.profile(trace, units, by_address=True)
-    blocks = trace.addresses >> geometry.offset_bits
     plan_costs = []
-    measured_costs = []
     for columns in range(1, geometry.columns + 1):
         config = LayoutConfig(
             columns=columns,
@@ -101,17 +127,10 @@ def per_candidate_demand(run, geometry, profile_accesses=8192):
         )
         assignment = session.plan_from_profile(config, profile, units)
         plan_costs.append(int(assignment.predicted_cost))
-        candidate = CacheGeometry(
-            line_size=geometry.line_size,
-            sets=geometry.sets,
-            columns=columns,
-        )
-        measured_costs.append(
-            int(LockstepCache(candidate).run(blocks).misses)
-        )
+    blocks = trace.addresses >> geometry.offset_bits
     return ColumnDemand(
         plan_costs=tuple(plan_costs),
-        measured_costs=tuple(measured_costs),
+        measured_costs=tuple(per_candidate_misses(blocks, geometry)),
     )
 
 
@@ -178,6 +197,87 @@ class TestBatchedDemandCurves:
             assert broker.demands[name] == per_candidate_demand(
                 run, geometry
             )
+
+
+class TestProbeKeys:
+    """A probe is keyed by its run trace's digest, its slices clipped
+    to the profiled prefix, and its column units' digest; it is priced
+    by its window's content."""
+
+    def test_equal_content_at_different_slices_prices_equally(
+        self, small_runs, geometry
+    ):
+        crc = small_runs["crc"]
+        length = len(crc.trace)
+        twice = WorkloadRun(
+            name="crc-twice",
+            trace=crc.trace.repeat(2),
+            memory_map=crc.memory_map,
+        )
+        session = PlannerSession()
+        first, second = demand_curves(
+            [(twice, [(0, length)]), (twice, [(length, 2 * length)])],
+            geometry,
+            profile_accesses=length,
+            session=session,
+        )
+        assert len(session.cache) == 2  # different keys, both computed
+        assert first == second
+        assert first == per_candidate_demand(crc, geometry, length)
+
+    def test_equal_windows_share_one_key(self, small_runs, geometry):
+        """The prefix, spelt as None, as one slice, or as adjacent and
+        empty pieces running past the profiled bound, is one entry."""
+        run = small_runs["hist"]
+        limit = 300
+        assert len(run.trace) > limit + 50
+        session = PlannerSession()
+        curves = demand_curves(
+            [
+                (run, None),
+                (run, [(0, limit)]),
+                (run, [(0, 100), (100, 100), (100, limit + 50)]),
+            ],
+            geometry,
+            profile_accesses=limit,
+            session=session,
+        )
+        assert curves[0] == curves[1] == curves[2]
+        assert len(session.cache) == 1
+
+    def test_memo_hit_hashes_splits_and_builds_nothing(
+        self, small_runs, geometry, monkeypatch
+    ):
+        run = small_runs["fir"]
+        slices = [(40, 90), (0, 30)]
+        session = PlannerSession()
+        priced = demand_curve(run, geometry, slices=slices, session=session)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work on a memo hit")
+
+        monkeypatch.setattr(session_module.hashlib, "sha256", forbidden)
+        monkeypatch.setattr(partition, "split_for_columns", forbidden)
+        monkeypatch.setattr(Trace, "slice", forbidden)
+        monkeypatch.setattr(broker_module, "solo_misses", forbidden)
+        again = demand_curve(run, geometry, slices=slices, session=session)
+        assert again == priced
+
+    def test_new_variable_drops_the_units_pin(self, small_runs, geometry):
+        """Growing the run's symbol table re-splits it: the key (and
+        so the curve's entry) follows the table's content."""
+        crc = small_runs["crc"]
+        run = WorkloadRun(
+            name="crc-copy", trace=crc.trace, memory_map=MemoryMap()
+        )
+        for variable in crc.memory_map.symbols:
+            run.memory_map.symbols.add(variable)
+        session = PlannerSession()
+        demand_curve(run, geometry, session=session)
+        top = max(v.range.end for v in run.memory_map.symbols)
+        run.memory_map.symbols.add(Variable("late", AddressRange(top, 64)))
+        demand_curve(run, geometry, session=session)
+        assert len(session.cache) == 2
 
 
 class TestColumnBroker:
@@ -258,7 +358,7 @@ class TestColumnBroker:
         broker.admit("b", small_runs["crc"])
         grants_before = dict(broker.grants)
         charges = broker.refresh(
-            "a", small_runs["gzip"], small_runs["gzip"].trace
+            "a", small_runs["gzip"], [(0, len(small_runs["gzip"].trace))]
         )
         assert charges == {}
         assert broker.grants == grants_before
@@ -270,7 +370,7 @@ class TestColumnBroker:
         broker = ColumnBroker(geometry, MULTITASK_TIMING)
         broker.admit("a", small_runs["gzip"])
         broker.admit("b", small_runs["crc"])
-        broker.refresh("a", small_runs["gzip"], small_runs["gzip"].trace)
+        broker.refresh("a", small_runs["gzip"], [(0, 512), (512, 2048)])
         broker.admit("c", small_runs["hist"])
         broker.check_disjoint()
         assert broker.free_columns().is_empty()
@@ -318,7 +418,7 @@ class TestBaselines:
         assert not split.grants["a"].overlaps(split.grants["b"])
         # Slots are stable: refresh never moves a static partition.
         before = split.grants["a"]
-        split.refresh("a", small_runs["crc"], small_runs["crc"].trace)
+        split.refresh("a", small_runs["crc"], [(0, 64)])
         assert split.grants["a"] == before
         # Departing frees the slot for the next arrival.
         split.depart("a")

@@ -2,6 +2,8 @@
 round-robin simulator — every JobResult field, at every quantum shape
 (per-access switching, mid-trace, multi-wrap, batch)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,13 @@ from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.sim.engine.fused import TenantBatch
 from repro.sim.engine.multitask_batch import simulate_multitask_matrix
-from repro.sim.multitask import Job, MultitaskSimulator
+from repro.sim.multitask import (
+    Job,
+    MultitaskSimulator,
+    quantum_tables,
+    single_quantum,
+    walk_tables,
+)
 from repro.trace.columnar import ColumnarRecorder, load_npz
 from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
@@ -322,6 +330,46 @@ class TestNegativeGaps:
             MultitaskSimulator(self.GEOMETRY, jobs)
 
 
+class TestQuantumRange:
+    """A quantum whose int64 target would overflow is refused with the
+    allowed range, by one check both kernels' schedules make."""
+
+    GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
+    TRACE = Trace.from_columns([0, 16, 32], name="three")  # total 3
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matrix_names_the_allowed_range(self, kernel):
+        message = re.escape(
+            f"quantum must be in [1, {2**63 - 4}], got {2**63 - 2}"
+        )
+        with pytest.raises(ValueError, match=message):
+            simulate_multitask_matrix(
+                [(self.GEOMETRY, [Job(name="a", trace=self.TRACE)])],
+                [2**63 - 2],
+                10,
+                kernel=kernel,
+            )
+
+    def test_tables_accept_the_largest_quantum_and_refuse_beyond(self):
+        cumulative = self.TRACE.cumulative_instructions
+        largest = 2**63 - 4
+        next_pos, accesses, ran, wraps = quantum_tables(
+            cumulative, largest
+        )
+        for position in range(3):
+            assert (
+                next_pos[position],
+                accesses[position],
+                ran[position],
+                wraps[position],
+            ) == single_quantum(cumulative, position, largest)
+        for quantum in (0, largest + 1):
+            with pytest.raises(ValueError, match="quantum must be in"):
+                quantum_tables(cumulative, quantum)
+            with pytest.raises(ValueError, match="quantum must be in"):
+                walk_tables(cumulative, quantum)
+
+
 class TestMatrixKernels:
     """Both matrix paths, pinned: the numpy stacked-lockstep path and
     the compiled fused schedule walk (the session default picks only
@@ -356,10 +404,10 @@ class TestMatrixKernels:
                 ), (variant_index, name)
 
     @requires_compiled
-    def test_schedule_count_is_accesses_minus_walk_hits(self):
-        """Both compiled schedule-walk wrappers run one kernel export:
-        the counting one adds each job's scheduled accesses minus the
-        walk's hits to ``job_misses``, and both agree with a numpy
+    def test_schedule_count_adds_the_walk_hits(self):
+        """The compiled schedule walk, under the matrix's name and the
+        fleet's, adds each job's hits to ``job_hits`` and (asked for
+        them) writes per-access flags; both agree with a numpy
         lockstep run over the materialized circular stream."""
         rng = np.random.default_rng(11)
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)
@@ -394,18 +442,15 @@ class TestMatrixKernels:
         expected_hits = np.bincount(
             stream_jobs, weights=expected_flags, minlength=3
         ).astype(np.int64)
-        expected_accesses = np.bincount(
-            seg_jobs, weights=seg_len, minlength=3
-        ).astype(np.int64)
 
         counted = LockstepState.cold(geometry.sets, geometry.columns)
         carried = np.array([1, 2, 3], dtype=np.int64)
-        job_misses = carried.copy()
+        counted_hits = carried.copy()
         _compiled.schedule_count_compiled(
             seg_jobs, seg_pos, seg_len, offsets, lengths, blocks,
             mask_table, counted,
             sets_mask=sets_mask, index_bits=index_bits,
-            job_misses=job_misses,
+            job_hits=counted_hits,
         )
         walked = LockstepState.cold(geometry.sets, geometry.columns)
         job_hits = np.zeros(3, dtype=np.int64)
@@ -419,8 +464,6 @@ class TestMatrixKernels:
 
         assert np.array_equal(hit_flags.astype(bool), expected_flags)
         assert np.array_equal(job_hits, expected_hits)
-        assert np.array_equal(
-            job_misses, carried + expected_accesses - expected_hits
-        )
+        assert np.array_equal(counted_hits, carried + expected_hits)
         assert np.array_equal(counted.tags, walked.tags)
         assert np.array_equal(counted.last_use, walked.last_use)

@@ -42,6 +42,8 @@ from repro.layout.coloring import (
 )
 from repro.layout.merge import color_with_merging
 from repro.layout.partition import split_for_columns
+from repro.mem.address import AddressRange
+from repro.mem.symbols import Variable
 from repro.profiling.profiler import profile_trace
 from repro.runtime.policy import RepartitionPolicy
 from repro.trace.columnar import ColumnarRecorder
@@ -554,3 +556,113 @@ class TestConfigDigestMemo:
             f"{session_module.units_digest(units)}"
         )
         assert session.cache.get(key) is plan
+
+
+def unpinned_trace_digest(trace) -> str:
+    """The session's trace digest, recomputed from the columns."""
+    digest = hashlib.sha256()
+    digest.update(str(len(trace)).encode())
+    for column in (
+        trace.addresses, trace.writes, trace.gaps, trace.variable_ids
+    ):
+        digest.update(column.tobytes())
+    digest.update("\x00".join(trace.variable_names).encode())
+    return digest.hexdigest()
+
+
+def unpinned_units_digest(units) -> str:
+    """The session's units digest, recomputed from the variables."""
+    digest = hashlib.sha256()
+    for variable in units:
+        digest.update(
+            f"{variable.name}:{variable.base}:{variable.size}:"
+            f"{variable.element_size}:{variable.kind.value}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+class TestDigestPins:
+    """Trace and units digests are pinned on their objects (a symbol
+    table's pins drop when it gains a variable); session keys keep the
+    values the unpinned digests give."""
+
+    @staticmethod
+    def dequant():
+        run = record_suite_case("dequant", {})
+        units = split_for_columns(run.memory_map.symbols, COLUMN_BYTES)
+        return run, units
+
+    def test_session_keys_unchanged(self):
+        run, units = self.dequant()
+        config = LayoutConfig(columns=4, column_bytes=COLUMN_BYTES)
+        session = PlannerSession()
+        window = run.trace.slice(0, 512)
+        plan = session.plan(config, window, units)
+        units_key = unpinned_units_digest(units)
+        profile_key = (
+            f"profile:{unpinned_trace_digest(window)}:{units_key}:1"
+        )
+        assert session.cache.get(profile_key) is session.profile(
+            window, units, by_address=True
+        )
+        plan_key = (
+            f"plan:{unmemoized_digest(config)}:{profile_key}:{units_key}"
+        )
+        assert session.cache.get(plan_key) is plan
+
+    def test_lookups_hash_a_table_once(self, monkeypatch):
+        """Hits and misses alike reuse the table's pinned digest."""
+        run, units = self.dequant()
+        hashed = []
+        original = session_module._hash_units
+        monkeypatch.setattr(
+            session_module,
+            "_hash_units",
+            lambda table: hashed.append(table) or original(table),
+        )
+        session = PlannerSession()
+        for columns in (2, 4, 2, 4):
+            for start in (0, 256, 0):
+                session.plan(
+                    LayoutConfig(columns=columns, column_bytes=COLUMN_BYTES),
+                    run.trace.slice(start, start + 256),
+                    units,
+                )
+        assert hashed == [units]
+
+    def test_add_after_pinning_yields_a_fresh_digest(self):
+        run, units = self.dequant()
+        pinned = session_module.units_digest(units)
+        assert session_module.units_digest(units) is pinned
+        top = max(variable.range.end for variable in units)
+        units.add(Variable("late", AddressRange(top, 64)))
+        fresh = session_module.units_digest(units)
+        assert fresh != pinned
+        assert fresh == unpinned_units_digest(units)
+
+    def test_table_pins_hold_per_key_until_add(self):
+        symbols = record_suite_case("dequant", {}).memory_map.symbols
+
+        def units(size):
+            return symbols.derived(
+                ("units", size), lambda table: split_for_columns(table, size)
+            )
+
+        small = units(64)
+        assert units(64) is small
+        assert units(COLUMN_BYTES) is not small
+        assert [v.name for v in small] == [
+            v.name for v in split_for_columns(symbols, 64)
+        ]
+        top = max(variable.range.end for variable in symbols)
+        symbols.add(Variable("late", AddressRange(top, 64)))
+        regrown = units(64)
+        assert regrown is not small
+        assert "late" in regrown
+
+    def test_trace_digest_is_pinned_on_the_trace(self):
+        run, _ = self.dequant()
+        window = run.trace.slice(8, 600)
+        digest = session_module.trace_digest(window)
+        assert session_module.trace_digest(window) is digest
+        assert digest == unpinned_trace_digest(window)
