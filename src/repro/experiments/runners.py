@@ -733,8 +733,9 @@ def trace_sim(
             )
     else:
         outcome = LockstepCache(geometry, backend=kernel).run(
-            trace.blocks_for(geometry.offset_bits),
+            trace.addresses,
             uniform_mask=uniform_mask,
+            offset_bits=geometry.offset_bits,
         )
     return {
         "accesses": int(outcome.accesses),

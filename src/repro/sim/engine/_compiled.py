@@ -6,15 +6,20 @@ zero dependencies beyond a C compiler: it is compiled on demand with
 ``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) and
 loaded through :mod:`ctypes`.  It exports three entry points:
 ``repro_lockstep_flags``, the per-access loop behind
-:func:`lockstep_run_compiled` (hit and bypass flags, miss positions
-or LRU stack depths); ``repro_fused_multitask``, the schedule walk
-behind :func:`fused_multitask_compiled` (also bound as
+:func:`lockstep_run_compiled`, which reads either precomputed rows and
+tags or one column of blocks or byte addresses (deriving each access's
+row and tag itself) and writes hit and bypass flags, miss positions or
+LRU stack depths, or only adds the batch's hits and bypasses into a
+2-slot count (how :class:`~repro.sim.engine.batched.LockstepCache`
+counts a batch without building any per-access array);
+``repro_fused_multitask``, the schedule walk behind
+:func:`fused_multitask_compiled` (also bound as
 ``schedule_count_compiled``, the Figure 5 matrix's name for it); and
 ``repro_quantum_orbit``, one job's closed-form quantum orbit behind
 :func:`quantum_orbit_compiled` (the Figure 5 matrix's schedule).
-Nothing here compiles at import time —
-:func:`available` performs the (cached) probe, and
-:mod:`repro.sim.engine.backends` decides when to call it.
+Nothing here compiles at import time — :func:`available` performs the
+(cached) probe, and :mod:`repro.sim.engine.backends` decides when to
+call it.
 
 When no compiler or loadable library is available the module degrades
 cleanly: :func:`available` returns False and :func:`unavailable_reason`
@@ -117,7 +122,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr = ctypes.c_void_p
     lib.repro_lockstep_flags.restype = None
     lib.repro_lockstep_flags.argtypes = [
-        i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+        i64, ptr, ptr, ptr, i64, i64, i64, i64, ptr, i64, ptr, ptr, ptr,
+        ptr, ptr, ptr, ptr,
     ]
     lib.repro_fused_multitask.restype = None
     lib.repro_fused_multitask.argtypes = [
@@ -248,24 +254,54 @@ def ensure_state_native(state: "LockstepState") -> None:
 
 
 def lockstep_run_compiled(
-    rows: np.ndarray,
-    tags: np.ndarray,
+    keys: np.ndarray,
+    tags: Optional[np.ndarray],
     state: "LockstepState",
     mask_bits: Optional[np.ndarray],
     uniform_mask: Optional[int],
     collect: str,
+    shift: int = 0,
+    counts: Optional[np.ndarray] = None,
 ) -> Union[np.ndarray, tuple[np.ndarray, Optional[np.ndarray]]]:
     """Compiled twin of :func:`repro.sim.engine.batched.lockstep_run`.
 
-    Arguments are pre-validated by the dispatching wrapper; state
-    evolution and returned flags, positions or depths are
-    bit-identical to the numpy kernel.
+    ``keys`` is the one per-access column.  With ``tags`` given it
+    holds each access's row (``lockstep_run``'s form: stacked banks of
+    rows).  With ``tags`` None it holds blocks, or byte addresses when
+    ``shift`` (the line's offset bits) is positive; the state's rows
+    are then one cache's power-of-two sets, and the kernel derives
+    ``block = key >> shift``, its row ``block & (rows - 1)`` and its
+    tag ``block >> log2(rows)`` in the loop, building no row or tag
+    column.
+
+    ``collect`` is ``lockstep_run``'s ``"flags"``, ``"misses"`` or
+    ``"depths"``, or ``"hits"`` (the hit flags alone) or ``"counts"``
+    (nothing per access; returns ``counts``).  The kernel adds the
+    batch's hits and bypasses into ``counts``, a 2-slot int64 array
+    (allocated in ``"counts"`` mode when None).  Arguments are
+    pre-validated by the caller; state and outputs are bit-identical
+    to the numpy kernel.
     """
     lib = load()
-    n = len(rows)
+    n = len(keys)
     ways = state.ways
-    rows64 = np.ascontiguousarray(rows, dtype=np.int64)
-    tags64 = np.ascontiguousarray(tags, dtype=np.int64)
+    keys64 = np.ascontiguousarray(keys, dtype=np.int64)
+    if tags is None:
+        rows64 = tags64 = None
+        values64: Optional[np.ndarray] = keys64
+        sets = state.rows
+        if sets & (sets - 1):
+            raise ValueError(
+                f"deriving rows needs a power-of-two row count, "
+                f"got {sets}"
+            )
+        index_bits = sets.bit_length() - 1
+    else:
+        rows64 = keys64
+        tags64 = np.ascontiguousarray(tags, dtype=np.int64)
+        values64 = None
+        sets = 1
+        index_bits = 0
     if mask_bits is not None:
         masks64 = np.ascontiguousarray(mask_bits, dtype=np.int64)
         uniform = 0
@@ -275,8 +311,14 @@ def lockstep_run_compiled(
             (1 << ways) - 1 if uniform_mask is None else int(uniform_mask)
         )
     ensure_state_native(state)
+    if counts is None and collect == "counts":
+        counts = np.zeros(2, dtype=np.int64)
     depths = np.empty(n, dtype=np.uint8) if collect == "depths" else None
-    hit_flags = None if depths is not None else np.zeros(n, np.bool_)
+    hit_flags = (
+        np.zeros(n, np.bool_)
+        if collect in ("flags", "hits", "misses")
+        else None
+    )
     bypass_flags = (
         np.zeros(n, dtype=np.bool_) if collect == "flags" else None
     )
@@ -284,6 +326,10 @@ def lockstep_run_compiled(
         n,
         _addr(rows64),
         _addr(tags64),
+        _addr(values64),
+        shift,
+        sets - 1,
+        index_bits,
         ways,
         _addr(masks64),
         uniform,
@@ -293,9 +339,14 @@ def lockstep_run_compiled(
         _addr(hit_flags),
         _addr(bypass_flags),
         _addr(depths),
+        _addr(counts),
     )
     if depths is not None:
         return depths
+    if collect == "counts":
+        return counts
+    if collect == "hits":
+        return hit_flags
     if collect == "misses":
         return np.flatnonzero(~hit_flags)
     return hit_flags, bypass_flags

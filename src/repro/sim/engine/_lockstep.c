@@ -5,6 +5,12 @@
  * Three exports: repro_lockstep_flags (the per-access loop),
  * repro_fused_multitask (the schedule walk) and repro_quantum_orbit
  * (one job's quantum-by-quantum schedule, which touches no cache).
+ * The per-access loop takes either input form: precomputed rows and
+ * tags (stacked banks of rows), or one column of blocks or byte
+ * addresses from which it derives each access's row and tag, as the
+ * schedule walk does.  It adds the batch's hits and bypasses into a
+ * 2-slot counts output, so a caller that wants only totals builds no
+ * per-access array.
  * The two cache entries are bit-identical to LockstepState /
  * lockstep_run:
  *
@@ -83,23 +89,39 @@ step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
     return 0;
 }
 
-/* The per-access loop of repro_lockstep_flags, inlined once with a
- * NULL depth_out so the flags path carries no depth code. */
+/* The per-access loop of repro_lockstep_flags.  Always inlined, and
+ * called with `values` and `depth_out` each either a literal NULL or
+ * known non-NULL, so every input form and the depth output get their
+ * own copy of the loop, none testing either per access. */
 static inline __attribute__((always_inline)) void
 flags_loop(int64_t n, const int64_t *rows, const int64_t *tags,
-           int64_t ways, const int64_t *mask_bits, int64_t uniform_mask,
-           int64_t *state_tags, int64_t *state_use, int64_t *state_clock,
-           uint8_t *hit_out, uint8_t *bypass_out, uint8_t *depth_out)
+           const int64_t *values, int64_t shift, int64_t sets_mask,
+           int64_t index_bits, int64_t ways, const int64_t *mask_bits,
+           int64_t uniform_mask, int64_t *state_tags,
+           int64_t *state_use, int64_t *state_clock, uint8_t *hit_out,
+           uint8_t *bypass_out, uint8_t *depth_out, int64_t *counts)
 {
     int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
+    int64_t hits = 0;
+    int64_t bypasses = 0;
     for (int64_t i = 0; i < n; i++) {
+        int64_t row, tag;
+        if (values) {
+            int64_t block = values[i] >> shift;
+            row = block & sets_mask;
+            tag = block >> index_bits;
+        } else {
+            row = rows[i];
+            tag = tags[i];
+        }
         int64_t mask =
             (mask_bits ? mask_bits[i] : uniform_mask) & ways_mask;
         int bypass = 0;
         int64_t depth = ways;
-        int hit = step(rows[i], tags[i], mask, ways, state_tags,
-                       state_use, state_clock, &bypass,
-                       depth_out ? &depth : 0);
+        int hit = step(row, tag, mask, ways, state_tags, state_use,
+                       state_clock, &bypass, depth_out ? &depth : 0);
+        hits += hit;
+        bypasses += bypass;
         if (hit_out)
             hit_out[i] = (uint8_t)hit;
         if (bypass_out)
@@ -107,31 +129,54 @@ flags_loop(int64_t n, const int64_t *rows, const int64_t *tags,
         if (depth_out)
             depth_out[i] = (uint8_t)depth;
     }
+    if (counts) {
+        counts[0] += hits;
+        counts[1] += bypasses;
+    }
 }
 
-/* Generic per-access entry: rows/tags precomputed by the caller.
- * mask_bits may be NULL (then uniform_mask applies to every access);
- * hit_out / bypass_out / depth_out may each be NULL.  depth_out gets
- * one LRU stack depth per access: a hit's recency rank among its
- * row's valid ways (0 = most recently used), `ways` on a miss or
- * bypass.  The hit scan stops at the first match, so the rank costs
- * one more pass over the ways, on hits only. */
+/* The per-access entry, in either input form.  With values NULL the
+ * caller passes each access's row and tag (stacked banks of rows).
+ * Otherwise rows/tags are ignored and values holds one block or byte
+ * address per access: the loop derives block = value >> shift,
+ * row = block & sets_mask and tag = block >> index_bits, as
+ * repro_fused_multitask does, so the caller builds no per-access
+ * column.  mask_bits may be NULL (then uniform_mask applies to every
+ * access); hit_out / bypass_out / depth_out / counts may each be
+ * NULL.  depth_out gets one LRU stack depth per access: a hit's
+ * recency rank among its row's valid ways (0 = most recently used),
+ * `ways` on a miss or bypass.  The hit scan stops at the first match,
+ * so the rank costs one more pass over the ways, on hits only.
+ * counts[0] and counts[1] have the batch's hits and bypasses added to
+ * them.  Callers guarantee 0 <= shift, index_bits <= 63 and that
+ * every row is below the state's row count. */
 API void
 repro_lockstep_flags(int64_t n, const int64_t *rows,
-                     const int64_t *tags, int64_t ways,
+                     const int64_t *tags, const int64_t *values,
+                     int64_t shift, int64_t sets_mask,
+                     int64_t index_bits, int64_t ways,
                      const int64_t *mask_bits, int64_t uniform_mask,
                      int64_t *state_tags, int64_t *state_use,
                      int64_t *state_clock, uint8_t *hit_out,
-                     uint8_t *bypass_out, uint8_t *depth_out)
+                     uint8_t *bypass_out, uint8_t *depth_out,
+                     int64_t *counts)
 {
-    if (depth_out)
-        flags_loop(n, rows, tags, ways, mask_bits, uniform_mask,
-                   state_tags, state_use, state_clock, hit_out,
-                   bypass_out, depth_out);
+    if (values && depth_out)
+        flags_loop(n, 0, 0, values, shift, sets_mask, index_bits, ways,
+                   mask_bits, uniform_mask, state_tags, state_use,
+                   state_clock, hit_out, bypass_out, depth_out, counts);
+    else if (values)
+        flags_loop(n, 0, 0, values, shift, sets_mask, index_bits, ways,
+                   mask_bits, uniform_mask, state_tags, state_use,
+                   state_clock, hit_out, bypass_out, 0, counts);
+    else if (depth_out)
+        flags_loop(n, rows, tags, 0, 0, 0, 0, ways, mask_bits,
+                   uniform_mask, state_tags, state_use, state_clock,
+                   hit_out, bypass_out, depth_out, counts);
     else
-        flags_loop(n, rows, tags, ways, mask_bits, uniform_mask,
-                   state_tags, state_use, state_clock, hit_out,
-                   bypass_out, 0);
+        flags_loop(n, rows, tags, 0, 0, 0, 0, ways, mask_bits,
+                   uniform_mask, state_tags, state_use, state_clock,
+                   hit_out, bypass_out, 0, counts);
 }
 
 /* Fused schedule walk: simulates a round-robin quantum schedule

@@ -43,7 +43,7 @@ asserts equal per-access outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, cast
 
 import numpy as np
 
@@ -665,11 +665,20 @@ class LockstepCache:
 
     The production cache model: executors, baselines, the trace CLI
     and the multitask simulator all run on it.  It consumes *numpy
-    block columns* (the columnar trace pipeline): state persists
-    across :meth:`run` calls, counters accumulate, and the per-access
+    block columns* (the columnar trace pipeline), or byte-address
+    columns with the geometry's offset bits: state persists across
+    :meth:`run` calls, counters accumulate, and the per-access
     outcomes are bit-identical to the reference
     :class:`~repro.cache.column_cache.ColumnCache` — but each call is
     one kernel invocation, with no Python-list round-trip.
+
+    On the compiled backend a call hands the column itself to
+    :func:`~repro.sim.engine._compiled.lockstep_run_compiled`, which
+    derives rows and tags in the C loop and counts hits and bypasses:
+    :meth:`run` builds no per-access array and :meth:`run_with_flags`
+    only the hit flags it returns.  The numpy backend (and caches past
+    the C kernel's 63 ways) splits rows and tags for
+    :func:`lockstep_run` and sums its flags: the reference path.
 
     ``backend`` pins every call to one kernel backend (``"numpy"`` /
     ``"compiled"`` / ``"auto"``); None follows the session's active
@@ -696,10 +705,18 @@ class LockstepCache:
         blocks: np.ndarray | Sequence[int],
         mask_bits: Optional[np.ndarray | Sequence[int]] = None,
         uniform_mask: Optional[int] = None,
+        offset_bits: int = 0,
     ) -> FastSimResult:
-        """Advance the cache over one block batch; per-call counts."""
-        result, _hits, _bypasses = self._run(
-            blocks, mask_bits, uniform_mask
+        """Advance the cache over one batch; per-call counts.
+
+        ``blocks`` holds block numbers, or byte addresses when
+        ``offset_bits`` (the geometry's ``offset_bits``) is given:
+        ``run(addresses, offset_bits=g.offset_bits)`` equals
+        ``run(addresses >> g.offset_bits)``, without building the
+        block column.
+        """
+        result, _hits = self._run(
+            blocks, mask_bits, uniform_mask, offset_bits, flags=False
         )
         return result
 
@@ -710,40 +727,76 @@ class LockstepCache:
         uniform_mask: Optional[int] = None,
     ) -> np.ndarray:
         """Like :meth:`run` but returns the per-access hit flags."""
-        _result, hit_flags, _bypasses = self._run(
-            blocks, mask_bits, uniform_mask
+        _result, hit_flags = self._run(
+            blocks, mask_bits, uniform_mask, 0, flags=True
         )
         return hit_flags
 
     def _run(
         self,
-        blocks: np.ndarray | Sequence[int],
+        values: np.ndarray | Sequence[int],
         mask_bits: Optional[np.ndarray | Sequence[int]],
         uniform_mask: Optional[int],
-    ) -> tuple[FastSimResult, np.ndarray, np.ndarray]:
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+        offset_bits: int,
+        flags: bool,
+    ) -> tuple[FastSimResult, Optional[np.ndarray]]:
+        if mask_bits is not None and uniform_mask is not None:
+            raise ValueError(
+                "give either mask_bits or uniform_mask, not both"
+            )
+        if not 0 <= offset_bits < 64:
+            raise ValueError(
+                f"offset_bits must be in [0, 64), got {offset_bits}"
+            )
+        values = np.ascontiguousarray(values, dtype=np.int64)
         masks = (
             None
             if mask_bits is None
             else np.ascontiguousarray(mask_bits, dtype=np.int64)
         )
-        hit_flags, bypass_flags = lockstep_run(
-            blocks & np.int64(self.sets - 1),
-            blocks >> np.int64(self.index_bits),
-            self.state,
-            mask_bits=masks,
-            uniform_mask=uniform_mask,
-            backend=self.backend,
+        if masks is not None and len(masks) != len(values):
+            raise ValueError("mask_bits length mismatch")
+        backend = (
+            backends.active_backend()
+            if self.backend is None
+            else backends.resolve_backend(self.backend)
         )
-        hits = int(hit_flags.sum())
-        bypasses = int(bypass_flags.sum())
+        hit_flags: Optional[np.ndarray]
+        if backend == "compiled" and _compiled.supports(self.ways):
+            counts = np.zeros(2, dtype=np.int64)
+            outcome = _compiled.lockstep_run_compiled(
+                values,
+                None,
+                self.state,
+                masks,
+                uniform_mask,
+                "hits" if flags else "counts",
+                shift=offset_bits,
+                counts=counts,
+            )
+            hit_flags = cast(np.ndarray, outcome) if flags else None
+            hits, bypasses = int(counts[0]), int(counts[1])
+        else:
+            blocks = (
+                values >> np.int64(offset_bits) if offset_bits else values
+            )
+            hit_flags, bypass_flags = lockstep_run(
+                blocks & np.int64(self.sets - 1),
+                blocks >> np.int64(self.index_bits),
+                self.state,
+                mask_bits=masks,
+                uniform_mask=uniform_mask,
+                backend="numpy",
+            )
+            hits = int(hit_flags.sum())
+            bypasses = int(bypass_flags.sum())
         result = FastSimResult(
-            hits=hits, misses=len(blocks) - hits, bypasses=bypasses
+            hits=hits, misses=len(values) - hits, bypasses=bypasses
         )
         self.hits += result.hits
         self.misses += result.misses
         self.bypasses += result.bypasses
-        return result, hit_flags, bypass_flags
+        return result, hit_flags
 
     def flush(self) -> None:
         """Invalidate everything (counters are kept)."""

@@ -14,10 +14,13 @@ shard order.
 :class:`~repro.trace.columnar.ColumnarTrace` is streamed in bounded
 chunks (``iter_chunks``, so a memory-mapped ``.npz`` archive keeps
 every worker's working set cache-resident) and partitioned by set
-index on the fly, each shard advancing its own lockstep state on the
-selected kernel backend.  The sweep engine's process backend
-parallelizes *across* sweep points; this fans the sets of a single
-point across cores.
+index on the fly.  Each shard is its own
+:class:`~repro.sim.engine.batched.LockstepCache` on the selected
+kernel backend, fed that shard's blocks and counting them the way
+every other caller does (on the compiled kernel, without building
+rows, tags or flags); a single shard takes each window's addresses
+whole.  The sweep engine's process backend parallelizes *across*
+sweep points; this fans the sets of a single point across cores.
 
 The equivalence suite asserts the sharded runs agree bit-for-bit with
 the reference ``ColumnCache`` and the unsharded lockstep run, on both
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,11 +40,7 @@ if TYPE_CHECKING:
 
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import backends
-from repro.sim.engine.batched import (
-    FastSimResult,
-    LockstepState,
-    lockstep_run,
-)
+from repro.sim.engine.batched import FastSimResult, LockstepCache
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +70,54 @@ def _resolve_masks(
     return window.mask_bits_for(variable_masks, default), None
 
 
+def _stream_shards(
+    trace: "ColumnarTrace",
+    geometry: CacheGeometry,
+    owned: Sequence[int],
+    shards: int,
+    chunk_accesses: int,
+    uniform_mask: Optional[int],
+    variable_masks: Optional[Mapping[str, int]],
+    default_mask: Optional[int],
+    kernel: Optional[str],
+) -> list[FastSimResult]:
+    """Stream a columnar trace once through the ``owned`` shards.
+
+    Each owned shard advances its own
+    :class:`~repro.sim.engine.batched.LockstepCache` on ``kernel``
+    over the accesses whose set index lands in it (``set % shards``),
+    in trace order; accesses of other shards are skipped.  Returns one
+    tally per owned shard, in ``owned`` order.
+    """
+    caches = [LockstepCache(geometry, backend=kernel) for _ in owned]
+    for window in trace.iter_chunks(chunk_accesses):
+        mask_bits, uniform = _resolve_masks(
+            window, geometry, uniform_mask, variable_masks, default_mask
+        )
+        if shards == 1:
+            # The one shard is the whole trace: the kernel shifts the
+            # window's addresses itself.
+            caches[0].run(
+                window.addresses,
+                mask_bits,
+                uniform,
+                offset_bits=geometry.offset_bits,
+            )
+            continue
+        blocks = window.blocks_for(geometry.offset_bits)
+        rows = blocks & np.int64(geometry.sets - 1)
+        assignment = rows % np.int64(shards)
+        for shard, cache in zip(owned, caches):
+            keep = np.flatnonzero(assignment == shard)
+            if len(keep):
+                cache.run(
+                    blocks[keep],
+                    None if mask_bits is None else mask_bits[keep],
+                    uniform,
+                )
+    return [cache.result() for cache in caches]
+
+
 def _stream_one_shard(
     trace: "ColumnarTrace",
     geometry: CacheGeometry,
@@ -88,36 +135,18 @@ def _stream_one_shard(
     index lands in this shard; all other accesses are skipped without
     touching the shard's state.
     """
-    sets = geometry.sets
-    index_bits = geometry.index_bits
-    state = LockstepState.cold(sets, geometry.columns)
-    accesses = hits = bypasses = 0
-    for window in trace.iter_chunks(chunk_accesses):
-        blocks = window.blocks_for(geometry.offset_bits)
-        rows = blocks & np.int64(sets - 1)
-        mask_bits, uniform = _resolve_masks(
-            window, geometry, uniform_mask, variable_masks, default_mask
-        )
-        if shards > 1:
-            keep = np.flatnonzero(rows % np.int64(shards) == shard)
-            if not len(keep):
-                continue
-            blocks = blocks[keep]
-            rows = rows[keep]
-            if mask_bits is not None:
-                mask_bits = mask_bits[keep]
-        hit_flags, bypass_flags = lockstep_run(
-            rows,
-            blocks >> np.int64(index_bits),
-            state,
-            mask_bits=mask_bits,
-            uniform_mask=uniform,
-            backend=kernel,
-        )
-        accesses += len(blocks)
-        hits += int(hit_flags.sum())
-        bypasses += int(bypass_flags.sum())
-    return accesses, hits, bypasses
+    (result,) = _stream_shards(
+        trace,
+        geometry,
+        (shard,),
+        shards,
+        chunk_accesses,
+        uniform_mask,
+        variable_masks,
+        default_mask,
+        kernel,
+    )
+    return result.accesses, result.hits, result.bypasses
 
 
 def simulate_columnar_sharded(
@@ -136,7 +165,7 @@ def simulate_columnar_sharded(
     The trace streams once through bounded ``iter_chunks`` windows;
     within each window the accesses are partitioned by
     ``set_index % shards`` and each shard advances its own
-    :class:`~repro.sim.engine.batched.LockstepState`.  Because sets
+    :class:`~repro.sim.engine.batched.LockstepCache`.  Because sets
     never interact, per-shard hit/miss/bypass tallies merged in shard
     order (plain sums) are bit-identical to the unsharded run —
     whatever the shard count or how chunk boundaries fall.
@@ -158,52 +187,22 @@ def simulate_columnar_sharded(
         if kernel is None
         else backends.resolve_backend(kernel)
     )
-    sets = geometry.sets
-    index_bits = geometry.index_bits
-    states = [
-        LockstepState.cold(sets, geometry.columns)
-        for _ in range(shard_count)
-    ]
-    tallies = np.zeros((shard_count, 3), dtype=np.int64)
-    for window in trace.iter_chunks(chunk_accesses):
-        blocks = window.blocks_for(geometry.offset_bits)
-        rows = blocks & np.int64(sets - 1)
-        mask_bits, uniform = _resolve_masks(
-            window, geometry, uniform_mask, variable_masks, default_mask
-        )
-        if shard_count == 1:
-            assignment = None
-        else:
-            assignment = rows % np.int64(shard_count)
-        for shard in range(shard_count):
-            if assignment is None:
-                shard_blocks_ = blocks
-                shard_rows = rows
-                shard_masks = mask_bits
-            else:
-                keep = np.flatnonzero(assignment == shard)
-                if not len(keep):
-                    continue
-                shard_blocks_ = blocks[keep]
-                shard_rows = rows[keep]
-                shard_masks = (
-                    mask_bits[keep] if mask_bits is not None else None
-                )
-            hit_flags, bypass_flags = lockstep_run(
-                shard_rows,
-                shard_blocks_ >> np.int64(index_bits),
-                states[shard],
-                mask_bits=shard_masks,
-                uniform_mask=uniform,
-                backend=kernel_name,
-            )
-            tallies[shard, 0] += len(shard_blocks_)
-            tallies[shard, 1] += int(hit_flags.sum())
-            tallies[shard, 2] += int(bypass_flags.sum())
+    tallies = _stream_shards(
+        trace,
+        geometry,
+        range(shard_count),
+        shard_count,
+        chunk_accesses,
+        uniform_mask,
+        variable_masks,
+        default_mask,
+        kernel_name,
+    )
     # Deterministic merge: sums accumulated in shard order.
-    total, hits, bypasses = (int(value) for value in tallies.sum(axis=0))
     return FastSimResult(
-        hits=hits, misses=total - hits, bypasses=bypasses
+        hits=sum(tally.hits for tally in tallies),
+        misses=sum(tally.misses for tally in tallies),
+        bypasses=sum(tally.bypasses for tally in tallies),
     )
 
 

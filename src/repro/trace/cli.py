@@ -173,11 +173,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         cache = LockstepCache(geometry, backend=args.kernel)
         start = time.perf_counter()
         # Stream bounded windows: a memory-mapped archive replays at
-        # a flat footprint however long the trace is.
+        # a flat footprint however long the trace is.  The kernel
+        # shifts each window's addresses itself, so no block column
+        # is built.
         for window in trace.iter_chunks(args.chunk_size):
             cache.run(
-                window.blocks_for(geometry.offset_bits),
+                window.addresses,
                 uniform_mask=args.mask,
+                offset_bits=geometry.offset_bits,
             )
         elapsed = time.perf_counter() - start
         result = cache.result()

@@ -32,11 +32,20 @@ so a float column never reaches the int64 casts.
 
 from __future__ import annotations
 
+import math
 import struct
 import zipfile
 from array import array
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    BinaryIO,
+    Callable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -406,68 +415,92 @@ class ColumnarTrace:
         )
 
 
+def _read_member(
+    archive: zipfile.ZipFile, info: zipfile.ZipInfo, path: Path, key: str
+) -> np.ndarray:
+    """One archive member read eagerly; errors name the member."""
+    try:
+        with archive.open(info) as member:
+            return np.lib.format.read_array(member, allow_pickle=False)
+    except ValueError as error:
+        raise ValueError(f"{path}: member {key!r}: {error}") from error
+
+
+def _stored_npy_header(
+    handle: BinaryIO, info: zipfile.ZipInfo
+) -> Optional[tuple[tuple[int, ...], bool, np.dtype, int, int]]:
+    """Where a stored member's array data lies in the archive file.
+
+    Returns ``(shape, fortran_order, dtype, start, end)``: the npy
+    header's fields, the file offset where the array data starts and
+    the offset where the member's stored bytes end.  None for an npy
+    version other than 1.0 and 2.0, or an object dtype, which the
+    caller reads eagerly.
+    """
+    handle.seek(info.header_offset)
+    # Local file header: magic, sizes at 26 (name) / 28 (extra field);
+    # the member's data starts right after both.
+    name_length, extra_length = struct.unpack("<HH", handle.read(30)[26:])
+    data_start = info.header_offset + 30 + name_length + extra_length
+    handle.seek(data_start)
+    version = np.lib.format.read_magic(handle)
+    if version == (1, 0):
+        header = np.lib.format.read_array_header_1_0(handle)
+    elif version == (2, 0):
+        header = np.lib.format.read_array_header_2_0(handle)
+    else:
+        return None
+    shape, fortran, dtype = header
+    if dtype.hasobject:
+        return None
+    return shape, fortran, dtype, handle.tell(), data_start + info.file_size
+
+
 def _npz_member_arrays(
     path: Path, mmap: bool
 ) -> dict[str, np.ndarray]:
     """All ``.npy`` members of an archive, optionally memory-mapped.
 
     ``numpy.load`` ignores ``mmap_mode`` for zip archives, so the mmap
-    path parses each member's zip local header to find where the raw
-    ``.npy`` stream starts, reads the npy header there, and maps the
-    data portion read-only.  Falls back to eager reading for members
-    that are compressed or non-trivially encoded.
+    path maps the whole file once, finds each stored member's array
+    data through its zip local header and npy header, and takes the
+    member as a read-only ``np.ndarray`` view of that one map (its
+    ``.base`` is the ``np.memmap``).  Members that are compressed,
+    hold objects or carry another npy version are read eagerly.
+
+    Raises:
+        ValueError: naming the member, when its stored data is shorter
+            than its npy header's shape and dtype need, or an eager
+            read fails.
     """
     arrays: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
+    mapped: Optional[np.memmap] = None
+    with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
         for info in archive.infolist():
             key = info.filename.removesuffix(".npy")
-            if not mmap or info.compress_type != zipfile.ZIP_STORED:
-                with archive.open(info) as member:
-                    arrays[key] = np.lib.format.read_array(
-                        member, allow_pickle=False
-                    )
+            found = None
+            if mmap and info.compress_type == zipfile.ZIP_STORED:
+                found = _stored_npy_header(handle, info)
+            if found is None:
+                arrays[key] = _read_member(archive, info, path, key)
                 continue
-            with open(path, "rb") as handle:
-                handle.seek(info.header_offset)
-                header = handle.read(30)
-                # Local file header: magic, sizes at 26 (name) / 28
-                # (extra field); data starts right after both.
-                name_length, extra_length = struct.unpack(
-                    "<HH", header[26:30]
+            shape, fortran, dtype, start, end = found
+            size = dtype.itemsize * math.prod(shape)
+            if start + size > end:
+                raise ValueError(
+                    f"{path}: member {key!r} is truncated: its header "
+                    f"needs {size} data bytes, the archive stores "
+                    f"{max(end - start, 0)}"
                 )
-                data_start = (
-                    info.header_offset + 30 + name_length + extra_length
-                )
-                handle.seek(data_start)
-                version = np.lib.format.read_magic(handle)
-                if version == (1, 0):
-                    shape, fortran, dtype = (
-                        np.lib.format.read_array_header_1_0(handle)
-                    )
-                elif version == (2, 0):
-                    shape, fortran, dtype = (
-                        np.lib.format.read_array_header_2_0(handle)
-                    )
-                else:
-                    with archive.open(info) as member:
-                        arrays[key] = np.lib.format.read_array(
-                            member, allow_pickle=False
-                        )
-                    continue
-                if dtype.hasobject:
-                    with archive.open(info) as member:
-                        arrays[key] = np.lib.format.read_array(
-                            member, allow_pickle=False
-                        )
-                    continue
-                arrays[key] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=handle.tell(),
-                    shape=shape,
-                    order="F" if fortran else "C",
-                )
+            if mapped is None:
+                mapped = np.memmap(handle, dtype=np.uint8, mode="r")
+            arrays[key] = np.ndarray(
+                shape,
+                dtype=dtype,
+                buffer=mapped,
+                offset=start,
+                order="F" if fortran else "C",
+            )
     return arrays
 
 

@@ -14,6 +14,14 @@ writer and the reader transform whole columns at a time — the loader
 tokenizes the file once and builds the trace arrays directly, so
 external dinero traces enter the columnar pipeline without a
 per-access object round-trip.
+
+Addresses are unsigned 64-bit hex, so kernel-space traces
+(``ffffffff81000000``) load: those at or above ``2**63`` fold into the
+int64 column as two's complement, as a uint64 ``.npz`` column folds,
+and the writer prints them back as unsigned hex.  Folding changes no
+hit or miss, since the arithmetic shifts map a folded address's (set,
+tag) one-to-one onto the unsigned address's.  A negative or wider
+address, or a negative gap, fails at load naming its line.
 """
 
 from __future__ import annotations
@@ -32,6 +40,11 @@ IFETCH_LABEL = "2"
 
 _LABELS = (READ_LABEL, WRITE_LABEL, IFETCH_LABEL)
 
+#: Addresses are unsigned 64-bit; those at or above the sign bit fold
+#: into the int64 column as two's complement.
+_ADDRESS_LIMIT = 1 << 64
+_SIGN_BIT = 1 << 63
+
 
 def save_trace(trace: Trace, destination: Union[str, Path, TextIO]) -> int:
     """Write ``trace`` in extended dinero format; returns line count."""
@@ -43,7 +56,8 @@ def save_trace(trace: Trace, destination: Union[str, Path, TextIO]) -> int:
     gaps = trace.gaps
     variable_ids = trace.variable_ids
     names = trace.variable_names
-    addresses = trace.addresses
+    # Negative int64 addresses print as the unsigned ones they fold.
+    addresses = trace.addresses.astype(np.uint64)
     for position in range(len(trace)):
         fields = [labels[position], format(int(addresses[position]), "x")]
         identifier = variable_ids[position]
@@ -78,24 +92,33 @@ def _parse_lines(lines: list[tuple[int, list[str]]], name: str) -> Trace:
                 f"line {line_number}: unknown access label {label!r}"
             )
         try:
-            addresses[position] = int(fields[1], 16)
+            address = int(fields[1], 16)
         except ValueError:
             raise ValueError(
                 f"line {line_number}: bad address {fields[1]!r}"
             ) from None
-        except OverflowError:
+        if not 0 <= address < _ADDRESS_LIMIT:
             raise ValueError(
-                f"line {line_number}: address {fields[1]!r} does not "
-                "fit in a signed 64-bit integer"
-            ) from None
+                f"line {line_number}: address {fields[1]!r} is not an "
+                "unsigned 64-bit address"
+            )
+        addresses[position] = (
+            address - _ADDRESS_LIMIT if address >= _SIGN_BIT else address
+        )
         writes[position] = label == WRITE_LABEL
         if len(fields) >= 3:
             try:
-                gaps[position] = int(fields[2])
+                gap = int(fields[2])
             except ValueError:
                 raise ValueError(
                     f"line {line_number}: bad gap {fields[2]!r}"
                 ) from None
+            if not 0 <= gap < _SIGN_BIT:
+                raise ValueError(
+                    f"line {line_number}: gap {fields[2]!r} must be in "
+                    "[0, 2**63)"
+                )
+            gaps[position] = gap
         if len(fields) >= 4:
             variable = fields[3]
             identifier = name_ids.get(variable)
@@ -114,8 +137,14 @@ def load_trace(
 ) -> Trace:
     """Read a (possibly extended) dinero trace.
 
-    Instruction-fetch records (label 2) are kept as reads; unknown
-    labels raise ValueError with the offending line number.
+    Instruction-fetch records (label 2) are kept as reads.  Addresses
+    at or above ``2**63`` fold into the int64 column (see the module
+    docstring).
+
+    Raises:
+        ValueError: naming the line, for an unknown label, an address
+            that is not hex in ``[0, 2**64)``, or a gap that is not an
+            integer in ``[0, 2**63)``.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:

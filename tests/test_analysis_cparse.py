@@ -30,7 +30,7 @@ WRAPPER_PY = ENGINE_DIR / "_compiled.py"
 
 #: The kernel's exported functions and their C-side arity.
 EXPORTED = {
-    "repro_lockstep_flags": 12,
+    "repro_lockstep_flags": 17,
     "repro_fused_multitask": 17,
     "repro_quantum_orbit": 9,
 }

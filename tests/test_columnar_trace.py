@@ -1,6 +1,8 @@
 """The columnar trace core: recorder, derived columns, on-disk format."""
 
+import io
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -386,6 +388,42 @@ class TestNpzFormat:
             assert np.array_equal(
                 getattr(mapped, column), getattr(trace, column)
             ), column
+
+    def test_mmap_load_maps_the_file_once(self, tmp_path):
+        """Every column is a view of one map of the archive."""
+        path = small_trace().save_npz(tmp_path / "t.npz")
+        mapped = open_npz(path)
+        bases = {
+            id(getattr(mapped, column).base)
+            for column in (
+                "addresses", "sizes", "writes", "gaps", "variable_ids"
+            )
+        }
+        assert len(bases) == 1
+        assert not mapped.addresses.flags.writeable
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_truncated_member_is_named(self, tmp_path, mmap):
+        """A member whose stored bytes are shorter than its npy
+        header's shape fails naming the member, in both modes."""
+        columns = {
+            "addresses": np.array([16, 32, 48], dtype=np.int64),
+            "sizes": np.ones(3, dtype=np.int32),
+            "writes": np.zeros(3, dtype=bool),
+            "gaps": np.zeros(3, dtype=np.int64),
+            "variable_ids": np.full(3, -1, dtype=np.int64),
+        }
+        path = tmp_path / "truncated.npz"
+        with zipfile.ZipFile(path, "w") as archive:
+            for column, values in columns.items():
+                member = io.BytesIO()
+                np.lib.format.write_array(member, values)
+                data = member.getvalue()
+                if column == "gaps":  # header claims 9 entries, holds 3
+                    data = data.replace(b"'shape': (3,)", b"'shape': (9,)")
+                archive.writestr(f"{column}.npy", data)
+        with pytest.raises(ValueError, match=r"member 'gaps'"):
+            load_npz(path, mmap=mmap)
 
     def test_mmap_streaming_replay_matches_eager(self, tmp_path):
         from repro.sim.engine.batched import LockstepCache

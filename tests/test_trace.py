@@ -223,13 +223,37 @@ class TestDinero:
         with pytest.raises(ValueError, match="bad address"):
             load_trace(io.StringIO("0 zz\n"))
 
-    def test_address_beyond_int64_names_line_and_address(self):
-        """A kernel-space address (>= 2**63) fails at the boundary
-        with a ValueError naming the record, not an OverflowError."""
-        with pytest.raises(
-            ValueError, match=r"line 2: address 'ffffffff81000000'"
-        ):
-            load_trace(io.StringIO("0 10\n0 ffffffff81000000\n"))
+    def test_kernel_space_addresses_fold_into_int64(self):
+        """Addresses in [2**63, 2**64) load as their int64 two's
+        complement (as a uint64 ``.npz`` column does) and write back
+        as the same unsigned hex."""
+        text = "0 10\n0 ffffffff81000000\n1 8000000000000000\n"
+        loaded = load_trace(io.StringIO(text))
+        assert list(loaded.addresses) == [
+            0x10, 0xFFFFFFFF81000000 - 2**64, -(2**63)
+        ]
+        written = io.StringIO()
+        save_trace(loaded, written)
+        assert written.getvalue() == text
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("0 10\n0 10000000000000000\n",
+             "line 2: address '10000000000000000'"),
+            ("0 10\n0 -8\n", "line 2: address '-8'"),
+            ("0 10 -3 a\n0 8 0\n1 20 2 b\n", "line 1: gap '-3'"),
+            ("0 10 0\n0 20 9223372036854775808\n",
+             "line 2: gap '9223372036854775808'"),
+        ],
+        ids=["address-beyond-uint64", "negative-address",
+             "negative-gap", "gap-beyond-int64"],
+    )
+    def test_impossible_records_name_their_line(self, text, message):
+        """A negative or wider-than-64-bit address and a negative or
+        int64-overflowing gap fail at load time, naming the line."""
+        with pytest.raises(ValueError, match=message):
+            load_trace(io.StringIO(text))
 
     def test_largest_int64_address_loads(self):
         loaded = load_trace(io.StringIO("0 7fffffffffffffff\n"))
