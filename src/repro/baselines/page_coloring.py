@@ -15,6 +15,17 @@ conflict-graph machinery to assign each *variable* a color class, then
 relocate its pages to physical pages of that class and simulate the
 relocated trace on the plain cache.
 
+The relocation is one page table: ``PageColoringPlan.pages``, the
+sorted virtual page numbers of every colored variable, and
+``frames``, the physical frame each maps to.  :meth:`translate` looks
+a whole address column up in it with one ``np.searchsorted``: an
+address on a mapped page becomes ``(frame << page_bits) | offset``,
+any other address keeps its identity plus ``2**40``, which keeps it
+clear of the colored frames.  Addresses are the trace's uint64 domain
+held in int64, so that sum wraps modulo ``2**64`` like every other
+int64 address.  The simulated cache then reads the physical byte
+addresses itself (``LockstepCache.run(..., offset_bits=...)``).
+
 What the comparison surfaces:
 
 * with enough colors, page coloring isolates conflicting variables
@@ -43,15 +54,28 @@ from repro.sim.results import SimulationResult
 from repro.utils.validation import check_power_of_two, log2_exact
 from repro.workloads.base import WorkloadRun
 
+#: Added to an unmapped address, to keep it clear of the colored frames.
+_IDENTITY_BASE = np.int64(1 << 40)
+
 
 @dataclass
 class PageColoringPlan:
-    """Variable -> page-color class, plus the page relocation map."""
+    """Variable -> page-color class, plus the page table.
+
+    ``pages`` holds the relocated virtual page numbers in ascending
+    order and ``frames`` the physical frame of each.
+    """
 
     colors: int
     variable_colors: dict[str, int] = field(default_factory=dict)
-    page_map: dict[int, int] = field(default_factory=dict)
+    pages: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    frames: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     remap_copy_bytes: int = 0
+
+    @property
+    def page_map(self) -> dict[int, int]:
+        """The page table as a virtual page -> physical frame dict."""
+        return dict(zip(self.pages.tolist(), self.frames.tolist()))
 
 
 class PageColoringBaseline:
@@ -97,43 +121,40 @@ class PageColoringBaseline:
 
         Physical page ``p`` has color ``p % page_colors``.  Each
         variable's k-th page moves to the k-th free physical page of
-        the variable's color.
+        the variable's color; a page two variables share stays with
+        the first by name.
         """
-        next_free: dict[int, int] = {
-            color: 0 for color in range(self.page_colors)
-        }
-        page_bits = log2_exact(self.page_size, "page_size")
+        colors = self.page_colors
+        next_free = [0] * colors
+        page_map: dict[int, int] = {}
         for name, color in sorted(plan.variable_colors.items()):
             variable = run.memory_map.get(name)
             for vpn in variable.range.pages(self.page_size):
-                if vpn in plan.page_map:
-                    continue
-                frame_index = next_free[color]
-                next_free[color] += 1
-                # Physical frame number with the requested color.
-                pfn = frame_index * self.page_colors + color
-                plan.page_map[vpn] = pfn
-                plan.remap_copy_bytes += self.page_size
-        # Unmapped pages (unattributed traffic) keep identity mapping;
-        # handled lazily in translate().
-        self._page_bits = page_bits
+                if vpn not in page_map:
+                    page_map[vpn] = next_free[color] * colors + color
+                    next_free[color] += 1
+        pages = sorted(page_map)
+        plan.pages = np.array(pages, dtype=np.int64)
+        plan.frames = np.array([page_map[p] for p in pages], dtype=np.int64)
+        plan.remap_copy_bytes = len(pages) * self.page_size
 
     def translate(self, addresses: np.ndarray, plan: PageColoringPlan) -> np.ndarray:
-        """Apply the virtual -> physical page map to a trace."""
+        """Apply the plan's page table to a column of addresses."""
         page_bits = log2_exact(self.page_size, "page_size")
-        vpns = addresses >> page_bits
-        offsets = addresses & (self.page_size - 1)
-        translated = np.empty_like(addresses)
-        # Identity for unmapped pages, with a high bit to keep them
-        # clear of the colored frames.
-        identity_base = 1 << 40
-        for index, vpn in enumerate(vpns):
-            pfn = plan.page_map.get(int(vpn))
-            if pfn is None:
-                translated[index] = identity_base + int(addresses[index])
-            else:
-                translated[index] = (pfn << page_bits) | int(offsets[index])
-        return translated
+        addresses = np.asarray(addresses, dtype=np.int64)
+        # Unmapped pages: identity plus the high bit, modulo 2**64.
+        physical = addresses + _IDENTITY_BASE
+        if not len(plan.pages):
+            return physical
+        vpns = addresses >> np.int64(page_bits)
+        slots = np.searchsorted(plan.pages, vpns)
+        np.minimum(slots, len(plan.pages) - 1, out=slots)
+        mapped = plan.pages[slots] == vpns
+        relocated = (plan.frames[slots] << np.int64(page_bits)) | (
+            addresses & np.int64(self.page_size - 1)
+        )
+        np.copyto(physical, relocated, where=mapped)
+        return physical
 
     # ------------------------------------------------------------------
     def run(
@@ -152,9 +173,9 @@ class PageColoringBaseline:
         if plan is None:
             plan = self.plan(run)
         trace = run.trace
-        physical = self.translate(trace.addresses, plan)
         outcome = LockstepCache(self.cache_geometry).run(
-            physical >> self.cache_geometry.offset_bits
+            self.translate(trace.addresses, plan),
+            offset_bits=self.cache_geometry.offset_bits,
         )
         timing = self.timing
         setup = (
@@ -179,7 +200,7 @@ class PageColoringBaseline:
     def run_uncolored(self, run: WorkloadRun) -> SimulationResult:
         """Control: the same cache with identity (uncolored) placement."""
         outcome = LockstepCache(self.cache_geometry).run(
-            run.trace.blocks_for(self.cache_geometry.offset_bits)
+            run.trace.addresses, offset_bits=self.cache_geometry.offset_bits
         )
         return SimulationResult(
             name=f"{run.name}:uncolored",

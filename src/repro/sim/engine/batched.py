@@ -463,7 +463,9 @@ def lockstep_run(
                 & 1
             ) > 0
         any_empty_mask = bool((masks == 0).any())
-        full_row_mask = np.int64(full_mask)
+        # Past 63 ways the full mask does not fit in int64, so those
+        # caches go without the all-full shortcut below.
+        full_row_mask = np.int64(full_mask) if ways < 64 else None
     uniform_full = (
         masks is None
         and len(uniform_candidates) == ways
@@ -568,8 +570,10 @@ def lockstep_run(
         victim = victim_buf[: len(miss_idx)]
         if masks is not None:
             miss_masks = masks_sorted[miss_sorted]
-            if any_empty_mask or not bool(
-                (miss_masks == full_row_mask).all()
+            if (
+                any_empty_mask
+                or full_row_mask is None
+                or not bool((miss_masks == full_row_mask).all())
             ):
                 if mask_table is not None:
                     allowed = mask_table[miss_masks]

@@ -69,9 +69,14 @@ _COLUMN_KINDS = {
 
 
 def _check_domain(
-    column: str, values: np.ndarray, low: int, high: Optional[int] = None
+    column: str,
+    values: np.ndarray,
+    low: int,
+    high: Optional[int] = None,
+    first: int = 0,
 ) -> None:
-    """Raise a ValueError naming the first value outside ``[low, high)``."""
+    """Raise a ValueError naming the first value outside ``[low, high)``
+    (``first`` is the position of ``values[0]`` in ``column``)."""
     if not len(values) or (
         values.min() >= low and (high is None or values.max() < high)
     ):
@@ -82,7 +87,8 @@ def _check_domain(
     index = int(np.argmax(outside))
     allowed = f">= {low}" if high is None else f"in [{low}, {high})"
     raise ValueError(
-        f"{column}[{index}] = {int(values[index])}; must be {allowed}"
+        f"{column}[{first + index}] = {int(values[index])}; "
+        f"must be {allowed}"
     )
 
 
@@ -117,7 +123,11 @@ class ColumnarTrace:
         self.addresses = np.asarray(addresses, dtype=np.int64)
         self.writes = np.asarray(writes, dtype=bool)
         self.gaps = np.asarray(gaps, dtype=np.int64)
-        self.variable_ids = np.asarray(variable_ids, dtype=np.int64)
+        self._variable_ids = np.asarray(variable_ids, dtype=np.int64)
+        # Ids still to be range-checked: (archive, position of the
+        # first id in it) for a trace load_npz opened, or a window of
+        # one; None once checked, or for a trace built in memory.
+        self._unchecked_ids: Optional[tuple[str, int]] = None
         if sizes is None:
             self.sizes = np.ones(length, dtype=np.int32)
         else:
@@ -211,6 +221,30 @@ class ColumnarTrace:
         """A zero-length trace."""
         zero = np.zeros(0, dtype=np.int64)
         return cls(zero, zero.astype(bool), zero, zero, [], name=name)
+
+    @property
+    def variable_ids(self) -> np.ndarray:
+        """The int64 object-id column (``NO_VARIABLE`` = none).
+
+        A trace :func:`load_npz` opened range-checks its ids here, on
+        their first read: every path that resolves an id to a name
+        reads them here, and replay, which never does, reads no ids.
+
+        Raises:
+            ValueError: naming the archive and the first loaded id
+                outside ``[-1, len(variable_names))``.
+        """
+        if self._unchecked_ids is not None:
+            archive, first = self._unchecked_ids
+            _check_domain(
+                f"{archive}: variable_ids",
+                self._variable_ids,
+                NO_VARIABLE,
+                len(self.variable_names),
+                first=first,
+            )
+            self._unchecked_ids = None
+        return self._variable_ids
 
     # ------------------------------------------------------------------
     # Derived columns (cached, vectorized)
@@ -334,11 +368,15 @@ class ColumnarTrace:
             self.addresses[start:stop],
             self.writes[start:stop],
             self.gaps[start:stop],
-            self.variable_ids[start:stop],
+            self._variable_ids[start:stop],
             self.variable_names,
             name=name or f"{self.name}[{start}:{stop}]",
             sizes=self.sizes[start:stop],
         )
+        if self._unchecked_ids is not None:
+            # A window of unchecked ids checks its own part when read.
+            archive, first = self._unchecked_ids
+            piece._unchecked_ids = (archive, first + start)
         # Windowed consumers slice traces constantly; hand the slice
         # views of any block columns already computed on the parent.
         piece._blocks = {
@@ -527,6 +565,9 @@ def load_npz(
     (combine with :meth:`ColumnarTrace.iter_chunks` for flat-memory
     replay of arbitrarily long traces).
 
+    The variable ids are range-checked on first use, not here (see
+    :attr:`ColumnarTrace.variable_ids`), so opening reads no id data.
+
     Raises:
         ValueError: when a column is missing, or stored with a dtype
             other than integer (bool or integer for ``writes``), such
@@ -563,7 +604,7 @@ def load_npz(
     )
     name_member = arrays.get("name")
     name = str(name_member) if name_member is not None else path.stem
-    return ColumnarTrace(
+    trace = ColumnarTrace(
         arrays["addresses"],
         arrays["writes"],
         arrays["gaps"],
@@ -572,6 +613,8 @@ def load_npz(
         name=name,
         sizes=arrays["sizes"],
     )
+    trace._unchecked_ids = (str(path), 0)
+    return trace
 
 
 def open_npz(path: Union[str, Path]) -> ColumnarTrace:

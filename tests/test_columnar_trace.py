@@ -1,6 +1,7 @@
 """The columnar trace core: recorder, derived columns, on-disk format."""
 
 import io
+import re
 import warnings
 import zipfile
 
@@ -503,3 +504,129 @@ class TestNpzFormat:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="format version"):
             load_npz(path)
+
+
+def _archive_with_ids(path, ids, names):
+    """An archive whose ``variable_ids`` column holds ``ids`` as is."""
+    count = len(ids)
+    np.savez(
+        path,
+        addresses=np.arange(count, dtype=np.int64) * 16,
+        sizes=np.ones(count, dtype=np.int32),
+        writes=np.zeros(count, dtype=bool),
+        gaps=np.zeros(count, dtype=np.int64),
+        variable_ids=np.array(ids, dtype=np.int64),
+        variable_names=np.array(names),
+    )
+    return path
+
+
+def _id_consumers(trace):
+    """Every path that resolves a loaded trace's ids to names."""
+    from repro.baselines.panda import PandaBaseline
+    from repro.layout.session import trace_digest
+    from repro.mem.layout import MemoryMap
+    from repro.profiling.profiler import profile_trace
+    from repro.trace.dinero import save_trace
+    from repro.trace.filters import filter_by_variable
+    from repro.workloads.base import WorkloadRun
+
+    run = WorkloadRun(name="loaded", trace=trace, memory_map=MemoryMap())
+    panda = PandaBaseline(
+        scratchpad_bytes=64,
+        cache_geometry=CacheGeometry(line_size=16, sets=4, columns=2),
+    )
+    return {
+        "variables": trace.variables,
+        "variable_of": lambda: trace.variable_of(1),
+        "positions_of": lambda: trace.positions_of("a"),
+        "mask_bits_for": lambda: trace.mask_bits_for({"a": 1}, 3),
+        "profile_trace": lambda: profile_trace(trace),
+        "filter_by_variable": lambda: filter_by_variable(trace, ["a"]),
+        "panda": lambda: panda.plan(run),
+        "save_trace": lambda: save_trace(trace, io.StringIO()),
+        "trace_digest": lambda: trace_digest(trace),
+    }
+
+
+class TestLoadedVariableIds:
+    """An archive's ids are range-checked once, on first use, with the
+    error ``from_columns`` gives, naming the archive and the first bad
+    position; opening and replaying read no id data."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            "variables", "variable_of", "positions_of", "mask_bits_for",
+            "profile_trace", "filter_by_variable", "panda", "save_trace",
+            "trace_digest",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "ids, names, bad",
+        [
+            ([0, -2, 1], ["a", "b", "c"], r"\[1\] = -2; must be in \[-1, 3\)"),
+            ([0, -2, 1], ["a"], r"\[1\] = -2; must be in \[-1, 1\)"),
+            ([0, 0, 5], ["a", "b"], r"\[2\] = 5; must be in \[-1, 2\)"),
+        ],
+    )
+    def test_every_consumer_rejects_an_out_of_range_id(
+        self, tmp_path, mmap, consumer, ids, names, bad
+    ):
+        path = _archive_with_ids(tmp_path / "ids.npz", ids, names)
+        trace = load_npz(path, mmap=mmap)
+        with pytest.raises(ValueError) as raised:
+            _id_consumers(trace)[consumer]()
+        message = str(raised.value)
+        assert message.startswith(f"{path}: variable_ids")
+        assert re.search(bad, message), message
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_a_window_names_its_position_in_the_archive(
+        self, tmp_path, mmap
+    ):
+        path = _archive_with_ids(
+            tmp_path / "ids.npz", [0, 1, 0, 1, 7, 0], ["a", "b"]
+        )
+        windows = list(load_npz(path, mmap=mmap).iter_chunks(2))
+        assert windows[1].variables() == ["a", "b"]
+        with pytest.raises(ValueError, match=r"variable_ids\[4\] = 7"):
+            windows[2].variable_of(0)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_valid_ids_are_checked_once(self, tmp_path, mmap, monkeypatch):
+        from repro.trace import columnar
+
+        calls = []
+        check = columnar._check_domain
+
+        def counting(column, *args, **kwargs):
+            calls.append(column)
+            return check(column, *args, **kwargs)
+
+        monkeypatch.setattr(columnar, "_check_domain", counting)
+        path = small_trace().save_npz(tmp_path / "t.npz")
+        calls.clear()
+        trace = load_npz(path, mmap=mmap)
+        assert calls == []
+        for consumer in _id_consumers(trace).values():
+            consumer()
+        assert trace.variables() == small_trace().variables()
+        id_checks = [column for column in calls if "variable_ids" in column]
+        assert id_checks == [f"{path}: variable_ids"]
+        calls.clear()
+        small_trace().variables()  # recorder-built: nothing to check
+        assert calls == []
+
+    @pytest.mark.parametrize("mmap", ["--no-mmap", None])
+    def test_replay_reads_no_ids(self, tmp_path, mmap, capsys):
+        """Replay never resolves a name, so a bad id does not stop it."""
+        from repro.trace.cli import main as trace_main
+
+        path = _archive_with_ids(tmp_path / "ids.npz", [0, -2, 9], ["a"])
+        options = ["replay", str(path), "--size", "256", "--columns", "2"]
+        assert trace_main(
+            options + ([mmap] if mmap else []), prog="repro trace"
+        ) == 0
+        assert "accesses=3 hits=0 misses=3" in capsys.readouterr().out

@@ -275,3 +275,89 @@ def test_wide_per_access_masks_match_reference(kernel, columns):
     flags = cache.run_with_flags(blocks, mask_bits=masks)
     assert np.array_equal(flags, expected)
     assert cache.bypasses == int(bypasses.sum())
+
+
+# ----------------------------------------------------------------------
+# Caches wider than an int64 mask: 64 and 100 ways
+# ----------------------------------------------------------------------
+@st.composite
+def wide_way_cases(draw):
+    """A 64- or 100-way cache and blocks with per-access int64 masks.
+
+    An int64 mask names ways 0-62 only, so a full mask does not fit:
+    the palette holds ways 0-62, single ways, a random pattern and,
+    when drawn, the empty mask (every miss bypasses).
+    """
+    columns = draw(st.sampled_from([64, 100]))
+    sets = draw(st.sampled_from([1, 2, 128]))
+    g = geometry(sets=sets, columns=columns)
+    length = draw(st.one_of(st.just(1), st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    span = draw(st.sampled_from([8, sets * columns, 3 * sets * columns]))
+    blocks = rng.integers(-(span // 2), span, length).astype(np.int64)
+    palette = [(1 << 63) - 1, 1, 1 << 62, int(rng.integers(1, 1 << 62))]
+    if draw(st.booleans()):
+        palette.append(0)
+    masks = np.array(
+        [palette[int(i)] for i in rng.integers(0, len(palette), length)],
+        dtype=np.int64,
+    )
+    return g, blocks, masks
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(case=wide_way_cases())
+def test_wide_way_masks_through_lockstep_cache(kernel, case):
+    """Past 63 ways the compiled backend runs on numpy; per-access
+    masks match the reference on both."""
+    g, blocks, masks = case
+    expected, bypasses, _ = reference_streams(g, blocks, masks)
+    reference = ReferenceCache(g)
+    reference.run(blocks, mask_bits=masks)
+    flagging = LockstepCache(g, backend=kernel)
+    assert np.array_equal(
+        flagging.run_with_flags(blocks, mask_bits=masks), expected
+    )
+    counting = LockstepCache(g, backend=kernel)
+    result = counting.run(blocks, mask_bits=masks)
+    assert result == flagging.result()
+    assert result.hits == int(expected.sum())
+    assert result.bypasses == int(bypasses.sum())
+    assert column_occupancy(counting) == reference.occupancy()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("cutoff", [0, 10**9])
+@given(case=wide_way_cases())
+def test_wide_way_masks_through_lockstep_run(kernel, cutoff, case):
+    """Every collect mode, through the round loop (cutoff 0) or the
+    scalar tail: the reference's outcomes and one final state."""
+    g, blocks, masks = case
+    hits, bypasses, _ = reference_streams(g, blocks, masks)
+    rows = blocks & np.int64(g.sets - 1)
+    tags = blocks >> np.int64(g.index_bits)
+    states = {}
+    outputs = {}
+    for collect in ("flags", "misses", "depths"):
+        states[collect] = LockstepState.cold(g.sets, g.columns)
+        outputs[collect] = lockstep_run(
+            rows,
+            tags,
+            states[collect],
+            mask_bits=masks,
+            scalar_cutoff=cutoff,
+            collect=collect,
+            backend=kernel,
+        )
+    assert np.array_equal(outputs["flags"][0], hits)
+    assert np.array_equal(outputs["flags"][1], bypasses)
+    assert np.array_equal(
+        np.sort(outputs["misses"]), np.flatnonzero(~hits)
+    )
+    assert np.array_equal(outputs["depths"] < g.columns, hits)
+    for collect in ("misses", "depths"):
+        for field in ("tags", "last_use", "clock"):
+            assert np.array_equal(
+                getattr(states[collect], field),
+                getattr(states["flags"], field),
+            ), (collect, field)
