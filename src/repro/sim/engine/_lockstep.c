@@ -33,60 +33,102 @@
  *     cold, unmasked state an access hits in every c-way cache with
  *     c > depth: one full-width pass prices every grant size.
  *
+ * Search order.  Each call of either walk keeps a WAY_SLOTS-byte
+ * table on its stack, zeroed at entry: slot row & (WAY_SLOTS - 1)
+ * names the way that row last hit or filled.  step() probes that way
+ * first, as a valid line (last_use >= 0), so a repeat hit costs one
+ * compare; only when the probe fails does it scan the ways, once,
+ * stopping at a match.  The order cannot change an outcome: every
+ * state is cold, evolved by a kernel, or a copy or concatenation of
+ * one, and a kernel fills a tag only on a miss, so a resident tag
+ * sits in exactly one valid way and any order finds the same way.  A
+ * slot that another row overwrote, or that names an empty way, only
+ * sends the access to the scan.
+ *
+ * One-pass victim.  While it scans, step() tracks the LRU candidate
+ * among the mask's ways with conditional moves (ascending ways,
+ * strict <, so ties go to the lowest way), and a miss fills that way
+ * without a second pass over the row.
+ *
  * All pointers are passed as raw addresses (ctypes c_void_p); arrays
- * are C-contiguous int64 unless stated otherwise.  Callers guarantee
- * 1 <= ways <= 63.
+ * are C-contiguous int64 unless stated otherwise.  The per-access
+ * input columns of repro_lockstep_flags are declared const void *
+ * and read through memcpy (load_i64), because they may sit off an
+ * 8-byte boundary: a memory-mapped .npz member starts wherever its
+ * header ends.  Callers guarantee 1 <= ways <= 63, so a way index
+ * fits a slot's byte.
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define API __attribute__((visibility("default")))
 
+/* Slots of the per-call way table (see "Search order" above). */
+#define WAY_SLOTS 4096
+
+/* int64 element i of a column that may sit off an 8-byte boundary; a
+ * plain load on x86. */
+static inline int64_t
+load_i64(const void *column, int64_t i)
+{
+    int64_t value;
+    memcpy(&value, (const char *)column + i * 8, sizeof value);
+    return value;
+}
+
 /* One access against one row.  Returns 1 on hit; *bypass is set when
- * the access missed with an empty candidate mask.  When depth is
+ * the access missed with an empty candidate mask.  Probes the way the
+ * row's slot in last_way names, then scans the ways once, tracking
+ * the victim (see "Search order" and "One-pass victim" above), and
+ * records the way it hit or filled in the slot.  When depth is
  * non-NULL, a hit stores the line's recency rank before the touch:
  * the number of ways used more recently (empty lines keep last_use
  * -1, below any valid line's, so they never count). */
 static inline int
 step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
      int64_t *restrict state_tags, int64_t *restrict state_use,
-     int64_t *restrict state_clock, int *restrict bypass,
-     int64_t *restrict depth)
+     int64_t *restrict state_clock, uint8_t *restrict last_way,
+     int *restrict bypass, int64_t *restrict depth)
 {
     int64_t *line_tags = state_tags + row * ways;
     int64_t *line_use = state_use + row * ways;
+    uint8_t *slot = last_way + (row & (WAY_SLOTS - 1));
     int64_t now = state_clock[row];
     state_clock[row] = now + 1;
-    for (int64_t way = 0; way < ways; way++) {
-        if (line_tags[way] == tag && line_use[way] >= 0) {
-            if (depth) {
-                int64_t last = line_use[way];
-                int64_t newer = 0;
-                for (int64_t other = 0; other < ways; other++)
-                    newer += line_use[other] > last;
-                *depth = newer;
+    int64_t way = *slot;
+    if (line_tags[way] != tag || line_use[way] < 0) {
+        int64_t victim = 0;
+        int64_t oldest = INT64_MAX;
+        for (way = 0; way < ways; way++) {
+            int64_t use = line_use[way];
+            if (line_tags[way] == tag && use >= 0)
+                break;
+            int older = (int)((mask >> way) & 1) & (use < oldest);
+            oldest = older ? use : oldest;
+            victim = older ? way : victim;
+        }
+        if (way == ways) {
+            *bypass = mask == 0;
+            if (mask != 0) {
+                line_tags[victim] = tag;
+                line_use[victim] = now;
+                *slot = (uint8_t)victim;
             }
-            line_use[way] = now;
-            *bypass = 0;
-            return 1;
+            return 0;
         }
     }
-    if (mask == 0) {
-        *bypass = 1;
-        return 0;
+    if (depth) {
+        int64_t last = line_use[way];
+        int64_t newer = 0;
+        for (int64_t other = 0; other < ways; other++)
+            newer += line_use[other] > last;
+        *depth = newer;
     }
-    int64_t victim = 0;
-    int64_t best = INT64_MAX;
-    for (int64_t way = 0; way < ways; way++) {
-        if (((mask >> way) & 1) && line_use[way] < best) {
-            best = line_use[way];
-            victim = way;
-        }
-    }
-    line_tags[victim] = tag;
-    line_use[victim] = now;
+    line_use[way] = now;
+    *slot = (uint8_t)way;
     *bypass = 0;
-    return 0;
+    return 1;
 }
 
 /* The per-access loop of repro_lockstep_flags.  Always inlined, and
@@ -94,32 +136,35 @@ step(int64_t row, int64_t tag, int64_t mask, int64_t ways,
  * known non-NULL, so every input form and the depth output get their
  * own copy of the loop, none testing either per access. */
 static inline __attribute__((always_inline)) void
-flags_loop(int64_t n, const int64_t *rows, const int64_t *tags,
-           const int64_t *values, int64_t shift, int64_t sets_mask,
-           int64_t index_bits, int64_t ways, const int64_t *mask_bits,
+flags_loop(int64_t n, const void *rows, const void *tags,
+           const void *values, int64_t shift, int64_t sets_mask,
+           int64_t index_bits, int64_t ways, const void *mask_bits,
            int64_t uniform_mask, int64_t *state_tags,
            int64_t *state_use, int64_t *state_clock, uint8_t *hit_out,
            uint8_t *bypass_out, uint8_t *depth_out, int64_t *counts)
 {
+    uint8_t last_way[WAY_SLOTS] = {0};
     int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
     int64_t hits = 0;
     int64_t bypasses = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t row, tag;
         if (values) {
-            int64_t block = values[i] >> shift;
+            int64_t block = load_i64(values, i) >> shift;
             row = block & sets_mask;
             tag = block >> index_bits;
         } else {
-            row = rows[i];
-            tag = tags[i];
+            row = load_i64(rows, i);
+            tag = load_i64(tags, i);
         }
         int64_t mask =
-            (mask_bits ? mask_bits[i] : uniform_mask) & ways_mask;
+            (mask_bits ? load_i64(mask_bits, i) : uniform_mask) &
+            ways_mask;
         int bypass = 0;
         int64_t depth = ways;
         int hit = step(row, tag, mask, ways, state_tags, state_use,
-                       state_clock, &bypass, depth_out ? &depth : 0);
+                       state_clock, last_way, &bypass,
+                       depth_out ? &depth : 0);
         hits += hit;
         bypasses += bypass;
         if (hit_out)
@@ -151,11 +196,11 @@ flags_loop(int64_t n, const int64_t *rows, const int64_t *tags,
  * them.  Callers guarantee 0 <= shift, index_bits <= 63 and that
  * every row is below the state's row count. */
 API void
-repro_lockstep_flags(int64_t n, const int64_t *rows,
-                     const int64_t *tags, const int64_t *values,
-                     int64_t shift, int64_t sets_mask,
-                     int64_t index_bits, int64_t ways,
-                     const int64_t *mask_bits, int64_t uniform_mask,
+repro_lockstep_flags(int64_t n, const void *rows, const void *tags,
+                     const void *values, int64_t shift,
+                     int64_t sets_mask, int64_t index_bits,
+                     int64_t ways, const void *mask_bits,
+                     int64_t uniform_mask,
                      int64_t *state_tags, int64_t *state_use,
                      int64_t *state_clock, uint8_t *hit_out,
                      uint8_t *bypass_out, uint8_t *depth_out,
@@ -205,6 +250,7 @@ repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
     int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
     const int32_t *blocks32 = (const int32_t *)blocks;
     const int64_t *blocks64 = (const int64_t *)blocks;
+    uint8_t last_way[WAY_SLOTS] = {0};
     int64_t stream = 0;
     for (int64_t s = 0; s < n_segments; s++) {
         int64_t job = seg_jobs[s];
@@ -224,7 +270,7 @@ repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
             int bypass = 0;
             int hit = step(block & sets_mask, block >> index_bits,
                            mask, ways, state_tags, state_use,
-                           state_clock, &bypass, 0);
+                           state_clock, last_way, &bypass, 0);
             hits += hit;
             if (hit_flags)
                 hit_flags[stream + k] = (uint8_t)hit;

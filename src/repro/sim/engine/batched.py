@@ -250,6 +250,34 @@ def _absent_tag(tags: np.ndarray, low: int, high: int) -> int:
     return int(distinct[int(np.flatnonzero(steps > 1)[0])]) + 1
 
 
+def check_masks(
+    masks: Optional[np.ndarray], uniform_mask: Optional[int]
+) -> None:
+    """Refuse a negative uniform mask or per-access mask.
+
+    A mask's bits name candidate ways; read as two's complement, a
+    negative one would name infinitely many.  A uniform mask is a
+    Python int and can name every way of any cache; per-access masks
+    are int64, so they name ways 0-62.  Bits at or above the cache's
+    width name no way, and a mask with none inside it is empty: its
+    misses are counted bypasses.
+
+    Raises:
+        ValueError: naming a negative ``uniform_mask``, or the first
+            negative entry of ``masks`` and its position.
+    """
+    if uniform_mask is not None and uniform_mask < 0:
+        raise ValueError(
+            f"uniform_mask must be non-negative, got {uniform_mask}"
+        )
+    if masks is not None and len(masks) and masks.min() < 0:
+        first = int(np.argmax(masks < 0))
+        raise ValueError(
+            f"mask_bits[{first}] must be non-negative, "
+            f"got {masks[first]}"
+        )
+
+
 def lockstep_run(
     rows: np.ndarray,
     tags: np.ndarray,
@@ -268,7 +296,8 @@ def lockstep_run(
         tags: Per-access tag (any integer dtype, any value —
             emptiness is tracked by ``last_use``, not by tag).
         state: Mutable cache state, advanced in place.
-        mask_bits: Per-access replacement masks, or None.
+        mask_bits: Per-access replacement masks, or None
+            (non-negative; see :func:`check_masks`).
         uniform_mask: One mask for every access (mutually exclusive
             with ``mask_bits``); None means all ways.
         scalar_cutoff: Once fewer than this many rows remain active in
@@ -303,11 +332,18 @@ def lockstep_run(
         a cold, unmasked state an access hits in a ``c``-way cache
         iff its depth is below ``c`` (LRU is a stack algorithm).
         State evolution is identical in all modes.
+
+    Raises:
+        ValueError: on a negative mask (:func:`check_masks`), both
+            mask forms at once, an unknown ``collect`` or columns of
+            unequal length.
     """
     if mask_bits is not None and uniform_mask is not None:
         raise ValueError("give either mask_bits or uniform_mask, not both")
     if collect not in ("flags", "misses", "depths"):
         raise ValueError(f"unknown collect mode {collect!r}")
+    masks = None if mask_bits is None else np.ascontiguousarray(mask_bits)
+    check_masks(masks, uniform_mask)
     misses_only = collect == "misses"
     flags = collect == "flags"
     rows = np.ascontiguousarray(rows)
@@ -327,6 +363,8 @@ def lockstep_run(
         return hit_flags, bypass_flags
     if len(tags) != n:
         raise ValueError("rows and tags length mismatch")
+    if masks is not None and len(masks) != n:
+        raise ValueError("mask_bits length mismatch")
 
     backend_name = (
         backends.active_backend()
@@ -334,21 +372,14 @@ def lockstep_run(
         else backends.resolve_backend(backend)
     )
     if backend_name == "compiled" and _compiled.supports(ways):
-        if mask_bits is not None and len(mask_bits) != n:
-            raise ValueError("mask_bits length mismatch")
         return _compiled.lockstep_run_compiled(
-            rows, tags, state, mask_bits, uniform_mask, collect
+            rows, tags, state, masks, uniform_mask, collect
         )
     full_mask = (1 << ways) - 1
     masks_sorted: Optional[np.ndarray] = None
     uniform_candidates: Optional[tuple[int, ...]] = None
     uniform_cand_row: Optional[np.ndarray] = None
-    if mask_bits is not None:
-        masks = np.ascontiguousarray(mask_bits)
-        if len(masks) != n:
-            raise ValueError("mask_bits length mismatch")
-    else:
-        masks = None
+    if masks is None:
         bits = full_mask if uniform_mask is None else int(uniform_mask)
         uniform_candidates = tuple(
             w for w in range(ways) if bits >> w & 1
@@ -718,6 +749,11 @@ class LockstepCache:
         ``run(addresses, offset_bits=g.offset_bits)`` equals
         ``run(addresses >> g.offset_bits)``, without building the
         block column.
+
+        Raises:
+            ValueError: on a negative mask (:func:`check_masks`), both
+                mask forms at once, or ``offset_bits`` outside
+                [0, 64).
         """
         result, _hits = self._run(
             blocks, mask_bits, uniform_mask, offset_bits, flags=False
@@ -760,6 +796,7 @@ class LockstepCache:
         )
         if masks is not None and len(masks) != len(values):
             raise ValueError("mask_bits length mismatch")
+        check_masks(masks, uniform_mask)
         backend = (
             backends.active_backend()
             if self.backend is None

@@ -136,6 +136,19 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _mask_option(text: str) -> int:
+    """``--mask``: a uniform mask ``LockstepCache`` accepts, or a
+    usage error."""
+    from repro.sim.engine.batched import check_masks
+
+    try:
+        mask = int(text)
+        check_masks(None, mask)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return mask
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.sim.engine.batched import LockstepCache
     from repro.sim.engine.sharded import (
@@ -294,8 +307,9 @@ def main(
     replay.add_argument("--line-size", type=int, default=16)
     replay.add_argument("--columns", type=int, default=4)
     replay.add_argument(
-        "--mask", type=int, default=None,
-        help="uniform replacement mask bits (default: all columns)",
+        "--mask", type=_mask_option, default=None,
+        help="uniform replacement mask bits, non-negative "
+        "(default: all columns)",
     )
     replay.add_argument(
         "--chunk-size", type=int, default=1 << 20,

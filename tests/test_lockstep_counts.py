@@ -21,7 +21,10 @@ Held here, on both kernels:
 * ``repro trace replay`` prints the same counts for an ``.npz`` and a
   ``.din`` copy of one trace, memory-mapped or not, and replays a
   dinero trace whose addresses straddle ``2**63`` as ``ColumnCache``
-  does on the unsigned addresses.
+  does on the unsigned addresses;
+* a negative mask, uniform or per access, is refused by every entry
+  and by ``repro trace replay --mask``, and a mask whose bits all lie
+  above the cache's width bypasses like mask 0.
 
 Draws cover ``strategies.BLOCK_DOMAINS``, 1-set and 63-way geometries
 and 1-access traces.
@@ -326,3 +329,85 @@ def test_replay_of_addresses_straddling_two_to_the_63(tmp_path, kernel):
         folded.addresses, offset_bits=geometry.offset_bits
     )
     assert (result.accesses, result.hits) == (len(unsigned), hits)
+
+
+# ----------------------------------------------------------------------
+# Replacement masks are non-negative bit sets
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("columns", [4, 100])
+def test_negative_masks_are_refused(kernel, columns):
+    """Read as two's complement, -1 named all 100 ways of a 100-way
+    cache and -2 every way but 0; ``ColumnMask`` refuses both, and so
+    does every entry to the kernel, naming the first bad mask, before
+    any state or counter moves."""
+    geometry = CacheGeometry(line_size=16, sets=4, columns=columns)
+    blocks = np.arange(6, dtype=np.int64)
+    per_access = np.array([1, 3, 0, -2, -1, 1], dtype=np.int64)
+    cache = LockstepCache(geometry, backend=kernel)
+    message = "mask_bits[3] must be non-negative, got -2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cache.run(blocks, mask_bits=per_access)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cache.run_with_flags(blocks, mask_bits=per_access.tolist())
+    with pytest.raises(ValueError, match="uniform_mask .* got -1"):
+        cache.run(blocks, uniform_mask=-1)
+    with pytest.raises(ValueError, match="uniform_mask .* got -2"):
+        cache.run_with_flags(blocks, uniform_mask=-2)
+    for collect in ("flags", "misses", "depths"):
+        state = LockstepState.cold(geometry.sets, columns)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lockstep_run(
+                blocks % 4, blocks // 4, state, mask_bits=per_access,
+                collect=collect, backend=kernel,
+            )
+        with pytest.raises(ValueError, match="got -1"):
+            lockstep_run(
+                blocks[:0], blocks[:0], state, uniform_mask=-1,
+                collect=collect, backend=kernel,
+            )
+        assert same_state(
+            state, LockstepState.cold(geometry.sets, columns)
+        ), collect
+    assert cache.result().accesses == 0
+    assert same_state(cache.state, LockstepState.cold(4, columns))
+    with pytest.raises(ValueError, match="non-negative"):
+        ColumnMask(-1, columns)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_mask_bits_above_the_width_are_an_empty_mask(kernel):
+    """A mask with no bit inside the cache's width names no way: its
+    misses are counted bypasses, as under mask 0."""
+    geometry = CacheGeometry(line_size=16, sets=2, columns=4)
+    blocks = np.array([0, 1, 0, 2, 5, 0], dtype=np.int64)
+    empty = LockstepCache(geometry, backend=kernel).run(
+        blocks, uniform_mask=0
+    )
+    for masks in (
+        {"uniform_mask": 1 << 40},
+        {"uniform_mask": 1 << 70},
+        {"mask_bits": np.full(len(blocks), 0b110000)},
+    ):
+        assert LockstepCache(geometry, backend=kernel).run(
+            blocks, **masks
+        ) == empty, masks
+    assert (empty.hits, empty.bypasses) == (0, len(blocks))
+
+
+@pytest.mark.parametrize("mask", ["-1", "-2"])
+def test_replay_refuses_a_negative_mask(tmp_path, capsys, mask):
+    """``--mask -2`` used to replay as "all but column 0" (4,222 hits
+    against 4,249 for all columns on this trace, at the default 16 KB
+    size) and ``--mask -1`` as all columns; both are usage errors that
+    name the mask."""
+    trace = zipf_accesses(0x10000, 1 << 14, 5000, element_size=4, seed=9)
+    npz = trace.save_npz(tmp_path / "trace.npz")
+    with pytest.raises(SystemExit) as exit_info:
+        trace_main(
+            ["replay", str(npz), "--columns", "4", "--mask", mask],
+            prog="repro trace",
+        )
+    assert exit_info.value.code != 0
+    error = capsys.readouterr().err
+    assert f"must be non-negative, got {mask}" in error
