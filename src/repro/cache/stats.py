@@ -129,27 +129,6 @@ class CacheStats:
         copy.per_column_fills = list(self.per_column_fills)
         return copy
 
-    def delta_since(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since an earlier snapshot."""
-        diff = CacheStats(columns=self.columns)
-        for name in (
-            "hits", "misses", "reads", "writes", "fills", "evictions",
-            "writebacks", "bypasses", "cold_misses", "capacity_misses",
-            "conflict_misses",
-        ):
-            setattr(diff, name, getattr(self, name) - getattr(earlier, name))
-        diff.per_column_hits = [
-            now - before
-            for now, before in zip(self.per_column_hits, earlier.per_column_hits)
-        ]
-        diff.per_column_fills = [
-            now - before
-            for now, before in zip(
-                self.per_column_fills, earlier.per_column_fills
-            )
-        ]
-        return diff
-
 
 class ShadowFullyAssociative:
     """Shadow fully-associative LRU cache for capacity classification.

@@ -660,12 +660,11 @@ def trace_sim(
     point by cache-set index: an ``.npz`` trace with ``shard_workers
     > 1`` fans the shards over worker processes, each streaming
     chunks straight off its own memory-mapped archive; otherwise the
-    shards run in one chunk-streamed in-process pass
+    shards (one by default) run in one chunk-streamed in-process pass
     (``chunk_accesses`` bounds the streaming window).  Tallies are
     bit-identical to the unsharded run either way.
     """
     from repro.cache.geometry import CacheGeometry
-    from repro.sim.engine.batched import LockstepCache
     from repro.sim.engine.sharded import (
         DEFAULT_CHUNK_ACCESSES,
         simulate_columnar_sharded,
@@ -706,36 +705,31 @@ def trace_sim(
     geometry = CacheGeometry.from_sizes(
         total_bytes, line_size=line_size, columns=columns
     )
-    if shards is not None or shard_workers > 1:
-        chunk = (
-            DEFAULT_CHUNK_ACCESSES
-            if chunk_accesses is None
-            else chunk_accesses
-        )
-        if trace_path is not None and trace_path.endswith(".npz"):
-            outcome = simulate_npz_sharded(
-                trace_path,
-                geometry,
-                shards=shards,
-                workers=shard_workers,
-                chunk_accesses=chunk,
-                uniform_mask=uniform_mask,
-                kernel=kernel,
-            )
-        else:
-            outcome = simulate_columnar_sharded(
-                trace,
-                geometry,
-                shards=shards,
-                chunk_accesses=chunk,
-                uniform_mask=uniform_mask,
-                kernel=kernel,
-            )
-    else:
-        outcome = LockstepCache(geometry, backend=kernel).run(
-            trace.addresses,
+    chunk = (
+        DEFAULT_CHUNK_ACCESSES if chunk_accesses is None else chunk_accesses
+    )
+    if (
+        shard_workers > 1
+        and trace_path is not None
+        and trace_path.endswith(".npz")
+    ):
+        outcome = simulate_npz_sharded(
+            trace_path,
+            geometry,
+            shards=shards,
+            workers=shard_workers,
+            chunk_accesses=chunk,
             uniform_mask=uniform_mask,
-            offset_bits=geometry.offset_bits,
+            kernel=kernel,
+        )
+    else:
+        outcome = simulate_columnar_sharded(
+            trace,
+            geometry,
+            shards=shards,
+            chunk_accesses=chunk,
+            uniform_mask=uniform_mask,
+            kernel=kernel,
         )
     return {
         "accesses": int(outcome.accesses),

@@ -72,7 +72,7 @@ class TenantHashRouter:
     def route(self, tenant: str) -> int:
         """The effective shard for a tenant: its pin, else the hash."""
         pinned = self._pins.get(tenant)
-        if pinned is not None and pinned < self._shard_count:
+        if pinned is not None:
             return pinned
         return self.rendezvous(tenant)
 
@@ -87,22 +87,3 @@ class TenantHashRouter:
     def unpin(self, tenant: str) -> None:
         """Drop a tenant's override (no-op if it has none)."""
         self._pins.pop(tenant, None)
-
-    def set_shard_count(self, shard_count: int) -> None:
-        """Resize the shard set.
-
-        Unpinned tenants re-route by rendezvous hashing, which moves
-        exactly the tenants whose top-scoring shard changed; pins to
-        shards that no longer exist are dropped (the pinned tenant
-        falls back to its hash route).
-        """
-        if shard_count < 1:
-            raise ValueError(
-                f"shard_count must be >= 1, got {shard_count}"
-            )
-        self._shard_count = shard_count
-        self._pins = {
-            tenant: shard
-            for tenant, shard in self._pins.items()
-            if shard < shard_count
-        }

@@ -385,6 +385,8 @@ class ShardServer:
         tenant_count = len(residents)
         instr_per = np.zeros(tenant_count, dtype=np.int64)
         np.add.at(instr_per, schedule.tenant_ids, schedule.ran)
+        accesses_per = np.zeros(tenant_count, dtype=np.int64)
+        np.add.at(accesses_per, schedule.tenant_ids, schedule.accesses)
         wraps_per = np.zeros(tenant_count, dtype=np.int64)
         np.add.at(wraps_per, schedule.tenant_ids, schedule.wraps)
         quanta_per = np.bincount(
@@ -400,7 +402,7 @@ class ShardServer:
             runtime.position = int(schedule.next_positions[index])
             runtime.telemetry.wraps += int(wraps_per[index])
             instructions = int(instr_per[index])
-            accesses = int(outcome.accesses[index])
+            accesses = int(accesses_per[index])
             quanta = int(quanta_per[index])
             hits = int(outcome.hits[index])
             sample = WindowSample(

@@ -13,10 +13,10 @@ LRU stack depths, or only adds the batch's hits and bypasses into a
 2-slot count (how :class:`~repro.sim.engine.batched.LockstepCache`
 counts a batch without building any per-access array);
 ``repro_fused_multitask``, the schedule walk behind
-:func:`fused_multitask_compiled` (also bound as
-``schedule_count_compiled``, the Figure 5 matrix's name for it); and
-``repro_quantum_orbit``, one job's closed-form quantum orbit behind
-:func:`quantum_orbit_compiled` (the Figure 5 matrix's schedule).
+:func:`fused_multitask_compiled` (the fleet's windows and the Figure 5
+matrix's points and warm-up); and ``repro_quantum_orbit``, one job's
+closed-form quantum orbit behind :func:`quantum_orbit_compiled` (the
+Figure 5 matrix's schedule).
 Nothing here compiles at import time — :func:`available` performs the
 (cached) probe, and :mod:`repro.sim.engine.backends` decides when to
 call it.
@@ -369,12 +369,12 @@ def fused_multitask_compiled(
 ) -> None:
     """Run a quantum schedule without materializing its access stream.
 
-    The compiled schedule walk of the fused fleet walk
-    (:func:`repro.sim.engine.fused.fused_multitask_run`'s hot path)
-    and of the Figure 5 matrix: segment ``s`` simulates ``seg_len[s]``
-    accesses of job ``seg_jobs[s]``, walking that job's slice of
-    ``blocks_concat`` circularly from ``seg_pos[s]`` — exactly the
-    stream ``_Schedule.access_stream`` would materialize.  Per-job
+    The compiled schedule walk behind
+    :func:`repro.sim.engine.fused.fused_multitask_run`, which the
+    fleet and the Figure 5 matrix both call: segment ``s`` simulates
+    ``seg_len[s]`` accesses of job ``seg_jobs[s]``, walking that job's
+    slice of ``blocks_concat`` circularly from ``seg_pos[s]`` —
+    exactly the stream the numpy path's gather materializes.  Per-job
     hits accumulate into ``job_hits``; when ``hit_flags`` (uint8, one
     slot per scheduled access) is given, per-access hit flags are
     written in global schedule order.
@@ -416,9 +416,10 @@ def fused_multitask_compiled(
     )
 
 
-#: The Figure 5 matrix's name for the same walk, kept as its own
-#: module attribute so a profiler can wrap the matrix's calls apart
-#: from the fleet's.
+#: A second name for the same walk.  Nothing in the package calls it
+#: since the Figure 5 matrix walks through ``fused_multitask_run``; it
+#: stays only because the benchmark's tracer (``perfbench/tracer.py``)
+#: resolves it by name, and goes together with that tracer entry.
 schedule_count_compiled = fused_multitask_compiled
 
 
@@ -430,9 +431,10 @@ def quantum_orbit_compiled(
     Returns ``(positions, accesses, ran, wraps)``: entry ``i`` is
     quantum ``i``'s start position, the accesses it performs, the
     instructions it runs and the trace wraps it causes, exactly as
-    :func:`repro.sim.multitask.quantum_tables` gathered along
-    :func:`repro.sim.multitask.orbit_positions` gives them, or as
-    :func:`repro.sim.multitask.single_quantum` iterated from ``start``.
+    :class:`repro.sim.multitask.QuantumWalkTables` gathered along its
+    :meth:`~repro.sim.multitask.QuantumWalkTables.orbit` gives them, or
+    as :func:`repro.sim.multitask.single_quantum` iterated from
+    ``start``.
     ``repro_quantum_orbit`` gallops to each quantum's end from the
     cursor, so the orbit costs O(count x log accesses-per-quantum)
     and builds no table over the trace's positions.  ``cumulative``

@@ -1,13 +1,15 @@
-"""Fused multi-tenant quantum walks for the fleet hot path.
+"""Fused multi-tenant quantum walks: the fleet's and Figure 5's.
 
 The fleet's segment loop (:class:`~repro.fleet.service.shard.ShardServer`)
 schedules co-resident tenants round-robin over one shared lockstep
 state.  Driving the kernel one
 Python-level quantum slice at a time costs list bookkeeping, per-slice
 ``np.full`` mask fills and a concatenation per segment — brutal at
-small quanta.  This module runs a whole closed-form
-:class:`~repro.sim.multitask.QuantumSchedule` (a scheduling window, or
-a segment up to the next admit/depart/rebalance/phase event) in one
+small quanta.  This module runs a whole closed-form schedule
+(a :class:`SegmentWalk`: the fleet's
+:class:`~repro.sim.multitask.QuantumSchedule` for a scheduling window,
+or a segment up to the next admit/depart/rebalance/phase event; the
+Figure 5 matrix's per-quantum schedules and its warm-up) in one
 kernel entry:
 
 * the **compiled** path hands the schedule's ``(tenant, position,
@@ -16,9 +18,9 @@ kernel entry:
   array circularly — the interleaved access stream is never
   materialized;
 * the **numpy** path materializes the stream with one vectorized
-  gather (the same closed-form gather the batched sweep engine uses)
-  and feeds a single :func:`~repro.sim.engine.batched.lockstep_run`
-  call.
+  gather (``_stream_gather``, which the Figure 5 matrix's stacked
+  numpy walks use too) and feeds a single
+  :func:`~repro.sim.engine.batched.lockstep_run` call.
 
 Both return identical per-tenant tallies and, on request, the
 per-access hit flags in global schedule order, so observer snapshots,
@@ -29,7 +31,7 @@ fleet oracle the test suite keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from repro.sim.engine.batched import (
     lockstep_run,
     narrow_blocks,
 )
-from repro.sim.multitask import QuantumSchedule
 
 
 @dataclass
@@ -83,13 +84,36 @@ class TenantBatch:
         return len(self.lengths)
 
 
+class SegmentWalk(Protocol):
+    """The columns a schedule walk reads, one entry per segment.
+
+    A :class:`~repro.sim.multitask.QuantumSchedule` is one, and so are
+    the Figure 5 matrix's schedules and warm-up.
+    """
+
+    @property
+    def tenant_ids(self) -> np.ndarray:
+        """Tenant (batch index) each segment runs."""
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Trace position each segment starts from."""
+
+    @property
+    def accesses(self) -> np.ndarray:
+        """Accesses each segment runs, wrapping at the trace's end."""
+
+    @property
+    def total_accesses(self) -> int:
+        """Sum of ``accesses``."""
+
+
 @dataclass(frozen=True)
 class FusedWindowResult:
     """Per-tenant tallies of one fused scheduling window.
 
     Attributes:
         hits: Cache hits per tenant (indexed like the batch).
-        accesses: Accesses simulated per tenant.
         hit_flags: Per-access hit flags in global schedule order when
             requested, else None.
         tenant_per_access: Tenant index of each access in schedule
@@ -97,13 +121,12 @@ class FusedWindowResult:
     """
 
     hits: np.ndarray
-    accesses: np.ndarray
     hit_flags: Optional[np.ndarray]
     tenant_per_access: Optional[np.ndarray]
 
 
 def _stream_gather(
-    batch: TenantBatch, schedule: QuantumSchedule
+    batch: TenantBatch, schedule: SegmentWalk
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialize ``(blocks, tenant_id)`` per scheduled access."""
     lengths = schedule.accesses
@@ -126,7 +149,7 @@ def _stream_gather(
 
 def fused_multitask_run(
     batch: TenantBatch,
-    schedule: QuantumSchedule,
+    schedule: SegmentWalk,
     mask_table: np.ndarray,
     state: LockstepState,
     *,
@@ -139,8 +162,8 @@ def fused_multitask_run(
 
     Args:
         batch: The resident tenants' concatenated block arrays.
-        schedule: The window's closed-form quantum schedule (tenant
-            ids index the batch).
+        schedule: The window's closed-form segments (tenant ids
+            index the batch).
         mask_table: Per-tenant replacement masks (int64, one entry per
             batch tenant).
         state: Shared lockstep state, advanced in place.
@@ -155,7 +178,7 @@ def fused_multitask_run(
             :func:`~repro.sim.engine.batched.lockstep_run`.
 
     Returns:
-        Per-tenant hits and accesses (plus flags when requested) —
+        Per-tenant hits (plus flags when requested) —
         bit-identical across backends and to the scalar per-quantum
         reference loop.
     """
@@ -170,8 +193,6 @@ def fused_multitask_run(
         if backend is None
         else backends.resolve_backend(backend)
     )
-    accesses = np.zeros(tenants, dtype=np.int64)
-    np.add.at(accesses, schedule.tenant_ids, schedule.accesses)
     table64 = np.ascontiguousarray(mask_table, dtype=np.int64)
     if backend_name == "compiled" and _compiled.supports(state.ways):
         hits = np.zeros(tenants, dtype=np.int64)
@@ -197,7 +218,6 @@ def fused_multitask_run(
         if not collect_flags:
             return FusedWindowResult(
                 hits=hits,
-                accesses=accesses,
                 hit_flags=None,
                 tenant_per_access=None,
             )
@@ -207,7 +227,6 @@ def fused_multitask_run(
         )
         return FusedWindowResult(
             hits=hits,
-            accesses=accesses,
             hit_flags=flags_u8.astype(np.bool_),
             tenant_per_access=tenant_per_access,
         )
@@ -229,7 +248,6 @@ def fused_multitask_run(
         )
         return FusedWindowResult(
             hits=hits,
-            accesses=accesses,
             hit_flags=hit_flags,
             tenant_per_access=tenant_per_access,
         )
@@ -241,12 +259,12 @@ def fused_multitask_run(
         collect="misses",
         backend=backend_name,
     )
+    accesses = np.bincount(tenant_per_access, minlength=tenants)
     misses = np.bincount(
         tenant_per_access[miss_positions], minlength=tenants
     )
     return FusedWindowResult(
         hits=accesses - misses,
-        accesses=accesses,
         hit_flags=None,
         tenant_per_access=None,
     )

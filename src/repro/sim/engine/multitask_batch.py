@@ -15,18 +15,27 @@ module exploits three structural facts:
    one C call (``repro_quantum_orbit``) walks that orbit quantum by
    quantum, galloping to each quantum's end from the cursor, so it
    costs O(quanta x log accesses-per-quantum) and builds no table over
-   the trace.  On the numpy kernel the closed-form tables
-   (:func:`~repro.sim.multitask.quantum_tables`) compute the map for
-   *all* positions at once with vectorized ``searchsorted``, and
-   :func:`~repro.sim.multitask.orbit_positions` unrolls it; that path
-   is also the reference the C orbit is tested against.
+   the trace.  On the numpy kernel
+   :class:`~repro.sim.multitask.QuantumWalkTables` computes the map for
+   *all* positions at once with vectorized ``searchsorted`` and unrolls
+   its orbit; that path is also the reference the C orbit is tested
+   against.
 
-2. **The cache stream is then data-parallel.**  With the schedule in
-   closed form, the full interleaved access stream (round-robin
-   quanta, wrapped traces) is materialized with numpy gathers and fed
-   to the lockstep kernel, and many sweep points share one kernel
-   invocation by stacking each point's sets as extra independent rows
-   (the compiled kernel instead walks the schedule's segments in C).
+2. **A schedule is a segment walk.**  Each scheduled quantum is one
+   ``(job, start position, accesses)`` segment over the job's wrapped
+   trace, the form the fleet's
+   :func:`~repro.sim.engine.fused.fused_multitask_run` walks.  The
+   warm-up is one more such walk (one segment per job: its whole
+   trace, ``warmup_passes`` times), run once per variant; every point
+   starts from a copy of the warm state.  The kernel decides only how
+   the walks run.  On the compiled kernel each is one
+   ``fused_multitask_run`` call, which walks the segments in C without
+   materializing the access stream.  The numpy kernel's time grows
+   with its rounds (the most accesses landing on one row), so there
+   each schedule's stream is gathered once (``fused``'s gather) and
+   the walks of every variant with the same associativity are stacked
+   into shared lockstep calls, each walk's sets as extra independent
+   rows.
 
 3. **The schedule is geometry-free.**  Cache size, column count and
    column masks do not enter the schedule, so a whole experiment
@@ -42,32 +51,32 @@ counts per job, hence the same CPI to the last ulp.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import copy
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import _compiled, backends
 from repro.sim.engine.batched import (
-    DEFAULT_SCALAR_CUTOFF,
     LockstepState,
     lockstep_run,
     narrow_blocks,
 )
-from repro.sim.multitask import (
-    Job,
-    JobResult,
-    orbit_positions as _orbit_positions,
-    quantum_tables as _quantum_tables,
+from repro.sim.engine.fused import (
+    TenantBatch,
+    _stream_gather,
+    fused_multitask_run,
 )
+from repro.sim.multitask import Job, JobResult, QuantumWalkTables
 
-#: Flush lockstep batches beyond this many buffered accesses.  Kernel
-#: wall time scales with *rounds* (the max accesses landing on one
-#: row), not buffered volume, so wider batches are strictly faster as
-#: long as the access arrays fit in memory (~100 bytes per access at
-#: the flush peak); the whole paper-sized Figure 5 matrix fits one
-#: flush.
-DEFAULT_MAX_BATCH_ACCESSES = 64_000_000
+#: Flush the numpy kernel's stacked walks beyond this many buffered
+#: accesses.  Kernel wall time scales with *rounds* (the max accesses
+#: landing on one row), not buffered volume, so wider batches are
+#: strictly faster as long as the access arrays fit in memory (~100
+#: bytes per access at the flush peak); the whole paper-sized Figure 5
+#: matrix fits one flush.
+MAX_BATCH_ACCESSES = 64_000_000
 
 
 class _BatchJob:
@@ -80,15 +89,10 @@ class _BatchJob:
             job.trace.blocks_for(geometry.offset_bits, job.address_offset)
         )
         self.cum = job.trace.cumulative_instructions
-        self.total_instructions = int(self.cum[-1])
         self.mask_bits = job.mask_bits(geometry.columns)
         self.name = job.name
 
 
-# ----------------------------------------------------------------------
-# Closed-form schedule (the tables themselves live in sim/multitask —
-# the fused fleet hot path consumes them too)
-# ----------------------------------------------------------------------
 def _job_quanta(
     batch_job: _BatchJob, quantum: int, count: int, compiled: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -98,17 +102,22 @@ def _job_quanta(
     On the compiled kernel one C call walks the orbit quantum by
     quantum; the numpy path builds the closed-form tables over every
     start position and unrolls their successor map, the reference
-    the C orbit is held to.
+    the C orbit is held to.  The tables are built directly, not
+    through the :func:`~repro.sim.multitask.walk_tables` memo: no
+    later call reuses them, and the memo would keep them alive.
     """
     if compiled:
         return _compiled.quantum_orbit_compiled(
             batch_job.cum, quantum, 0, count
         )
-    next_pos, accesses, ran, wraps = _quantum_tables(
-        batch_job.cum, quantum
+    tables = QuantumWalkTables(batch_job.cum, quantum)
+    positions = tables.orbit(0, count)
+    return (
+        positions,
+        tables.accesses[positions],
+        tables.ran[positions],
+        tables.wraps[positions],
     )
-    positions = _orbit_positions(next_pos, count)
-    return positions, accesses[positions], ran[positions], wraps[positions]
 
 
 class _Schedule:
@@ -117,7 +126,9 @@ class _Schedule:
     Besides the per-quantum columns it holds each job's totals over
     the schedule (``job_instructions``, ``job_accesses``,
     ``job_wraps``, ``job_quanta``), which every variant's results
-    share.
+    share.  Unlike the fleet's
+    :func:`~repro.sim.multitask.quantum_schedule`, the final quantum
+    runs whole, as :meth:`MultitaskSimulator.run` runs it.
     """
 
     def __init__(
@@ -146,7 +157,7 @@ class _Schedule:
         executed = np.cumsum(flat[2])
         total_quanta = int(np.searchsorted(executed, budget, "left")) + 1
         job_indices = np.arange(job_count, dtype=np.int64)
-        self.job_ids = np.tile(job_indices, per_job)[:total_quanta]
+        self.tenant_ids = np.tile(job_indices, per_job)[:total_quanta]
         self.positions, self.accesses, self.ran, self.wraps = (
             flat[:, :total_quanta]
         )
@@ -165,54 +176,23 @@ class _Schedule:
         self.job_accesses, self.job_instructions, self.job_wraps = totals
         self.total_accesses = int(self.job_accesses.sum())
 
-    def access_stream(
-        self, batch_jobs: Sequence[_BatchJob]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize ``(blocks, job_id)`` per scheduled access."""
-        lengths = self.accesses
-        total = self.total_accesses
-        seg_starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
-        )
-        intra = np.arange(total, dtype=np.int64) - np.repeat(
-            seg_starts, lengths
-        )
-        trace_lengths = np.array(
-            [len(batch_job.blocks) for batch_job in batch_jobs],
-            dtype=np.int64,
-        )
-        job_per_access = np.repeat(self.job_ids, lengths)
-        trace_pos = (
-            np.repeat(self.positions, lengths) + intra
-        ) % trace_lengths[job_per_access]
-        offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(trace_lengths)[:-1])
-        )
-        blocks_concat = np.concatenate(
-            [batch_job.blocks for batch_job in batch_jobs]
-        )
-        stream_blocks = blocks_concat[offsets[job_per_access] + trace_pos]
-        return stream_blocks, job_per_access
+
+class _WarmUp:
+    """The warm-up as a segment walk: each job's whole trace,
+    ``passes`` times from position 0, in job order — the stream
+    :meth:`MultitaskSimulator.warm_up` runs."""
+
+    def __init__(self, batch: TenantBatch, passes: int) -> None:
+        self.tenant_ids = np.arange(batch.tenants, dtype=np.int64)
+        self.positions = np.zeros(batch.tenants, dtype=np.int64)
+        self.accesses = batch.lengths * passes
+        self.job_accesses = self.accesses
+        self.total_accesses = int(self.accesses.sum())
 
 
-def _warmup_stream(
-    batch_jobs: Sequence[_BatchJob], passes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(blocks, job_id)`` of the warm-up phase (job order, then
-    passes), matching :meth:`MultitaskSimulator.warm_up`."""
-    blocks_parts = []
-    job_parts = []
-    for index, batch_job in enumerate(batch_jobs):
-        if passes:
-            tiled = np.tile(batch_job.blocks, passes)
-            blocks_parts.append(tiled)
-            job_parts.append(
-                np.full(len(tiled), index, dtype=np.int64)
-            )
-    if not blocks_parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(blocks_parts), np.concatenate(job_parts)
+#: One walk of the matrix: a variant's index, the segments it runs and
+#: the state it advances.
+_Walk = tuple[int, Union[_Schedule, _WarmUp], LockstepState]
 
 
 def _results_for_point(
@@ -236,50 +216,69 @@ def _results_for_point(
     }
 
 
+def _fused_walks(
+    variants: Sequence[tuple[CacheGeometry, Sequence[Job]]],
+    batch: TenantBatch,
+    mask_tables: Sequence[np.ndarray],
+    walks: Iterable[_Walk],
+) -> list[np.ndarray]:
+    """Each walk as one fused schedule walk on the compiled kernel,
+    its state advanced in place; per-job misses, one array a walk.
+
+    Walks are drawn one at a time, so a generator's states can die
+    with their walks.
+    """
+    misses = []
+    for variant_index, schedule, state in walks:
+        geometry = variants[variant_index][0]
+        outcome = fused_multitask_run(
+            batch,
+            schedule,
+            mask_tables[variant_index],
+            state,
+            sets_mask=geometry.sets - 1,
+            index_bits=geometry.index_bits,
+            backend="compiled",
+        )
+        misses.append(schedule.job_accesses - outcome.hits)
+    return misses
+
+
 class _KernelGroup:
-    """Accumulates same-associativity points into one lockstep call.
+    """Accumulates same-associativity walks into one numpy lockstep
+    call.
 
     Streams are assembled straight into preallocated column buffers
-    (rows, tags, masks, counting segments) — no per-point temporaries,
+    (rows, tags, masks, counting segments) — no per-walk temporaries,
     no flush-time concatenation of the access arrays.
     """
 
     def __init__(
         self,
-        ways: int,
-        scalar_cutoff: int,
         capacity: int,
         block_dtype: np.dtype,
         mask_dtype: np.dtype,
-        backend: Optional[str] = None,
     ) -> None:
-        self.ways = ways
-        self.scalar_cutoff = scalar_cutoff
-        self.backend = backend
-        self.capacity = capacity
         self._rows = np.empty(capacity, dtype=block_dtype)
         self._tags = np.empty(capacity, dtype=block_dtype)
         self._masks = np.empty(capacity, dtype=mask_dtype)
         self._segments = np.empty(capacity, dtype=np.int32)
         self.states: list[LockstepState] = []
-        self.points: list[tuple[int, int, _Schedule]] = []
+        self.walks: list[int] = []
         self.row_count = 0
         self.buffered = 0
         self.segment_count = 0
 
     def add(
         self,
-        variant_index: int,
-        point_index: int,
-        schedule: _Schedule,
+        walk_index: int,
         stream_blocks: np.ndarray,
         stream_jobs: np.ndarray,
         geometry: CacheGeometry,
         mask_table: np.ndarray,
-        start_state: LockstepState,
-        job_count: int,
+        state: LockstepState,
     ) -> None:
-        """Buffer one sweep point's stream as extra lockstep rows."""
+        """Buffer one walk's stream as extra lockstep rows."""
         count = len(stream_blocks)
         span = slice(self.buffered, self.buffered + count)
         rows = self._rows[span]
@@ -289,31 +288,27 @@ class _KernelGroup:
             stream_blocks, geometry.index_bits, out=self._tags[span]
         )
         np.take(mask_table, stream_jobs, out=self._masks[span])
-        # One counting segment per (point, job): the kernel returns
+        # One counting segment per (walk, job): the kernel returns
         # miss positions, and a single bincount over these labels
-        # yields every point's per-job misses at once.
+        # yields every walk's per-job misses at once.
         np.add(
             stream_jobs,
             self.segment_count,
             out=self._segments[span],
             casting="unsafe",
         )
-        self.states.append(start_state)
-        self.points.append((variant_index, point_index, schedule))
-        self.row_count += start_state.rows
+        self.states.append(state)
+        self.walks.append(walk_index)
+        self.row_count += state.rows
         self.buffered += count
-        self.segment_count += job_count
+        self.segment_count += len(mask_table)
 
-    def flush(
-        self,
-        batch_lists: Sequence[Sequence[_BatchJob]],
-        results: list[list[Optional[dict[str, JobResult]]]],
-    ) -> None:
-        """Run the buffered points in one kernel call; fill results."""
-        if not self.points:
+    def flush(self, misses: list[Optional[np.ndarray]]) -> None:
+        """Run the buffered walks in one kernel call: each walk's state
+        advances (it takes its rows of the stacked state) and its
+        per-job misses land in ``misses[walk_index]``."""
+        if not self.walks:
             return
-        # Each point starts from a copy of its (shared, already warmed)
-        # start state; concatenation copies, so the originals survive.
         state = LockstepState(
             tags=np.concatenate([s.tags for s in self.states]),
             last_use=np.concatenate([s.last_use for s in self.states]),
@@ -326,123 +321,95 @@ class _KernelGroup:
             self._tags[:fill],
             state,
             mask_bits=self._masks[:fill],
-            scalar_cutoff=self.scalar_cutoff,
             collect="misses",
-            backend=self.backend,
+            backend="numpy",
         )
-        misses = np.bincount(
+        counts = np.bincount(
             segments[miss_positions], minlength=self.segment_count
         )
-        base = 0
-        for variant_index, point_index, schedule in self.points:
-            job_count = len(batch_lists[variant_index])
-            results[variant_index][point_index] = _results_for_point(
-                batch_lists[variant_index],
-                schedule,
-                misses[base:base + job_count],
-            )
-            base += job_count
+        job_count = self.segment_count // len(self.walks)
+        row = 0
+        for base, walk_index, walk_state in zip(
+            range(0, self.segment_count, job_count), self.walks, self.states
+        ):
+            rows = slice(row, row + walk_state.rows)
+            walk_state.tags = state.tags[rows]
+            walk_state.last_use = state.last_use[rows]
+            walk_state.clock = state.clock[rows]
+            misses[walk_index] = counts[base:base + job_count]
+            row = rows.stop
         self.states.clear()
-        self.points.clear()
+        self.walks.clear()
         self.row_count = 0
         self.buffered = 0
         self.segment_count = 0
 
 
-def _simulate_matrix_compiled(
+def _stacked_walks(
     variants: Sequence[tuple[CacheGeometry, Sequence[Job]]],
-    batch_lists: Sequence[Sequence[_BatchJob]],
+    batch: TenantBatch,
     mask_tables: Sequence[np.ndarray],
-    quanta: Sequence[int],
-    budget_instructions: int,
-    warmup_passes: int,
-) -> list[list[dict[str, JobResult]]]:
-    """Matrix fast path on the compiled kernel: fused schedule walk.
+    walks: Iterable[_Walk],
+) -> list[np.ndarray]:
+    """Every walk on the numpy kernel, same-associativity walks
+    stacked into shared lockstep calls; per-job misses, one array a
+    walk.
 
-    Each quantum's schedule comes from the C quantum orbit.  Instead
-    of materializing its interleaved access stream and buffering
-    (rows, tags, masks) columns for a stacked lockstep call, the C
-    kernel walks the schedule's quantum segments directly over the
-    concatenated per-job block arrays — zero stream assembly, one
-    call per (variant, quantum).  The warm-up runs
-    through the same entry as one wrap-around segment per job, which
-    reproduces ``_warmup_stream``'s tiling exactly.  Results are
-    bit-identical to the numpy path (the schedule, and therefore each
-    set's access order, is the same).
+    The kernel's time grows with its rounds (the most accesses landing
+    on one row), so stacking multiplies round width instead of round
+    count.  Consecutive walks of one schedule share one gathered
+    stream.
     """
-    base_jobs = batch_lists[0]
-    job_count = len(base_jobs)
-    job_lengths = np.array(
-        [len(batch_job.blocks) for batch_job in base_jobs],
-        dtype=np.int64,
+    walk_list = list(walks)
+    # Access totals size each kernel group's column buffers exactly
+    # (bounded by the flush threshold plus one stream, since a flush
+    # triggers only after an add crosses the threshold).
+    totals: dict[int, int] = {}
+    rows: dict[int, int] = {}
+    for variant_index, schedule, _state in walk_list:
+        geometry = variants[variant_index][0]
+        ways = geometry.columns
+        totals[ways] = totals.get(ways, 0) + schedule.total_accesses
+        rows[ways] = rows.get(ways, 0) + geometry.sets
+    largest = max(
+        (schedule.total_accesses for _, schedule, _ in walk_list),
+        default=0,
     )
-    job_offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(job_lengths)[:-1])
-    )
-    blocks_concat = np.concatenate(
-        [batch_job.blocks for batch_job in base_jobs]
-    )
-    schedules = [
-        _Schedule(
-            base_jobs, int(quantum), int(budget_instructions), compiled=True
+    groups = {
+        ways: _KernelGroup(
+            capacity=min(total, MAX_BATCH_ACCESSES + largest),
+            block_dtype=(
+                np.dtype(np.int64)
+                if rows[ways] >= (1 << 31)
+                else batch.blocks.dtype
+            ),
+            mask_dtype=np.dtype(np.int16 if ways <= 15 else np.int64),
         )
-        for quantum in quanta
-    ]
-    warm_seg_jobs = np.arange(job_count, dtype=np.int64)
-    warm_seg_pos = np.zeros(job_count, dtype=np.int64)
-    warm_seg_len = job_lengths * np.int64(warmup_passes)
-    results: list[list[dict[str, JobResult]]] = []
-    for variant_index, (geometry, _jobs) in enumerate(variants):
-        sets_mask = geometry.sets - 1
-        index_bits = geometry.index_bits
-        mask_table = np.ascontiguousarray(
-            mask_tables[variant_index], dtype=np.int64
+        for ways, total in totals.items()
+    }
+    misses: list[Optional[np.ndarray]] = [None] * len(walk_list)
+    gathered: Optional[Union[_Schedule, _WarmUp]] = None
+    for walk_index, (variant_index, schedule, state) in enumerate(
+        walk_list
+    ):
+        if schedule is not gathered:
+            stream_blocks, stream_jobs = _stream_gather(batch, schedule)
+            gathered = schedule
+        geometry = variants[variant_index][0]
+        group = groups[geometry.columns]
+        group.add(
+            walk_index,
+            stream_blocks,
+            stream_jobs,
+            geometry,
+            mask_tables[variant_index],
+            state,
         )
-        warm = LockstepState.cold(geometry.sets, geometry.columns)
-        if warmup_passes:
-            _compiled.schedule_count_compiled(
-                warm_seg_jobs,
-                warm_seg_pos,
-                warm_seg_len,
-                job_offsets,
-                job_lengths,
-                blocks_concat,
-                mask_table,
-                warm,
-                sets_mask=sets_mask,
-                index_bits=index_bits,
-                job_hits=np.zeros(job_count, dtype=np.int64),
-            )
-        variant_results = []
-        for schedule in schedules:
-            state = LockstepState(
-                tags=warm.tags.copy(),
-                last_use=warm.last_use.copy(),
-                clock=warm.clock.copy(),
-            )
-            job_hits = np.zeros(job_count, dtype=np.int64)
-            _compiled.schedule_count_compiled(
-                schedule.job_ids,
-                schedule.positions,
-                schedule.accesses,
-                job_offsets,
-                job_lengths,
-                blocks_concat,
-                mask_table,
-                state,
-                sets_mask=sets_mask,
-                index_bits=index_bits,
-                job_hits=job_hits,
-            )
-            variant_results.append(
-                _results_for_point(
-                    batch_lists[variant_index],
-                    schedule,
-                    schedule.job_accesses - job_hits,
-                )
-            )
-        results.append(variant_results)
-    return results
+        if group.buffered >= MAX_BATCH_ACCESSES:
+            group.flush(misses)
+    for group in groups.values():
+        group.flush(misses)
+    return [walk_misses for walk_misses in misses if walk_misses is not None]
 
 
 # ----------------------------------------------------------------------
@@ -453,8 +420,6 @@ def simulate_multitask_matrix(
     quanta: Sequence[int],
     budget_instructions: int,
     warmup_passes: int = 0,
-    max_batch_accesses: int = DEFAULT_MAX_BATCH_ACCESSES,
-    scalar_cutoff: int = DEFAULT_SCALAR_CUTOFF,
     kernel: Optional[str] = None,
 ) -> list[list[dict[str, JobResult]]]:
     """Run a (variant x quantum) experiment matrix through the kernel.
@@ -462,22 +427,31 @@ def simulate_multitask_matrix(
     ``variants`` are (geometry, jobs) pairs that must share the same
     job names, traces, address offsets and line size — they may differ
     in cache size, column count and column masks (Figure 5's
-    shared/mapped x 16K/128K matrix).  The schedule and interleaved
-    access stream of each quantum are computed once and reused by
-    every variant; same-associativity points are stacked into shared
-    lockstep calls.
+    shared/mapped x 16K/128K matrix).  The schedule of each quantum is
+    computed once and reused by every variant, and each variant warms
+    up once.
 
     ``kernel`` selects the lockstep backend for this matrix
     (``"numpy"`` / ``"compiled"`` / ``"auto"``; None follows the
-    session's active backend).  On the compiled backend the matrix
-    takes a fused fast path — the C kernel computes each job's quantum
-    orbit and walks the schedule directly, no access stream is
-    materialized — with bit-identical results.
+    session's active backend).  It decides only how the walks (the
+    warm-ups, then the points) run: on the compiled backend each is
+    one fused schedule walk (a variant wider than the C kernel's 63
+    ways falls back to numpy call by call); on numpy,
+    same-associativity walks share stacked lockstep calls.  Results
+    are bit-identical either way.
 
     Returns ``results[variant_index][quantum_index]``, each entry
     equivalent to ``MultitaskSimulator`` + ``warm_up(warmup_passes)``
     + ``run(quantum, budget_instructions)``.
+
+    Raises:
+        ValueError: on negative ``warmup_passes`` (before any work),
+            no variant, a variant without jobs, duplicate job names,
+            variants that differ in line size or jobs, a job mask that
+            names a way above 62, or a quantum or budget below 1.
     """
+    if warmup_passes < 0:
+        raise ValueError(f"passes must be >= 0, got {warmup_passes}")
     if not variants:
         raise ValueError("need at least one variant")
     for geometry, jobs in variants:
@@ -512,8 +486,8 @@ def simulate_multitask_matrix(
                 )
 
     # int16 mask palette where the variant's own associativity allows
-    # (ways <= 15): per-access mask columns are gathered from these,
-    # so the narrow dtype flows through buffering and the kernel.
+    # (ways <= 15): the numpy path gathers per-access mask columns from
+    # these, so the narrow dtype flows through buffering and the kernel.
     mask_tables = [
         np.array(
             [batch_job.mask_bits for batch_job in batch_jobs],
@@ -521,140 +495,55 @@ def simulate_multitask_matrix(
         )
         for (geometry, _jobs), batch_jobs in zip(variants, batch_lists)
     ]
-
     kernel_name = (
         backends.active_backend()
         if kernel is None
         else backends.resolve_backend(kernel)
     )
-    if kernel_name == "compiled" and all(
-        _compiled.supports(geometry.columns)
-        for geometry, _jobs in variants
-    ):
-        return _simulate_matrix_compiled(
-            variants,
-            batch_lists,
-            mask_tables,
-            quanta,
-            budget_instructions,
-            warmup_passes,
+    compiled = kernel_name == "compiled"
+    walk = _fused_walks if compiled else _stacked_walks
+    batch = TenantBatch.build(
+        [batch_job.blocks for batch_job in base_jobs]
+    )
+    schedules = [
+        _Schedule(
+            base_jobs, int(quantum), int(budget_instructions), compiled
         )
-
-    warm_blocks, warm_jobs = _warmup_stream(base_jobs, warmup_passes)
+        for quantum in quanta
+    ]
 
     # The warm-up stream is identical for every quantum of a variant,
     # and cache evolution is a pure function of (state, stream): warm
-    # each variant once and start every point from a copy.  Variants
-    # sharing an associativity warm in ONE lockstep call — their set
-    # banks are disjoint rows, so stacking them multiplies round width
-    # instead of round count.
-    warm_states: list[Optional[LockstepState]] = [None] * len(variants)
-    if len(warm_blocks):
-        by_ways: dict[int, list[int]] = {}
-        for variant_index, (geometry, _jobs) in enumerate(variants):
-            by_ways.setdefault(geometry.columns, []).append(variant_index)
-        for ways, variant_indices in by_ways.items():
-            row_parts = []
-            tag_parts = []
-            mask_parts = []
-            row_offset = 0
-            offsets = []
-            for variant_index in variant_indices:
-                geometry = variants[variant_index][0]
-                # Plain-int operands keep the narrow block dtype.
-                row_parts.append(
-                    (warm_blocks & (geometry.sets - 1)) + row_offset
-                )
-                tag_parts.append(warm_blocks >> geometry.index_bits)
-                mask_parts.append(mask_tables[variant_index][warm_jobs])
-                offsets.append(row_offset)
-                row_offset += geometry.sets
-            stacked = LockstepState.cold(row_offset, ways)
-            lockstep_run(
-                np.concatenate(row_parts),
-                np.concatenate(tag_parts),
-                stacked,
-                mask_bits=np.concatenate(mask_parts),
-                scalar_cutoff=scalar_cutoff,
-                collect="misses",
-                backend=kernel_name,
-            )
-            for variant_index, offset in zip(variant_indices, offsets):
-                sets = variants[variant_index][0].sets
-                warm_states[variant_index] = LockstepState(
-                    tags=stacked.tags[offset:offset + sets].copy(),
-                    last_use=stacked.last_use[offset:offset + sets].copy(),
-                    clock=stacked.clock[offset:offset + sets].copy(),
-                )
-    for variant_index, (geometry, _jobs) in enumerate(variants):
-        if warm_states[variant_index] is None:
-            warm_states[variant_index] = LockstepState.cold(
-                geometry.sets, geometry.columns
-            )
-
-    results: list[list[Optional[dict[str, JobResult]]]] = [
-        [None] * len(quanta) for _ in variants
+    # each variant once and start every point from a copy.
+    warm_states = [
+        LockstepState.cold(geometry.sets, geometry.columns)
+        for geometry, _jobs in variants
     ]
-
-    # Schedules are geometry-free, so build them once up front; their
-    # access totals size each kernel group's column buffers exactly
-    # (bounded by the flush threshold plus one stream, since a flush
-    # triggers only after an add crosses the threshold).
-    schedules = [
-        _Schedule(base_jobs, int(quantum), int(budget_instructions))
-        for quantum in quanta
+    if warmup_passes:
+        warm_up = _WarmUp(batch, warmup_passes)
+        walk(
+            variants,
+            batch,
+            mask_tables,
+            [
+                (variant_index, warm_up, state)
+                for variant_index, state in enumerate(warm_states)
+            ],
+        )
+    points = [
+        (variant_index, schedule)
+        for schedule in schedules
+        for variant_index in range(len(variants))
     ]
-    per_ways_total: dict[int, int] = {}
-    per_ways_rows: dict[int, int] = {}
-    largest_stream = max(
-        (schedule.total_accesses for schedule in schedules), default=0
+    point_walks = (
+        (variant_index, schedule, copy.deepcopy(warm_states[variant_index]))
+        for variant_index, schedule in points
     )
-    for geometry, _jobs in variants:
-        ways = geometry.columns
-        per_ways_total[ways] = per_ways_total.get(ways, 0) + sum(
-            schedule.total_accesses for schedule in schedules
+    results: list[list[dict[str, JobResult]]] = [[] for _ in variants]
+    for (variant_index, schedule), misses in zip(
+        points, walk(variants, batch, mask_tables, point_walks)
+    ):
+        results[variant_index].append(
+            _results_for_point(base_jobs, schedule, misses)
         )
-        per_ways_rows[ways] = (
-            per_ways_rows.get(ways, 0) + geometry.sets * len(schedules)
-        )
-    block_dtype = base_jobs[0].blocks.dtype
-    groups: dict[int, _KernelGroup] = {}
-    for ways, total in per_ways_total.items():
-        groups[ways] = _KernelGroup(
-            ways,
-            scalar_cutoff,
-            capacity=min(total, max_batch_accesses + largest_stream),
-            block_dtype=(
-                np.dtype(np.int64)
-                if per_ways_rows[ways] >= (1 << 31)
-                else block_dtype
-            ),
-            mask_dtype=np.dtype(
-                np.int16 if ways <= 15 else np.int64
-            ),
-            backend=kernel_name,
-        )
-
-    for point_index, schedule in enumerate(schedules):
-        stream_blocks, stream_jobs = schedule.access_stream(base_jobs)
-        for variant_index, (geometry, _jobs) in enumerate(variants):
-            group = groups[geometry.columns]
-            group.add(
-                variant_index,
-                point_index,
-                schedule,
-                stream_blocks,
-                stream_jobs,
-                geometry,
-                mask_tables[variant_index],
-                warm_states[variant_index],
-                len(batch_lists[variant_index]),
-            )
-            if group.buffered >= max_batch_accesses:
-                group.flush(batch_lists, results)
-    for group in groups.values():
-        group.flush(batch_lists, results)
-    return [
-        [point for point in variant_results if point is not None]
-        for variant_results in results
-    ]
+    return results

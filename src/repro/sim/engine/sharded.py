@@ -118,37 +118,6 @@ def _stream_shards(
     return [cache.result() for cache in caches]
 
 
-def _stream_one_shard(
-    trace: "ColumnarTrace",
-    geometry: CacheGeometry,
-    shard: int,
-    shards: int,
-    chunk_accesses: int,
-    uniform_mask: Optional[int],
-    variable_masks: Optional[Mapping[str, int]],
-    default_mask: Optional[int],
-    kernel: Optional[str],
-) -> tuple[int, int, int]:
-    """Stream one shard's accesses off a columnar trace.
-
-    Returns ``(accesses, hits, bypasses)`` for the accesses whose set
-    index lands in this shard; all other accesses are skipped without
-    touching the shard's state.
-    """
-    (result,) = _stream_shards(
-        trace,
-        geometry,
-        (shard,),
-        shards,
-        chunk_accesses,
-        uniform_mask,
-        variable_masks,
-        default_mask,
-        kernel,
-    )
-    return result.accesses, result.hits, result.bypasses
-
-
 def simulate_columnar_sharded(
     trace: "ColumnarTrace",
     geometry: CacheGeometry,
@@ -219,7 +188,9 @@ def _simulate_npz_shard(
         str,
     ],
 ) -> tuple[int, int, int]:
-    """Worker: mmap the archive, stream one shard, return tallies."""
+    """Worker: mmap the archive, stream one shard, return its
+    ``(accesses, hits, bypasses)``; accesses of other shards are
+    skipped without touching the shard's state."""
     (
         path,
         geometry,
@@ -233,11 +204,10 @@ def _simulate_npz_shard(
     ) = payload
     from repro.trace.columnar import load_npz
 
-    trace = load_npz(path, mmap=True)
-    return _stream_one_shard(
-        trace,
+    (result,) = _stream_shards(
+        load_npz(path, mmap=True),
         geometry,
-        shard,
+        (shard,),
         shards,
         chunk_accesses,
         uniform_mask,
@@ -245,6 +215,7 @@ def _simulate_npz_shard(
         default_mask,
         kernel,
     )
+    return result.accesses, result.hits, result.bypasses
 
 
 def simulate_npz_sharded(

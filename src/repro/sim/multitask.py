@@ -20,8 +20,8 @@ after a fixed number of instructions and instruction counts come from
 the trace alone, where every quantum starts and stops is a pure
 function of (traces, quantum, budget) — no cache state involved.
 :func:`quantum_tables` computes one quantum from *every* start
-position at once and :func:`orbit_positions` unrolls the successor
-map; the batched sweep engine
+position at once and :meth:`QuantumWalkTables.orbit` unrolls the
+successor map; the batched sweep engine
 (:mod:`repro.sim.engine.multitask_batch`) schedules through these two
 on the numpy kernel, and on the compiled kernel iterates
 :func:`single_quantum`'s formula in C instead.
@@ -117,26 +117,6 @@ def quantum_tables(
     return next_pos.astype(np.int64), accesses, ran, wraps
 
 
-def orbit_positions(
-    next_pos: np.ndarray, count: int, start: int = 0
-) -> np.ndarray:
-    """The successor map's first ``count`` orbit positions.
-
-    Binary doubling: a length-``m`` prefix extends to ``2m`` by
-    applying the composed map ``next^m`` to itself, so this is
-    O(count + n log count) vectorized gathers instead of a Python
-    pointer chase — repeats in the orbit are simply carried along, no
-    cycle bookkeeping needed.
-    """
-    sequence = np.array([start], dtype=np.int64)
-    jump = next_pos  # next^(2^k), composed as the prefix doubles
-    while len(sequence) < count:
-        sequence = np.concatenate((sequence, jump[sequence]))
-        if len(sequence) < count:
-            jump = jump[jump]
-    return sequence[:count]
-
-
 class QuantumWalkTables:
     """Memoized closed-form tables for one ``(trace, quantum)`` pair.
 
@@ -161,14 +141,18 @@ class QuantumWalkTables:
         self._powers = [self.next_pos]
 
     def orbit(self, start: int, count: int) -> np.ndarray:
-        """First ``count`` orbit positions from ``start``.
+        """First ``count`` orbit positions from ``start`` (none for 0).
 
-        Same binary doubling as :func:`orbit_positions`, but the
-        composed ``next^(2^k)`` maps persist across calls, so repeat
-        windows skip the O(trace) ``jump[jump]`` compositions.
+        Binary doubling: a length-``m`` prefix extends to ``2m`` by
+        applying the composed map ``next^m`` to it, so this is
+        O(count + n log count) vectorized gathers instead of a Python
+        pointer chase — repeats in the orbit are simply carried along,
+        no cycle bookkeeping needed.  The composed ``next^(2^k)`` maps
+        persist across calls, so repeat windows skip the O(trace)
+        compositions.
         """
         out = np.empty(count, dtype=np.int64)
-        out[0] = start
+        out[:1] = start
         filled = 1
         step = 0
         while filled < count:
@@ -415,15 +399,29 @@ class Job:
     address_offset: int = 0
 
     def mask_bits(self, columns: int) -> int:
-        """The job's replacement mask as raw bits."""
+        """The job's replacement mask as raw bits.
+
+        Raises:
+            ValueError: when the mask's width is not ``columns``, or
+                the mask names a way above 62 (an unmasked job on 64
+                or more columns does): the simulators keep per-job
+                masks as int64, which name ways 0-62.
+        """
         if self.mask is None:
-            return (1 << columns) - 1
-        if self.mask.width != columns:
+            bits = (1 << columns) - 1
+        elif self.mask.width != columns:
             raise ValueError(
                 f"job {self.name!r} mask width {self.mask.width} does not "
                 f"match {columns} columns"
             )
-        return self.mask.bits
+        else:
+            bits = self.mask.bits
+        if bits >> 63:
+            raise ValueError(
+                f"job {self.name!r} mask names way "
+                f"{bits.bit_length() - 1}; per-job masks name ways 0-62"
+            )
+        return bits
 
 
 @dataclass

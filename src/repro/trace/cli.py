@@ -150,7 +150,6 @@ def _mask_option(text: str) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.sim.engine.batched import LockstepCache
     from repro.sim.engine.sharded import (
         simulate_columnar_sharded,
         simulate_npz_sharded,
@@ -159,44 +158,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     geometry = CacheGeometry.from_sizes(
         args.size, line_size=args.line_size, columns=args.columns
     )
-    if args.shards is not None or args.workers > 1:
+    options = dict(
+        shards=args.shards,
+        chunk_accesses=args.chunk_size,
+        uniform_mask=args.mask,
+        kernel=args.kernel,
+    )
+    if args.workers > 1 and args.trace.endswith(".npz"):
+        # Each worker maps the archive itself, so loading is timed.
         start = time.perf_counter()
-        if args.trace.endswith(".npz"):
-            result = simulate_npz_sharded(
-                args.trace,
-                geometry,
-                shards=args.shards,
-                workers=args.workers,
-                chunk_accesses=args.chunk_size,
-                uniform_mask=args.mask,
-                kernel=args.kernel,
-            )
-        else:
-            result = simulate_columnar_sharded(
-                _load_any(args.trace),
-                geometry,
-                shards=args.shards,
-                chunk_accesses=args.chunk_size,
-                uniform_mask=args.mask,
-                kernel=args.kernel,
-            )
-        elapsed = time.perf_counter() - start
+        result = simulate_npz_sharded(
+            args.trace, geometry, workers=args.workers, **options
+        )
     else:
+        # Bounded windows: a memory-mapped archive replays at a flat
+        # footprint however long the trace is.
         trace = _load_any(args.trace, mmap=not args.no_mmap)
-        cache = LockstepCache(geometry, backend=args.kernel)
         start = time.perf_counter()
-        # Stream bounded windows: a memory-mapped archive replays at
-        # a flat footprint however long the trace is.  The kernel
-        # shifts each window's addresses itself, so no block column
-        # is built.
-        for window in trace.iter_chunks(args.chunk_size):
-            cache.run(
-                window.addresses,
-                uniform_mask=args.mask,
-                offset_bits=geometry.offset_bits,
-            )
-        elapsed = time.perf_counter() - start
-        result = cache.result()
+        result = simulate_columnar_sharded(trace, geometry, **options)
+    elapsed = time.perf_counter() - start
     print(f"cache: {geometry}")
     print(
         f"accesses={result.accesses} hits={result.hits} "

@@ -20,7 +20,7 @@ from repro.sim.engine.batched import (
     lockstep_run,
 )
 from repro.sim.engine.sharded import (
-    _stream_one_shard,
+    _stream_shards,
     simulate_columnar_sharded,
 )
 from repro.trace.trace import Trace
@@ -233,16 +233,18 @@ class TestShardedEquivalence:
         trace = Trace.from_columns(blocks << geometry.offset_bits)
         shards = 3
         tallies = [
-            _stream_one_shard(
-                trace, geometry, shard, shards, 37, None, None, None,
+            _stream_shards(
+                trace, geometry, (shard,), shards, 37, None, None, None,
                 "numpy",
-            )
+            )[0]
             for shard in range(shards)
         ]
         rows = blocks & (geometry.sets - 1)
-        for shard, (accesses, _hits, _bypasses) in enumerate(tallies):
-            assert accesses == int(np.count_nonzero(rows % shards == shard))
-        assert sum(tally[0] for tally in tallies) == len(blocks)
+        for shard, tally in enumerate(tallies):
+            assert tally.accesses == int(
+                np.count_nonzero(rows % shards == shard)
+            )
+        assert sum(tally.accesses for tally in tallies) == len(blocks)
         hits, _misses, bypasses = reference_counts(geometry, blocks)
-        assert sum(tally[1] for tally in tallies) == hits
-        assert sum(tally[2] for tally in tallies) == bypasses
+        assert sum(tally.hits for tally in tallies) == hits
+        assert sum(tally.bypasses for tally in tallies) == bypasses

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
-from repro.sim.engine import _compiled
+from repro.sim.engine import _compiled, multitask_batch
 from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.sim.engine.fused import TenantBatch
@@ -121,8 +121,11 @@ class TestBatchedMultitask:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_negative_blocks_do_not_wrap_onto_small_ones(self, kernel):
-        """Job a's block -2**32 + 5 must not narrow to int32 as block
-        5, job b's: each job hits only its own line, 9 times in 10."""
+        """Job a's block -2**40 + 5 must not narrow to int32 as block
+        5, job b's: each job hits only its own line, 9 times in 10, in
+        either job order.  With the narrow job first, numpy's stacked
+        points once took their int32 buffers from it and cut job a's
+        tags to b's."""
         geometry = CacheGeometry(line_size=16, sets=4, columns=2)
 
         def job(name, block):
@@ -132,17 +135,18 @@ class TestBatchedMultitask:
             )
             return Job(name=name, trace=trace)
 
-        jobs = [job("a", -(1 << 32) + 5), job("b", 5)]
-        batched = simulate_point(
-            geometry, jobs, 1, 40, kernel=kernel
-        )
-        walked = MultitaskSimulator(geometry, jobs).run(1, 40)
-        for results in (batched, walked):
-            counts = {
-                name: (result.accesses, result.hits)
-                for name, result in results.items()
-            }
-            assert counts == {"a": (10, 9), "b": (10, 9)}
+        wide_first = [job("a", -(1 << 40) + 5), job("b", 5)]
+        for jobs in (wide_first, wide_first[::-1]):
+            batched = simulate_point(
+                geometry, jobs, 1, 40, kernel=kernel
+            )
+            walked = MultitaskSimulator(geometry, jobs).run(1, 40)
+            for results in (batched, walked):
+                counts = {
+                    name: (result.accesses, result.hits)
+                    for name, result in results.items()
+                }
+                assert counts == {"a": (10, 9), "b": (10, 9)}
 
     def test_tenant_batch_keeps_wide_negative_blocks(self):
         """The fused fleet batch narrows to int32 only when every
@@ -176,7 +180,9 @@ class TestBatchedMultitask:
             # quantum 1 + every-access-costs->=1 ==> one access per quantum
             assert batched[name].quanta == batched[name].accesses
 
-    def test_sweep_matches_per_point(self):
+    def test_sweep_matches_per_point(self, monkeypatch):
+        # Force several flushes of numpy's stacked points.
+        monkeypatch.setattr(multitask_batch, "MAX_BATCH_ACCESSES", 500)
         rng = np.random.default_rng(2)
         geometry = CacheGeometry(line_size=16, sets=4, columns=4)
         jobs = [
@@ -189,8 +195,7 @@ class TestBatchedMultitask:
         ]
         quanta = [1, 4, 16, 64, 100_000]
         swept = simulate_sweep(
-            geometry, jobs, quanta, 3000, warmup_passes=1,
-            max_batch_accesses=500,  # force several kernel flushes
+            geometry, jobs, quanta, 3000, warmup_passes=1, kernel="numpy"
         )
         assert len(swept) == len(quanta)
         for quantum, point in zip(quanta, swept):
@@ -370,10 +375,101 @@ class TestQuantumRange:
                 walk_tables(cumulative, quantum)
 
 
+class TestNegativeWarmUp:
+    """A negative warm-up pass count fails with the reference's
+    message, on either kernel, before the matrix does any work."""
+
+    MESSAGE = "passes must be >= 0, got -1"
+    GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
+    JOBS = [Job(name="a", trace=Trace.from_columns([0, 16, 32]))]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matrix_refuses_negative_passes(self, kernel):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simulate_multitask_matrix(
+                [(self.GEOMETRY, self.JOBS)], [1], 10,
+                warmup_passes=-1, kernel=kernel,
+            )
+
+    def test_simulator_refuses_negative_passes(self):
+        simulator = MultitaskSimulator(self.GEOMETRY, self.JOBS)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simulator.warm_up(-1)
+
+
+class TestWideMasks:
+    """Per-job masks are int64, so they name ways 0-62.  A mask naming
+    a higher way (an unmasked job on 64 or more columns) is refused by
+    name where the simulators read it; masks within ways 0-62 run on
+    any width and match the reference."""
+
+    @staticmethod
+    def jobs(columns, mask_width):
+        rng = np.random.default_rng(5)
+        return [
+            Job(
+                name=name,
+                trace=build_trace(rng, 300, 2048, name),
+                mask=(
+                    None
+                    if mask_width is None
+                    else ColumnMask.contiguous(
+                        index * mask_width, mask_width, columns
+                    )
+                ),
+                address_offset=index << 20,
+            )
+            for index, name in enumerate(("a", "b"))
+        ]
+
+    @pytest.mark.parametrize("columns", [64, 100])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matrix_names_the_job_and_its_highest_way(
+        self, columns, kernel
+    ):
+        geometry = CacheGeometry(line_size=16, sets=2, columns=columns)
+        message = re.escape(
+            f"job 'a' mask names way {columns - 1}; per-job masks "
+            f"name ways 0-62"
+        )
+        with pytest.raises(ValueError, match=message):
+            simulate_multitask_matrix(
+                [(geometry, self.jobs(columns, None))], [4], 100,
+                kernel=kernel,
+            )
+
+    @pytest.mark.parametrize("columns", [64, 100])
+    def test_simulator_names_the_job_and_its_highest_way(self, columns):
+        geometry = CacheGeometry(line_size=16, sets=2, columns=columns)
+        with pytest.raises(ValueError, match="job 'a' mask names way"):
+            MultitaskSimulator(geometry, self.jobs(columns, None))
+
+    @requires_compiled
+    def test_compiled_matrix_mixes_8_and_100_ways(self):
+        """The 100-way variant's walks fall back to numpy call by
+        call, beside the 8-way variant's C walks."""
+        narrow = CacheGeometry(line_size=16, sets=4, columns=8)
+        wide = CacheGeometry(line_size=16, sets=4, columns=100)
+        variants = [(narrow, self.jobs(8, 4)), (wide, self.jobs(100, 31))]
+        quanta = [1, 16, 500]
+        matrix = simulate_multitask_matrix(
+            variants, quanta, 3_000, warmup_passes=1, kernel="compiled"
+        )
+        for (geometry, jobs), points in zip(variants, matrix):
+            for quantum, point in zip(quanta, points):
+                simulator = MultitaskSimulator(geometry, jobs)
+                simulator.warm_up(1)
+                reference = simulator.run(quantum, 3_000)
+                for name in reference:
+                    assert result_tuple(point[name]) == result_tuple(
+                        reference[name]
+                    ), (geometry.columns, quantum, name)
+
+
 class TestMatrixKernels:
-    """Both matrix paths, pinned: the numpy stacked-lockstep path and
-    the compiled fused schedule walk (the session default picks only
-    one of them)."""
+    """Both ways the matrix walks its points, pinned: numpy's stacked
+    lockstep calls and the compiled fused schedule walk, one call per
+    point (the session default picks only one of them)."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @given(case=multitask_case())

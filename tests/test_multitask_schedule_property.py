@@ -2,11 +2,10 @@
 
 ``repro.sim.engine.multitask_batch`` computes where every round-robin
 quantum starts and stops in closed form: on the numpy kernel through
-vectorized successor tables and orbit tiling
-(:func:`~repro.sim.multitask.quantum_tables` +
-:func:`~repro.sim.multitask.orbit_positions`), on the compiled kernel
-through the C quantum orbit (``repro_quantum_orbit``).  These property
-tests rebuild the schedule the way the scalar
+vectorized successor tables and their unrolled orbit
+(:class:`~repro.sim.multitask.QuantumWalkTables`), on the compiled
+kernel through the C quantum orbit (``repro_quantum_orbit``).  These
+property tests rebuild the schedule the way the scalar
 :class:`~repro.sim.multitask.MultitaskSimulator` walks it — one
 quantum at a time, one searchsorted per step, honoring the atomic
 overshoot of the final access — and assert both closed forms match
@@ -24,13 +23,9 @@ from hypothesis import strategies as st
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import _compiled
 from repro.sim.engine.backends import compiled_available
+from repro.sim.engine.fused import TenantBatch, _stream_gather
 from repro.sim.engine.multitask_batch import _BatchJob, _Schedule
-from repro.sim.multitask import (
-    Job,
-    orbit_positions,
-    quantum_tables,
-    single_quantum,
-)
+from repro.sim.multitask import Job, QuantumWalkTables, single_quantum
 from repro.trace.columnar import ColumnarRecorder
 
 requires_compiled = pytest.mark.skipif(
@@ -128,9 +123,9 @@ def test_closed_form_schedule_matches_scalar_walk(case, compiled):
     expected = scalar_schedule(
         [batch_job.cum for batch_job in batch_jobs], quantum, budget
     )
-    assert len(schedule.job_ids) == len(expected)
+    assert len(schedule.tenant_ids) == len(expected)
     for index, (job, start, accesses, ran, wraps) in enumerate(expected):
-        assert int(schedule.job_ids[index]) == job, index
+        assert int(schedule.tenant_ids[index]) == job, index
         assert int(schedule.positions[index]) == start, index
         assert int(schedule.accesses[index]) == accesses, index
         assert int(schedule.ran[index]) == ran, index
@@ -155,14 +150,16 @@ def test_closed_form_schedule_matches_scalar_walk(case, compiled):
 @given(case=schedule_case())
 @settings(deadline=None)
 def test_access_stream_walks_each_trace_in_order(case):
-    """The materialized stream is each quantum's trace slice, wrapped."""
+    """The stream the numpy path gathers for a schedule is each
+    quantum's trace slice, wrapped."""
     jobs, quantum, budget = case
     batch_jobs = [_BatchJob(job, GEOMETRY) for job in jobs]
     schedule = _Schedule(batch_jobs, quantum, budget)
-    stream_blocks, stream_jobs = schedule.access_stream(batch_jobs)
+    batch = TenantBatch.build([batch_job.blocks for batch_job in batch_jobs])
+    stream_blocks, stream_jobs = _stream_gather(batch, schedule)
     cursor = 0
-    for index in range(len(schedule.job_ids)):
-        job = int(schedule.job_ids[index])
+    for index in range(len(schedule.tenant_ids)):
+        job = int(schedule.tenant_ids[index])
         start = int(schedule.positions[index])
         count = int(schedule.accesses[index])
         trace_blocks = batch_jobs[job].blocks
@@ -213,23 +210,30 @@ def orbit_case(draw):
 @given(case=orbit_case())
 @settings(deadline=None)
 @example(case=([0], 1, 0, 5))
+@example(case=([2, 1], 3, 1, 0))
 @example(case=([0, 0, 0, 0], 1, 2, 9))
 @example(case=([3, 0, 1], 4, 0, 12))
 @example(case=([0, 2**32, 0], 2**32 + 3, 1, 7))
 def test_compiled_orbit_matches_tables_and_single_quantum(case):
     """The C orbit, entry for entry, against the closed-form tables
-    unrolled along their successor map and against
+    unrolled along their successor map
+    (:meth:`~repro.sim.multitask.QuantumWalkTables.orbit`) and against
     :func:`~repro.sim.multitask.single_quantum` iterated from the
-    start."""
+    start; counts start at 0, where both orbits are empty."""
     gaps, quantum, start, count = case
     cumulative = np.cumsum(np.array(gaps, dtype=np.int64) + 1)
     got = _compiled.quantum_orbit_compiled(cumulative, quantum, start, count)
     assert all(column.dtype == np.int64 for column in got)
     assert all(len(column) == count for column in got)
 
-    next_pos, accesses, ran, wraps = quantum_tables(cumulative, quantum)
-    positions = orbit_positions(next_pos, count, start)
-    tabled = (positions, accesses[positions], ran[positions], wraps[positions])
+    tables = QuantumWalkTables(cumulative, quantum)
+    positions = tables.orbit(start, count)
+    tabled = (
+        positions,
+        tables.accesses[positions],
+        tables.ran[positions],
+        tables.wraps[positions],
+    )
     for name, column, expected in zip(
         ("positions", "accesses", "ran", "wraps"), got, tabled
     ):

@@ -5,8 +5,7 @@ Two families, both hypothesis-driven:
 * **Routing stability** — rendezvous hashing's defining property:
   changing the shard count re-routes exactly the tenants whose route
   involves the added/removed shard; everyone else stays put.  Pins
-  (live migration) overlay the hash and survive resizes only while
-  their target shard exists.
+  (live migration) overlay the hash.
 * **Disjoint columns under churn** — an arbitrary interleaving of
   admissions (router-placed), departures, migrations and serving
   segments across a two-shard fleet never leaves a cache column
@@ -94,28 +93,6 @@ class TestPins:
             assert router.route(tenant) == target
             router.unpin(tenant)
             assert router.route(tenant) == hashed
-
-    @given(tenants=TENANTS, shards=st.integers(2, 6))
-    def test_resize_drops_pins_to_vanished_shards(
-        self, tenants, shards
-    ):
-        router = TenantHashRouter(shards)
-        for tenant in tenants:
-            router.pin(tenant, shards - 1)
-        router.set_shard_count(shards - 1)
-        assert router.pins == {}
-        small = TenantHashRouter(shards - 1)
-        for tenant in tenants:
-            assert router.route(tenant) == small.route(tenant)
-
-    @given(tenants=TENANTS, shards=st.integers(2, 6))
-    def test_resize_keeps_valid_pins(self, tenants, shards):
-        router = TenantHashRouter(shards)
-        for tenant in tenants:
-            router.pin(tenant, 0)
-        router.set_shard_count(shards + 3)
-        for tenant in tenants:
-            assert router.route(tenant) == 0
 
 
 # ----------------------------------------------------------------------

@@ -35,17 +35,6 @@ class TestCacheStats:
         stats.record_fill(0)
         assert snap.fills == 0
 
-    def test_delta_since(self):
-        stats = CacheStats(columns=2)
-        stats.record_hit(1, is_write=False)
-        before = stats.snapshot()
-        stats.record_hit(1, is_write=False)
-        stats.record_eviction(dirty=True)
-        delta = stats.delta_since(before)
-        assert delta.hits == 1
-        assert delta.writebacks == 1
-        assert delta.per_column_hits == [0, 1]
-
 
 class TestShadow:
     def test_lru_semantics(self):
