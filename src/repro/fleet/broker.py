@@ -5,17 +5,17 @@ a **disjoint** subset of them — the paper's multitasking isolation
 property (Section 4.2), made dynamic.  Three mechanisms:
 
 * **Benefit-aware sizing.**  On admission (and on phase change) a
-  tenant's trace window is profiled once and the layout planner's
-  predicted conflict cost ``W(c)`` of its working set is priced for
-  every candidate grant size ``c`` by one contraction pass
+  tenant's trace window is simulated solo once for its misses at
+  every candidate grant size ``c``; where they fall, the window is
+  also profiled and the layout planner's predicted conflict cost
+  ``W(c)`` priced for every ``c`` by one contraction pass
   (:func:`~repro.layout.algorithm.predicted_costs`, the paper's
-  merging heuristic walked once for all ``c``); ``W(c)`` becomes a
+  merging heuristic walked once for all ``c``).  Both curves form a
   demand curve.  Columns are granted greedily to the tenant with the
   highest ``priority x marginal-benefit`` until all columns are
-  placed — so a
-  low-value tenant never holds a column a high-value tenant would use
-  better (the prioritized-reclamation idea of the GC literature,
-  applied to columns).
+  placed — so a low-value tenant never holds a column a high-value
+  tenant would use better (the prioritized-reclamation idea of the GC
+  literature, applied to columns).
 
 * **Priority-aware reclamation.**  Arrivals and departures rerun the
   same greedy allocation over the resident set; a tenant whose
@@ -81,7 +81,8 @@ class ColumnDemand:
     Attributes:
         plan_costs: The layout planner's predicted conflict cost W
             when the tenant's working set is planned into ``c``
-            columns (conflicting accesses).
+            columns (conflicting accesses); None when the measured
+            curve is flat, as every marginal benefit is then 0.
         measured_costs: Misses actually observed when the profiled
             trace window is simulated solo in a ``c``-column cache
             (every ``c`` read off one pass's LRU stack depths).
@@ -95,7 +96,7 @@ class ColumnDemand:
     and the measurement agree it would convert misses into hits.
     """
 
-    plan_costs: tuple[int, ...]
+    plan_costs: Optional[tuple[int, ...]]
     measured_costs: tuple[int, ...]
 
     def cost(self, columns: int) -> int:
@@ -116,10 +117,8 @@ class ColumnDemand:
         measured estimate (clamped at 0)."""
         if columns <= 1:
             raise ValueError("the first column is mandatory, not marginal")
-        return min(
-            self._step(self.plan_costs, columns),
-            self._step(self.measured_costs, columns),
-        )
+        measured = self._step(self.measured_costs, columns)
+        return measured and min(self._step(self.plan_costs, columns), measured)
 
 
 def _clip(slices: Slices, length: int, limit: int) -> tuple:
@@ -183,12 +182,14 @@ def demand_curves(
     trace), the clipped slices and the column units' digest (pinned on
     the symbol table), so a memo hit hashes, splits and builds nothing.
 
-    Only cache-missing probes build their window.  Each profiles it
-    once and prices its **plan** curve ``W(1..columns)`` with one
-    :func:`~repro.layout.algorithm.predicted_costs` pass, with no plan
-    built.  A ``c``-column grant behaves exactly like a solo ``c``-way
-    cache with the same sets, so their **measured** curves come from
-    one kernel pass over full-width banks (:func:`solo_misses`).
+    Only cache-missing probes build their window.  A ``c``-column
+    grant behaves exactly like a solo ``c``-way cache with the same
+    sets, so their **measured** curves come first, from one kernel
+    pass over full-width banks (:func:`solo_misses`).  Only a probe
+    whose measured curve falls (``misses(1) > misses(columns)``) is
+    profiled and has its **plan** curve ``W(1..columns)`` priced, by
+    one :func:`~repro.layout.algorithm.predicted_costs` pass with no
+    plan built; a flat one carries ``plan_costs=None``.
 
     Args:
         probes: ``(run, slices)`` pairs to price.
@@ -237,16 +238,14 @@ def demand_curves(
         )
         curves = []
         for trace, index, row in zip(traces, indices, misses):
-            units = units_list[index]
-            profile = profile_trace(trace, units, by_address=True)
-            curves.append(
-                ColumnDemand(
-                    plan_costs=tuple(
-                        predicted_costs(profile, units, range(1, columns + 1))
-                    ),
-                    measured_costs=tuple(int(m) for m in row),
+            plan = None
+            if row[0] > row[-1]:  # some measured step is positive
+                units = units_list[index]
+                profile = profile_trace(trace, units, by_address=True)
+                plan = tuple(
+                    predicted_costs(profile, units, range(1, columns + 1))
                 )
-            )
+            curves.append(ColumnDemand(plan, tuple(int(m) for m in row)))
         return curves
 
     return session.memo_batch(keys, compute)

@@ -61,6 +61,7 @@ from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState
 from repro.sim.engine.fused import TenantBatch, fused_multitask_run
 from repro.sim.multitask import quantum_schedule
+from repro.utils.validation import check_mask_ways
 
 
 @dataclass
@@ -99,6 +100,10 @@ class ShardServer:
             :class:`~repro.inspect.events.EventRing` (older events
             are overwritten once full; the ring's ``dropped`` counter
             records how many).
+
+    Raises:
+        ValueError: when ``geometry`` has more than 63 columns: the
+            segment walk takes every grant as a per-job mask.
     """
 
     def __init__(
@@ -110,6 +115,7 @@ class ShardServer:
         broker: Optional[Any] = None,
         event_capacity: int = 65_536,
     ):
+        check_mask_ways((1 << geometry.columns) - 1, f"shard {shard_id} full")
         self.shard_id = shard_id
         self.geometry = geometry
         self.timing = timing or TimingConfig()

@@ -43,7 +43,7 @@ from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepCache
 from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
-from repro.utils.validation import check_quantum
+from repro.utils.validation import check_mask_ways, check_quantum
 
 
 def next_quantum_slice(
@@ -416,12 +416,7 @@ class Job:
             )
         else:
             bits = self.mask.bits
-        if bits >> 63:
-            raise ValueError(
-                f"job {self.name!r} mask names way "
-                f"{bits.bit_length() - 1}; per-job masks name ways 0-62"
-            )
-        return bits
+        return check_mask_ways(bits, f"job {self.name!r}")
 
 
 @dataclass

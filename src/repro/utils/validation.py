@@ -63,6 +63,20 @@ def check_quantum(quantum: int, total: int) -> int:
     return quantum
 
 
+def check_mask_ways(bits: int, owner: str) -> int:
+    """Validate that a replacement mask names only ways 0-62.
+
+    Both kernels keep per-job (and per-tenant) masks as int64, which
+    cannot name way 63 or above; returns ``bits``.
+    """
+    if bits >> 63:
+        raise ValueError(
+            f"{owner} mask names way {bits.bit_length() - 1}; "
+            "per-job masks name ways 0-62"
+        )
+    return bits
+
+
 def log2_exact(value: int, name: str = "value") -> int:
     """Return log2 of ``value``, requiring an exact power of two."""
     check_power_of_two(value, name)

@@ -10,16 +10,35 @@ behaves exactly like a solo ``c``-way cache with the same sets.  All
 banks of all windows run in one lockstep call, which returns the miss
 positions; a ``searchsorted`` over the banks' start offsets splits
 them per bank.
+
+:func:`price_every_probe` is the reference for
+:func:`repro.fleet.broker.demand_curves` as a whole, as it priced
+before flat probes skipped the planner: every computed probe is
+profiled and carries its plan curve ``W(1..columns)``, whatever its
+measured curve, under the broker's own memo keys.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
+from repro.fleet.broker import (
+    DEFAULT_PROFILE_ACCESSES,
+    ColumnDemand,
+    Slices,
+    _clip,
+    solo_misses,
+)
+from repro.layout.algorithm import predicted_costs
+from repro.layout.partition import split_for_columns
+from repro.layout.session import PlannerSession, trace_digest, units_digest
+from repro.profiling.profiler import profile_trace
 from repro.sim.engine.batched import LockstepState, lockstep_run
+from repro.trace.filters import concatenate
+from repro.workloads.base import WorkloadRun
 
 
 def bank_batch_solo_misses(
@@ -66,3 +85,59 @@ def bank_batch_solo_misses(
         minlength=bank,
     )
     return per_bank.reshape(len(windows), candidates)
+
+
+def price_every_probe(
+    probes: Sequence[tuple[WorkloadRun, Slices]],
+    geometry: CacheGeometry,
+    profile_accesses: int = DEFAULT_PROFILE_ACCESSES,
+    session: Optional[PlannerSession] = None,
+) -> list[ColumnDemand]:
+    """``demand_curves``' arguments and memo keys; W on every probe."""
+    session = session if session is not None else PlannerSession()
+    columns = geometry.columns
+    column_bytes = geometry.sets * geometry.line_size
+    units_list = []
+    spans = []
+    keys = []
+    for run, slices in probes:
+        units = run.memory_map.symbols.derived(
+            ("units", column_bytes),
+            lambda table: split_for_columns(table, column_bytes),
+        )
+        span = _clip(slices, len(run.trace), profile_accesses)
+        units_list.append(units)
+        spans.append(span)
+        keys.append(
+            f"demand:{trace_digest(run.trace)}:{span}:"
+            f"{units_digest(units)}:"
+            f"{geometry.line_size}:{geometry.sets}:{columns}"
+        )
+
+    def compute(indices: list[int]) -> list[ColumnDemand]:
+        traces = []
+        for index in indices:
+            trace = probes[index][0].trace
+            pieces = [trace.slice(*piece) for piece in spans[index]]
+            traces.append(
+                pieces[0] if len(pieces) == 1 else concatenate(pieces)
+            )
+        misses = solo_misses(
+            [trace.blocks_for(geometry.offset_bits) for trace in traces],
+            geometry,
+        )
+        curves = []
+        for trace, index, row in zip(traces, indices, misses):
+            units = units_list[index]
+            profile = profile_trace(trace, units, by_address=True)
+            curves.append(
+                ColumnDemand(
+                    plan_costs=tuple(
+                        predicted_costs(profile, units, range(1, columns + 1))
+                    ),
+                    measured_costs=tuple(int(m) for m in row),
+                )
+            )
+        return curves
+
+    return session.memo_batch(keys, compute)

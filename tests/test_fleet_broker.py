@@ -63,13 +63,15 @@ class TestDemandCurve:
             assert after <= before
 
     def test_scan_has_flat_measured_curve(self, small_runs, geometry):
-        """A pure stream gains nothing from extra columns."""
+        """A pure stream gains nothing from extra columns, so its W is
+        never priced."""
         demand = demand_curve(small_runs["scan"], geometry)
         # Essentially all accesses miss regardless of the grant.
         spread = demand.measured_costs[0] - demand.measured_costs[-1]
         assert spread <= demand.measured_costs[0] * 0.02
+        assert demand.plan_costs is None
         assert all(
-            demand.marginal_benefit(c) <= 2
+            demand.marginal_benefit(c) == 0
             for c in range(2, geometry.columns + 1)
         )
 
@@ -109,7 +111,7 @@ def per_candidate_misses(blocks, geometry):
 def per_candidate_demand(run, geometry, profile_accesses=8192):
     """The pre-batching reference: one plan and one solo simulation
     per candidate grant size, each against its own ``c``-column
-    geometry."""
+    geometry; no plan curve where the measured one is flat."""
     session = PlannerSession()
     column_bytes = geometry.sets * geometry.line_size
     units = split_for_columns(run.memory_map.symbols, column_bytes)
@@ -128,9 +130,10 @@ def per_candidate_demand(run, geometry, profile_accesses=8192):
         assignment = session.plan_from_profile(config, profile, units)
         plan_costs.append(int(assignment.predicted_cost))
     blocks = trace.addresses >> geometry.offset_bits
+    measured = tuple(per_candidate_misses(blocks, geometry))
     return ColumnDemand(
-        plan_costs=tuple(plan_costs),
-        measured_costs=tuple(per_candidate_misses(blocks, geometry)),
+        plan_costs=tuple(plan_costs) if measured[0] > measured[-1] else None,
+        measured_costs=measured,
     )
 
 
@@ -149,6 +152,10 @@ class TestBatchedDemandCurves:
         )
         for run, got in zip(runs, batched):
             assert got == per_candidate_demand(run, geometry)
+        # Only the scan's curve is flat (1,025 misses at every grant).
+        assert [got.plan_costs is None for got in batched] == [
+            name == "scan" for name in small_runs
+        ]
 
     def test_batch_seeds_the_session_cache(self, small_runs, geometry):
         """A curve priced in a batch is a pure cache hit afterwards —

@@ -305,6 +305,59 @@ class TestShardServing:
         assert shard.segments == 0
 
 
+class TestColumnLimit:
+    """The segment walk takes every grant as a per-job mask, and those
+    name ways 0-62: a shard wider than 63 columns is refused when it
+    is built, with the job masks' error, under any broker."""
+
+    @pytest.mark.parametrize("broker", ["column", "shared"])
+    def test_63_columns_serve(self, broker):
+        geometry = CacheGeometry(line_size=16, sets=16, columns=63)
+        shard = ShardServer(
+            0, geometry, TIMING, CONFIG, broker=BROKERS[broker](geometry)
+        )
+        for index in range(2):
+            assert shard.admit(spec_for(index, "crc32", message_bytes=256))
+        assert shard.advance() > 0
+        assert any(grant.bits >> 62 for grant in shard.broker.grants.values())
+
+    @pytest.mark.parametrize("columns", [64, 100])
+    @pytest.mark.parametrize("broker", ["column", "shared"])
+    def test_wider_shards_are_refused(self, columns, broker):
+        geometry = CacheGeometry(line_size=16, sets=16, columns=columns)
+        refused = pytest.raises(
+            ValueError,
+            match=(
+                rf"^shard 0 full mask names way {columns - 1}; "
+                r"per-job masks name ways 0-62$"
+            ),
+        )
+        with refused:
+            ShardServer(
+                0, geometry, TIMING, CONFIG, broker=BROKERS[broker](geometry)
+            )
+        fleet = FleetTrace(
+            events=(
+                FleetEvent(
+                    time=0,
+                    kind="arrival",
+                    spec=spec_for(0, "crc32", message_bytes=256),
+                ),
+            ),
+            horizon_instructions=4096,
+        )
+        with refused:
+            FleetExecutor(geometry, TIMING, CONFIG).run(
+                fleet, broker=BROKERS[broker](geometry)
+            )
+
+    @pytest.mark.parametrize("columns", [64, 100])
+    def test_wider_services_are_refused(self, columns):
+        geometry = CacheGeometry(line_size=16, sets=16, columns=columns)
+        with pytest.raises(ValueError, match="^shard 0 full mask names way"):
+            FleetService(ServiceConfig(shards=2, geometry=geometry))
+
+
 class TestAdmissionControl:
     def test_overflow_admission_rejected(self, geometry):
         """More tenants than columns -> admit returns False."""
