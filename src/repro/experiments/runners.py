@@ -637,8 +637,6 @@ def trace_sim(
     trace_path: Optional[str] = None,
     trace_digest: Optional[str] = None,
     kernel: Optional[str] = None,
-    shards: Optional[int] = None,
-    shard_workers: int = 1,
     chunk_accesses: Optional[int] = None,
 ) -> dict[str, int]:
     """Simulate a synthetic — or recorded — trace through one cache.
@@ -655,82 +653,39 @@ def trace_sim(
     counter); the runner ignores it, but it salts the engine's
     content hash so stale cached results cannot be served.
 
-    ``kernel`` pins the lockstep backend for this job (None follows
-    the session's active backend).  ``shards`` partitions this single
-    point by cache-set index: an ``.npz`` trace with ``shard_workers
-    > 1`` fans the shards over worker processes, each streaming
-    chunks straight off its own memory-mapped archive; otherwise the
-    shards (one by default) run in one chunk-streamed in-process pass
-    (``chunk_accesses`` bounds the streaming window).  Tallies are
-    bit-identical to the unsharded run either way.
+    The point replays through
+    :func:`~repro.sim.engine.replay.replay_trace`: ``kernel`` pins
+    the lockstep backend (None follows the session's active backend)
+    and ``chunk_accesses`` bounds the streaming window without
+    changing the counts.
     """
     from repro.cache.geometry import CacheGeometry
-    from repro.sim.engine.sharded import (
-        DEFAULT_CHUNK_ACCESSES,
-        simulate_columnar_sharded,
-        simulate_npz_sharded,
-    )
-    from repro.trace import generator
-    from repro.trace.columnar import load_npz
-    from repro.trace.dinero import load_trace
+    from repro.sim.engine.replay import replay_trace
+    from repro.trace.columnar import DEFAULT_CHUNK_ACCESSES
+    from repro.trace.generator import generate
 
-    makers = {
-        "sequential": lambda: generator.sequential_stream(
-            base, count, element_size=element_size
-        ),
-        "looped": lambda: generator.looped_working_set(
-            base,
-            span,
-            max(count // max(span // 2, 1), 1),
+    outcome = replay_trace(
+        generate(
+            kind,
+            count,
+            base=base,
+            span=span,
             element_size=element_size,
-        ),
-        "random": lambda: generator.random_uniform(
-            base, span, count, element_size=element_size, seed=seed
-        ),
-        "zipf": lambda: generator.zipf_accesses(
-            base, span, count, element_size=element_size, seed=seed
-        ),
-    }
-    if trace_path is not None:
-        if trace_path.endswith(".npz"):
-            trace = load_npz(trace_path, mmap=True)
-        else:
-            trace = load_trace(trace_path)
-    elif kind not in makers:
-        raise ValueError(
-            f"unknown trace kind {kind!r}; choose from {sorted(makers)}"
+            seed=seed,
         )
-    else:
-        trace = makers[kind]()
-    geometry = CacheGeometry.from_sizes(
-        total_bytes, line_size=line_size, columns=columns
+        if trace_path is None
+        else trace_path,
+        CacheGeometry.from_sizes(
+            total_bytes, line_size=line_size, columns=columns
+        ),
+        chunk_accesses=(
+            DEFAULT_CHUNK_ACCESSES
+            if chunk_accesses is None
+            else chunk_accesses
+        ),
+        uniform_mask=uniform_mask,
+        kernel=kernel,
     )
-    chunk = (
-        DEFAULT_CHUNK_ACCESSES if chunk_accesses is None else chunk_accesses
-    )
-    if (
-        shard_workers > 1
-        and trace_path is not None
-        and trace_path.endswith(".npz")
-    ):
-        outcome = simulate_npz_sharded(
-            trace_path,
-            geometry,
-            shards=shards,
-            workers=shard_workers,
-            chunk_accesses=chunk,
-            uniform_mask=uniform_mask,
-            kernel=kernel,
-        )
-    else:
-        outcome = simulate_columnar_sharded(
-            trace,
-            geometry,
-            shards=shards,
-            chunk_accesses=chunk,
-            uniform_mask=uniform_mask,
-            kernel=kernel,
-        )
     return {
         "accesses": int(outcome.accesses),
         "hits": int(outcome.hits),

@@ -33,6 +33,12 @@ asyncio-served admission surface:
   home.  Candidates are priced with the broker's demand curves and
   the tint-rewrite cost model shared with
   :class:`~repro.runtime.policy.RepartitionPolicy`.
+* **Faults.**  An exception from a shard's serve loop faults that
+  shard alone: it is kept in :attr:`FleetService.faults`, the shard's
+  waiting and later admissions resolve with ``"fault"``, and the clock,
+  drain and the hotspot monitor go on over the other shards.
+  :func:`~repro.fleet.service.loadgen.run_load` then raises, chained
+  to the fault, so a driven load never ends as a clean report.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.fleet.broker import ColumnBroker
@@ -130,8 +136,10 @@ class AdmissionTicket:
         tenant: The tenant the decision concerns.
         shard: The shard that decided (the route at decision time).
         admitted: True when the tenant is now resident.
-        reason: ``"admitted"``, ``"timeout"`` (patience exhausted
-            waiting for a free column), or ``"shutdown"``.
+        reason: ``"admitted"``, ``"rejected"``, ``"timeout"``
+            (patience exhausted waiting for a free column),
+            ``"fault"`` (the shard's serve loop failed) or
+            ``"shutdown"``.
         wall_latency_s: Wall-clock seconds from submit to decision.
         queue_wait_instructions: Virtual time the request waited.
     """
@@ -240,6 +248,8 @@ class FleetService:
         ]
         self.migrations: list[MigrationRecord] = []
         self.imbalance_timeline: list[tuple[int, float]] = []
+        #: The exception that faulted each failed shard, by shard index.
+        self.faults: dict[int, Exception] = {}
         self.invariant_checks = 0
         self.invariant_violations = 0
         self._pending: list[list[_PendingAdmission]] = [
@@ -286,23 +296,8 @@ class FleetService:
         # The gather also lets every batch a worker tick took re-arm,
         # so the final tick below finds every parked waiter.
         await asyncio.gather(*tasks, return_exceptions=True)
-        for shard_index, pending in enumerate(self._pending):
-            for request in pending:
-                self._resolve(
-                    shard_index, request, admitted=False,
-                    reason="shutdown",
-                )
-            pending.clear()
-        for queue in self._queues:
-            while not queue.empty():
-                kind, payload = queue.get_nowait()
-                if kind == "admit":
-                    self._resolve(
-                        self.router.route(payload.spec.name),
-                        payload,
-                        admitted=False,
-                        reason="shutdown",
-                    )
+        for shard_index in range(len(self._queues)):
+            self._reject_waiting(shard_index, "shutdown")
         self._tick()  # release every task blocked in wait_until/drain
 
     async def __aenter__(self) -> "FleetService":
@@ -323,17 +318,26 @@ class FleetService:
 
         The minimum (not the mean) so that pacing against it never
         lets a loaded shard fall arbitrarily far behind the arrival
-        schedule.
+        schedule.  Faulted shards are left out while any other serves.
         """
-        return min(shard.now for shard in self.shards)
+        live = [
+            shard.now
+            for index, shard in enumerate(self.shards)
+            if index not in self.faults
+        ]
+        return min(live or [shard.now for shard in self.shards])
 
     async def wait_until(self, virtual_time: int) -> None:
         """Block until the service clock reaches ``virtual_time``.
 
         Returns at once when the service is not running, and when
-        :meth:`stop` is called.
+        :meth:`stop` is called or every shard has faulted.
         """
-        while self._running and self.virtual_now < virtual_time:
+        while (
+            self._running
+            and len(self.faults) < len(self.shards)
+            and self.virtual_now < virtual_time
+        ):
             await self._park(virtual_time)
 
     async def submit(
@@ -345,7 +349,8 @@ class FleetService:
 
         The tenant routes by name; once admitted it is served until
         ``service_instructions`` are executed (forever when None),
-        then auto-departs.
+        then auto-departs.  A request routed to a faulted shard
+        resolves at once with ``"fault"``.
         """
         if not self._running:
             raise RuntimeError("service is not running")
@@ -360,7 +365,10 @@ class FleetService:
             future=asyncio.get_running_loop().create_future(),
         )
         shard_index = self.router.route(spec.name)
-        await self._queues[shard_index].put(("admit", request))
+        if shard_index in self.faults:
+            self._resolve(shard_index, request, admitted=False, reason="fault")
+        else:
+            await self._queues[shard_index].put(("admit", request))
         return await request.future
 
     async def depart(self, name: str) -> None:
@@ -372,15 +380,20 @@ class FleetService:
         )
 
     async def drain(self) -> None:
-        """Wait until no shard has residents or queued requests."""
+        """Wait until no shard that has not faulted has residents or
+        queued requests."""
         while self._running and not self._idle():
             await self._park(_EVERY_TICK)
 
     def snapshot(self) -> ServiceSnapshot:
         """The whole fleet's state at this instant."""
+        return self._snapshot(range(len(self.shards)))
+
+    def _snapshot(self, indices: Iterable[int]) -> ServiceSnapshot:
+        """The state of the shards at ``indices``, in that order."""
         return ServiceSnapshot(
             shards=tuple(
-                shard.snapshot(
+                self.shards[index].snapshot(
                     queue_depth=len(self._pending[index])
                     + (
                         self._queues[index].qsize()
@@ -388,7 +401,7 @@ class FleetService:
                         else 0
                     )
                 )
-                for index, shard in enumerate(self.shards)
+                for index in indices
             ),
             migrations=len(self.migrations),
         )
@@ -427,7 +440,13 @@ class FleetService:
     # Workers
     # ------------------------------------------------------------------
     async def _shard_worker(self, shard_index: int) -> None:
-        """One shard's serve loop: requests, then one segment."""
+        """One shard's serve loop: requests, then one segment.
+
+        An exception from the loop faults the shard: it is kept in
+        :attr:`faults`, the shard's waiting admissions resolve with
+        ``"fault"``, and a tick lets parked waiters read the clock
+        without it.
+        """
         shard = self.shards[shard_index]
         queue = self._queues[shard_index]
         pending = self._pending[shard_index]
@@ -465,13 +484,14 @@ class FleetService:
                     and decisions < self.config.admissions_per_segment
                     and len(shard.broker.resident) < columns
                 ):
-                    request = pending.pop(0)
+                    request = pending[0]
                     admitted = shard.admit(
                         request.spec,
                         service_instructions=(
                             request.service_instructions
                         ),
                     )
+                    pending.pop(0)
                     decisions += 1
                     self._resolve(
                         shard_index,
@@ -501,33 +521,41 @@ class FleetService:
                     self.invariant_violations += 1
                 self._tick(shard.now)
                 await asyncio.sleep(0)
-        except asyncio.CancelledError:
-            raise
+        except Exception as error:  # a fault stays in its shard
+            self.faults[shard_index] = error
+            self._reject_waiting(shard_index, "fault")
+            self._tick()
 
     async def _monitor(self) -> None:
         """The hotspot monitor: sample imbalance, migrate residents."""
         interval = self.config.monitor_interval_instructions
         next_check = interval
-        try:
-            while self._running:
-                await self.wait_until(next_check)
-                next_check = self.virtual_now + interval
-                snapshot = self.snapshot()
-                self.imbalance_timeline.append(
-                    (self.virtual_now, snapshot.imbalance)
-                )
-                self._maybe_migrate(snapshot)
-        except asyncio.CancelledError:
-            raise
+        while self._running:
+            await self.wait_until(next_check)
+            if len(self.faults) == len(self.shards):
+                return
+            next_check = self.virtual_now + interval
+            self._maybe_migrate()
 
-    def _maybe_migrate(self, snapshot: ServiceSnapshot) -> None:
-        """Move one resident from the hottest to the coldest shard.
+    def _maybe_migrate(self) -> None:
+        """Sample the imbalance; move one resident from the hottest to
+        the coldest shard.
 
         Hot = deepest admission backlog, then most residents.  The
         move happens only when the hot shard has a backlog (or the
         resident imbalance exceeds the threshold) and some colder
-        shard has a free column to receive the migrant.
+        shard has a free column to receive the migrant.  Faulted
+        shards take no part, in the imbalance sample either: their
+        residents never leave.
         """
+        snapshot = self._snapshot(
+            index
+            for index in range(len(self.shards))
+            if index not in self.faults
+        )
+        self.imbalance_timeline.append(
+            (self.virtual_now, snapshot.imbalance)
+        )
         ranked = sorted(
             snapshot.shards,
             key=lambda s: (s.queue_depth, len(s.residents)),
@@ -599,11 +627,29 @@ class FleetService:
     # Internals
     # ------------------------------------------------------------------
     def _idle(self) -> bool:
-        if any(self._pending[i] for i in range(len(self._pending))):
-            return False
-        if any(not queue.empty() for queue in self._queues):
-            return False
-        return all(not shard.broker.resident for shard in self.shards)
+        return all(
+            index in self.faults
+            or not (
+                self._pending[index]
+                or self._queues[index].qsize()
+                or shard.broker.resident
+            )
+            for index, shard in enumerate(self.shards)
+        )
+
+    def _reject_waiting(self, shard_index: int, reason: str) -> None:
+        """Resolve the shard's pending and queued admissions, not
+        admitted, with ``reason``."""
+        pending, queue = self._pending[shard_index], self._queues[shard_index]
+        for request in pending:
+            self._resolve(shard_index, request, admitted=False, reason=reason)
+        pending.clear()
+        while not queue.empty():
+            kind, payload = queue.get_nowait()
+            if kind == "admit":
+                self._resolve(
+                    shard_index, payload, admitted=False, reason=reason
+                )
 
     async def _park(self, deadline: int) -> None:
         """Block the calling task until a tick (or :meth:`stop`) wakes it.

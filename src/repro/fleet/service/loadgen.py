@@ -280,6 +280,11 @@ async def run_load(
     service clock, submit, keep the ticket.  Returns after every
     ticket is resolved *and* the fleet has fully drained (all admitted
     tenants served to their demand and departed).
+
+    Raises:
+        RuntimeError: when a shard faulted during the load (see
+            ``FleetService.faults``), chained to the lowest faulted
+            shard's exception; its tickets resolved with ``"fault"``.
     """
     started = time.perf_counter()  # repro: ignore[R001] -- wall_seconds is load-report telemetry, not simulation state
 
@@ -294,6 +299,12 @@ async def run_load(
         *(one(arrival) for arrival in arrivals)
     )
     await service.drain()
+    if service.faults:
+        first = min(service.faults)
+        raise RuntimeError(
+            f"fleet shards {sorted(service.faults)} faulted during the "
+            f"load; shard {first}: {service.faults[first]!r}"
+        ) from service.faults[first]
     return LoadReport(
         tickets=list(tickets),
         wall_seconds=time.perf_counter() - started,  # repro: ignore[R001] -- wall_seconds is load-report telemetry, not simulation state

@@ -11,20 +11,19 @@ and any whole result through :meth:`PlannerSession.memo` /
 :meth:`PlannerSession.memo_batch`.  A workload that revisits a phase,
 or a broker that probes a window it has priced before (one
 demand-curve entry per window), then recomputes nothing: identical
-inputs are served from the session's
-:class:`~repro.sim.engine.cache.ResultCache`.
+inputs are served from the session's bounded :class:`SessionMemo`.
 
-The session's cache tier is memory-only (profiles, graphs and
-assignments are rich Python objects, not JSON) — sharing across
-processes stays the sweep engine's job; the session kills redundant
-work *within* a planning consumer's lifetime.
+The memo lives in memory only (profiles, graphs and assignments are
+rich Python objects, not JSON) — sharing across processes stays the
+sweep engine's job; the session kills redundant work *within* a
+planning consumer's lifetime.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig
 from repro.layout.assignment import ColumnAssignment
@@ -32,23 +31,6 @@ from repro.layout.graph import ConflictGraph
 from repro.mem.symbols import SymbolTable
 from repro.profiling.profiler import Profile, profile_trace
 from repro.trace.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - break the sim<->layout cycle
-    from repro.sim.engine.cache import ResultCache
-
-
-def _engine_cache():
-    """Deferred import: ``repro.sim.engine`` pulls in executors that
-    themselves import :mod:`repro.layout`, so binding at module import
-    time would be circular."""
-    from repro.sim.engine import cache as engine_cache
-    from repro.sim.engine.spec import SimJob
-
-    memo_job = SimJob(
-        runner="repro.layout.session:PlannerSession", params={}
-    )
-    return engine_cache, memo_job
-
 
 def trace_digest(trace: Trace) -> str:
     """Stable content digest of a trace's profiling-relevant columns,
@@ -114,41 +96,61 @@ def profile_digest(profile: Profile) -> str:
     return digest.hexdigest()
 
 
-#: Memory-tier bound of a session's default cache: long-running
-#: consumers (adaptive policies, fleet brokers) see an unbounded
-#: stream of distinct windows, so the LRU keeps only this many
-#: profile/graph/plan entries alive.
+#: Entries a session's memo keeps: long-running consumers (adaptive
+#: policies, fleet brokers) see an unbounded stream of distinct
+#: windows, so the LRU keeps only this many profile/graph/plan entries
+#: alive.
 DEFAULT_SESSION_ENTRIES = 512
+
+#: Returned by :meth:`SessionMemo.get` on a miss (None is a valid value).
+MISS = object()
+
+
+class SessionMemo:
+    """A bounded memo: past ``max_entries`` the least recently used
+    entry goes."""
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
+        self._entries: dict[str, Any] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: str) -> Any:
+        """The value under ``key``, now most recently used, or
+        :data:`MISS`."""
+        if key not in self._entries:
+            self.misses += 1
+            return MISS
+        self.hits += 1
+        value = self._entries.pop(key)
+        self._entries[key] = value
+        return value
+
+    def put(self, key: str, value: Any) -> Any:
+        """Store ``value`` under ``key``; returns it."""
+        self._entries[key] = value
+        if len(self._entries) > self.max_entries:
+            del self._entries[next(iter(self._entries))]
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class PlannerSession:
     """Caches profiles, conflict graphs and plans by content hash.
 
-    All three layers share one :class:`~repro.sim.engine.cache.
-    ResultCache` (memory tier, LRU-bounded).  A profile's digest is
-    computed once and pinned on the profile object itself, so a
-    profile → graph → plan chain hashes each input exactly once.
+    All three layers share one :class:`SessionMemo` of
+    :data:`DEFAULT_SESSION_ENTRIES`.  A profile's digest is computed
+    once and pinned on the profile object itself, so a profile → graph
+    → plan chain hashes each input exactly once.
     """
 
-    def __init__(
-        self,
-        cache: Optional["ResultCache"] = None,
-        max_entries: int = DEFAULT_SESSION_ENTRIES,
-    ):
-        engine_cache, self._memo_job = _engine_cache()
-        self._miss = engine_cache.MISS
-        if cache is not None and cache.directory is not None:
-            raise ValueError(
-                "PlannerSession caches rich objects; use a "
-                "memory-only ResultCache (directory=None)"
-            )
-        self.cache = (
-            cache
-            if cache is not None
-            else engine_cache.ResultCache(
-                max_memory_entries=max_entries
-            )
-        )
+    def __init__(self) -> None:
+        self.cache = SessionMemo(DEFAULT_SESSION_ENTRIES)
 
     # ------------------------------------------------------------------
     # Digest bookkeeping
@@ -170,8 +172,8 @@ class PlannerSession:
     def memo(self, key: str, compute: Callable[[], Any]) -> Any:
         """Generic content-addressed memoization on the session cache."""
         value = self.cache.get(key)
-        if value is self._miss:
-            value = self.cache.put(key, self._memo_job, compute())
+        if value is MISS:
+            value = self.cache.put(key, compute())
         return value
 
     def memo_batch(
@@ -192,7 +194,7 @@ class PlannerSession:
         values = [self.cache.get(key) for key in keys]
         missing: dict[str, int] = {}
         for index, key in enumerate(keys):
-            if values[index] is self._miss and key not in missing:
+            if values[index] is MISS and key not in missing:
                 missing[key] = index
         if missing:
             computed = compute(list(missing.values()))
@@ -202,11 +204,11 @@ class PlannerSession:
                     f"{len(missing)} missing keys"
                 )
             by_key = {
-                key: self.cache.put(key, self._memo_job, value)
+                key: self.cache.put(key, value)
                 for key, value in zip(missing, computed)
             }
             values = [
-                by_key[key] if value is self._miss else value
+                by_key[key] if value is MISS else value
                 for key, value in zip(keys, values)
             ]
         return values
@@ -227,10 +229,10 @@ class PlannerSession:
             f"{int(by_address)}"
         )
         profile = self.cache.get(key)
-        if profile is self._miss:
+        if profile is MISS:
             profile = profile_trace(trace, units, by_address=by_address)
             profile._session_digest = key
-            self.cache.put(key, self._memo_job, profile)
+            self.cache.put(key, profile)
         return profile
 
     def graph(

@@ -20,10 +20,9 @@ declarative sweeps:
   "round") behind the stateful
   :class:`~repro.sim.engine.batched.LockstepCache`, bit-identical to
   the reference :class:`~repro.cache.column_cache.ColumnCache`.
-* :mod:`repro.sim.engine.sharded` — single-point set sharding: one
-  large columnar trace is split by ``set_index % shards``, streamed
-  in bounded chunks across workers, and the per-shard tallies merge
-  deterministically.
+* :mod:`repro.sim.engine.replay` — the one replay path:
+  :func:`replay_trace` streams a trace in bounded chunks through one
+  cache.
 * :mod:`repro.sim.engine.multitask_batch` — the Figure 5 hot path: the
   round-robin schedule is computed in closed form (it does not depend
   on cache contents), and whole quantum sweeps run through one
@@ -47,10 +46,7 @@ from repro.sim.engine.batched import (
 from repro.sim.engine.cache import ResultCache
 from repro.sim.engine.multitask_batch import simulate_multitask_matrix
 from repro.sim.engine.scheduler import JobOutcome, SweepEngine
-from repro.sim.engine.sharded import (
-    simulate_columnar_sharded,
-    simulate_npz_sharded,
-)
+from repro.sim.engine.replay import replay_trace
 from repro.sim.engine.spec import SimJob, SweepSpec
 
 __all__ = [
@@ -66,10 +62,9 @@ __all__ = [
     "active_backend",
     "compiled_available",
     "lockstep_run",
+    "replay_trace",
     "reset_backend",
     "resolve_backend",
     "set_backend",
-    "simulate_columnar_sharded",
     "simulate_multitask_matrix",
-    "simulate_npz_sharded",
 ]

@@ -22,45 +22,16 @@ MISS = object()
 
 
 class ResultCache:
-    """Two-level (memory + optional disk) job result cache.
+    """Two-level (memory + optional disk) job result cache."""
 
-    ``max_memory_entries`` bounds the memory tier (LRU eviction):
-    long-running consumers that cache rich objects — the planner
-    sessions of the adaptive runtime and the fleet broker — set it so
-    an unbounded stream of distinct inputs cannot grow the process
-    without limit.  Disk entries are never evicted.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[str | Path] = None,
-        max_memory_entries: Optional[int] = None,
-    ) -> None:
-        if max_memory_entries is not None and max_memory_entries < 1:
-            raise ValueError(
-                f"max_memory_entries must be >= 1, got "
-                f"{max_memory_entries}"
-            )
+    def __init__(self, directory: Optional[str | Path] = None) -> None:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._sweep_stale_temp_files()
         self._memory: dict[str, Any] = {}
-        self.max_memory_entries = max_memory_entries
         self.hits = 0
         self.misses = 0
-
-    def _touch(self, digest: str) -> None:
-        """Mark a digest most-recently-used (dict order = LRU order)."""
-        if self.max_memory_entries is not None:
-            self._memory[digest] = self._memory.pop(digest)
-
-    def _evict_over_limit(self) -> None:
-        limit = self.max_memory_entries
-        if limit is None:
-            return
-        while len(self._memory) > limit:
-            self._memory.pop(next(iter(self._memory)))
 
     def _sweep_stale_temp_files(self) -> None:
         """Delete ``*.tmp`` files a dead writer left behind.
@@ -92,7 +63,6 @@ class ResultCache:
         """
         if digest in self._memory:
             self.hits += 1
-            self._touch(digest)
             return self._memory[digest]
         if self.directory is not None:
             path = self._path(digest)
@@ -107,7 +77,6 @@ class ResultCache:
                     return MISS
                 value = payload["value"]
                 self._memory[digest] = value
-                self._evict_over_limit()
                 self.hits += 1
                 return value
         self.misses += 1
@@ -133,11 +102,9 @@ class ResultCache:
         """
         if self.directory is None:
             self._memory[digest] = value
-            self._evict_over_limit()
             return value
         value = json.loads(canonical_json(value))
         self._memory[digest] = value
-        self._evict_over_limit()
         payload = (
             '{"runner":' + json.dumps(runner_path(job.runner)) + ","
             '"label":' + json.dumps(job.display_label()) + ","

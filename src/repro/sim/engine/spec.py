@@ -155,7 +155,7 @@ class SweepSpec:
 
     >>> spec = SweepSpec(
     ...     name="demo",
-    ...     runner="repro.sim.engine.runners:trace_sim",
+    ...     runner="repro.experiments.runners:trace_sim",
     ...     base={"kind": "zipf"},
     ...     axes={"columns": (2, 4), "total_bytes": (1024, 2048)},
     ... )

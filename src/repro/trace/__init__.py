@@ -12,8 +12,8 @@ accesses, each carrying
 
 Traces are stored columnar
 (:class:`~repro.trace.columnar.ColumnarTrace`: parallel numpy arrays,
-with cached block-number and mask columns) so million-access traces
-stay cheap; :class:`~repro.trace.columnar.ColumnarRecorder` is the one
+with cached block-number columns) so million-access traces stay
+cheap; :class:`~repro.trace.columnar.ColumnarRecorder` is the one
 recorder, the append-only constructor the instrumented workloads
 record into, and :func:`~repro.trace.columnar.load_npz` /
 :meth:`~repro.trace.columnar.ColumnarTrace.save_npz` are the on-disk

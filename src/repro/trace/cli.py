@@ -18,11 +18,9 @@ dinero, by extension); ``replay`` (alias ``simulate``) streams a
 recorded ``.npz``/dinero trace through the lockstep cache and prints
 hit/miss totals, memory-mapping ``.npz`` archives so arbitrarily long
 traces replay at a flat footprint (``--kernel`` selects the lockstep
-backend; ``--shards``/``--workers`` partition one replay by cache-set
-index over processes, merging tallies bit-identically); ``profile`` dumps the planner-facing
-per-variable profile (counts, density, lifetime) of a recorded
-``.npz``/dinero trace — the bridge that lets externally captured
-traces feed the layout planner.
+backend); ``profile`` dumps the planner-facing per-variable profile
+(counts, density, lifetime) of a recorded ``.npz``/dinero trace — the
+bridge that lets externally captured traces feed the layout planner.
 """
 
 from __future__ import annotations
@@ -34,37 +32,10 @@ from typing import Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.profiling.profiler import profile_trace
-from repro.trace.columnar import ColumnarTrace, load_npz
-from repro.trace.dinero import load_trace, save_trace
-from repro.trace.generator import (
-    looped_working_set,
-    pointer_chase,
-    random_uniform,
-    sequential_stream,
-    zipf_accesses,
-)
+from repro.trace.columnar import DEFAULT_CHUNK_ACCESSES
+from repro.trace.dinero import load_any, load_trace, save_trace
+from repro.trace import generator
 from repro.utils.tables import format_table
-
-_GENERATORS = {
-    "sequential": lambda args: sequential_stream(
-        args.base, args.count, element_size=args.element_size
-    ),
-    "looped": lambda args: looped_working_set(
-        args.base, args.span, max(args.count // max(args.span // 2, 1), 1),
-        element_size=args.element_size,
-    ),
-    "random": lambda args: random_uniform(
-        args.base, args.span, args.count, element_size=args.element_size,
-        seed=args.seed,
-    ),
-    "zipf": lambda args: zipf_accesses(
-        args.base, args.span, args.count, element_size=args.element_size,
-        seed=args.seed,
-    ),
-    "pointer_chase": lambda args: pointer_chase(
-        args.base, max(args.span // 16, 1), args.count, seed=args.seed
-    ),
-}
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -99,17 +70,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    trace = _GENERATORS[args.kind](args)
+    trace = generator.generate(
+        args.kind,
+        args.count,
+        base=args.base,
+        span=args.span,
+        element_size=args.element_size,
+        seed=args.seed,
+    )
     lines = save_trace(trace, args.output)
     print(f"wrote {lines} accesses to {args.output}")
     return 0
-
-
-def _load_any(path: str, mmap: bool = False) -> ColumnarTrace:
-    """Load a trace by extension: ``.npz`` columnar or dinero text."""
-    if path.endswith(".npz"):
-        return load_npz(path, mmap=mmap)
-    return load_trace(path)
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -149,33 +120,37 @@ def _mask_option(text: str) -> int:
     return mask
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.sim.engine.sharded import (
-        simulate_columnar_sharded,
-        simulate_npz_sharded,
-    )
+def _positive_int(text: str) -> int:
+    """A size or count option: a positive integer, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
-    geometry = CacheGeometry.from_sizes(
-        args.size, line_size=args.line_size, columns=args.columns
-    )
-    options = dict(
-        shards=args.shards,
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.sim.engine.replay import replay_trace
+
+    try:
+        geometry = CacheGeometry.from_sizes(
+            args.size, line_size=args.line_size, columns=args.columns
+        )
+    except ValueError as error:
+        args.usage_error(str(error))
+    start = time.perf_counter()
+    result = replay_trace(
+        args.trace,
+        geometry,
         chunk_accesses=args.chunk_size,
         uniform_mask=args.mask,
         kernel=args.kernel,
+        mmap=not args.no_mmap,
     )
-    if args.workers > 1 and args.trace.endswith(".npz"):
-        # Each worker maps the archive itself, so loading is timed.
-        start = time.perf_counter()
-        result = simulate_npz_sharded(
-            args.trace, geometry, workers=args.workers, **options
-        )
-    else:
-        # Bounded windows: a memory-mapped archive replays at a flat
-        # footprint however long the trace is.
-        trace = _load_any(args.trace, mmap=not args.no_mmap)
-        start = time.perf_counter()
-        result = simulate_columnar_sharded(trace, geometry, **options)
     elapsed = time.perf_counter() - start
     print(f"cache: {geometry}")
     print(
@@ -191,8 +166,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    trace = _load_any(args.trace, mmap=True)
-    profile = profile_trace(trace)
+    profile = profile_trace(load_any(args.trace, mmap=True))
     rows = []
     for stats in sorted(
         profile.variables.values(),
@@ -253,7 +227,7 @@ def main(
     generate = commands.add_parser("generate", help="synthesize a trace")
     generate.add_argument("output", help="output dinero file")
     generate.add_argument(
-        "--kind", choices=sorted(_GENERATORS), default="zipf"
+        "--kind", choices=generator.KINDS, default="zipf"
     )
     generate.add_argument("--count", type=int, default=10000)
     generate.add_argument("--base", type=int, default=0x10000)
@@ -283,16 +257,16 @@ def main(
         help="stream a recorded trace through the lockstep cache",
     )
     replay.add_argument("trace", help=".npz or dinero trace file")
-    replay.add_argument("--size", type=int, default=16384)
-    replay.add_argument("--line-size", type=int, default=16)
-    replay.add_argument("--columns", type=int, default=4)
+    replay.add_argument("--size", type=_positive_int, default=16384)
+    replay.add_argument("--line-size", type=_positive_int, default=16)
+    replay.add_argument("--columns", type=_positive_int, default=4)
     replay.add_argument(
         "--mask", type=_mask_option, default=None,
         help="uniform replacement mask bits, non-negative "
         "(default: all columns)",
     )
     replay.add_argument(
-        "--chunk-size", type=int, default=1 << 20,
+        "--chunk-size", type=_positive_int, default=DEFAULT_CHUNK_ACCESSES,
         help="streaming window in accesses",
     )
     replay.add_argument(
@@ -305,17 +279,7 @@ def main(
         default=None,
         help="lockstep kernel backend (default: REPRO_KERNEL or auto)",
     )
-    replay.add_argument(
-        "--shards", type=int, default=None,
-        help="partition this replay across N cache-set shards "
-        "(tallies merge bit-identically)",
-    )
-    replay.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for a sharded .npz replay; each "
-        "streams its shard off its own memory map",
-    )
-    replay.set_defaults(handler=_cmd_replay)
+    replay.set_defaults(handler=_cmd_replay, usage_error=replay.error)
 
     profile = commands.add_parser(
         "profile",

@@ -4,9 +4,9 @@
 whole stack: every access is a row across parallel numpy columns
 (address, size, write flag, instruction gap, object id), and the
 derived columns the simulators consume — block numbers per cache
-geometry, per-access replacement masks, cumulative instruction counts
-— are computed vectorized and cached on the trace, so no consumer ever
-round-trips the stream through per-access Python objects.
+geometry, cumulative instruction counts — are computed vectorized and
+cached on the trace, so no consumer ever round-trips the stream
+through per-access Python objects.
 
 Three ways in:
 
@@ -25,7 +25,8 @@ local headers, finds each member's data offset, and hands the columns
 to :class:`ColumnarTrace` as read-only ``np.memmap`` views — a
 million-access trace replays with a file-cache-sized footprint.
 :meth:`ColumnarTrace.iter_chunks` streams bounded windows off either
-representation.  The loader checks each column's dtype from its npy
+representation (:data:`DEFAULT_CHUNK_ACCESSES` accesses each in a
+replay).  The loader checks each column's dtype from its npy
 header (integer, or bool for the write flag) and rejects any other,
 so a float column never reaches the int64 casts.
 """
@@ -41,7 +42,6 @@ from typing import (
     BinaryIO,
     Callable,
     Iterator,
-    Mapping,
     Optional,
     Sequence,
     Union,
@@ -56,6 +56,11 @@ NO_VARIABLE = -1
 
 #: On-disk format version written into every archive.
 NPZ_FORMAT_VERSION = 1
+
+#: Default replay streaming window (accesses per chunk).  Small enough
+#: that a chunk's columns stay cache-resident, large enough to
+#: amortize the per-chunk kernel dispatch.
+DEFAULT_CHUNK_ACCESSES = 1 << 18
 
 #: Each archive column and the numpy dtype kinds it may be stored as:
 #: integers, and for the write flag also bools.
@@ -295,24 +300,6 @@ class ColumnarTrace:
             _check_domain(f"trace {self.name!r}: gaps", self.gaps, 0)
             self._cumulative = np.cumsum(self.gaps + 1, dtype=np.int64)
         return self._cumulative
-
-    def mask_bits_for(
-        self,
-        variable_masks: Mapping[str, int],
-        default: int,
-    ) -> np.ndarray:
-        """Per-access replacement-mask column from per-variable masks.
-
-        Vectorized: a small id -> bits table gathered through the
-        ``variable_ids`` column.  Unknown variables (and unlabelled
-        accesses) get ``default``.
-        """
-        table = np.full(len(self.variable_names) + 1, default, dtype=np.int64)
-        for index, variable in enumerate(self.variable_names):
-            if variable in variable_masks:
-                table[index] = int(variable_masks[variable])
-        # NO_VARIABLE (-1) indexes the appended default slot.
-        return table[self.variable_ids]
 
     # ------------------------------------------------------------------
     # Properties

@@ -31,7 +31,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from repro.trace.columnar import NO_VARIABLE
+from repro.trace.columnar import NO_VARIABLE, ColumnarTrace, load_npz
 from repro.trace.trace import Trace
 
 READ_LABEL = "0"
@@ -155,3 +155,12 @@ def load_trace(
         if (stripped := raw_line.strip()) and not stripped.startswith("#")
     ]
     return _parse_lines(lines, name)
+
+
+def load_any(path: Union[str, Path], mmap: bool = False) -> ColumnarTrace:
+    """Load a trace by extension: a ``.npz`` columnar archive
+    (memory-mapped with ``mmap``, see :func:`load_npz`) or dinero
+    text."""
+    if str(path).endswith(".npz"):
+        return load_npz(path, mmap=mmap)
+    return load_trace(path)

@@ -6,7 +6,8 @@ ablation benches, and microbenchmark examples.  All generators are
 deterministic given their seed, and all build their traces as whole
 columns (:meth:`~repro.trace.columnar.ColumnarTrace.from_columns`) —
 no per-access Python objects, so million-access synthetic traces are
-numpy-speed.
+numpy-speed.  :func:`generate` draws one of them by kind name, for
+``repro trace generate`` and the ``trace_sim`` sweep runner.
 """
 
 from __future__ import annotations
@@ -151,4 +152,49 @@ def pointer_chase(
         variable=variable,
         sizes=np.full(hops, node_size, dtype=np.int32),
         name=name,
+    )
+
+
+#: The kinds :func:`generate` draws.
+KINDS = ("looped", "pointer_chase", "random", "sequential", "zipf")
+
+
+def generate(
+    kind: str,
+    count: int,
+    *,
+    base: int,
+    span: int,
+    element_size: int,
+    seed: int,
+) -> Trace:
+    """A synthetic trace of one of :data:`KINDS`, from ``base``.
+
+    ``span`` bytes bound the random and Zipf draws, the looped working
+    set (swept as many times as ``count // (span // 2)``, at least
+    once) and the pointer chase's 16-byte nodes; ``sequential`` runs
+    ``count`` elements.
+
+    Raises:
+        ValueError: for an unknown ``kind``.
+    """
+    if kind == "sequential":
+        return sequential_stream(base, count, element_size=element_size)
+    if kind == "looped":
+        passes = max(count // max(span // 2, 1), 1)
+        return looped_working_set(
+            base, span, passes, element_size=element_size
+        )
+    if kind == "random":
+        return random_uniform(
+            base, span, count, element_size=element_size, seed=seed
+        )
+    if kind == "zipf":
+        return zipf_accesses(
+            base, span, count, element_size=element_size, seed=seed
+        )
+    if kind == "pointer_chase":
+        return pointer_chase(base, max(span // 16, 1), count, seed=seed)
+    raise ValueError(
+        f"unknown trace kind {kind!r}; choose from {list(KINDS)}"
     )

@@ -5,12 +5,12 @@ the reference :class:`~repro.cache.column_cache.ColumnCache` (the one
 scalar model, driven through ``tests/oracles/column_cache.py``), the
 lockstep kernel in :mod:`repro.sim.engine.batched` on its numpy and
 compiled backends, :class:`~repro.sim.engine.batched.LockstepCache`,
-the set-sharded runners, the fused fleet walk and the adaptive runtime
-must all produce bit-identical hit/miss streams on any trace.  These
-strategies generate the random inputs the differential suites drive
-them with; keeping them here means a new backend gets the whole oracle
-battery by adding one test that imports them (see
-``docs/testing.md``).
+the set shards of the replay path, the fused fleet walk and the
+adaptive runtime must all produce bit-identical hit/miss streams on
+any trace.  These strategies generate the random inputs the
+differential suites drive them with; keeping them here means a new
+backend gets the whole oracle battery by adding one test that imports
+them (see ``docs/testing.md``).
 
 Strategies:
 
@@ -21,18 +21,13 @@ Strategies:
   with skewed block distributions over the whole block domain
   (:data:`BLOCK_DOMAINS`: negative blocks, blocks up to ``2**58``),
   single-access traces and occasional empty masks.
-* :func:`sharded_replay_cases` — (geometry, trace, shards, chunk)
-  draws whose shard counts and chunk sizes bracket the degenerate
-  boundaries of the set-sharded single-point simulators.
+* :func:`replay_cases` — (geometry, trace, chunk) draws whose chunk
+  sizes bracket the trace length, for the replay path's streaming.
 * :func:`random_workload` — a memory map + interleaved trace over
   2-5 variables plus a (scratchpad, split) layout draw, as used by
   the executor equivalence suite.
 * :func:`phased_workload` — a workload whose trace rotates through
   random per-phase variable subsets (for the adaptive runtime).
-
-:func:`mask_labelled_trace` turns a (blocks, mask_bits) case into a
-columnar trace whose variable labels carry the masks, so the
-set-sharded simulators (which derive masks from labels) replay it.
 """
 
 from __future__ import annotations
@@ -92,46 +87,6 @@ def record_suite_case(
     return make_workload(name, **kwargs).record()
 
 
-def suite_variable_masks(trace: Trace, columns: int) -> dict[str, int]:
-    """The per-variable mask assignment behind :func:`suite_mask_bits`.
-
-    Exposed separately so runners that accept ``variable_masks``
-    mappings (the set-sharded single-point simulators) can be driven
-    with exactly the masks the per-access oracles used.
-    """
-    full = (1 << columns) - 1
-    return {
-        variable: MASK_PALETTE[index % len(MASK_PALETTE)] & full
-        for index, variable in enumerate(trace.variables())
-    }
-
-
-def mask_labelled_trace(
-    geometry: CacheGeometry, blocks, mask_bits
-) -> tuple[Trace, dict[str, int]]:
-    """``(trace, variable_masks)`` replaying ``blocks`` under ``mask_bits``.
-
-    Each distinct mask value becomes one variable, so a runner that
-    derives per-access masks from variable labels (the set-sharded
-    simulators' ``variable_masks``) sees exactly the given per-access
-    masks.
-    """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    values, ids = np.unique(
-        np.asarray(mask_bits, dtype=np.int64), return_inverse=True
-    )
-    names = [f"mask{int(value)}" for value in values]
-    trace = Trace.from_columns(
-        blocks << geometry.offset_bits,
-        variable_ids=ids.astype(np.int64),
-        variable_names=names,
-        name="mask-labelled",
-    )
-    return trace, {
-        name: int(value) for name, value in zip(names, values)
-    }
-
-
 def suite_mask_bits(trace: Trace, columns: int) -> np.ndarray:
     """Deterministic per-access masks: palette rotated per variable.
 
@@ -139,9 +94,17 @@ def suite_mask_bits(trace: Trace, columns: int) -> np.ndarray:
     modulo the cache's column count so small geometries stay valid.
     """
     full = (1 << columns) - 1
-    return trace.mask_bits_for(
-        suite_variable_masks(trace, columns), default=full
+    masks = {
+        variable: MASK_PALETTE[index % len(MASK_PALETTE)] & full
+        for index, variable in enumerate(trace.variables())
+    }
+    # One slot per name-table entry, then the full mask, which an
+    # unlabelled access's id (NO_VARIABLE, -1) indexes.
+    table = np.array(
+        [masks.get(name, full) for name in trace.variable_names] + [full],
+        dtype=np.int64,
     )
+    return table[trace.variable_ids]
 
 
 @st.composite
@@ -209,16 +172,13 @@ def block_trace_cases(draw, max_length: int = 400):
 
 
 @st.composite
-def sharded_replay_cases(draw, max_length: int = 500):
-    """A ``(geometry, trace, shards, chunk_accesses)`` case.
+def replay_cases(draw, max_length: int = 500):
+    """A ``(geometry, trace, chunk_accesses)`` case for the replay path.
 
-    Drives the set-sharded single-point simulators: shard counts
-    deliberately bracket the set count (1, ``sets - 1``, ``sets``,
-    ``sets + 3`` — degenerate partitions a merge bug would hide in)
-    and chunk sizes bracket the trace length (1, ``len - 1``,
-    ``len``, ``len + 1`` plus a mid-trace splitter), so every
-    chunk-boundary alignment the streaming path can see is produced.
-    The merged tallies must equal the unsharded run on every draw.
+    Chunk sizes bracket the trace length (1, ``len - 1``, ``len``,
+    ``len + 1`` plus a mid-trace splitter), so every chunk-boundary
+    alignment the streaming path can see is produced.  The streamed
+    counts must equal the one-shot run on every draw.
     """
     geometry = draw(small_geometries())
     length = draw(st.integers(1, max_length))
@@ -227,11 +187,7 @@ def sharded_replay_cases(draw, max_length: int = 500):
     addresses = draw_blocks(draw, rng, geometry, length) << np.int64(
         geometry.offset_bits
     )
-    trace = Trace.from_columns(addresses, name="sharded-case")
-    sets = geometry.sets
-    shards = draw(
-        st.sampled_from(sorted({1, max(sets - 1, 1), sets, sets + 3}))
-    )
+    trace = Trace.from_columns(addresses, name="replay-case")
     chunk = draw(
         st.sampled_from(
             sorted(
@@ -240,7 +196,7 @@ def sharded_replay_cases(draw, max_length: int = 500):
             )
         )
     )
-    return geometry, trace, shards, chunk
+    return geometry, trace, chunk
 
 
 @st.composite

@@ -132,6 +132,38 @@ class TestTraceCLIDetails:
                 ["generate", str(tmp_path / "x.din"), "--kind", "bogus"]
             )
 
+    @pytest.mark.parametrize("option", ["--shards", "--workers"])
+    def test_replay_runs_in_one_process(self, tmp_path, option):
+        """A replay is one cache in one process: neither a shard nor a
+        worker count is an option."""
+        out = tmp_path / "t.din"
+        trace_main(["generate", str(out), "--count", "100"])
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main(["replay", str(out), option, "2"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--chunk-size", "0", "--chunk-size: must be >= 1, got 0"),
+            ("--columns", "0", "--columns: must be >= 1, got 0"),
+            ("--size", "x", "--size: not an integer: 'x'"),
+            ("--size", "1000", "power of two, got 1000"),
+            ("--line-size", "12", "whole number of 12-byte lines"),
+        ],
+    )
+    def test_replay_rejects_a_bad_size_as_usage(
+        self, tmp_path, capsys, option, value, message
+    ):
+        """A bad size or count exits 2 naming it, before any replay."""
+        out = tmp_path / "t.din"
+        trace_main(["generate", str(out), "--count", "100"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main(["replay", str(out), option, value])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExperimentsCLIEngine:
     """The experiments CLI drives sweeps through the engine."""

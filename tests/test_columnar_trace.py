@@ -335,18 +335,6 @@ class TestDerivedColumns:
         with pytest.raises(ValueError, match=message):
             trace.cumulative_instructions
 
-    def test_mask_bits_for(self):
-        trace = small_trace()
-        bits = trace.mask_bits_for({"a": 0b01, "b": 0b10}, default=0b11)
-        expected = []
-        for position in range(len(trace)):
-            variable = trace.variable_of(position)
-            expected.append({"a": 0b01, "b": 0b10}.get(variable, 0b11))
-        assert bits.tolist() == expected
-        # Unlabelled access (index 2) took the default.
-        assert trace.variable_ids[2] == NO_VARIABLE
-        assert bits[2] == 0b11
-
     def test_iter_chunks_are_views_covering_trace(self):
         trace = small_trace()
         pieces = list(trace.iter_chunks(2))
@@ -540,7 +528,6 @@ def _id_consumers(trace):
         "variables": trace.variables,
         "variable_of": lambda: trace.variable_of(1),
         "positions_of": lambda: trace.positions_of("a"),
-        "mask_bits_for": lambda: trace.mask_bits_for({"a": 1}, 3),
         "profile_trace": lambda: profile_trace(trace),
         "filter_by_variable": lambda: filter_by_variable(trace, ["a"]),
         "panda": lambda: panda.plan(run),
@@ -558,9 +545,8 @@ class TestLoadedVariableIds:
     @pytest.mark.parametrize(
         "consumer",
         [
-            "variables", "variable_of", "positions_of", "mask_bits_for",
-            "profile_trace", "filter_by_variable", "panda", "save_trace",
-            "trace_digest",
+            "variables", "variable_of", "positions_of", "profile_trace",
+            "filter_by_variable", "panda", "save_trace", "trace_digest",
         ],
     )
     @pytest.mark.parametrize(

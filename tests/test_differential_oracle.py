@@ -4,14 +4,14 @@ Random traces and geometries drive the reference
 :class:`~repro.cache.column_cache.ColumnCache` (through the block-level
 adapter in ``tests/oracles/column_cache.py``), the numpy lockstep
 kernel, the on-demand-compiled C kernel (skip-marked when no system
-compiler is usable), :class:`~repro.sim.engine.batched.LockstepCache`
-and the set-sharded runners; the *per-access* hit and bypass streams
-(not just totals) must be bit-identical.  The drawn blocks cover the
-whole block domain — negative blocks and blocks up to ``2**58`` — on
-every backend leg.  The adaptive runtime joins the triangle at the
-system level: the fast windowed executor and a live remap replay
-through the full TLB/tint/replacement mechanism must agree
-hit-for-hit and cycle-for-cycle.
+compiler is usable) and :class:`~repro.sim.engine.batched.LockstepCache`;
+the *per-access* hit and bypass streams (not just totals) must be
+bit-identical.  The drawn blocks cover the whole block domain —
+negative blocks and blocks up to ``2**58`` — on every backend leg.
+The adaptive runtime joins the triangle at the system level: the fast
+windowed executor and a live remap replay through the full
+TLB/tint/replacement mechanism must agree hit-for-hit and
+cycle-for-cycle.
 
 The input strategies live in ``tests/strategies.py`` so a new backend
 can reuse them verbatim — see ``docs/testing.md`` for the recipe.
@@ -44,19 +44,16 @@ from repro.sim.engine.batched import (
     LockstepState,
     lockstep_run,
 )
-from repro.sim.engine.sharded import simulate_columnar_sharded
 
 from oracles.column_cache import reference_streams
 from oracles.fleet import assert_same_run, run_reference_fleet
 from strategies import (
     block_trace_cases,
     fleet_scenario,
-    mask_labelled_trace,
     phased_workload,
     record_suite_case,
     suite_cases,
     suite_mask_bits,
-    suite_variable_masks,
 )
 
 TIMING = TimingConfig(miss_penalty=13, uncached_penalty=29)
@@ -157,33 +154,6 @@ def test_compiled_kernel_agrees_per_access(case):
     assert np.array_equal(miss_flags, ~numpy_hits)
 
 
-@given(
-    case=block_trace_cases(),
-    shards=st.integers(1, 3),
-    kernel=st.sampled_from(KERNELS),
-)
-def test_sharded_totals_match_reference(case, shards, kernel):
-    """The set-sharded runner reports the same totals, bypasses
-    included, under arbitrary per-access masks, on either kernel."""
-    geometry, blocks, mask_bits = case
-    ref_hits, ref_bypasses, _ = reference_streams(
-        geometry, blocks, mask_bits
-    )
-    trace, variable_masks = mask_labelled_trace(
-        geometry, blocks, mask_bits
-    )
-    sharded = simulate_columnar_sharded(
-        trace,
-        geometry,
-        shards=shards,
-        variable_masks=variable_masks,
-        kernel=kernel,
-    )
-    assert sharded.hits == int(ref_hits.sum())
-    assert sharded.misses == len(blocks) - int(ref_hits.sum())
-    assert sharded.bypasses == int(ref_bypasses.sum())
-
-
 @given(case=block_trace_cases(), kernel=st.sampled_from(KERNELS))
 def test_resumed_lockstep_cache_equals_one_shot(case, kernel):
     """Splitting a LockstepCache run across calls must not change the
@@ -241,7 +211,7 @@ class TestWorkloadSuiteColumnar:
     def test_backends_agree_on_recorded_trace(self, name, kwargs):
         """The reference model checks every access of every recorded
         suite trace against the numpy kernel's flag and counting
-        modes, the stateful LockstepCache and the sharded runner."""
+        modes and the stateful LockstepCache."""
         geometry = _SUITE_GEOMETRY
         trace = record_suite_case(name, kwargs).trace
         blocks = trace.blocks_for(geometry.offset_bits)
@@ -276,24 +246,13 @@ class TestWorkloadSuiteColumnar:
         miss_flags[miss_positions] = True
         assert np.array_equal(miss_flags, ~ref_hits)
 
-        sharded = simulate_columnar_sharded(
-            trace,
-            geometry,
-            shards=2,
-            variable_masks=suite_variable_masks(trace, geometry.columns),
-            kernel="numpy",
-        )
-        assert sharded.hits == int(ref_hits.sum())
-        assert sharded.bypasses == int(ref_bypasses.sum())
-
     @requires_compiled
     def test_compiled_backend_agrees_on_recorded_trace(self, name, kwargs):
-        """Compiled kernel on real workload traces: streams + shards.
+        """Compiled kernel on real workload traces.
 
-        One-shot flags, the stateful :class:`LockstepCache`, and the
-        chunk-streamed set-sharded single-point runner must match the
-        numpy lockstep kernel access-for-access / count-for-count on
-        every recorded suite workload.
+        One-shot flags and the stateful :class:`LockstepCache` must
+        match the numpy lockstep kernel access-for-access on every
+        recorded suite workload.
         """
         geometry = _SUITE_GEOMETRY
         trace = record_suite_case(name, kwargs).trace
@@ -314,23 +273,6 @@ class TestWorkloadSuiteColumnar:
             blocks, mask_bits=mask_bits
         )
         assert np.array_equal(stateful_hits, numpy_hits)
-
-        # The sharded single-point runner streams chunk windows and
-        # derives masks from variable labels; merged tallies must
-        # equal the one-shot run under both kernels.
-        variable_masks = suite_variable_masks(trace, geometry.columns)
-        for kernel in ("numpy", "compiled"):
-            sharded = simulate_columnar_sharded(
-                trace,
-                geometry,
-                shards=3,
-                chunk_accesses=777,
-                variable_masks=variable_masks,
-                kernel=kernel,
-            )
-            assert sharded.hits == int(numpy_hits.sum()), kernel
-            assert sharded.misses == len(blocks) - sharded.hits, kernel
-            assert sharded.bypasses == int(numpy_bypasses.sum()), kernel
 
     def test_fleet_backends_agree_on_workload(self, name, kwargs):
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)

@@ -1,9 +1,9 @@
-"""Equivalence tests for the lockstep kernel and the sharded path.
+"""Equivalence tests for the lockstep kernel and its stateful cache.
 
 The lockstep kernel (at every scalar-cutoff setting — the cutoff only
-moves the vector/scalar boundary, never the results), the stateful
-:class:`~repro.sim.engine.batched.LockstepCache` and the set-sharded
-runner must all be bit-identical to the reference ``ColumnCache``
+moves the vector/scalar boundary, never the results) and the stateful
+:class:`~repro.sim.engine.batched.LockstepCache` must both be
+bit-identical to the reference ``ColumnCache``
 (``tests/oracles/column_cache.py``) — same hit, miss and bypass counts
 on every trace, for every mask shape.
 """
@@ -19,14 +19,8 @@ from repro.sim.engine.batched import (
     LockstepState,
     lockstep_run,
 )
-from repro.sim.engine.sharded import (
-    _stream_shards,
-    simulate_columnar_sharded,
-)
-from repro.trace.trace import Trace
 
 from oracles.column_cache import ReferenceCache, reference_streams
-from strategies import mask_labelled_trace
 
 
 def counts(result):
@@ -195,56 +189,3 @@ class TestCompactDtypeGate:
                 lock_flags = lock.run_with_flags(batch)
                 reference_flags, _ = reference.run(batch)
                 assert np.array_equal(lock_flags, reference_flags)
-
-
-class TestShardedEquivalence:
-    @given(case=kernel_case(), shards=st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_counts_match_reference(self, case, shards):
-        geometry, blocks, masks, uniform, _cutoff = case
-        if masks is not None:
-            trace, variable_masks = mask_labelled_trace(
-                geometry, blocks, masks
-            )
-            sharded = simulate_columnar_sharded(
-                trace,
-                geometry,
-                shards=shards,
-                variable_masks=variable_masks,
-            )
-        else:
-            sharded = simulate_columnar_sharded(
-                Trace.from_columns(blocks << geometry.offset_bits),
-                geometry,
-                shards=shards,
-                uniform_mask=uniform,
-            )
-        assert counts(sharded) == reference_counts(
-            geometry, blocks, masks, uniform
-        )
-
-    def test_shards_partition_all_accesses(self):
-        """Each shard worker streams exactly the accesses whose set
-        index falls in its shard: together the shards cover the trace
-        once, and their tallies sum to the unsharded run's."""
-        geometry = CacheGeometry(line_size=16, sets=8, columns=2)
-        rng = np.random.default_rng(5)
-        blocks = rng.integers(0, 64, 400).astype(np.int64)
-        trace = Trace.from_columns(blocks << geometry.offset_bits)
-        shards = 3
-        tallies = [
-            _stream_shards(
-                trace, geometry, (shard,), shards, 37, None, None, None,
-                "numpy",
-            )[0]
-            for shard in range(shards)
-        ]
-        rows = blocks & (geometry.sets - 1)
-        for shard, tally in enumerate(tallies):
-            assert tally.accesses == int(
-                np.count_nonzero(rows % shards == shard)
-            )
-        assert sum(tally.accesses for tally in tallies) == len(blocks)
-        hits, _misses, bypasses = reference_counts(geometry, blocks)
-        assert sum(tally.hits for tally in tallies) == hits
-        assert sum(tally.bypasses for tally in tallies) == bypasses

@@ -15,6 +15,7 @@ from repro.sim.engine.spec import (
     runner_path,
 )
 from repro.trace import generator
+from repro.trace.dinero import save_trace
 
 from oracles.column_cache import reference_streams
 
@@ -124,15 +125,29 @@ class TestEngineExecution:
         pooled = SweepEngine(workers=2, backend="process").values(spec)
         assert serial == pooled
 
-    def test_trace_sim_matches_reference(self):
-        base = {"kind": "looped", "count": 3000, "span": 4096}
+    @pytest.mark.parametrize("source", [*generator.KINDS, ".npz", ".din"])
+    def test_trace_sim_matches_reference(self, tmp_path, source):
+        """Every kind the runner draws, its trace parameters passed
+        through, and a ``trace_path`` (an archive, memory-mapped, or
+        dinero text) replay to the reference counts."""
+        kind = source if source in generator.KINDS else "zipf"
+        drawn = {
+            "base": 0x8004, "span": 2048, "element_size": 4, "seed": 9
+        }
+        trace = generator.generate(kind, 1500, **drawn)
+        if source in generator.KINDS:
+            params = {"kind": kind, "count": 1500, **drawn}
+        else:
+            path = tmp_path / f"trace{source}"
+            if source == ".npz":
+                trace.save_npz(path)
+            else:
+                save_trace(trace, path)
+            params = {"trace_path": str(path)}
         fast = SweepEngine(workers=1, backend="serial").values(
-            [SimJob(runner=TRACE_SIM, params=base)]
+            [SimJob(runner=TRACE_SIM, params={**params, "columns": 2})]
         )[0]
-        geometry = CacheGeometry.from_sizes(16384, line_size=16, columns=4)
-        trace = generator.looped_working_set(
-            0x10000, 4096, max(3000 // 2048, 1), element_size=2
-        )
+        geometry = CacheGeometry.from_sizes(16384, line_size=16, columns=2)
         hits, bypasses, _ = reference_streams(
             geometry, trace.blocks_for(geometry.offset_bits)
         )
@@ -165,27 +180,6 @@ class TestResultCaching:
         assert first[0].value == second[0].value == 8
         assert engine.stats["executed"] == 1
         assert engine.stats["from_cache"] == 1
-
-    def test_memory_tier_lru_bound(self):
-        from repro.sim.engine.cache import MISS, ResultCache
-
-        cache = ResultCache(max_memory_entries=2)
-        job = SimJob(runner=TRACE_SIM, params={})
-        cache.put("a", job, 1)
-        cache.put("b", job, 2)
-        assert cache.get("a") == 1  # touch: "b" is now least recent
-        cache.put("c", job, 3)
-        assert len(cache) == 2
-        assert cache.get("b") is MISS  # evicted
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_memory_bound_rejects_nonpositive(self):
-        from repro.sim.engine.cache import ResultCache
-
-        import pytest
-
-        with pytest.raises(ValueError, match="max_memory_entries"):
-            ResultCache(max_memory_entries=0)
 
     def test_disk_cache_survives_engine_restart(self, tmp_path):
         spec = SweepSpec(

@@ -4,9 +4,9 @@ This is the strongest cross-validation in the suite: random variable
 sets, random interleaved traces, random scratchpad/cache splits — the
 vectorized fast path and the full TLB/tint/replacement mechanism must
 produce identical cycle counts and miss totals.  The sweep engine's
-batched paths (lockstep kernel and set sharding) join the same
-triangle: on the cached access stream every planner assignment
-produces, all cache models must agree bit-for-bit.
+lockstep kernel joins the same triangle: on the cached access stream
+every planner assignment produces, it must agree with the reference
+cache bit-for-bit.
 """
 
 import numpy as np
@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from repro.layout.algorithm import DataLayoutPlanner, LayoutConfig
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState, lockstep_run
-from repro.sim.engine.sharded import simulate_columnar_sharded
 from repro.sim.executor import TraceExecutor
 
 from oracles.column_cache import reference_streams
 from oracles.figure2 import run_reference
-from strategies import mask_labelled_trace, random_workload
+from strategies import random_workload
 
 TIMING = TimingConfig(miss_penalty=13, uncached_penalty=29,
                       preload_line_cycles=7)
@@ -51,19 +50,16 @@ def test_fast_matches_reference_on_random_workloads(workload):
 
 @given(
     workload=random_workload(),
-    shards=st.integers(1, 3),
     cutoff=st.sampled_from([0, 2, 10_000]),
 )
 @settings(max_examples=40, deadline=None)
-def test_sharded_and_lockstep_match_reference_on_planner_masks(
-    workload, shards, cutoff
-):
-    """The engine's batched paths on real planner-produced masks.
+def test_lockstep_matches_reference_on_planner_masks(workload, cutoff):
+    """The engine's lockstep kernel on real planner-produced masks.
 
     Extracts the cached access stream exactly as the fast executor
-    does, then runs it through the reference cache, the set-sharded
-    runner and the lockstep kernel: hit/miss/bypass counts must be
-    bit-identical for every random layout.
+    does, then runs it through the reference cache and the lockstep
+    kernel: hit and bypass streams must be bit-identical for every
+    random layout.
     """
     run, scratchpad, split = workload
     config = LayoutConfig(
@@ -81,13 +77,6 @@ def test_sharded_and_lockstep_match_reference_on_planner_masks(
     masks = bits[cached]
 
     ref_hits, ref_bypasses, _ = reference_streams(geometry, blocks, masks)
-    trace, variable_masks = mask_labelled_trace(geometry, blocks, masks)
-    sharded = simulate_columnar_sharded(
-        trace, geometry, shards=shards, variable_masks=variable_masks
-    )
-    assert sharded.hits == int(ref_hits.sum())
-    assert sharded.misses == len(blocks) - int(ref_hits.sum())
-    assert sharded.bypasses == int(ref_bypasses.sum())
     lock_hits, lock_bypasses = lockstep_run(
         blocks & (geometry.sets - 1),
         blocks >> geometry.index_bits,

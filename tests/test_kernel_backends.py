@@ -1,4 +1,4 @@
-"""Kernel-backend registry, set-sharded merging, chunk boundaries.
+"""Kernel-backend registry, the replay path, chunk boundaries.
 
 Three concerns, one file:
 
@@ -7,10 +7,9 @@ Three concerns, one file:
   compiler is usable, and the active backend is folded into
   ``SimJob.content_hash`` so result-cache entries never cross-hit
   between backends;
-* sharding one sweep point by cache-set index: merged tallies must be
-  bit-identical to the unsharded run for *any* shard count (including
-  the degenerate brackets around the set count) and *any* chunk
-  boundary alignment, on both kernels and across process fan-out;
+* the one replay path (:func:`~repro.sim.engine.replay.replay_trace`):
+  a trace streamed in any chunk size, on either kernel, from memory or
+  from any trace file format, gives the one-shot counts;
 * chunk-streamed replay: ``iter_chunks`` windows through a stateful
   :class:`~repro.sim.engine.batched.LockstepCache` — including chunks
   far smaller than a scheduling round and warm-prefix splits — pinned
@@ -31,14 +30,13 @@ from repro.sim.engine.batched import (
     LockstepState,
     lockstep_run,
 )
-from repro.sim.engine.sharded import (
-    simulate_columnar_sharded,
-    simulate_npz_sharded,
-)
+from repro.sim.engine.replay import replay_trace
 from repro.sim.engine.spec import SimJob
+from repro.trace.cli import main as trace_main
 from repro.trace.columnar import ColumnarTrace
+from repro.trace.dinero import save_trace
 
-from strategies import sharded_replay_cases
+from strategies import replay_cases
 
 requires_compiled = pytest.mark.skipif(
     not backends.compiled_available(),
@@ -155,7 +153,7 @@ def test_content_hash_differs_between_backends(clean_registry, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Set-sharded single-point merging
+# One replay path: streamed counts equal the one-shot run
 # ----------------------------------------------------------------------
 def _reference_result(trace, geometry, uniform_mask=None):
     cache = LockstepCache(geometry, backend="numpy")
@@ -165,19 +163,23 @@ def _reference_result(trace, geometry, uniform_mask=None):
     return cache.result()
 
 
-@given(case=sharded_replay_cases(), kernel=st.sampled_from(KERNELS))
-def test_sharded_merge_matches_unsharded(case, kernel):
-    """Property: any (shards, chunk, kernel) merges bit-identically."""
-    geometry, trace, shards, chunk = case
-    expected = _reference_result(trace, geometry)
-    sharded = simulate_columnar_sharded(
+@given(
+    case=replay_cases(),
+    kernel=st.sampled_from(KERNELS),
+    uniform_mask=st.one_of(st.none(), st.integers(0, 15)),
+)
+def test_replay_matches_one_shot_at_any_chunk(case, kernel, uniform_mask):
+    """Property: any (chunk, kernel, mask) replays to the one-shot run."""
+    geometry, trace, chunk = case
+    expected = _reference_result(trace, geometry, uniform_mask)
+    result = replay_trace(
         trace,
         geometry,
-        shards=shards,
         chunk_accesses=chunk,
+        uniform_mask=uniform_mask,
         kernel=kernel,
     )
-    assert sharded == expected
+    assert result == expected
 
 
 def _fixed_trace(geometry, length=1001, seed=42):
@@ -190,42 +192,43 @@ def _fixed_trace(geometry, length=1001, seed=42):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("shards", [1, 7, 8, 11])
-@pytest.mark.parametrize("chunk", [1, 1000, 1001, 1002])
-def test_sharded_brackets_around_sets_and_length(kernel, shards, chunk):
-    """Shard counts bracketing n_sets=8, chunks bracketing the trace."""
-    geometry = CacheGeometry(line_size=16, sets=8, columns=4)
-    trace = _fixed_trace(geometry)
-    expected = _reference_result(trace, geometry, uniform_mask=0b0110)
-    sharded = simulate_columnar_sharded(
-        trace,
-        geometry,
-        shards=shards,
-        chunk_accesses=chunk,
-        uniform_mask=0b0110,
-        kernel=kernel,
-    )
-    assert sharded == expected
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_npz_sharded_process_fanout_matches(tmp_path, workers):
-    """Worker processes streaming shards off one archive still merge
-    to the unsharded counts."""
+@pytest.mark.parametrize(
+    "source, options",
+    [("trace.npz", []), ("trace.npz", ["--no-mmap"]), ("trace.din", [])],
+    ids=["npz", "npz-no-mmap", "din"],
+)
+def test_replay_trace_reads_every_format(
+    tmp_path, capsys, source, options, kernel
+):
+    """An archive, mapped or loaded, and a dinero file give the
+    one-shot counts through replay_trace and `repro trace replay`."""
     geometry = CacheGeometry(line_size=16, sets=16, columns=4)
     trace = _fixed_trace(geometry, length=4096, seed=7)
-    path = tmp_path / "trace.npz"
-    trace.save_npz(path)
+    path = tmp_path / source
+    if source.endswith(".npz"):
+        trace.save_npz(path)
+    else:
+        save_trace(trace, path)
     expected = _reference_result(trace, geometry)
-    result = simulate_npz_sharded(
+    result = replay_trace(
         path,
         geometry,
-        shards=4,
-        workers=workers,
         chunk_accesses=513,
-        kernel="numpy",
+        kernel=kernel,
+        mmap=not options,
     )
     assert result == expected
+    assert trace_main(
+        [
+            "replay", str(path), "--size", "1024", "--columns", "4",
+            "--chunk-size", "513", "--kernel", kernel, *options,
+        ],
+        prog="repro trace",
+    ) == 0
+    assert (
+        f"accesses={expected.accesses} hits={expected.hits} "
+        f"misses={expected.misses} " in capsys.readouterr().out
+    )
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +260,25 @@ def test_chunk_streamed_replay_pinned(kernel, chunk):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1000, 1001, 1002])
+def test_replay_trace_pinned(kernel, chunk):
+    """The replay path, which hands the kernel byte addresses and the
+    line shift, streams to the same pinned counts."""
+    geometry = CacheGeometry(line_size=16, sets=8, columns=4)
+    result = replay_trace(
+        _fixed_trace(geometry),
+        geometry,
+        chunk_accesses=chunk,
+        uniform_mask=0b0110,
+        kernel=kernel,
+    )
+    assert result.accesses == _PINNED["accesses"]
+    assert result.hits == _PINNED["hits"]
+    assert result.misses == _PINNED["misses"]
+    assert result.bypasses == _PINNED["bypasses"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_warm_prefix_then_chunked_tail_pinned(kernel):
     """A warm prefix followed by a tiny-chunk tail changes nothing."""
     geometry = CacheGeometry(line_size=16, sets=8, columns=4)
@@ -276,10 +298,10 @@ def test_warm_prefix_then_chunked_tail_pinned(kernel):
 
 
 @requires_compiled
-@given(case=sharded_replay_cases())
-def test_one_shot_compiled_equals_numpy_on_sharded_cases(case):
+@given(case=replay_cases())
+def test_one_shot_compiled_equals_numpy_on_replay_cases(case):
     """Cross-check: the same drawn traces one-shot on both kernels."""
-    geometry, trace, _shards, _chunk = case
+    geometry, trace, _chunk = case
     blocks = trace.blocks_for(geometry.offset_bits)
     numpy_result = LockstepCache(geometry, backend="numpy").run(blocks)
     compiled_result = LockstepCache(geometry, backend="compiled").run(blocks)

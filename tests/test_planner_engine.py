@@ -417,12 +417,13 @@ class TestPlannerSession:
             second.fresh_cost == first.fresh_cost
         )
 
-    def test_session_cache_is_bounded(self):
+    def test_session_cache_is_bounded(self, monkeypatch):
         """A long stream of distinct windows cannot grow unbounded."""
         run = record_suite_case("dequant", {})
         units = split_for_columns(run.memory_map.symbols, COLUMN_BYTES)
         config = LayoutConfig(columns=4, column_bytes=COLUMN_BYTES)
-        session = PlannerSession(max_entries=6)
+        monkeypatch.setattr(session_module, "DEFAULT_SESSION_ENTRIES", 6)
+        session = PlannerSession()
         for start in range(0, 1024, 64):
             session.plan(
                 config, run.trace.slice(start, start + 64), units
@@ -445,12 +446,20 @@ class TestPlannerSession:
             )
             assert planned.predicted_cost == direct.predicted_cost
 
-    def test_rejects_disk_backed_cache(self, tmp_path):
-        """Rich objects cannot round-trip a disk cache tier."""
-        from repro.sim.engine.cache import ResultCache
+    def test_memo_evicts_least_recently_used(self):
+        memo = session_module.SessionMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # touch: "b" is now least recent
+        memo.put("c", 3)
+        assert len(memo) == 2
+        assert memo.get("b") is session_module.MISS  # evicted
+        assert memo.get("a") == 1 and memo.get("c") == 3
+        assert (memo.hits, memo.misses) == (3, 1)
 
-        with pytest.raises(ValueError, match="memory-only"):
-            PlannerSession(ResultCache(tmp_path))
+    def test_memo_bound_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="max_entries"):
+            session_module.SessionMemo(0)
 
 
 @settings(max_examples=10)

@@ -576,3 +576,141 @@ class TestDaemon:
 
         resident_before, resident_after = asyncio.run(scenario())
         assert resident_before and not resident_after
+
+
+def fail_shard_zero(monkeypatch, method="advance", call=5):
+    """Make shard 0's ``call``-th ``ShardServer.<method>`` raise;
+    returns a list that holds True once it has."""
+    original = getattr(ShardServer, method)
+    calls, fired = [], []
+
+    def failing(shard, *args, **kwargs):
+        if shard.shard_id == 0:
+            calls.append(shard.now)
+            if len(calls) == call:
+                fired.append(True)
+                raise RuntimeError("injected shard fault")
+        return original(shard, *args, **kwargs)
+
+    monkeypatch.setattr(ShardServer, method, failing)
+    return fired
+
+
+class TestFaultContainment:
+    @pytest.mark.parametrize(
+        "method, call",
+        [("advance", 5), ("admit", 2), ("prime_admissions", 1)],
+    )
+    def test_a_faulting_shard_does_not_hang_the_daemon(
+        self, monkeypatch, method, call
+    ):
+        """Shard 0's fifth segment (or second admit, or first batch
+        prime) raises: the serve arm ends at once with the fault, every
+        ticket resolves (shard 0's waiting ones with "fault"), another
+        shard admits after the fault, and stop() returns."""
+        from repro.experiments.serve import ServeConfig, _run_arm
+
+        fired = fail_shard_zero(monkeypatch, method, call)
+        admit, submit = ShardServer.admit, FleetService.submit
+        admitted_after_fault = []
+        tickets = []
+        services = []
+
+        def watched_admit(shard, *args, **kwargs):
+            admitted = admit(shard, *args, **kwargs)
+            if admitted and fired:
+                admitted_after_fault.append(shard.shard_id)
+            return admitted
+
+        async def kept_submit(service, *args, **kwargs):
+            if service not in services:
+                services.append(service)
+            ticket = await submit(service, *args, **kwargs)
+            tickets.append(ticket)
+            return ticket
+
+        monkeypatch.setattr(ShardServer, "admit", watched_admit)
+        monkeypatch.setattr(FleetService, "submit", kept_submit)
+        with pytest.raises(
+            RuntimeError, match=r"shards \[0\] faulted"
+        ) as raised:
+            asyncio.run(
+                asyncio.wait_for(_run_arm(ServeConfig().quick(), True), 20)
+            )
+        (service,) = services
+        assert list(service.faults) == [0]
+        assert raised.value.__cause__ is service.faults[0]
+        assert str(service.faults[0]) == "injected shard fault"
+        assert len(tickets) == ServeConfig().quick().load.tenants
+        faulted = [ticket for ticket in tickets if ticket.reason == "fault"]
+        assert faulted and all(ticket.shard == 0 for ticket in faulted)
+        assert not any(ticket.admitted for ticket in faulted)
+        assert set(admitted_after_fault) - {0}
+        assert not service._running
+
+    def test_run_serve_reports_a_shard_fault(self, monkeypatch):
+        """`repro experiments serve` does not print a clean report over
+        a faulted shard: run_serve raises, chained to the fault."""
+        from repro.experiments.serve import ServeConfig, run_serve
+
+        fail_shard_zero(monkeypatch)
+        with pytest.raises(RuntimeError, match="faulted") as raised:
+            run_serve(ServeConfig().quick())
+        assert str(raised.value.__cause__) == "injected shard fault"
+
+    def test_a_faulted_shards_residents_trigger_no_migration(self, trio):
+        """The imbalance the monitor samples and acts on leaves a
+        faulted shard out: its residents never leave, so counting them
+        would push the live shards into migrating."""
+        service = FleetService(small_service_config(shards=3))
+        for index in range(3, 9):
+            service.shards[0].admit(
+                spec_for(index, "crc32", message_bytes=256)
+            )
+        for spec in trio:
+            service.shards[1].admit(spec)
+        for index in range(9, 11):
+            service.shards[2].admit(
+                spec_for(index, "crc32", message_bytes=256)
+            )
+        assert service.snapshot().imbalance > (
+            service.config.imbalance_threshold
+        )
+        service.faults[0] = RuntimeError("injected shard fault")
+        service._maybe_migrate()
+        assert service.migrations == []
+        assert service.imbalance_timeline == [
+            (service.virtual_now, 3 / 2.5)
+        ]
+
+    def test_every_shard_faulted_releases_every_waiter(
+        self, trio, monkeypatch
+    ):
+        """Every shard faults on its second segment: the waiter parked
+        before the faults is released, a later submit resolves with
+        "fault", and drain and stop return."""
+        advance = ShardServer.advance
+        segments = {}
+
+        def failing_advance(shard, *args, **kwargs):
+            segments[shard.shard_id] = segments.get(shard.shard_id, 0) + 1
+            if segments[shard.shard_id] > 1:
+                raise RuntimeError("injected shard fault")
+            return advance(shard, *args, **kwargs)
+
+        monkeypatch.setattr(ShardServer, "advance", failing_advance)
+
+        async def scenario():
+            async with FleetService(small_service_config()) as service:
+                first = await service.submit(trio[0])
+                await service.wait_until(10**9)
+                later = await service.submit(trio[1])
+                await service.drain()
+                return service, first, later
+
+        service, first, later = asyncio.run(
+            asyncio.wait_for(scenario(), 20)
+        )
+        assert sorted(service.faults) == [0, 1]
+        assert first.admitted
+        assert (later.admitted, later.reason) == (False, "fault")

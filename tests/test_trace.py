@@ -17,6 +17,8 @@ from repro.trace.filters import (
     relocate,
 )
 from repro.trace.generator import (
+    KINDS,
+    generate,
     looped_working_set,
     pointer_chase,
     random_uniform,
@@ -189,6 +191,66 @@ class TestGenerators:
     def test_pointer_chase_visits_all_nodes(self):
         trace = pointer_chase(0, node_count=16, hops=16, seed=2)
         assert len(set(trace.addresses.tolist())) == 16
+
+    #: What ``generate(kind, 2000, base=0x4000, span=1024,
+    #: element_size=4, seed=5)`` names, kind by kind.
+    NAMED = {
+        "sequential": lambda: sequential_stream(
+            0x4000, 2000, element_size=4
+        ),
+        "looped": lambda: looped_working_set(
+            0x4000, 1024, 2000 // 512, element_size=4
+        ),
+        "random": lambda: random_uniform(
+            0x4000, 1024, 2000, element_size=4, seed=5
+        ),
+        "zipf": lambda: zipf_accesses(
+            0x4000, 1024, 2000, element_size=4, seed=5
+        ),
+        "pointer_chase": lambda: pointer_chase(
+            0x4000, 1024 // 16, 2000, seed=5
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generate_equals_the_generator_it_names(self, kind):
+        generated = generate(
+            kind, 2000, base=0x4000, span=1024, element_size=4, seed=5
+        )
+        named = self.NAMED[kind]()
+        for column in (
+            "addresses", "sizes", "writes", "gaps", "variable_ids"
+        ):
+            assert np.array_equal(
+                getattr(generated, column), getattr(named, column)
+            ), column
+        assert generated.variable_names == named.variable_names
+        assert generated.name == named.name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cli_generate_writes_what_generate_draws(self, tmp_path, kind):
+        """`repro trace generate` passes its trace options through to
+        the one generator table."""
+        from repro.trace.cli import main as trace_main
+
+        out = tmp_path / "t.din"
+        assert trace_main(
+            [
+                "generate", str(out), "--kind", kind, "--count", "700",
+                "--base", "4096", "--span", "512", "--element-size", "4",
+                "--seed", "3",
+            ]
+        ) == 0
+        written = load_trace(out)
+        drawn = generate(
+            kind, 700, base=4096, span=512, element_size=4, seed=3
+        )
+        assert np.array_equal(written.addresses, drawn.addresses)
+        assert np.array_equal(written.writes, drawn.writes)
+
+    def test_generate_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown trace kind 'bogus'"):
+            generate("bogus", 10, base=0, span=64, element_size=1, seed=0)
 
 
 class TestDinero:
