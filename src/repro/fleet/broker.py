@@ -11,11 +11,12 @@ property (Section 4.2), made dynamic.  Three mechanisms:
   ``W(c)`` priced for every ``c`` by one contraction pass
   (:func:`~repro.layout.algorithm.predicted_costs`, the paper's
   merging heuristic walked once for all ``c``).  Both curves form a
-  demand curve.  Columns are granted greedily to the tenant with the
-  highest ``priority x marginal-benefit`` until all columns are
-  placed — so a low-value tenant never holds a column a high-value
-  tenant would use better (the prioritized-reclamation idea of the GC
-  literature, applied to columns).
+  demand curve, whose marginal benefits are priced once, when it is
+  built.  Columns are granted greedily, as grant bits, to the tenant
+  with the highest ``priority x marginal-benefit`` until all columns
+  are placed — so a low-value tenant never holds a column a
+  high-value tenant would use better (the prioritized-reclamation
+  idea of the GC literature, applied to columns).
 
 * **Priority-aware reclamation.**  Arrivals and departures rerun the
   same greedy allocation over the resident set; a tenant whose
@@ -39,7 +40,7 @@ it as :attr:`~repro.fleet.tenant.TenantStatus.REJECTED`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,18 +87,32 @@ class ColumnDemand:
         measured_costs: Misses actually observed when the profiled
             trace window is simulated solo in a ``c``-column cache
             (every ``c`` read off one pass's LRU stack depths).
+        benefits: ``benefits[c]``, for ``c`` in ``2..columns``, is
+            :meth:`marginal_benefit` at ``c``, priced once on
+            construction (``benefits[0]`` and ``benefits[1]`` are 0).
 
     The planner's W is a *structural* signal — it sees which units
     fight for sets — but it does not model capacity: a scan whose
     reuse distance exceeds any grant still shows falling W as units
     spread out.  The measured curve knows capacity but nothing else.
-    :meth:`marginal_benefit` takes the elementwise minimum of the two
-    marginal curves, so a column is only valued when both the plan
-    and the measurement agree it would convert misses into hits.
+    A marginal benefit is the measured step, lowered to W's where it
+    is positive (both clamped at 0): a column is valued only when the
+    plan and the measurement agree it would turn misses into hits.
     """
 
     plan_costs: Optional[tuple[int, ...]]
     measured_costs: tuple[int, ...]
+    benefits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        measured, plan = self.measured_costs, self.plan_costs
+        benefits = [0, 0]
+        for c in range(2, len(measured) + 1):
+            step = max(measured[c - 2] - measured[c - 1], 0)
+            if step:
+                step = min(max(plan[c - 2] - plan[c - 1], 0), step)
+            benefits.append(step)
+        object.__setattr__(self, "benefits", tuple(benefits))
 
     def cost(self, columns: int) -> int:
         """The measured solo miss count at a grant of ``columns``."""
@@ -107,18 +122,13 @@ class ColumnDemand:
             min(columns, len(self.measured_costs)) - 1
         ]
 
-    def _step(self, curve: tuple[int, ...], columns: int) -> int:
-        index = min(columns, len(curve)) - 1
-        return max(curve[index - 1] - curve[index], 0)
-
     def marginal_benefit(self, columns: int) -> int:
         """Misses avoided by growing the grant from ``columns - 1``
         to ``columns`` — the minimum of the planner's and the
         measured estimate (clamped at 0)."""
         if columns <= 1:
             raise ValueError("the first column is mandatory, not marginal")
-        measured = self._step(self.measured_costs, columns)
-        return measured and min(self._step(self.plan_costs, columns), measured)
+        return self.benefits[min(columns, len(self.benefits) - 1)]
 
 
 def _clip(slices: Slices, length: int, limit: int) -> tuple:
@@ -341,10 +351,10 @@ class ColumnBroker:
 
     def free_columns(self) -> ColumnMask:
         """Columns currently granted to nobody."""
-        mask = ColumnMask.none(self.geometry.columns)
+        free = (1 << self.geometry.columns) - 1
         for grant in self.grants.values():
-            mask = mask | grant
-        return mask.complement()
+            free &= ~grant.bits
+        return ColumnMask(free, self.geometry.columns)
 
     def grant_of(self, tenant: str) -> ColumnMask:
         """The tenant's current column mask."""
@@ -365,16 +375,17 @@ class ColumnBroker:
 
     def check_disjoint(self) -> None:
         """Assert the disjointness invariant (used by the tests)."""
-        seen = ColumnMask.none(self.geometry.columns)
+        seen = 0
         for name, grant in self.grants.items():
-            if grant.is_empty():
+            bits = grant.bits
+            if not bits:
                 raise AssertionError(f"tenant {name!r} holds no columns")
-            if seen.overlaps(grant):
+            if seen & bits:
                 raise AssertionError(
                     f"tenant {name!r} grant {grant.to_string()} "
                     "overlaps another tenant's columns"
                 )
-            seen = seen | grant
+            seen |= bits
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -466,66 +477,56 @@ class ColumnBroker:
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def _target_counts(self) -> dict[str, int]:
+    def _target_counts(self) -> list[int]:
         """Greedy priority-weighted waterfill of all columns.
 
         Every resident tenant gets one mandatory column; each spare
         column goes to the tenant whose next column has the highest
         ``priority x marginal-benefit``, ties broken by priority then
         admission order.  All columns are always placed — an idle
-        column serves nobody.
+        column serves nobody.  Returns the counts in admission order.
         """
-        counts = {name: 1 for name in self._order}
-        spare = self.geometry.columns - len(counts)
-        for _ in range(max(spare, 0)):
-            best_name = None
+        penalty = self.timing.miss_penalty
+        rows = [
+            (self.priorities[name], self.demands[name].benefits)
+            for name in self._order
+        ]
+        counts = [1] * len(rows)
+        for _ in range(self.geometry.columns - len(rows)):
+            best = -1
             best_key: tuple[int, int, int] = (-1, -1, 0)
-            for index, name in enumerate(self._order):
-                demand = self.demands[name]
-                gain = (
-                    self.priorities[name]
-                    * demand.marginal_benefit(counts[name] + 1)
-                    * self.timing.miss_penalty
-                )
-                key = (gain, self.priorities[name], -index)
+            for index, (priority, benefits) in enumerate(rows):
+                gain = priority * benefits[counts[index] + 1] * penalty
+                key = (gain, priority, -index)
                 if key > best_key:
                     best_key = key
-                    best_name = name
-            if best_name is None:
+                    best = index
+            if best < 0:
                 break
-            counts[best_name] += 1
+            counts[best] += 1
         return counts
 
-    def _assign_columns(
-        self, counts: dict[str, int]
-    ) -> dict[str, ColumnMask]:
-        """Turn target counts into concrete column indices, keeping
-        each tenant on as many of its current columns as possible (a
-        stable assignment minimizes tint rewrites and keeps resident
-        lines useful)."""
-        width = self.geometry.columns
-        new_grants: dict[str, ColumnMask] = {}
-        taken: set[int] = set()
-        # Pass 1: keep currently-held columns, lowest indices first.
-        for name in self._order:
-            current = self.grants.get(name)
-            keep = (
-                tuple(current)[: counts[name]]
-                if current is not None
-                else ()
-            )
-            new_grants[name] = ColumnMask.from_columns(keep, width)
-            taken.update(keep)
-        # Pass 2: top growers up from the free pool.
-        free = [c for c in range(width) if c not in taken]
-        for name in self._order:
-            need = counts[name] - new_grants[name].count()
+    def _assign_columns(self, counts: list[int]) -> list[int]:
+        """Target counts as grant bits, in admission order: each tenant
+        keeps the ``count`` lowest columns of its grant (a stable
+        assignment minimizes tint rewrites and keeps resident lines
+        useful), then the growers take the lowest free columns."""
+        free = (1 << self.geometry.columns) - 1
+        kept = []
+        for name, count in zip(self._order, counts):
+            grant = self.grants.get(name)
+            bits = grant.bits if grant is not None else 0
+            if bits.bit_count() > count:
+                bits = _lowest(bits, count)
+            kept.append(bits)
+            free &= ~bits
+        for index, count in enumerate(counts):
+            need = count - kept[index].bit_count()
             if need > 0:
-                grab, free = free[:need], free[need:]
-                new_grants[name] = new_grants[name] | (
-                    ColumnMask.from_columns(grab, width)
-                )
-        return new_grants
+                grab = _lowest(free, need)
+                kept[index] |= grab
+                free ^= grab
+        return kept
 
     def _rebalance(self, reason: str, force: bool) -> dict[str, int]:
         """Recompute the allocation; install it if warranted.
@@ -535,23 +536,22 @@ class ColumnBroker:
         """
         if not self._order:
             return {}
-        counts = self._target_counts()
-        new_grants = self._assign_columns(counts)
+        new_bits = self._assign_columns(self._target_counts())
         changed = [
-            name
-            for name in self._order
-            if self.grants.get(name) != new_grants[name]
+            (name, bits)
+            for name, bits in zip(self._order, new_bits)
+            if name not in self.grants or self.grants[name].bits != bits
         ]
         if not changed:
             return {}
-        if not force and not self._worth_installing(new_grants, changed):
+        if not force and not self._worth_installing(new_bits, len(changed)):
             return {}
         charged: dict[str, int] = {}
-        for name in changed:
-            mask = new_grants[name]
+        cycles = self.timing.remap_tint_cycles
+        for name, bits in changed:
+            mask = ColumnMask(bits, self.geometry.columns)
             self.grants[name] = mask
             self.tint_table.define_or_remap(f"tenant:{name}", mask)
-            cycles = self.timing.remap_tint_cycles
             charged[name] = cycles
             self.rewrites.append(
                 TintRewrite(
@@ -561,23 +561,28 @@ class ColumnBroker:
         self.check_disjoint()  # cheap, and the property is the point
         return charged
 
-    def _worth_installing(
-        self, new_grants: dict[str, ColumnMask], changed: list[str]
-    ) -> bool:
+    def _worth_installing(self, new_bits: list[int], changed: int) -> bool:
         """The remap-benefit test for optional (phase) rebalances:
         predicted priority-weighted cycles saved must beat the
         tint-rewrite cost plus the hysteresis margin."""
         benefit = 0
-        for name in self._order:
+        for name, bits in zip(self._order, new_bits):
             demand = self.demands[name]
-            old_count = self.grants[name].count()
-            new_count = new_grants[name].count()
-            delta = demand.cost(old_count) - demand.cost(new_count)
+            delta = demand.cost(self.grants[name].count()) - demand.cost(
+                bits.bit_count()
+            )
             benefit += (
                 self.priorities[name] * delta * self.timing.miss_penalty
             )
-        cost = len(changed) * self.timing.remap_tint_cycles
+        cost = changed * self.timing.remap_tint_cycles
         return benefit > cost + self.min_benefit_cycles
+
+
+def _lowest(bits: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``bits`` (all if it has fewer)."""
+    while bits.bit_count() > count:
+        bits ^= 1 << (bits.bit_length() - 1)  # drop the highest
+    return bits
 
 
 class SharedPool:

@@ -60,7 +60,7 @@ from repro.inspect.snapshots import (
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState
 from repro.sim.engine.fused import TenantBatch, fused_multitask_run
-from repro.sim.multitask import quantum_schedule
+from repro.sim.multitask import circular_slices, quantum_schedule
 from repro.utils.validation import check_mask_ways
 
 
@@ -388,29 +388,30 @@ class ShardServer:
             collect_flags=collect_flags,
         )
         self.hit_flags = outcome.hit_flags
-        tenant_count = len(residents)
-        instr_per = np.zeros(tenant_count, dtype=np.int64)
-        np.add.at(instr_per, schedule.tenant_ids, schedule.ran)
-        accesses_per = np.zeros(tenant_count, dtype=np.int64)
-        np.add.at(accesses_per, schedule.tenant_ids, schedule.accesses)
-        wraps_per = np.zeros(tenant_count, dtype=np.int64)
-        np.add.at(wraps_per, schedule.tenant_ids, schedule.wraps)
-        quanta_per = np.bincount(
-            schedule.tenant_ids, minlength=tenant_count
-        )
+        # Per resident: instructions, accesses, wraps and quanta.
+        per_quantum = np.ones((len(schedule.ran), 4), dtype=np.int64)
+        per_quantum[:, 0] = schedule.ran
+        per_quantum[:, 1] = schedule.accesses
+        per_quantum[:, 2] = schedule.wraps
+        per_tenant = np.zeros((len(residents), 4), dtype=np.int64)
+        np.add.at(per_tenant, schedule.tenant_ids, per_quantum)
         executed = schedule.executed
         self._rotation = residents[schedule.next_turn]
         self.now += executed
 
         boundary_tenants: list[tuple[str, list]] = []
-        for index, name in enumerate(residents):
+        rows = zip(
+            residents,
+            per_tenant.tolist(),
+            outcome.hits.tolist(),
+            schedule.next_positions.tolist(),
+        )
+        for name, counts, hits, cursor in rows:
+            instructions, accesses, wraps, quanta = counts
             runtime = self.runtimes[name]
-            runtime.position = int(schedule.next_positions[index])
-            runtime.telemetry.wraps += int(wraps_per[index])
-            instructions = int(instr_per[index])
-            accesses = int(accesses_per[index])
-            quanta = int(quanta_per[index])
-            hits = int(outcome.hits[index])
+            start = runtime.position
+            runtime.position = cursor
+            runtime.telemetry.wraps += wraps
             sample = WindowSample(
                 window_index=self.segments,
                 columns=self.broker.grants[name].count(),
@@ -427,28 +428,24 @@ class ShardServer:
                 config.detect_phases
                 and accesses >= config.min_detect_accesses
             ):
-                tenant_slices = schedule.tenant_slices(
-                    index, len(runtime.blocks)
-                )
-                blocks = np.concatenate(
-                    [
-                        runtime.blocks[start:stop]
-                        for start, stop in tenant_slices
-                    ]
-                )
+                # Its quanta ran one circular range from its old cursor.
+                blocks = runtime.blocks
+                pieces = circular_slices(start, accesses, len(blocks))
+                parts = [blocks[a:b] for a, b in pieces]
                 observation = runtime.detector.observe_window(
-                    blocks, accesses - hits
+                    parts[0] if len(parts) == 1 else np.concatenate(parts),
+                    accesses - hits,
                 )
                 if observation.boundary:
-                    boundary_tenants.append((name, tenant_slices))
-        for name, tenant_slices in boundary_tenants:
+                    boundary_tenants.append((name, pieces))
+        for name, pieces in boundary_tenants:
             if name not in self.broker.grants:
                 continue
             runtime = self.runtimes[name]
             self.events.record(self.now, EventKind.PHASE, name)
             before = self._grant_bits()
             charges = self.broker.refresh(
-                name, runtime.spec.run, tenant_slices
+                name, runtime.spec.run, pieces
             )
             self._record_grant_changes(before, charges)
             self._charge(charges)

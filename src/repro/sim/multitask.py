@@ -27,7 +27,9 @@ on the numpy kernel, and on the compiled kernel iterates
 :func:`single_quantum`'s formula in C instead.
 :func:`quantum_schedule` assembles a whole round-robin scheduling
 window (with exact, instruction-precise budget boundaries) that the
-fused fleet hot path (:mod:`repro.sim.engine.fused`) consumes.
+fused fleet hot path (:mod:`repro.sim.engine.fused`) consumes, and
+:func:`circular_slices` names the one circular range of trace
+positions each tenant runs in it.
 """
 
 from __future__ import annotations
@@ -254,30 +256,25 @@ class QuantumSchedule:
     next_turn: int
     total_accesses: int
 
-    def tenant_slices(
-        self, tenant: int, length: int
-    ) -> list[tuple[int, int]]:
-        """The tenant's trace slices, in execution order.
 
-        Decomposes each of the tenant's quanta into the exact
-        ``[start, stop)`` cuts the iterative executor would have made
-        (cuts happen only at the end of the trace), so slice-consuming
-        paths — phase-detection windows, the broker's phase probes —
-        see the same pieces the per-quantum loop produced.
-        """
-        chosen = self.tenant_ids == tenant
-        slices: list[tuple[int, int]] = []
-        for position, accesses in zip(
-            self.positions[chosen], self.accesses[chosen]
-        ):
-            position = int(position)
-            remaining = int(accesses)
-            while remaining > 0:
-                stop = min(position + remaining, length)
-                slices.append((position, stop))
-                remaining -= stop - position
-                position = 0
-        return slices
+def circular_slices(
+    start: int, accesses: int, length: int
+) -> list[tuple[int, int]]:
+    """``accesses`` positions of a ``length``-access trace from
+    ``start``, wrapping at its end, as ``[start, stop)`` pieces.
+
+    A tenant's quanta in one window continue one another (each starts
+    where the last stopped, the budget-cut final quantum too), so what
+    it ran in a :class:`QuantumSchedule` is this one circular range
+    from the cursor it held before the window, its ``accesses`` summed.
+    """
+    pieces: list[tuple[int, int]] = []
+    while accesses > 0:
+        stop = min(start + accesses, length)
+        pieces.append((start, stop))
+        accesses -= stop - start
+        start = 0
+    return pieces
 
 
 def quantum_schedule(

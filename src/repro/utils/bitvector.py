@@ -118,7 +118,7 @@ class ColumnMask:
 
     def count(self) -> int:
         """Number of permitted columns (population count)."""
-        return bin(self._bits).count("1")
+        return self._bits.bit_count()
 
     def is_empty(self) -> bool:
         """True if no columns are permitted."""

@@ -24,7 +24,7 @@ keep.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.fleet import (
     WindowSample,
 )
 from repro.fleet.tenant import TenantRuntime
+from repro.inspect.snapshots import DetectorSnapshot
 from repro.sim.config import TimingConfig
 from repro.sim.multitask import next_quantum_slice
 
@@ -52,11 +53,15 @@ def run_reference_fleet(
     config: FleetConfig,
     fleet: FleetTrace,
     broker: Optional[Any] = None,
+    observer: Optional[Callable[[dict[str, DetectorSnapshot]], None]] = None,
 ) -> FleetResult:
     """Run ``fleet`` through the scalar per-quantum loop.
 
     Returns the same :class:`~repro.fleet.executor.FleetResult` the
     executor does, with the per-access hit stream always collected.
+    ``observer``, when given, is called after every segment with each
+    resident's detector snapshot, by name: the detector half of what
+    the executor's observer sees, which pins every phase window.
     """
     if broker is None:
         broker = ColumnBroker(geometry, timing)
@@ -196,6 +201,13 @@ def run_reference_fleet(
                 run = runtimes[name].spec.run
                 charge(broker.refresh(name, run, slices[name]))
         segment += 1
+        if observer is not None:
+            observer(
+                {
+                    name: DetectorSnapshot.of(runtimes[name].detector)
+                    for name in broker.resident
+                }
+            )
 
     return FleetResult(
         telemetry={
@@ -215,12 +227,16 @@ def assert_same_run(
     """Assert two fleet runs are identical, hit stream to telemetry.
 
     Compares every tenant's whole exported telemetry (event stamps
-    included), not just its counters, plus its per-segment samples.
+    included), not just its counters, plus its per-segment samples,
+    and the broker's rewrite log (tenant, mask, cycles and reason of
+    every installed grant), which pins which phase windows fired and
+    what each rebalance installed.
     """
     assert np.array_equal(result.hit_stream, reference.hit_stream)
     assert result.total_instructions == reference.total_instructions
     assert result.segments == reference.segments
     assert result.rejected == reference.rejected
+    assert result.rewrites == reference.rewrites
     assert list(result.telemetry) == list(reference.telemetry)
     for name, telemetry in result.telemetry.items():
         expected = reference.telemetry[name]

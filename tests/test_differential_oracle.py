@@ -353,11 +353,20 @@ class TestFusedFleetOracle:
         """The live-inspection observer is read-only: a run with one
         attached still matches the oracle, and the observer sees
         exactly one snapshot per scheduling segment, numbered from
-        0."""
+        0, whose residents' detectors read the oracle's windows."""
         kernels = ["numpy"]
         if compiled_available():
             kernels.append("compiled")
-        reference = _run_oracle(case)
+        geometry, fleet, config = case
+        detectors = []
+        reference = run_reference_fleet(
+            geometry,
+            TIMING,
+            config,
+            fleet,
+            broker=ColumnBroker(geometry, TIMING),
+            observer=detectors.append,
+        )
         for kernel in kernels:
             snapshots = []
             observed = _run_fleet(
@@ -367,6 +376,10 @@ class TestFusedFleetOracle:
             assert [snapshot.segment for snapshot in snapshots] == list(
                 range(observed.segments)
             )
+            assert [
+                {row.name: row.detector for row in snapshot.tenants}
+                for snapshot in snapshots
+            ] == detectors
             resident_names = {
                 row.name
                 for snapshot in snapshots

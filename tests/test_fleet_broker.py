@@ -1,6 +1,8 @@
 """The column broker: admission, reclamation, re-grant, baselines."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.fleet import (
@@ -21,12 +23,14 @@ from repro.layout.session import PlannerSession
 from repro.mem.address import AddressRange
 from repro.mem.layout import MemoryMap
 from repro.mem.symbols import Variable
-from repro.sim.config import MULTITASK_TIMING
+from repro.sim.config import MULTITASK_TIMING, TimingConfig
 from repro.sim.engine.batched import LockstepCache
 from repro.trace.trace import Trace
 from repro.utils.bitvector import ColumnMask
 from repro.workloads.base import WorkloadRun
 from repro.workloads.suite import make_workload
+
+from oracles import broker as reference
 
 
 def record(name, **kwargs):
@@ -440,3 +444,100 @@ class TestBaselines:
         split.admit("b", small_runs["hist"])
         with pytest.raises(FleetAdmissionError):
             split.admit("c", small_runs["fir"])
+
+
+def broker_state(width, demands, priorities, owners=(), miss_penalty=20):
+    """A broker whose residents hold ``demands`` and ``priorities``, in
+    admission order, and whose column ``c`` is granted to resident
+    ``owners[c]`` (-1 or absent: free; a resident owning none has
+    just arrived)."""
+    broker = ColumnBroker(
+        CacheGeometry(line_size=16, sets=4, columns=width),
+        TimingConfig(miss_penalty=miss_penalty),
+    )
+    for index, (demand, priority) in enumerate(zip(demands, priorities)):
+        name = f"t{index}"
+        broker._order.append(name)
+        broker.demands[name] = demand
+        broker.priorities[name] = priority
+        bits = sum(1 << c for c, owner in enumerate(owners) if owner == index)
+        if bits:
+            broker.grants[name] = ColumnMask(bits, width)
+    return broker
+
+
+@st.composite
+def demand_of(draw, width):
+    """A curve over ``width`` grant sizes: flat with no W, or falling
+    (some steps may be 0) with a W that falls anywhere or stays flat."""
+    kind = draw(st.sampled_from(["flat", "falling", "falling, flat W"]))
+    top = draw(st.integers(0, 500))
+    if kind == "flat":
+        return ColumnDemand(None, (top,) * width)
+    steps = draw(
+        st.lists(st.integers(0, 40), min_size=width - 1, max_size=width - 1)
+    )
+    measured = tuple(top + sum(steps[i:]) for i in range(width))
+    if kind == "falling":
+        plan = tuple(
+            draw(st.lists(st.integers(0, 500), min_size=width, max_size=width))
+        )
+    else:
+        plan = (draw(st.integers(0, 500)),) * width
+    return ColumnDemand(plan, measured)
+
+
+@st.composite
+def allocator_states(draw):
+    """Widths 1-63, 1..width residents of priority 1-4, and random
+    disjoint current grants, some residents holding none."""
+    width = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 63]) | st.integers(1, 63))
+    count = draw(st.integers(1, width))
+    owners = draw(
+        st.lists(st.integers(-1, count - 1), min_size=width, max_size=width)
+    )
+    return broker_state(
+        width,
+        [draw(demand_of(width)) for _ in range(count)],
+        draw(st.lists(st.integers(1, 4), min_size=count, max_size=count)),
+        owners,
+        draw(st.sampled_from([0, 1, 20])),
+    )
+
+
+class TestAllocatorReference:
+    """The waterfill over benefits priced once, on grant bits, against
+    the column-by-column allocator in ``tests/oracles/broker.py``."""
+
+    def assert_matches(self, broker):
+        for demand in broker.demands.values():
+            for c in range(2, broker.geometry.columns + 1):
+                assert demand.marginal_benefit(c) == (
+                    reference.marginal_benefit(demand, c)
+                ), c
+        counts = reference.target_counts(broker)
+        assert broker._target_counts() == list(counts.values())
+        expected = reference.assign_columns(broker, counts)
+        broker._rebalance("arrival", force=True)
+        assert broker.grants == expected
+        broker.check_disjoint()
+
+    @given(broker=allocator_states())
+    def test_grants_and_benefits_match(self, broker):
+        self.assert_matches(broker)
+
+    def test_tie_in_gain_and_priority_goes_to_the_earlier_arrival(self):
+        demand = ColumnDemand((9, 4, 2), (9, 5, 3))
+        broker = broker_state(3, [demand, demand], [2, 2], owners=[1])
+        self.assert_matches(broker)
+        assert broker._target_counts() == [2, 1]
+        # t1 keeps column 0; the arrival takes the lowest free ones.
+        assert broker.grants["t0"] == ColumnMask.of(1, 2, width=3)
+
+    def test_zero_miss_penalty_leaves_priority_then_arrival(self):
+        falling = ColumnDemand((50, 20, 10, 5, 1, 0), (60, 30, 9, 4, 2, 0))
+        broker = broker_state(
+            6, [falling] * 3, [1, 3, 3], owners=[0, 0, 2], miss_penalty=0
+        )
+        self.assert_matches(broker)
+        assert broker._target_counts() == [1, 4, 1]

@@ -12,7 +12,11 @@ overshoot of the final access — and assert both closed forms match
 *entry by entry*: same job order, same start positions, same access
 counts, same instructions executed, same wrap counts, for random
 quantum and trace lengths.  A second property holds the C orbit to
-both numpy references directly, on the edges of its input domain.
+both numpy references directly, on the edges of its input domain.  A
+third holds the fleet's window, :func:`~repro.sim.multitask.quantum_schedule`
+with its budget-cut final quantum, and each tenant's
+:func:`~repro.sim.multitask.circular_slices`, to the scalar walk the
+fleet oracle makes (``tests/oracles/fleet.py``).
 """
 
 import numpy as np
@@ -25,7 +29,14 @@ from repro.sim.engine import _compiled
 from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.fused import TenantBatch, _stream_gather
 from repro.sim.engine.multitask_batch import _BatchJob, _Schedule
-from repro.sim.multitask import Job, QuantumWalkTables, single_quantum
+from repro.sim.multitask import (
+    Job,
+    QuantumWalkTables,
+    circular_slices,
+    next_quantum_slice,
+    quantum_schedule,
+    single_quantum,
+)
 from repro.trace.columnar import ColumnarRecorder
 
 requires_compiled = pytest.mark.skipif(
@@ -272,3 +283,112 @@ def test_compiled_orbit_rejects_inputs_outside_its_domain(
     the trace, an overflowing target) is refused before the call."""
     with pytest.raises(ValueError, match=message):
         _compiled.quantum_orbit_compiled(cumulative, quantum, start, 4)
+
+
+def walk_window(cumulatives, positions, quantum, budget, start_at):
+    """One fleet window walked as ``tests/oracles/fleet.py`` walks a
+    segment: round-robin from ``start_at``, one
+    :func:`next_quantum_slice` at a time, each quantum cut to
+    ``min(quantum, budget - executed)``.
+
+    Returns the ``(tenant, start, accesses, ran, wraps)`` entries,
+    each tenant's slices, the cursors after the window, the
+    instructions executed and the turn due next.
+    """
+    positions = list(positions)
+    slices = [[] for _ in cumulatives]
+    entries = []
+    executed = 0
+    turn = start_at
+    while executed < budget:
+        cumulative = cumulatives[turn]
+        start = positions[turn]
+        accesses = ran_total = wraps = 0
+        remaining = min(quantum, budget - executed)
+        while remaining > 0:
+            position = positions[turn]
+            stop, ran = next_quantum_slice(cumulative, position, remaining)
+            slices[turn].append((position, stop))
+            accesses += stop - position
+            ran_total += ran
+            remaining -= ran
+            executed += ran
+            positions[turn] = stop
+            if stop >= len(cumulative):
+                positions[turn] = 0
+                wraps += 1
+        entries.append((turn, start, accesses, ran_total, wraps))
+        turn = (turn + 1) % len(cumulatives)
+    return entries, slices, positions, executed, turn
+
+
+def merge_adjacent(pieces):
+    merged = []
+    for start, stop in pieces:
+        if merged and merged[-1][1] == start:
+            start = merged.pop()[0]
+        merged.append((start, stop))
+    return merged
+
+
+@st.composite
+def window_case(draw):
+    """1-4 tenants on traces of 1 access up, any cursors and
+    ``start_at``; quanta below a trace's instructions and several
+    passes above them; budgets that cut the final quantum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    cumulatives = [
+        np.cumsum(rng.integers(0, 6, size=length) + 1) for length in lengths
+    ]
+    positions = [draw(st.integers(0, len(c) - 1)) for c in cumulatives]
+    longest = max(int(c[-1]) for c in cumulatives)
+    quantum = draw(st.integers(1, 30) | st.integers(1, 4 * longest))
+    budget = draw(st.integers(1, 3 * quantum) | st.integers(1, 3000))
+    start_at = draw(st.integers(0, len(cumulatives) - 1))
+    return cumulatives, positions, quantum, budget, start_at
+
+
+@given(case=window_case())
+@settings(deadline=None)
+def test_fleet_window_matches_the_scalar_walk(case):
+    """Entry by entry, then the cursors, ``executed`` and the next
+    turn; each tenant's circular window is its walked slices with the
+    adjacent ones merged."""
+    cumulatives, positions, quantum, budget, start_at = case
+    schedule = quantum_schedule(
+        cumulatives, positions, quantum, budget, start_at
+    )
+    entries, slices, cursors, executed, turn = walk_window(
+        cumulatives, positions, quantum, budget, start_at
+    )
+    columns = (
+        schedule.tenant_ids,
+        schedule.positions,
+        schedule.accesses,
+        schedule.ran,
+        schedule.wraps,
+    )
+    assert list(zip(*(column.tolist() for column in columns))) == entries
+    assert schedule.next_positions.tolist() == cursors
+    assert schedule.executed == executed
+    assert schedule.next_turn == turn
+    for tenant, cumulative in enumerate(cumulatives):
+        accesses = sum(entry[2] for entry in entries if entry[0] == tenant)
+        assert circular_slices(
+            positions[tenant], accesses, len(cumulative)
+        ) == merge_adjacent(slices[tenant]), tenant
+
+
+@pytest.mark.parametrize(
+    ("start", "accesses", "length", "pieces"),
+    [
+        (4, 0, 10, []),
+        (0, 10, 10, [(0, 10)]),
+        (7, 3, 10, [(7, 10)]),
+        (3, 25, 10, [(3, 10), (0, 10), (0, 8)]),
+        (0, 3, 1, [(0, 1), (0, 1), (0, 1)]),
+    ],
+)
+def test_circular_slices(start, accesses, length, pieces):
+    assert circular_slices(start, accesses, length) == pieces
