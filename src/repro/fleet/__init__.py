@@ -18,7 +18,7 @@ live, contended resource:
   replays a recorded arrival/departure schedule into one
   :class:`~repro.fleet.service.shard.ShardServer` — the fleet's one
   segment loop, running the co-resident mix round-robin through one
-  persistent cache in a fused kernel walk per segment, with
+  persistent cache in one kernel entry per segment, with
   broker-driven tint rewrites between segments.  The differential
   suite holds it to a scalar per-quantum oracle kept under
   ``tests/``.

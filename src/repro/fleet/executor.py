@@ -9,9 +9,9 @@ scheduling-window budget, at the next fleet event, or at the horizon,
 whichever comes first, so events take effect at their scheduled
 instruction count (to within one atomic access), including in the
 middle of what would otherwise be one window.  Everything inside a
-segment — the round-robin quantum schedule of the paper's Section
-4.2, the fused kernel walk, per-tenant telemetry, phase detection and
-the broker's tint rewrites between segments — happens in
+segment — the round-robin quanta of the paper's Section 4.2, walked
+in one kernel entry, per-tenant telemetry, phase detection and the
+broker's tint rewrites between segments — happens in
 :meth:`~repro.fleet.service.shard.ShardServer.advance`.
 
 Telemetry keeps each event's scheduled time (``arrival_time``,

@@ -3,12 +3,12 @@
 A shard is one cache's column space, its broker and its resident
 tenants.  :meth:`ShardServer.advance` is the only implementation of
 the paper's Section 4.2 multitasking model in the fleet layer: one
-scheduling segment computes the closed-form round-robin quantum
-schedule (:func:`~repro.sim.multitask.quantum_schedule`), runs it in
-one fused multi-tenant kernel walk
-(:func:`~repro.sim.engine.fused.fused_multitask_run` over persistent
-per-shard batch state), appends one telemetry sample per resident and
-feeds phase detection, whose boundaries drive broker rebalances.
+scheduling segment runs the residents' round-robin quanta in one
+kernel entry (:func:`~repro.sim.engine.fused.fleet_segment`, which on
+the compiled kernel cuts each quantum as it walks it and folds each
+resident's working-set signature), appends one telemetry sample per
+resident and feeds each signature to the resident's phase detector,
+whose boundaries drive broker rebalances.
 Between segments the population changes through three small calls:
 
 * :meth:`~ShardServer.admit` / :meth:`~ShardServer.depart` —
@@ -57,10 +57,11 @@ from repro.inspect.snapshots import (
     column_occupancy,
     miss_rate_timeline,
 )
+from repro.runtime.detector import SIGNATURE_BITS
 from repro.sim.config import TimingConfig
 from repro.sim.engine.batched import LockstepState
-from repro.sim.engine.fused import TenantBatch, fused_multitask_run
-from repro.sim.multitask import circular_slices, quantum_schedule
+from repro.sim.engine.fused import fleet_segment
+from repro.sim.multitask import circular_slices
 from repro.utils.validation import check_mask_ways
 
 
@@ -151,11 +152,6 @@ class ShardServer:
         self._service_budget: dict[str, int] = {}
         self._served_at_admit: dict[str, int] = {}
         self._rotation: Optional[str] = None
-        # Persistent fused-path state: the residents' concatenated
-        # block arrays survive across advance() calls and rebuild only
-        # when the population changes (tenant traces are immutable).
-        self._batch: Optional[TenantBatch] = None
-        self._batch_key: Optional[tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # Population
@@ -332,9 +328,11 @@ class ShardServer:
     ) -> int:
         """Execute one scheduling segment; returns instructions run.
 
-        With residents: round-robin quanta through the fused lockstep
-        kernel walk, one telemetry sample per resident, phase
-        detection feeding broker rebalances, then auto-departure of
+        With residents: round-robin quanta in one kernel entry
+        (:func:`~repro.sim.engine.fused.fleet_segment`), one telemetry
+        sample per resident, each resident's working-set signature fed
+        to its phase detector, whose boundaries drive broker
+        rebalances, then auto-departure of
         tenants whose requested service budget is spent.  The budget
         is exact: the final quantum is cut to what remains, so the
         segment overshoots it by at most one atomic access.  With no
@@ -360,55 +358,36 @@ class ShardServer:
         start_at = 0
         if self._rotation in residents:
             start_at = residents.index(self._rotation)
-        schedule = quantum_schedule(
-            [self.runtimes[name].cumulative for name in residents],
-            [self.runtimes[name].position for name in residents],
+        runtimes = [self.runtimes[name] for name in residents]
+        segment = fleet_segment(
+            [runtime.blocks for runtime in runtimes],
+            [runtime.cumulative for runtime in runtimes],
+            [runtime.position for runtime in runtimes],
+            [self.broker.grants[name].bits for name in residents],
             config.quantum_instructions,
             budget,
             start_at,
-        )
-        key = tuple(residents)
-        if key != self._batch_key:
-            self._batch = TenantBatch.build(
-                [self.runtimes[name].blocks for name in residents]
-            )
-            self._batch_key = key
-        assert self._batch is not None
-        mask_table = np.array(
-            [self.broker.grants[name].bits for name in residents],
-            dtype=np.int64,
-        )
-        outcome = fused_multitask_run(
-            self._batch,
-            schedule,
-            mask_table,
             self.lock_state,
             sets_mask=self.geometry.sets - 1,
             index_bits=self.geometry.index_bits,
+            signature_bits=SIGNATURE_BITS if config.detect_phases else None,
             collect_flags=collect_flags,
         )
-        self.hit_flags = outcome.hit_flags
-        # Per resident: instructions, accesses, wraps and quanta.
-        per_quantum = np.ones((len(schedule.ran), 4), dtype=np.int64)
-        per_quantum[:, 0] = schedule.ran
-        per_quantum[:, 1] = schedule.accesses
-        per_quantum[:, 2] = schedule.wraps
-        per_tenant = np.zeros((len(residents), 4), dtype=np.int64)
-        np.add.at(per_tenant, schedule.tenant_ids, per_quantum)
-        executed = schedule.executed
-        self._rotation = residents[schedule.next_turn]
+        self.hit_flags = segment.hit_flags
+        executed = segment.executed
+        self._rotation = residents[segment.next_turn]
         self.now += executed
 
         boundary_tenants: list[tuple[str, list]] = []
         rows = zip(
             residents,
-            per_tenant.tolist(),
-            outcome.hits.tolist(),
-            schedule.next_positions.tolist(),
+            runtimes,
+            segment.counts,
+            segment.cursors,
+            segment.signatures or [0] * len(residents),
         )
-        for name, counts, hits, cursor in rows:
-            instructions, accesses, wraps, quanta = counts
-            runtime = self.runtimes[name]
+        for name, runtime, counts, cursor, signature in rows:
+            instructions, accesses, wraps, quanta, hits = counts
             start = runtime.position
             runtime.position = cursor
             runtime.telemetry.wraps += wraps
@@ -428,15 +407,15 @@ class ShardServer:
                 config.detect_phases
                 and accesses >= config.min_detect_accesses
             ):
-                # Its quanta ran one circular range from its old cursor.
-                blocks = runtime.blocks
-                pieces = circular_slices(start, accesses, len(blocks))
-                parts = [blocks[a:b] for a, b in pieces]
-                observation = runtime.detector.observe_window(
-                    parts[0] if len(parts) == 1 else np.concatenate(parts),
-                    accesses - hits,
+                observation = runtime.detector.observe_signature(
+                    signature, accesses, accesses - hits
                 )
                 if observation.boundary:
+                    # Its quanta ran one circular range from its old
+                    # cursor; refresh re-prices the demand on it.
+                    pieces = circular_slices(
+                        start, accesses, len(runtime.blocks)
+                    )
                     boundary_tenants.append((name, pieces))
         for name, pieces in boundary_tenants:
             if name not in self.broker.grants:

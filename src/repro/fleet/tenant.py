@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.runtime.detector import PhaseDetector
+from repro.runtime.detector import PhaseDetector, check_detector_settings
 from repro.sim.config import TimingConfig
 from repro.workloads.base import WorkloadRun
 
@@ -245,7 +245,13 @@ class FleetConfig:
             broker rebalance at boundaries.
         min_detect_accesses: Segments smaller than this (cut short by
             events) are not fed to the detector — a three-access
-            sliver says nothing about the working set.
+            sliver says nothing about the working set.  At least 1.
+
+    Raises:
+        ValueError: naming the field, when a knob is out of range: the
+            detector's three settings are checked as
+            :class:`~repro.runtime.detector.PhaseDetector` checks them,
+            so a bad one fails here rather than at the first admission.
     """
 
     quantum_instructions: int = 256
@@ -265,6 +271,16 @@ class FleetConfig:
         if self.window_instructions < self.quantum_instructions:
             raise ValueError(
                 "window_instructions must be >= quantum_instructions"
+            )
+        check_detector_settings(
+            self.signature_threshold,
+            self.miss_rate_threshold,
+            self.hysteresis_windows,
+        )
+        if self.min_detect_accesses < 1:
+            raise ValueError(
+                "min_detect_accesses must be >= 1, got "
+                f"{self.min_detect_accesses}"
             )
 
 

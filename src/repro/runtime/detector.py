@@ -42,10 +42,15 @@ SIGNATURE_BITS = 1024
 
 def working_set_signature(
     blocks: Sequence[int] | np.ndarray, bits: int = SIGNATURE_BITS
-) -> np.ndarray:
-    """Fold a window's block numbers into a boolean signature vector.
+) -> int:
+    """Fold a window's block numbers into a ``bits``-wide signature.
 
-    >>> int(working_set_signature([0, 1, 1, 5], bits=8).sum())
+    Bit ``b`` of the returned int is set iff some block hashes to
+    bucket ``b``: ``(block * 0x9E3779B97F4A7C15) mod 2**64 mod bits``,
+    the block read as uint64.  The compiled fleet segment
+    (``repro_fleet_segment``) folds the same buckets access by access.
+
+    >>> working_set_signature([0, 1, 1, 5], bits=8).bit_count()
     3
     """
     array = np.asarray(blocks, dtype=np.int64)
@@ -56,16 +61,49 @@ def working_set_signature(
         # aliasing into a handful of buckets.
         hashed = array.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         signature[hashed % np.uint64(bits)] = True
-    return signature
+    packed = np.packbits(signature, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
-def jaccard_distance(first: np.ndarray, second: np.ndarray) -> float:
-    """1 - |A & B| / |A | B| over boolean signature vectors."""
-    union = int(np.logical_or(first, second).sum())
+def jaccard_distance(first: int, second: int) -> float:
+    """1 - |A & B| / |A | B| over two signatures' bits."""
+    union = (first | second).bit_count()
     if union == 0:
         return 0.0
-    overlap = int(np.logical_and(first, second).sum())
+    overlap = (first & second).bit_count()
     return 1.0 - overlap / union
+
+
+def check_detector_settings(
+    signature_threshold: float,
+    miss_rate_threshold: float,
+    hysteresis_windows: int,
+) -> None:
+    """Validate a phase detector's thresholds and hysteresis.
+
+    Shared by :class:`PhaseDetector` and the fleet's
+    :class:`~repro.fleet.tenant.FleetConfig`, which refuses a bad
+    setting when it is built rather than at the first admission.
+
+    Raises:
+        ValueError: naming the field, when ``signature_threshold`` is
+            outside ``(0, 1]``, ``miss_rate_threshold`` is negative or
+            ``hysteresis_windows`` is below 1.
+    """
+    if not 0.0 < signature_threshold <= 1.0:
+        raise ValueError(
+            "signature_threshold must be in (0, 1], got "
+            f"{signature_threshold}"
+        )
+    if miss_rate_threshold < 0.0:
+        raise ValueError(
+            "miss_rate_threshold must be non-negative, got "
+            f"{miss_rate_threshold}"
+        )
+    if hysteresis_windows < 1:
+        raise ValueError(
+            f"hysteresis_windows must be >= 1, got {hysteresis_windows}"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,25 +155,14 @@ class PhaseDetector:
         hysteresis_windows: int = 2,
         signature_bits: int = SIGNATURE_BITS,
     ):
-        if not 0.0 < signature_threshold <= 1.0:
-            raise ValueError(
-                "signature_threshold must be in (0, 1], got "
-                f"{signature_threshold}"
-            )
-        if miss_rate_threshold < 0.0:
-            raise ValueError(
-                "miss_rate_threshold must be non-negative, got "
-                f"{miss_rate_threshold}"
-            )
-        if hysteresis_windows < 1:
-            raise ValueError(
-                f"hysteresis_windows must be >= 1, got {hysteresis_windows}"
-            )
+        check_detector_settings(
+            signature_threshold, miss_rate_threshold, hysteresis_windows
+        )
         self.signature_threshold = signature_threshold
         self.miss_rate_threshold = miss_rate_threshold
         self.hysteresis_windows = hysteresis_windows
         self.signature_bits = signature_bits
-        self._previous_signature: Optional[np.ndarray] = None
+        self._previous_signature: Optional[int] = None
         self._previous_miss_rate: Optional[float] = None
         self._window_index = 0
         self._last_boundary: Optional[int] = None
@@ -154,8 +181,25 @@ class PhaseDetector:
         should pass the cached blocks only, or accept the diluted
         rate.)
         """
-        accesses = len(blocks)
-        signature = working_set_signature(blocks, self.signature_bits)
+        return self.observe_signature(
+            working_set_signature(blocks, self.signature_bits),
+            len(blocks),
+            misses,
+        )
+
+    def observe_signature(
+        self, signature: int, accesses: int, misses: int
+    ) -> WindowObservation:
+        """Judge one completed window from its folded signature.
+
+        ``signature`` is the window's
+        :func:`working_set_signature` (``signature_bits`` wide),
+        folded by the caller: the compiled fleet segment folds it
+        while it walks the window.  ``accesses`` and ``misses`` are
+        the window's accesses and the misses they produced under the
+        installed mapping.  :meth:`observe_window` hashes its blocks
+        and calls this.
+        """
         if self._previous_signature is None:
             distance = 0.0
         else:

@@ -4,7 +4,7 @@ The kernel source (``_lockstep.c``, shipped next to this module) has
 zero dependencies beyond a C compiler: it is compiled on demand with
 ``cc``/``gcc``/``clang`` into a shared library cached under
 ``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) and
-loaded through :mod:`ctypes`.  It exports three entry points:
+loaded through :mod:`ctypes`.  It exports four entry points:
 ``repro_lockstep_flags``, the per-access loop behind
 :func:`lockstep_run_compiled`, which reads either precomputed rows and
 tags or one column of blocks or byte addresses (deriving each access's
@@ -13,10 +13,12 @@ LRU stack depths, or only adds the batch's hits and bypasses into a
 2-slot count (how :class:`~repro.sim.engine.batched.LockstepCache`
 counts a batch without building any per-access array);
 ``repro_fused_multitask``, the schedule walk behind
-:func:`fused_multitask_compiled` (the fleet's windows and the Figure 5
-matrix's points and warm-up); and ``repro_quantum_orbit``, one job's
-closed-form quantum orbit behind :func:`quantum_orbit_compiled` (the
-Figure 5 matrix's schedule).
+:func:`fused_multitask_compiled` (the Figure 5 matrix's points and
+warm-up); ``repro_quantum_orbit``, one job's closed-form quantum
+orbit behind :func:`quantum_orbit_compiled` (the Figure 5 matrix's
+schedule); and ``repro_fleet_segment``, a whole fleet scheduling
+segment behind :func:`fleet_segment_compiled`, which cuts each quantum
+as it walks it and folds each resident's working-set signature.
 Nothing here compiles at import time — :func:`available` performs the
 (cached) probe, and :mod:`repro.sim.engine.backends` decides when to
 call it.
@@ -38,7 +40,7 @@ import sys
 import tempfile
 import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.sim.engine.batched import LockstepState
@@ -133,6 +135,11 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_quantum_orbit.restype = None
     lib.repro_quantum_orbit.argtypes = [
         ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr,
+    ]
+    lib.repro_fleet_segment.restype = None
+    lib.repro_fleet_segment.argtypes = [
+        i64, ptr, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64,
+        ptr, ptr,
     ]
     return lib
 
@@ -371,7 +378,7 @@ def fused_multitask_compiled(
 
     The compiled schedule walk behind
     :func:`repro.sim.engine.fused.fused_multitask_run`, which the
-    fleet and the Figure 5 matrix both call: segment ``s`` simulates
+    Figure 5 matrix calls: segment ``s`` simulates
     ``seg_len[s]`` accesses of job ``seg_jobs[s]``, walking that job's
     slice of ``blocks_concat`` circularly from ``seg_pos[s]`` —
     exactly the stream the numpy path's gather materializes.  Per-job
@@ -423,6 +430,22 @@ def fused_multitask_compiled(
 schedule_count_compiled = fused_multitask_compiled
 
 
+def _check_cumulative(cumulative: np.ndarray, quantum: int) -> None:
+    """The O(1) conditions a C quantum cut needs of one trace's
+    cumulative instruction counts: at least one instruction per access
+    (so the pass total is positive), and a quantum that cannot
+    overflow a target (:func:`~repro.utils.validation.check_quantum`).
+    """
+    length = len(cumulative)
+    total = int(cumulative[-1]) if length else 0
+    if length == 0 or total < length:
+        raise ValueError(
+            f"cumulative instructions must charge each of the "
+            f"{length} accesses at least one (total {total})"
+        )
+    check_quantum(quantum, total)
+
+
 def quantum_orbit_compiled(
     cumulative: np.ndarray, quantum: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -453,15 +476,9 @@ def quantum_orbit_compiled(
     """
     cum64 = np.ascontiguousarray(cumulative, dtype=np.int64)
     length = len(cum64)
-    total = int(cum64[-1]) if length else 0
-    if length == 0 or total < length:
-        raise ValueError(
-            f"cumulative instructions must charge each of the "
-            f"{length} accesses at least one (total {total})"
-        )
+    _check_cumulative(cum64, quantum)
     if not 0 <= start < length:
         raise ValueError(f"start {start} out of range 0..{length - 1}")
-    check_quantum(quantum, total)
     lib = load()
     positions = np.empty(count, dtype=np.int64)
     accesses = np.empty(count, dtype=np.int64)
@@ -479,3 +496,109 @@ def quantum_orbit_compiled(
         _addr(wraps),
     )
     return positions, accesses, ran, wraps
+
+
+def fleet_segment_compiled(
+    blocks: Sequence[np.ndarray],
+    cumulatives: Sequence[np.ndarray],
+    cursors: Sequence[int],
+    masks: Sequence[int],
+    quantum: int,
+    budget: int,
+    start_at: int,
+    state: "LockstepState",
+    *,
+    sets_mask: int,
+    index_bits: int,
+    signature_bits: Optional[int] = None,
+    collect_flags: bool = False,
+) -> tuple[
+    list[list[int]], int, int, Optional[list[int]], Optional[np.ndarray]
+]:
+    """One whole fleet segment in one C call.
+
+    The compiled path of :func:`repro.sim.engine.fused.fleet_segment`
+    (same arguments): ``repro_fleet_segment`` cuts each quantum from
+    its resident's cursor as it walks it, so no schedule, concatenated
+    batch or per-resident call is built.  Returns ``(rows, executed,
+    next_turn, signatures, hit_flags)``: ``rows[r]`` is resident
+    ``r``'s ``[cursor, instructions, accesses, wraps, quanta, hits]``
+    after the segment, ``signatures`` one int per resident (when
+    ``signature_bits`` is given) and ``hit_flags`` one bool per access
+    (when ``collect_flags``).  The window's shape is pre-validated by
+    the caller (:func:`~repro.sim.multitask.check_window`); like
+    :func:`quantum_orbit_compiled`, this checks only the O(1)
+    conditions that keep the C loop in bounds, not that each
+    ``cumulatives[r]`` strictly increases.
+
+    Raises:
+        ValueError: before anything is walked, when a cursor is not a
+            position of its trace, a trace's block and cumulative
+            columns differ in length, some ``cumulatives[r]`` charges
+            an access no instruction, or ``quantum`` is above
+            ``2**63 - 1`` minus some resident's pass total
+            (:func:`~repro.utils.validation.check_quantum`, the check
+            the numpy path's ``quantum_tables`` makes too).
+    """
+    lib = load()
+    blocks64 = [np.ascontiguousarray(column, np.int64) for column in blocks]
+    cumulatives64 = [
+        np.ascontiguousarray(column, np.int64) for column in cumulatives
+    ]
+    rows: list[list[int]] = []
+    for block, cumulative, mask, cursor in zip(
+        blocks64, cumulatives64, masks, cursors
+    ):
+        if not 0 <= cursor < len(block) == len(cumulative):
+            raise ValueError(
+                f"cursor {cursor} is outside a trace of {len(block)} "
+                f"blocks and {len(cumulative)} instruction counts"
+            )
+        rows.append(
+            [_addr(block), _addr(cumulative), len(block), mask, cursor]
+            + [0] * 5
+        )
+    table = np.array(rows, dtype=np.int64)
+    signatures = (
+        np.zeros((len(table), (signature_bits + 7) // 8), np.uint8)
+        if signature_bits
+        else None
+    )
+    flags = np.zeros(budget, np.uint8) if collect_flags else None
+    outcome = np.empty(4, np.int64)
+    ensure_state_native(state)
+    lib.repro_fleet_segment(
+        len(table),
+        table.ctypes.data,
+        start_at,
+        quantum,
+        budget,
+        sets_mask,
+        index_bits,
+        state.ways,
+        _addr(state.tags),
+        _addr(state.last_use),
+        _addr(state.clock),
+        None if signatures is None else signatures.ctypes.data,
+        signature_bits or 0,
+        None if flags is None else flags.ctypes.data,
+        outcome.ctypes.data,
+    )
+    executed, next_turn, accesses, refused = outcome.tolist()
+    if refused >= 0:
+        _check_cumulative(cumulatives64[refused], quantum)
+    folded: Optional[list[int]] = None
+    if signatures is not None:
+        width = signatures.shape[1]
+        raw = signatures.tobytes()
+        folded = [
+            int.from_bytes(raw[start : start + width], "little")
+            for start in range(0, len(raw), width)
+        ]
+    return (
+        table[:, 4:].tolist(),
+        executed,
+        next_turn,
+        folded,
+        None if flags is None else flags[:accesses].view(np.bool_),
+    )

@@ -2,16 +2,18 @@
  *
  * Scalar C twin of the numpy kernel in batched.py, built on demand by
  * _compiled.py with the system C compiler and loaded through ctypes.
- * Three exports: repro_lockstep_flags (the per-access loop),
- * repro_fused_multitask (the schedule walk) and repro_quantum_orbit
- * (one job's quantum-by-quantum schedule, which touches no cache).
+ * Four exports: repro_lockstep_flags (the per-access loop),
+ * repro_fused_multitask (the schedule walk), repro_quantum_orbit
+ * (one job's quantum-by-quantum schedule, which touches no cache) and
+ * repro_fleet_segment (a whole fleet segment: it cuts each quantum as
+ * it walks it and folds each resident's working-set signature).
  * The per-access loop takes either input form: precomputed rows and
  * tags (stacked banks of rows), or one column of blocks or byte
  * addresses from which it derives each access's row and tag, as the
  * schedule walk does.  It adds the batch's hits and bypasses into a
  * 2-slot counts output, so a caller that wants only totals builds no
  * per-access array.
- * The two cache entries are bit-identical to LockstepState /
+ * The three cache entries are bit-identical to LockstepState /
  * lockstep_run:
  *
  *   - per-row clocks: the k-th access (0-based) to a row gets
@@ -33,7 +35,7 @@
  *     cold, unmasked state an access hits in every c-way cache with
  *     c > depth: one full-width pass prices every grant size.
  *
- * Search order.  Each call of either walk keeps a WAY_SLOTS-byte
+ * Search order.  Each call of a cache entry keeps a WAY_SLOTS-byte
  * table on its stack, zeroed at entry: slot row & (WAY_SLOTS - 1)
  * names the way that row last hit or filled.  step() probes that way
  * first, as a valid line (last_use >= 0), so a repeat hit costs one
@@ -234,8 +236,10 @@ repro_lockstep_flags(int64_t n, const void *rows, const void *tags,
  * job_hits (a job's misses, bypasses included, are its scheduled
  * accesses minus its hits); when hit_flags is non-NULL, one uint8 hit
  * flag per access is written in global schedule order.  The Figure 5
- * matrix and the fleet's scheduling segments both run here, a whole
- * window per call, never re-entering Python per quantum. */
+ * matrix's points and warm-up run here, a whole schedule per call,
+ * never re-entering Python per quantum (the matrix runs its final
+ * quantum whole, so its schedules are built ahead; the fleet's
+ * segments run in repro_fleet_segment). */
 API void
 repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
                       const int64_t *seg_pos, const int64_t *seg_len,
@@ -316,40 +320,186 @@ gallop_left(const int64_t *cumulative, int64_t n, int64_t low,
     return high;
 }
 
-/* Closed-form quantum orbit of one job.  cumulative[i] counts the
+/* One quantum of `amount` instructions from `position`, cut by
+ * single_quantum's formula in sim/multitask.py: it ends at the first
+ * access whose cumulative count, across wraps, reaches the
+ * pass-relative target, its final access running whole.  Writes the
+ * accesses it performs, the instructions it runs and the trace wraps
+ * it causes; returns the position the next quantum starts from.  The
+ * end is found by galloping from the cursor, or from 0 once the
+ * quantum crosses the end of the trace.  cumulative[i] counts the
  * instructions of accesses 0..i of one pass (strictly increasing:
- * every access costs at least one instruction).  From start, each of
- * count successive quanta of `quantum` instructions is cut by
- * single_quantum's formula in sim/multitask.py: the quantum ends at
- * the first access whose cumulative count, across wraps, reaches the
- * pass-relative target, its final access running whole.  Quantum i
- * writes its start position, accesses, instructions run and wraps;
- * the next quantum starts where it stopped.  The end is found by
- * galloping from the cursor, or from 0 once the quantum crosses the
- * end of the trace, so an orbit builds no trace-sized table.
- * Callers guarantee n >= 1, cumulative[n - 1] >= n, 0 <= start < n
- * and 1 <= quantum <= INT64_MAX - cumulative[n - 1]. */
+ * every access costs at least one instruction).  Callers guarantee
+ * n >= 1, cumulative[n - 1] >= n, 0 <= position < n and
+ * 1 <= amount <= INT64_MAX - cumulative[n - 1]. */
+static inline int64_t
+cut_quantum(const int64_t *cumulative, int64_t n, int64_t position,
+            int64_t amount, int64_t *accesses, int64_t *ran,
+            int64_t *wraps)
+{
+    int64_t total = cumulative[n - 1];
+    int64_t done = position ? cumulative[position - 1] : 0;
+    int64_t target = done + amount;
+    int64_t passes = (target - 1) / total;
+    int64_t within = target - passes * total; /* in [1, total] */
+    int64_t end = gallop_left(cumulative, n, passes ? 0 : position,
+                              within);
+    int64_t next = end + 1;
+    int64_t wrapped = next >= n;
+    *accesses = passes * n + next - position;
+    *ran = passes * total + cumulative[end] - done;
+    *wraps = passes + wrapped;
+    return wrapped ? 0 : next;
+}
+
+/* Closed-form quantum orbit of one job: from start, count successive
+ * quanta of `quantum` instructions, each cut by cut_quantum().
+ * Quantum i writes its start position, accesses, instructions run and
+ * wraps; the next quantum starts where it stopped, so an orbit builds
+ * no trace-sized table.  Callers guarantee cut_quantum's conditions
+ * for start and quantum. */
 API void
 repro_quantum_orbit(const int64_t *cumulative, int64_t n,
                     int64_t quantum, int64_t start, int64_t count,
                     int64_t *positions, int64_t *accesses, int64_t *ran,
                     int64_t *wraps)
 {
-    int64_t total = cumulative[n - 1];
     int64_t position = start;
     for (int64_t i = 0; i < count; i++) {
-        int64_t done = position ? cumulative[position - 1] : 0;
-        int64_t target = done + quantum;
-        int64_t passes = (target - 1) / total;
-        int64_t within = target - passes * total; /* in [1, total] */
-        int64_t end = gallop_left(cumulative, n, passes ? 0 : position,
-                                  within);
-        int64_t next = end + 1;
-        int64_t wrapped = next >= n;
         positions[i] = position;
-        accesses[i] = passes * n + next - position;
-        ran[i] = passes * total + cumulative[end] - done;
-        wraps[i] = passes + wrapped;
-        position = wrapped ? 0 : next;
+        position = cut_quantum(cumulative, n, position, quantum,
+                               accesses + i, ran + i, wraps + i);
     }
+}
+
+/* Columns of repro_fleet_segment's per-resident table, one int64 row
+ * a resident.  The first four are read: the addresses of its block
+ * and cumulative-instruction columns (C-contiguous int64, `length`
+ * entries each) and its replacement mask.  The cursor is read and
+ * advanced; the five counts are added to. */
+enum {
+    RESIDENT_BLOCKS,
+    RESIDENT_CUMULATIVE,
+    RESIDENT_LENGTH,
+    RESIDENT_MASK,
+    RESIDENT_CURSOR,
+    RESIDENT_INSTRUCTIONS,
+    RESIDENT_ACCESSES,
+    RESIDENT_WRAPS,
+    RESIDENT_QUANTA,
+    RESIDENT_HITS,
+    RESIDENT_FIELDS
+};
+
+/* Multiplier of the working-set signature's hash (the detector's
+ * working_set_signature in runtime/detector.py). */
+#define SIGNATURE_HASH UINT64_C(0x9E3779B97F4A7C15)
+
+/* One whole fleet scheduling segment: round-robin quanta over one
+ * shared cache, each cut as it runs.  From resident start_at, each
+ * turn cuts one quantum of min(quantum, budget - executed)
+ * instructions from that resident's cursor (cut_quantum) and walks
+ * those accesses through step() at once, under the resident's mask,
+ * until executed >= budget.  Only the final quantum can be cut short,
+ * since a full one runs at least `quantum` instructions; this is
+ * quantum_schedule's window in sim/multitask.py, walked as
+ * repro_fused_multitask strides it, with no schedule built.
+ *
+ * Each turn adds the resident's instructions, accesses, wraps, one
+ * quantum and its hits to its row of `residents_table` and moves its
+ * cursor.  When signatures is non-NULL, each access also sets bucket
+ * ((uint64)block * SIGNATURE_HASH) % signature_bits of its resident's
+ * signature row (ceil(signature_bits / 8) bytes a row, bucket b is
+ * bit b % 8 of byte b / 8): the working-set signature of the circular
+ * window the resident ran.  When hit_flags is non-NULL, one uint8 hit
+ * flag per access is written in schedule order; every access costs at
+ * least one instruction and the walk stops at the first access that
+ * reaches the budget, so `budget` bytes hold them all.
+ *
+ * outcome gets the instructions executed, the resident due next, the
+ * accesses walked and -1; or, when some resident's pass total is below
+ * its length (an access charged no instruction) or above
+ * INT64_MAX - quantum (its target would overflow), that resident's
+ * index in outcome[3], with nothing walked.  Callers guarantee
+ * residents >= 1, 0 <= start_at < residents, quantum >= 1,
+ * 1 <= budget <= INT64_MAX - quantum - (the largest pass total),
+ * signature_bits >= 1 and each resident's 0 <= cursor < length. */
+API void
+repro_fleet_segment(int64_t residents, int64_t *residents_table,
+                    int64_t start_at, int64_t quantum, int64_t budget,
+                    int64_t sets_mask, int64_t index_bits, int64_t ways,
+                    int64_t *state_tags, int64_t *state_use,
+                    int64_t *state_clock, uint8_t *signatures,
+                    int64_t signature_bits, uint8_t *hit_flags,
+                    int64_t *outcome)
+{
+    for (int64_t r = 0; r < residents; r++) {
+        const int64_t *row = residents_table + r * RESIDENT_FIELDS;
+        const int64_t *cumulative =
+            (const int64_t *)(intptr_t)row[RESIDENT_CUMULATIVE];
+        int64_t total = cumulative[row[RESIDENT_LENGTH] - 1];
+        if (total < row[RESIDENT_LENGTH] || total > INT64_MAX - quantum) {
+            outcome[0] = outcome[1] = outcome[2] = 0;
+            outcome[3] = r;
+            return;
+        }
+    }
+    int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
+    uint64_t bits = (uint64_t)signature_bits;
+    /* bits - 1 when bits is a power of two, else 0 (then `%`). */
+    uint64_t bucket_mask = (bits & (bits - 1)) ? 0 : bits - 1;
+    int64_t row_bytes = (signature_bits + 7) / 8;
+    uint8_t last_way[WAY_SLOTS] = {0};
+    int64_t executed = 0;
+    int64_t stream = 0;
+    int64_t turn = start_at;
+    while (executed < budget) {
+        int64_t *row = residents_table + turn * RESIDENT_FIELDS;
+        const int64_t *blocks =
+            (const int64_t *)(intptr_t)row[RESIDENT_BLOCKS];
+        const int64_t *cumulative =
+            (const int64_t *)(intptr_t)row[RESIDENT_CUMULATIVE];
+        int64_t length = row[RESIDENT_LENGTH];
+        int64_t mask = row[RESIDENT_MASK] & ways_mask;
+        int64_t index = row[RESIDENT_CURSOR];
+        int64_t left = budget - executed;
+        int64_t accesses, ran, wraps;
+        row[RESIDENT_CURSOR] = cut_quantum(
+            cumulative, length, index, left < quantum ? left : quantum,
+            &accesses, &ran, &wraps);
+        uint8_t *signature =
+            signatures ? signatures + turn * row_bytes : 0;
+        int64_t hits = 0;
+        for (int64_t k = 0; k < accesses; k++) {
+            int64_t block = blocks[index];
+            index++;
+            if (index == length)
+                index = 0;
+            int bypass = 0;
+            int hit = step(block & sets_mask, block >> index_bits, mask,
+                           ways, state_tags, state_use, state_clock,
+                           last_way, &bypass, 0);
+            hits += hit;
+            if (hit_flags)
+                hit_flags[stream + k] = (uint8_t)hit;
+            if (signature) {
+                uint64_t hashed = (uint64_t)block * SIGNATURE_HASH;
+                uint64_t bucket =
+                    bucket_mask ? hashed & bucket_mask : hashed % bits;
+                signature[bucket >> 3] |= (uint8_t)(1u << (bucket & 7));
+            }
+        }
+        row[RESIDENT_INSTRUCTIONS] += ran;
+        row[RESIDENT_ACCESSES] += accesses;
+        row[RESIDENT_WRAPS] += wraps;
+        row[RESIDENT_QUANTA] += 1;
+        row[RESIDENT_HITS] += hits;
+        stream += accesses;
+        executed += ran;
+        turn = turn + 1 == residents ? 0 : turn + 1;
+    }
+    outcome[0] = executed;
+    outcome[1] = turn;
+    outcome[2] = stream;
+    outcome[3] = -1;
 }

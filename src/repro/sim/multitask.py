@@ -26,10 +26,11 @@ successor map; the batched sweep engine
 on the numpy kernel, and on the compiled kernel iterates
 :func:`single_quantum`'s formula in C instead.
 :func:`quantum_schedule` assembles a whole round-robin scheduling
-window (with exact, instruction-precise budget boundaries) that the
-fused fleet hot path (:mod:`repro.sim.engine.fused`) consumes, and
-:func:`circular_slices` names the one circular range of trace
-positions each tenant runs in it.
+window (with exact, instruction-precise budget boundaries): the fleet
+segment's numpy path (:func:`repro.sim.engine.fused.fleet_segment`)
+walks it, and the compiled path cuts the same quanta in C as it walks
+them.  :func:`circular_slices` names the one circular range of trace
+positions each tenant runs in a window.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class QuantumWalkTables:
 
     Holds the per-start-position quantum tables plus the composed
     successor powers ``next^(2^k)`` that orbit unrolling needs.  A
-    steady-state caller (the fleet's segment loop,
-    ``ShardServer.advance``) schedules hundreds of windows over the
+    steady-state caller (the fleet's segment loop on the numpy
+    kernel) schedules hundreds of windows over the
     same resident traces; rebuilding the O(trace)-sized tables and
     re-composing the doubling maps every window would dwarf the kernel
     walk itself at small windows.  Through :func:`walk_tables` the
@@ -204,7 +205,9 @@ def single_quantum(
     window when the remaining budget is smaller than the full quantum.
     The compiled kernel's quantum orbit
     (:func:`repro.sim.engine._compiled.quantum_orbit_compiled`)
-    iterates this formula.  Returns ``(next_pos, accesses, ran,
+    iterates this formula, and its fleet segment
+    (:func:`repro.sim.engine._compiled.fleet_segment_compiled`) cuts
+    every quantum by it.  Returns ``(next_pos, accesses, ran,
     wraps)``.
     """
     n = len(cumulative)
@@ -277,6 +280,27 @@ def circular_slices(
     return pieces
 
 
+def check_window(
+    tenants: int, quantum: int, budget: int, start_at: int
+) -> None:
+    """Validate a round-robin window's shape.
+
+    Raises:
+        ValueError: when there is no tenant, ``quantum`` or ``budget``
+            is below 1, or ``start_at`` is not a tenant index.
+    """
+    if tenants == 0:
+        raise ValueError("need at least one tenant")
+    if quantum < 1:
+        raise ValueError(f"quantum must be >= 1, got {quantum}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if not 0 <= start_at < tenants:
+        raise ValueError(
+            f"start_at {start_at} out of range 0..{tenants - 1}"
+        )
+
+
 def quantum_schedule(
     cumulatives: Sequence[np.ndarray],
     positions: Sequence[int],
@@ -295,14 +319,7 @@ def quantum_schedule(
     access-for-access.
     """
     count = len(cumulatives)
-    if count == 0:
-        raise ValueError("need at least one tenant")
-    if quantum < 1:
-        raise ValueError(f"quantum must be >= 1, got {quantum}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if not 0 <= start_at < count:
-        raise ValueError(f"start_at {start_at} out of range 0..{count - 1}")
+    check_window(count, quantum, budget, start_at)
     # Every full quantum runs >= `quantum` instructions, so this bounds
     # the number of quanta the budget can demand.
     global_bound = -(-budget // quantum)

@@ -6,8 +6,9 @@ An independent re-implementation of what
 4.2 multitasking model (co-resident tenants round-robin fixed
 instruction quanta through one column cache, each access carrying its
 tenant's column mask) with the broker rewriting tints between
-segments.  Where production builds each segment's round-robin schedule
-in closed form and runs it in one fused kernel walk, this oracle
+segments.  Where production runs each segment in one kernel entry
+(:func:`~repro.sim.engine.fused.fleet_segment`, which also folds each
+resident's working-set signature), this oracle
 slices every quantum with :func:`~repro.sim.multitask.next_quantum_slice`
 and steps each slice through the reference
 :class:`~repro.cache.column_cache.ColumnCache` (the block-level

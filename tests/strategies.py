@@ -250,9 +250,13 @@ def fleet_scenario(draw):
     Used by the fleet differential suite: the lockstep and reference
     executors must agree per access on any scenario this produces —
     including arrivals/departures that cut scheduling windows short,
-    broker rebalances that rewrite tints mid-run, and tenants placed
-    anywhere in the block domain (:data:`TENANT_SPACE_BASES`).
+    broker rebalances that rewrite tints mid-run, tenants placed
+    anywhere in the block domain (:data:`TENANT_SPACE_BASES`), and a
+    departed name arriving again with a different run (a new tenant
+    under an old name).
     """
+    from repro.fleet import FleetConfig, FleetEvent, FleetTrace, TenantSpec
+
     geometry = CacheGeometry(
         line_size=16,
         sets=draw(st.sampled_from([4, 8])),
@@ -262,8 +266,8 @@ def fleet_scenario(draw):
     horizon = draw(st.integers(1_500, 6_000))
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
-    events = []
-    for index in range(tenant_count):
+
+    def tenant(name, index):
         memory_map = MemoryMap(
             base=0x10000, page_size=64, page_aligned=True
         )
@@ -273,7 +277,7 @@ def fleet_scenario(draw):
             )
             for v in range(draw(st.integers(1, 3)))
         ]
-        builder = ColumnarRecorder(name=f"tenant{index}")
+        builder = ColumnarRecorder(name=name)
         for position in range(draw(st.integers(30, 200))):
             variable = variables[int(rng.integers(0, len(variables)))]
             builder.add_gap(int(rng.integers(0, 3)))
@@ -285,19 +289,19 @@ def fleet_scenario(draw):
                 variable=variable.name,
             )
         run = WorkloadRun(
-            name=f"tenant{index}",
-            trace=builder.build(),
-            memory_map=memory_map,
+            name=name, trace=builder.build(), memory_map=memory_map
         )
-        from repro.fleet import FleetEvent, TenantSpec
-
-        spec = TenantSpec(
-            name=f"tenant{index}",
+        return TenantSpec(
+            name=name,
             run=run,
             priority=draw(st.integers(1, 3)),
             address_offset=draw(st.sampled_from(TENANT_SPACE_BASES))
             + (index << 32),
         )
+
+    events = []
+    for index in range(tenant_count):
+        spec = tenant(f"tenant{index}", index)
         arrival = draw(st.integers(0, horizon // 2))
         events.append(
             FleetEvent(time=arrival, kind="arrival", spec=spec)
@@ -312,8 +316,15 @@ def fleet_scenario(draw):
                         tenant=spec.name,
                     )
                 )
+                if draw(st.booleans()):
+                    events.append(
+                        FleetEvent(
+                            time=departure + draw(st.integers(0, horizon)),
+                            kind="arrival",
+                            spec=tenant(spec.name, index + tenant_count),
+                        )
+                    )
     events.sort(key=lambda event: event.time)
-    from repro.fleet import FleetConfig, FleetTrace
 
     fleet = FleetTrace(
         events=tuple(events), horizon_instructions=horizon

@@ -33,6 +33,7 @@ EXPORTED = {
     "repro_lockstep_flags": 17,
     "repro_fused_multitask": 17,
     "repro_quantum_orbit": 9,
+    "repro_fleet_segment": 15,
 }
 
 

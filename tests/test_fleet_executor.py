@@ -300,6 +300,22 @@ class TestValidation:
                 quantum_instructions=100, window_instructions=50
             )
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("min_detect_accesses", 0),
+            ("min_detect_accesses", -5),
+            ("signature_threshold", 0.0),
+            ("miss_rate_threshold", -1.0),
+            ("hysteresis_windows", 0),
+        ],
+    )
+    def test_config_refuses_bad_detector_settings(self, field, value):
+        """Refused when the config is built, naming the field, not at
+        the first admission or segment inside a shard."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FleetConfig(**{field: value})
+
 
 class TestDifferential:
     def test_deterministic_scenario_bit_identical(self, geometry, trio):
@@ -391,6 +407,36 @@ class TestDifferential:
         reference = run_reference_fleet(geometry, TIMING, config, fleet)
         reference.hit_stream = None
         assert_same_run(fast, reference, TIMING)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_readmitted_name_walks_its_new_trace(self, geometry, kernel):
+        """A name that departs and arrives again with another run is a
+        new tenant: its segments walk the new trace, not the departed
+        one's blocks under the new trace's schedule."""
+        first = TenantSpec(name="a", run=make_workload("crc32").record())
+        second = TenantSpec(name="a", run=make_workload("fir").record())
+        assert len(first.run.trace) != len(second.run.trace)
+        fleet = FleetTrace(
+            events=(
+                FleetEvent(time=0, kind="arrival", spec=first),
+                FleetEvent(time=5_000, kind="departure", tenant="a"),
+                FleetEvent(time=6_000, kind="arrival", spec=second),
+            ),
+            horizon_instructions=14_000,
+        )
+        config = FleetConfig(
+            quantum_instructions=128, window_instructions=2048
+        )
+        set_backend(kernel)
+        try:
+            fast = FleetExecutor(geometry, TIMING, config).run(
+                fleet, collect_flags=True
+            )
+        finally:
+            reset_backend()
+        reference = run_reference_fleet(geometry, TIMING, config, fleet)
+        assert_same_run(fast, reference, TIMING)
+        assert fast.telemetry["a"].admitted_at == 6_000
 
     @settings(max_examples=20, deadline=None)
     @given(case=fleet_scenario())

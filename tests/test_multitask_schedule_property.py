@@ -25,9 +25,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.runtime.detector import working_set_signature
 from repro.sim.engine import _compiled
 from repro.sim.engine.backends import compiled_available
-from repro.sim.engine.fused import TenantBatch, _stream_gather
+from repro.sim.engine.batched import LockstepState
+from repro.sim.engine.fused import (
+    TenantBatch,
+    _stream_gather,
+    fleet_segment,
+    fused_multitask_run,
+)
 from repro.sim.engine.multitask_batch import _BatchJob, _Schedule
 from repro.sim.multitask import (
     Job,
@@ -38,6 +45,8 @@ from repro.sim.multitask import (
     single_quantum,
 )
 from repro.trace.columnar import ColumnarRecorder
+
+from oracles.column_cache import ReferenceCache
 
 requires_compiled = pytest.mark.skipif(
     not compiled_available(), reason="compiled kernel unavailable"
@@ -392,3 +401,239 @@ def test_fleet_window_matches_the_scalar_walk(case):
 )
 def test_circular_slices(start, accesses, length, pieces):
     assert circular_slices(start, accesses, length) == pieces
+
+
+# ----------------------------------------------------------------------
+# The fleet's segment entry: one call per segment, on both kernels.
+# ----------------------------------------------------------------------
+
+#: The kernels :func:`~repro.sim.engine.fused.fleet_segment` runs on.
+SEGMENT_KERNELS = [
+    pytest.param("numpy", id="numpy"),
+    pytest.param("compiled", id="compiled", marks=requires_compiled),
+]
+
+SEGMENT_GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=4)
+
+#: Where a resident's blocks sit: low, below zero, at and above 2**32,
+#: and near either end of the block domain.
+SEGMENT_BASES = (0, -(1 << 36), 1 << 32, -(1 << 58), (1 << 58) - 64)
+
+
+@st.composite
+def segment_case(draw):
+    """1-8 residents, each on a trace of 1 access up (some shorter than
+    a quantum, so one quantum wraps several passes; some with a gap of
+    at least 2**32), its blocks anywhere in :data:`SEGMENT_BASES`, any
+    cursor and any mask (0 is a bypass); quantum 1 up to four times
+    the shortest pass; 1-4 calls, each with a budget below the quantum,
+    ``k * quantum + (-1, 0, 1)`` or any, from any ``start_at``; and a
+    signature width (powers of two or not)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    blocks, cumulatives = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.sampled_from([1, 2]) | st.integers(1, 40))
+        gaps = rng.integers(0, 6, size=length)
+        if draw(st.integers(0, 5)) == 0:
+            gaps[draw(st.integers(0, length - 1))] = draw(
+                st.integers(2**32, 2**32 + 9)
+            )
+        base = draw(st.sampled_from(SEGMENT_BASES))
+        blocks.append(base + rng.integers(0, 24, size=length))
+        cumulatives.append(np.cumsum(gaps + 1))
+    shortest = min(int(c[-1]) for c in cumulatives)
+    quantum = draw(
+        st.just(1) | st.integers(1, 30) | st.integers(1, 4 * min(shortest, 5000))
+    )
+    budget = (
+        st.integers(1, max(1, quantum - 1))
+        | st.builds(
+            lambda k, delta: max(1, k * quantum + delta),
+            st.integers(1, 4),
+            st.sampled_from([-1, 0, 1]),
+        )
+        | st.integers(1, 3000)
+    )
+    budgets = draw(st.lists(budget, min_size=1, max_size=4))
+    cursors = [draw(st.integers(0, len(column) - 1)) for column in blocks]
+    masks = [draw(st.integers(0, 15)) for _ in blocks]
+    start_at = draw(st.integers(0, len(blocks) - 1))
+    signature_bits = draw(st.sampled_from([1024, 61, 8, 1]))
+    return (
+        blocks,
+        cumulatives,
+        cursors,
+        masks,
+        quantum,
+        budgets,
+        start_at,
+        signature_bits,
+    )
+
+
+def schedule_counts(schedule, hits):
+    """Per-tenant ``[instructions, accesses, wraps, quanta, hits]`` of
+    a closed-form schedule, summed quantum by quantum."""
+    counts = [[0, 0, 0, 0, hit] for hit in hits]
+    columns = (schedule.ran, schedule.accesses, schedule.wraps)
+    for tenant, ran, accesses, wraps in zip(
+        schedule.tenant_ids.tolist(), *(column.tolist() for column in columns)
+    ):
+        row = counts[tenant]
+        row[0] += ran
+        row[1] += accesses
+        row[2] += wraps
+        row[3] += 1
+    return counts
+
+
+@pytest.mark.parametrize("kernel", SEGMENT_KERNELS)
+@given(case=segment_case())
+@settings(deadline=None)
+@example(
+    case=(
+        [np.array([5]), np.array([-7, 2**32])],
+        [np.array([2**32 + 1]), np.array([1, 3])],
+        [0, 1],
+        [0, 15],
+        3,
+        [1, 7, 2],
+        1,
+        61,
+    )
+)
+def test_fleet_segment_matches_schedule_and_scalar_walk(case, kernel):
+    """Segment by segment, state carried over: per-resident counts,
+    cursors, ``executed``, the next turn and the hit flags equal
+    :func:`~repro.sim.multitask.quantum_schedule` walked by numpy's
+    gather, and the scalar :func:`next_quantum_slice` walk stepped
+    through the reference cache; each signature is
+    :func:`~repro.runtime.detector.working_set_signature` of the
+    resident's circular window; the final state equals numpy's."""
+    (
+        blocks,
+        cumulatives,
+        cursors,
+        masks,
+        quantum,
+        budgets,
+        turn,
+        signature_bits,
+    ) = case
+    geometry = SEGMENT_GEOMETRY
+    options = {
+        "sets_mask": geometry.sets - 1,
+        "index_bits": geometry.index_bits,
+    }
+    state = LockstepState.cold(geometry.sets, geometry.columns)
+    expected = LockstepState.cold(geometry.sets, geometry.columns)
+    reference = ReferenceCache(geometry)
+    for budget in budgets:
+        got = fleet_segment(
+            blocks, cumulatives, cursors, masks, quantum, budget, turn,
+            state, signature_bits=signature_bits, collect_flags=True,
+            backend=kernel, **options,
+        )
+
+        schedule = quantum_schedule(
+            cumulatives, cursors, quantum, budget, turn
+        )
+        walk = fused_multitask_run(
+            TenantBatch.build(blocks), schedule,
+            np.array(masks, dtype=np.int64), expected,
+            collect_flags=True, backend="numpy", **options,
+        )
+        assert got.counts == schedule_counts(schedule, walk.hits.tolist())
+        assert got.cursors == schedule.next_positions.tolist()
+        assert got.executed == schedule.executed
+        assert got.next_turn == schedule.next_turn
+        assert got.hit_flags.tolist() == walk.hit_flags.tolist()
+
+        entries, _slices, walked, executed, next_turn = walk_window(
+            cumulatives, cursors, quantum, budget, turn
+        )
+        flags = []
+        scalar = [[0, 0, 0, 0, 0] for _ in blocks]
+        for tenant, start, accesses, ran, wraps in entries:
+            column = blocks[tenant]
+            stream = [
+                int(column[(start + k) % len(column)])
+                for k in range(accesses)
+            ]
+            hit_flags, _ = reference.run(stream, uniform_mask=masks[tenant])
+            flags.extend(hit_flags.tolist())
+            row = scalar[tenant]
+            row[0] += ran
+            row[1] += accesses
+            row[2] += wraps
+            row[3] += 1
+            row[4] += int(hit_flags.sum())
+        assert got.counts == scalar
+        assert got.cursors == walked
+        assert (got.executed, got.next_turn) == (executed, next_turn)
+        assert got.hit_flags.tolist() == flags
+
+        for tenant, column in enumerate(blocks):
+            pieces = circular_slices(
+                cursors[tenant], got.counts[tenant][1], len(column)
+            )
+            window = [
+                int(column[position])
+                for start, stop in pieces
+                for position in range(start, stop)
+            ]
+            assert got.signatures[tenant] == working_set_signature(
+                window, signature_bits
+            ), tenant
+        cursors, turn = got.cursors, got.next_turn
+    assert np.array_equal(state.tags, expected.tags)
+    assert np.array_equal(state.last_use, expected.last_use)
+    assert np.array_equal(state.clock, expected.clock)
+
+
+@pytest.mark.parametrize("kernel", SEGMENT_KERNELS)
+def test_fleet_segment_refuses_an_overflowing_quantum(kernel):
+    """A quantum above ``2**63 - 1`` minus any resident's pass total
+    raises :func:`~repro.utils.validation.check_quantum`'s error,
+    before anything is walked."""
+    state = LockstepState.cold(4, 2)
+    with pytest.raises(ValueError, match="quantum must be in"):
+        fleet_segment(
+            [np.array([1, 2]), np.array([3, 4, 5])],
+            [np.array([1, 2]), np.array([1, 2, 3])],
+            [0, 0],
+            [3, 3],
+            2**63 - 3,
+            10,
+            0,
+            state,
+            sets_mask=3,
+            index_bits=2,
+            backend=kernel,
+        )
+    assert not state.clock.any()
+
+
+@requires_compiled
+@pytest.mark.parametrize(
+    ("cumulative", "cursor", "message"),
+    [
+        (np.array([1, 2, 3]), 3, "cursor 3"),
+        (np.array([1, 2]), 0, "3 blocks and 2 instruction counts"),
+        (np.array([0, 0, 0]), 0, "at least one"),
+    ],
+    ids=["cursor-off-trace", "columns-differ", "zero-total"],
+)
+def test_compiled_segment_rejects_inputs_outside_its_domain(
+    cumulative, cursor, message
+):
+    """What the C segment cannot survive (a cursor off the trace,
+    columns of different lengths, a zero pass total) is refused before
+    anything is walked."""
+    state = LockstepState.cold(4, 2)
+    with pytest.raises(ValueError, match=message):
+        _compiled.fleet_segment_compiled(
+            [np.array([1, 2, 3])], [cumulative], [cursor], [3], 4, 10, 0,
+            state, sets_mask=3, index_bits=2,
+        )
+    assert not state.clock.any()

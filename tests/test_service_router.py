@@ -14,7 +14,7 @@ Two families, both hypothesis-driven:
 
 import functools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
@@ -127,6 +127,17 @@ OPS = st.lists(
 
 @settings(max_examples=25, deadline=None)
 @given(ops=OPS)
+# tenant-0000 migrates from its hash home, shard 1, to shard 0 and is
+# pinned there; its second migration bounces back from a full shard 1.
+# The daemon keeps the pin, so the router still finds it on shard 0.
+@example(
+    ops=[
+        ("admit", 8), ("admit", 4), ("admit", 16), ("admit", 7),
+        ("admit", 31), ("admit", 28), ("migrate", 30), ("admit", 24),
+        ("admit", 13), ("admit", 6), ("admit", 31), ("admit", 1),
+        ("migrate", 24),
+    ]
+)
 def test_disjoint_columns_survive_arbitrary_churn(ops):
     geometry = CacheGeometry(line_size=16, sets=32, columns=4)
     router = TenantHashRouter(2)
@@ -163,10 +174,13 @@ def test_disjoint_columns_survive_arbitrary_churn(ops):
             if shards[target].inject(migrant):
                 router.pin(name, target)
                 homes[name] = target
-            elif shards[source].inject(migrant):
-                router.unpin(name)  # bounced back home
-            else:
-                del homes[name]  # no shard can take it back
+            elif not shards[source].inject(migrant):
+                # No shard can take it back.  As in the daemon's
+                # FleetService._maybe_migrate, only then is it
+                # unpinned: a bounce-back keeps any pin, since the
+                # source may be a pinned shard, not the hash home.
+                del homes[name]
+                router.unpin(name)
         else:
             for shard in shards:
                 shard.advance()
