@@ -12,37 +12,33 @@ Run:  python examples/multitasking_predictability.py
 
 from repro.cache.geometry import CacheGeometry
 from repro.sim.config import MULTITASK_TIMING
-from repro.sim.multitask import Job, MultitaskSimulator
+from repro.sim.engine.multitask_batch import simulate_multitask_matrix
+from repro.sim.multitask import Job
 from repro.utils.bitvector import ColumnMask
 from repro.utils.tables import format_series
 from repro.workloads.gzip_like import make_gzip_job
 
 
-def cpi_curve(runs, geometry, quanta, mapped):
-    cpis = []
-    for quantum in quanta:
-        jobs = []
-        for index, name in enumerate("ABC"):
-            mask = None
-            if mapped:
-                mask = (
-                    ColumnMask.contiguous(0, 6, 8)
-                    if name == "A"
-                    else ColumnMask.contiguous(6, 2, 8)
-                )
-            jobs.append(
-                Job(
-                    name=name,
-                    trace=runs[name].trace,
-                    mask=mask,
-                    address_offset=index << 32,
-                )
+def jobs_for(runs, mapped):
+    """Jobs A, B and C; mapped, A gets columns 0-5, B and C share 6-7."""
+    jobs = []
+    for index, name in enumerate("ABC"):
+        mask = None
+        if mapped:
+            mask = (
+                ColumnMask.contiguous(0, 6, 8)
+                if name == "A"
+                else ColumnMask.contiguous(6, 2, 8)
             )
-        simulator = MultitaskSimulator(geometry, jobs, MULTITASK_TIMING)
-        simulator.warm_up(1)
-        results = simulator.run(quantum, 150_000)
-        cpis.append(round(results["A"].cpi(MULTITASK_TIMING), 3))
-    return cpis
+        jobs.append(
+            Job(
+                name=name,
+                trace=runs[name].trace,
+                mask=mask,
+                address_offset=index << 32,
+            )
+        )
+    return jobs
 
 
 def main() -> None:
@@ -54,8 +50,19 @@ def main() -> None:
     }
     geometry = CacheGeometry(line_size=16, sets=128, columns=8)  # 16 KB
     quanta = [4 ** k for k in range(0, 9, 2)]
-    shared = cpi_curve(runs, geometry, quanta, mapped=False)
-    mapped = cpi_curve(runs, geometry, quanta, mapped=True)
+    # Both variants and every quantum in one matrix: each variant warms
+    # up once (one pass of every job), then each point runs 150,000
+    # instructions of round robin.
+    matrix = simulate_multitask_matrix(
+        [(geometry, jobs_for(runs, False)), (geometry, jobs_for(runs, True))],
+        quanta,
+        150_000,
+        warmup_passes=1,
+    )
+    shared, mapped = (
+        [round(point["A"].cpi(MULTITASK_TIMING), 3) for point in points]
+        for points in matrix
+    )
     print()
     print(
         format_series(

@@ -118,10 +118,6 @@ class ScratchpadMemory:
             self.stats.accesses += 1
         return resident
 
-    def regions(self) -> list[ScratchpadRegion]:
-        """Resident regions, insertion-ordered."""
-        return list(self._regions.values())
-
     def __contains__(self, address: object) -> bool:
         return isinstance(address, int) and self.contains(address)
 

@@ -213,10 +213,6 @@ class LoadReport:
             return 0.0
         return len(self.tickets) / self.wall_seconds
 
-    def shard_tickets(self, shard: int) -> list[AdmissionTicket]:
-        """Tickets decided by one shard."""
-        return list(self._by_shard.get(shard, []))
-
     def p99_queue_wait(self, shard: int) -> float:
         """One shard's p99 admission queue wait, in instructions."""
         return percentile(

@@ -57,11 +57,6 @@ class TenantHashRouter:
         """Number of shards currently routed over."""
         return self._shard_count
 
-    @property
-    def pins(self) -> dict[str, int]:
-        """A copy of the migration overrides (tenant -> shard)."""
-        return dict(self._pins)
-
     def rendezvous(self, tenant: str) -> int:
         """The hash route, ignoring pins (highest score wins)."""
         return max(

@@ -370,7 +370,7 @@ class ShardServer:
             self.lock_state,
             sets_mask=self.geometry.sets - 1,
             index_bits=self.geometry.index_bits,
-            signature_bits=SIGNATURE_BITS if config.detect_phases else None,
+            signature_bits=SIGNATURE_BITS,
             collect_flags=collect_flags,
         )
         self.hit_flags = segment.hit_flags
@@ -384,7 +384,7 @@ class ShardServer:
             runtimes,
             segment.counts,
             segment.cursors,
-            segment.signatures or [0] * len(residents),
+            segment.signatures,
         )
         for name, runtime, counts, cursor, signature in rows:
             instructions, accesses, wraps, quanta, hits = counts
@@ -403,10 +403,7 @@ class ShardServer:
             )
             runtime.telemetry.record(sample)
             self._tally(sample)
-            if (
-                config.detect_phases
-                and accesses >= config.min_detect_accesses
-            ):
+            if accesses >= config.min_detect_accesses:
                 observation = runtime.detector.observe_signature(
                     signature, accesses, accesses - hits
                 )

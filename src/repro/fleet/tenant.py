@@ -240,12 +240,11 @@ class FleetConfig:
         miss_rate_threshold: Per-tenant miss-rate jump that flags a
             phase change.
         hysteresis_windows: Minimum windows between phase boundaries.
-        detect_phases: Feed per-tenant windows to a
-            :class:`~repro.runtime.detector.PhaseDetector` and let the
-            broker rebalance at boundaries.
         min_detect_accesses: Segments smaller than this (cut short by
-            events) are not fed to the detector — a three-access
-            sliver says nothing about the working set.  At least 1.
+            events) are not fed to the tenant's
+            :class:`~repro.runtime.detector.PhaseDetector` — a
+            three-access sliver says nothing about the working set.
+            At least 1.
 
     Raises:
         ValueError: naming the field, when a knob is out of range: the
@@ -259,7 +258,6 @@ class FleetConfig:
     signature_threshold: float = 0.5
     miss_rate_threshold: float = 0.25
     hysteresis_windows: int = 2
-    detect_phases: bool = True
     min_detect_accesses: int = 64
 
     def __post_init__(self) -> None:

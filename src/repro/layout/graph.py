@@ -160,10 +160,6 @@ class ConflictGraph:
             adjacency[second].add(first)
         return adjacency
 
-    def total_weight(self) -> int:
-        """Sum of all edge weights."""
-        return sum(self._weights.values())
-
     def vertex_count(self) -> int:
         """Number of vertices."""
         return len(self._vertices)

@@ -7,11 +7,9 @@ separate subarrays, each of which can fit into a column."
 
 :func:`split_for_columns` rewrites a symbol table so every array unit
 fits in one column; subarrays are named ``parent#i`` and keep a back
-reference via ``Variable.parent``.  Small variables can optionally be
+reference via ``Variable.parent``.  Small variables are
 *aggregated* (the paper's "a set of variables can be aggregated into a
-single variable"): aggregation here happens implicitly through vertex
-merging, but :func:`aggregate_scalars` provides the explicit variant
-for scalars, which the paper groups before assignment.
+single variable") implicitly, through vertex merging.
 """
 
 from __future__ import annotations
@@ -52,17 +50,3 @@ def units_of(symbols: SymbolTable, parent: str) -> list[Variable]:
         for variable in symbols
         if variable.name == parent or variable.parent == parent
     ]
-
-
-def aggregate_scalars(
-    symbols: SymbolTable, group_name: str = "scalars"
-) -> tuple[SymbolTable, list[str]]:
-    """Note which scalars would be aggregated into one unit.
-
-    Scalars are physically scattered (they are not contiguous in the
-    address map), so true aggregation would require relocation; the
-    planner instead treats the returned name list as a pre-merged
-    vertex group.  Returns the unchanged table and the scalar names.
-    """
-    scalar_names = [variable.name for variable in symbols.scalars()]
-    return symbols, scalar_names

@@ -7,7 +7,7 @@ declarative sweeps:
   the declarative (workload x geometry x policy) enumeration with
   content hashing.
 * :mod:`repro.sim.engine.scheduler` — :class:`SweepEngine`, which fans
-  jobs over a process/thread pool (or runs them inline) with a
+  jobs over a process pool (or runs them inline) with a
   content-addressed result cache so repeated sweeps are incremental.
 * :mod:`repro.sim.engine.backends` — the kernel-backend registry: the
   lockstep inner loop runs on the vectorized numpy kernel or on an

@@ -4,7 +4,7 @@ The kernel source (``_lockstep.c``, shipped next to this module) has
 zero dependencies beyond a C compiler: it is compiled on demand with
 ``cc``/``gcc``/``clang`` into a shared library cached under
 ``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) and
-loaded through :mod:`ctypes`.  It exports four entry points:
+loaded through :mod:`ctypes`.  It exports three entry points:
 ``repro_lockstep_flags``, the per-access loop behind
 :func:`lockstep_run_compiled`, which reads either precomputed rows and
 tags or one column of blocks or byte addresses (deriving each access's
@@ -12,13 +12,12 @@ row and tag itself) and writes hit and bypass flags, miss positions or
 LRU stack depths, or only adds the batch's hits and bypasses into a
 2-slot count (how :class:`~repro.sim.engine.batched.LockstepCache`
 counts a batch without building any per-access array);
-``repro_fused_multitask``, the schedule walk behind
-:func:`fused_multitask_compiled` (the Figure 5 matrix's points and
-warm-up); ``repro_quantum_orbit``, one job's closed-form quantum
-orbit behind :func:`quantum_orbit_compiled` (the Figure 5 matrix's
-schedule); and ``repro_fleet_segment``, a whole fleet scheduling
-segment behind :func:`fleet_segment_compiled`, which cuts each quantum
-as it walks it and folds each resident's working-set signature.
+``repro_fused_multitask``, the walk of a schedule built ahead behind
+:func:`fused_multitask_compiled` (the Figure 5 matrix's warm-ups); and
+``repro_fleet_segment``, round-robin quanta over one shared cache
+behind :func:`fleet_segment_compiled`, which cuts each quantum as it
+walks it (a fleet segment, or a Figure 5 point) and folds each
+resident's working-set signature.
 Nothing here compiles at import time — :func:`available` performs the
 (cached) probe, and :mod:`repro.sim.engine.backends` decides when to
 call it.
@@ -130,16 +129,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_fused_multitask.restype = None
     lib.repro_fused_multitask.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,
-        ptr, ptr, ptr, ptr, ptr,
-    ]
-    lib.repro_quantum_orbit.restype = None
-    lib.repro_quantum_orbit.argtypes = [
-        ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr,
+        ptr, ptr, ptr, ptr,
     ]
     lib.repro_fleet_segment.restype = None
     lib.repro_fleet_segment.argtypes = [
-        i64, ptr, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64,
-        ptr, ptr,
+        i64, ptr, i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr,
+        i64, ptr, ptr,
     ]
     return lib
 
@@ -205,14 +200,6 @@ def unavailable_reason() -> Optional[str]:
     if available():
         return None
     return _probe_error
-
-
-def _reset_probe() -> None:
-    """Forget the probe result (tests only)."""
-    global _lib, _probe_error, _probed
-    _lib = None
-    _probe_error = None
-    _probed = False
 
 
 #: Identity-checked buffer-address memo.  ``array.ctypes.data``
@@ -372,19 +359,16 @@ def fused_multitask_compiled(
     sets_mask: int,
     index_bits: int,
     job_hits: np.ndarray,
-    hit_flags: Optional[np.ndarray] = None,
 ) -> None:
     """Run a quantum schedule without materializing its access stream.
 
     The compiled schedule walk behind
     :func:`repro.sim.engine.fused.fused_multitask_run`, which the
-    Figure 5 matrix calls: segment ``s`` simulates
+    Figure 5 matrix's warm-ups call: segment ``s`` simulates
     ``seg_len[s]`` accesses of job ``seg_jobs[s]``, walking that job's
     slice of ``blocks_concat`` circularly from ``seg_pos[s]`` —
     exactly the stream the numpy path's gather materializes.  Per-job
-    hits accumulate into ``job_hits``; when ``hit_flags`` (uint8, one
-    slot per scheduled access) is given, per-access hit flags are
-    written in global schedule order.
+    hits accumulate into ``job_hits``.
     """
     lib = load()
     if blocks_concat.dtype == np.int32:
@@ -419,7 +403,6 @@ def fused_multitask_compiled(
         _addr(state.last_use),
         _addr(state.clock),
         _addr(job_hits),
-        _addr(hit_flags),
     )
 
 
@@ -430,72 +413,9 @@ def fused_multitask_compiled(
 schedule_count_compiled = fused_multitask_compiled
 
 
-def _check_cumulative(cumulative: np.ndarray, quantum: int) -> None:
-    """The O(1) conditions a C quantum cut needs of one trace's
-    cumulative instruction counts: at least one instruction per access
-    (so the pass total is positive), and a quantum that cannot
-    overflow a target (:func:`~repro.utils.validation.check_quantum`).
-    """
-    length = len(cumulative)
-    total = int(cumulative[-1]) if length else 0
-    if length == 0 or total < length:
-        raise ValueError(
-            f"cumulative instructions must charge each of the "
-            f"{length} accesses at least one (total {total})"
-        )
-    check_quantum(quantum, total)
-
-
-def quantum_orbit_compiled(
-    cumulative: np.ndarray, quantum: int, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One job's first ``count`` quanta from ``start``, in C.
-
-    Returns ``(positions, accesses, ran, wraps)``: entry ``i`` is
-    quantum ``i``'s start position, the accesses it performs, the
-    instructions it runs and the trace wraps it causes, exactly as
-    :class:`repro.sim.multitask.QuantumWalkTables` gathered along its
-    :meth:`~repro.sim.multitask.QuantumWalkTables.orbit` gives them, or
-    as :func:`repro.sim.multitask.single_quantum` iterated from
-    ``start``.
-    ``repro_quantum_orbit`` gallops to each quantum's end from the
-    cursor, so the orbit costs O(count x log accesses-per-quantum)
-    and builds no table over the trace's positions.  ``cumulative``
-    must be strictly increasing, as
-    :attr:`repro.trace.columnar.ColumnarTrace.cumulative_instructions`
-    is; checking that would cost a pass over the trace, so only the
-    O(1) conditions that keep the C loop in bounds are checked.
-
-    Raises:
-        ValueError: when ``cumulative`` is empty or charges some
-            access no instruction (its last entry is below its
-            length), ``start`` is not a position of it, or
-            ``quantum`` is outside ``[1, 2**63 - 1 - cumulative[-1]]``
-            (:func:`~repro.utils.validation.check_quantum`, the check
-            the numpy path's ``quantum_tables`` makes too).
-    """
-    cum64 = np.ascontiguousarray(cumulative, dtype=np.int64)
-    length = len(cum64)
-    _check_cumulative(cum64, quantum)
-    if not 0 <= start < length:
-        raise ValueError(f"start {start} out of range 0..{length - 1}")
-    lib = load()
-    positions = np.empty(count, dtype=np.int64)
-    accesses = np.empty(count, dtype=np.int64)
-    ran = np.empty(count, dtype=np.int64)
-    wraps = np.empty(count, dtype=np.int64)
-    lib.repro_quantum_orbit(
-        _addr(cum64),
-        length,
-        quantum,
-        start,
-        count,
-        _addr(positions),
-        _addr(accesses),
-        _addr(ran),
-        _addr(wraps),
-    )
-    return positions, accesses, ran, wraps
+#: The cap of a walk whose every quantum runs whole (no quantum runs
+#: past 2**63 - 1 instructions): the Figure 5 matrix's points.
+NO_CAP = 2**63 - 1
 
 
 def fleet_segment_compiled(
@@ -510,36 +430,56 @@ def fleet_segment_compiled(
     *,
     sets_mask: int,
     index_bits: int,
+    cap: Optional[int] = None,
     signature_bits: Optional[int] = None,
     collect_flags: bool = False,
 ) -> tuple[
     list[list[int]], int, int, Optional[list[int]], Optional[np.ndarray]
 ]:
-    """One whole fleet segment in one C call.
+    """Round-robin quanta over one shared cache in one C call.
 
-    The compiled path of :func:`repro.sim.engine.fused.fleet_segment`
-    (same arguments): ``repro_fleet_segment`` cuts each quantum from
-    its resident's cursor as it walks it, so no schedule, concatenated
-    batch or per-resident call is built.  Returns ``(rows, executed,
-    next_turn, signatures, hit_flags)``: ``rows[r]`` is resident
-    ``r``'s ``[cursor, instructions, accesses, wraps, quanta, hits]``
-    after the segment, ``signatures`` one int per resident (when
-    ``signature_bits`` is given) and ``hit_flags`` one bool per access
-    (when ``collect_flags``).  The window's shape is pre-validated by
-    the caller (:func:`~repro.sim.multitask.check_window`); like
-    :func:`quantum_orbit_compiled`, this checks only the O(1)
-    conditions that keep the C loop in bounds, not that each
-    ``cumulatives[r]`` strictly increases.
+    ``repro_fleet_segment`` cuts each quantum from its resident's
+    cursor as it walks it, so no schedule, concatenated batch or
+    per-resident call is built.  Each turn runs
+    ``min(quantum, cap - executed)`` instructions, until ``budget``
+    have run.  With ``cap`` None (the budget) this is the compiled
+    path of :func:`repro.sim.engine.fused.fleet_segment` (same
+    arguments), whose final quantum is cut to the budget; with
+    :data:`NO_CAP` every quantum runs whole, as the Figure 5 matrix's
+    points run them.  Returns ``(rows, executed, next_turn,
+    signatures, hit_flags)``: ``rows[r]`` is resident ``r``'s
+    ``[cursor, instructions, accesses, wraps, quanta, hits]`` after the
+    walk, ``signatures`` one int per resident (when ``signature_bits``
+    is given) and ``hit_flags`` one bool per access (when
+    ``collect_flags``).  The window's shape is pre-validated by the
+    caller (:func:`~repro.sim.multitask.check_window`); this checks
+    only the O(1) conditions that keep the C loop in bounds, not that
+    each ``cumulatives[r]`` strictly increases.
 
     Raises:
-        ValueError: before anything is walked, when a cursor is not a
-            position of its trace, a trace's block and cumulative
-            columns differ in length, some ``cumulatives[r]`` charges
-            an access no instruction, or ``quantum`` is above
-            ``2**63 - 1`` minus some resident's pass total
+        ValueError: before anything is walked, when ``cap`` is below
+            the budget or above :data:`NO_CAP`, ``collect_flags`` is
+            asked of a walk not cut at its budget (the flag buffer
+            holds ``budget`` accesses), a cursor is not a position of
+            its trace, a trace's block and cumulative columns differ
+            in length, some ``cumulatives[r]`` charges an access no
+            instruction, or ``quantum`` is above ``2**63 - 1`` minus
+            some resident's pass total
             (:func:`~repro.utils.validation.check_quantum`, the check
             the numpy path's ``quantum_tables`` makes too).
     """
+    if cap is None:
+        cap = budget
+    if not budget <= cap <= NO_CAP:
+        raise ValueError(
+            f"cap must be in [{budget}, {NO_CAP}] (from the budget), "
+            f"got {cap}"
+        )
+    if collect_flags and cap != budget:
+        raise ValueError(
+            "hit flags are collected only for a walk cut at its budget "
+            f"(cap {cap}, budget {budget})"
+        )
     lib = load()
     blocks64 = [np.ascontiguousarray(column, np.int64) for column in blocks]
     cumulatives64 = [
@@ -573,6 +513,7 @@ def fleet_segment_compiled(
         start_at,
         quantum,
         budget,
+        cap,
         sets_mask,
         index_bits,
         state.ways,
@@ -586,7 +527,16 @@ def fleet_segment_compiled(
     )
     executed, next_turn, accesses, refused = outcome.tolist()
     if refused >= 0:
-        _check_cumulative(cumulatives64[refused], quantum)
+        # That trace charges some access no instruction, or its pass
+        # total leaves no room for the quantum.
+        length = len(cumulatives64[refused])
+        total = int(cumulatives64[refused][-1])
+        if total < length:
+            raise ValueError(
+                f"cumulative instructions must charge each of the "
+                f"{length} accesses at least one (total {total})"
+            )
+        check_quantum(quantum, total)
     folded: Optional[list[int]] = None
     if signatures is not None:
         width = signatures.shape[1]

@@ -2,19 +2,18 @@
  *
  * Scalar C twin of the numpy kernel in batched.py, built on demand by
  * _compiled.py with the system C compiler and loaded through ctypes.
- * Four exports: repro_lockstep_flags (the per-access loop),
- * repro_fused_multitask (the schedule walk), repro_quantum_orbit
- * (one job's quantum-by-quantum schedule, which touches no cache) and
- * repro_fleet_segment (a whole fleet segment: it cuts each quantum as
- * it walks it and folds each resident's working-set signature).
+ * Three exports: repro_lockstep_flags (the per-access loop),
+ * repro_fused_multitask (the walk of a schedule built ahead: the
+ * Figure 5 matrix's warm-ups) and repro_fleet_segment (round-robin
+ * quanta over one shared cache, each cut as it is walked: a fleet
+ * segment or a Figure 5 point).
  * The per-access loop takes either input form: precomputed rows and
  * tags (stacked banks of rows), or one column of blocks or byte
  * addresses from which it derives each access's row and tag, as the
  * schedule walk does.  It adds the batch's hits and bypasses into a
  * 2-slot counts output, so a caller that wants only totals builds no
  * per-access array.
- * The three cache entries are bit-identical to LockstepState /
- * lockstep_run:
+ * All three are bit-identical to LockstepState / lockstep_run:
  *
  *   - per-row clocks: the k-th access (0-based) to a row gets
  *     timestamp clock[row] + k, and the clock advances on every
@@ -234,12 +233,9 @@ repro_lockstep_flags(int64_t n, const void *rows, const void *tags,
  * gather).  blocks is the per-job arrays concatenated in job order
  * (job_offsets / job_lengths index it).  Per-job HITS accumulate into
  * job_hits (a job's misses, bypasses included, are its scheduled
- * accesses minus its hits); when hit_flags is non-NULL, one uint8 hit
- * flag per access is written in global schedule order.  The Figure 5
- * matrix's points and warm-up run here, a whole schedule per call,
- * never re-entering Python per quantum (the matrix runs its final
- * quantum whole, so its schedules are built ahead; the fleet's
- * segments run in repro_fleet_segment). */
+ * accesses minus its hits).  The Figure 5 matrix's warm-ups run here,
+ * each job's whole trace per segment; its points and the fleet's
+ * segments run in repro_fleet_segment. */
 API void
 repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
                       const int64_t *seg_pos, const int64_t *seg_len,
@@ -249,13 +245,12 @@ repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
                       int64_t sets_mask, int64_t index_bits,
                       int64_t ways, int64_t *state_tags,
                       int64_t *state_use, int64_t *state_clock,
-                      int64_t *job_hits, uint8_t *hit_flags)
+                      int64_t *job_hits)
 {
     int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
     const int32_t *blocks32 = (const int32_t *)blocks;
     const int64_t *blocks64 = (const int64_t *)blocks;
     uint8_t last_way[WAY_SLOTS] = {0};
-    int64_t stream = 0;
     for (int64_t s = 0; s < n_segments; s++) {
         int64_t job = seg_jobs[s];
         int64_t length = job_lengths[job];
@@ -272,14 +267,10 @@ repro_fused_multitask(int64_t n_segments, const int64_t *seg_jobs,
             if (index == length)
                 index = 0;
             int bypass = 0;
-            int hit = step(block & sets_mask, block >> index_bits,
-                           mask, ways, state_tags, state_use,
-                           state_clock, last_way, &bypass, 0);
-            hits += hit;
-            if (hit_flags)
-                hit_flags[stream + k] = (uint8_t)hit;
+            hits += step(block & sets_mask, block >> index_bits, mask,
+                         ways, state_tags, state_use, state_clock,
+                         last_way, &bypass, 0);
         }
-        stream += count;
         job_hits[job] += hits;
     }
 }
@@ -352,26 +343,6 @@ cut_quantum(const int64_t *cumulative, int64_t n, int64_t position,
     return wrapped ? 0 : next;
 }
 
-/* Closed-form quantum orbit of one job: from start, count successive
- * quanta of `quantum` instructions, each cut by cut_quantum().
- * Quantum i writes its start position, accesses, instructions run and
- * wraps; the next quantum starts where it stopped, so an orbit builds
- * no trace-sized table.  Callers guarantee cut_quantum's conditions
- * for start and quantum. */
-API void
-repro_quantum_orbit(const int64_t *cumulative, int64_t n,
-                    int64_t quantum, int64_t start, int64_t count,
-                    int64_t *positions, int64_t *accesses, int64_t *ran,
-                    int64_t *wraps)
-{
-    int64_t position = start;
-    for (int64_t i = 0; i < count; i++) {
-        positions[i] = position;
-        position = cut_quantum(cumulative, n, position, quantum,
-                               accesses + i, ran + i, wraps + i);
-    }
-}
-
 /* Columns of repro_fleet_segment's per-resident table, one int64 row
  * a resident.  The first four are read: the addresses of its block
  * and cumulative-instruction columns (C-contiguous int64, `length`
@@ -395,15 +366,17 @@ enum {
  * working_set_signature in runtime/detector.py). */
 #define SIGNATURE_HASH UINT64_C(0x9E3779B97F4A7C15)
 
-/* One whole fleet scheduling segment: round-robin quanta over one
- * shared cache, each cut as it runs.  From resident start_at, each
- * turn cuts one quantum of min(quantum, budget - executed)
- * instructions from that resident's cursor (cut_quantum) and walks
- * those accesses through step() at once, under the resident's mask,
- * until executed >= budget.  Only the final quantum can be cut short,
- * since a full one runs at least `quantum` instructions; this is
- * quantum_schedule's window in sim/multitask.py, walked as
- * repro_fused_multitask strides it, with no schedule built.
+/* Round-robin quanta over one shared cache, each cut as it runs: a
+ * fleet segment, or a Figure 5 point.  From resident start_at, each
+ * turn cuts one quantum of min(quantum, cap - executed) instructions
+ * from that resident's cursor (cut_quantum) and walks those accesses
+ * through step() at once, under the resident's mask, until
+ * executed >= budget.  The fleet passes its budget as cap, so only
+ * the final quantum can be cut short (a full one runs at least
+ * `quantum` instructions): quantum_schedule's window in
+ * sim/multitask.py.  The Figure 5 matrix passes INT64_MAX, so every
+ * quantum runs whole, as MultitaskSimulator.run runs it.  No schedule
+ * is built either way.
  *
  * Each turn adds the resident's instructions, accesses, wraps, one
  * quantum and its hits to its row of `residents_table` and moves its
@@ -413,8 +386,9 @@ enum {
  * bit b % 8 of byte b / 8): the working-set signature of the circular
  * window the resident ran.  When hit_flags is non-NULL, one uint8 hit
  * flag per access is written in schedule order; every access costs at
- * least one instruction and the walk stops at the first access that
- * reaches the budget, so `budget` bytes hold them all.
+ * least one instruction and, with the budget as cap, the walk stops at
+ * the first access that reaches the budget, so `budget` bytes hold
+ * them all.
  *
  * outcome gets the instructions executed, the resident due next, the
  * accesses walked and -1; or, when some resident's pass total is below
@@ -422,16 +396,17 @@ enum {
  * INT64_MAX - quantum (its target would overflow), that resident's
  * index in outcome[3], with nothing walked.  Callers guarantee
  * residents >= 1, 0 <= start_at < residents, quantum >= 1,
- * 1 <= budget <= INT64_MAX - quantum - (the largest pass total),
- * signature_bits >= 1 and each resident's 0 <= cursor < length. */
+ * 1 <= budget <= cap, budget <= INT64_MAX - quantum - (the largest
+ * pass total), signature_bits >= 1, each resident's
+ * 0 <= cursor < length, and hit_flags NULL unless cap == budget. */
 API void
 repro_fleet_segment(int64_t residents, int64_t *residents_table,
                     int64_t start_at, int64_t quantum, int64_t budget,
-                    int64_t sets_mask, int64_t index_bits, int64_t ways,
-                    int64_t *state_tags, int64_t *state_use,
-                    int64_t *state_clock, uint8_t *signatures,
-                    int64_t signature_bits, uint8_t *hit_flags,
-                    int64_t *outcome)
+                    int64_t cap, int64_t sets_mask, int64_t index_bits,
+                    int64_t ways, int64_t *state_tags,
+                    int64_t *state_use, int64_t *state_clock,
+                    uint8_t *signatures, int64_t signature_bits,
+                    uint8_t *hit_flags, int64_t *outcome)
 {
     for (int64_t r = 0; r < residents; r++) {
         const int64_t *row = residents_table + r * RESIDENT_FIELDS;
@@ -462,7 +437,7 @@ repro_fleet_segment(int64_t residents, int64_t *residents_table,
         int64_t length = row[RESIDENT_LENGTH];
         int64_t mask = row[RESIDENT_MASK] & ways_mask;
         int64_t index = row[RESIDENT_CURSOR];
-        int64_t left = budget - executed;
+        int64_t left = cap - executed;
         int64_t accesses, ran, wraps;
         row[RESIDENT_CURSOR] = cut_quantum(
             cumulative, length, index, left < quantum ? left : quantum,

@@ -11,21 +11,21 @@ entries:
   working-set signatures.  On the **compiled** kernel it is one call
   of the C kernel's ``repro_fleet_segment``, which cuts each quantum
   from the resident's cursor as it walks it: no schedule, no
-  concatenated batch, no per-resident call.  On **numpy** it builds
-  the closed-form :func:`~repro.sim.multitask.quantum_schedule`, walks
-  it with :func:`fused_multitask_run` and folds each resident's
-  circular window with
-  :func:`~repro.runtime.detector.working_set_signature`.
+  concatenated batch, no per-resident call (the Figure 5 matrix's
+  points run through the same call with every quantum whole).  On
+  **numpy** it builds the closed-form
+  :func:`~repro.sim.multitask.quantum_schedule`, walks it with
+  :func:`fused_multitask_run` and folds each resident's circular
+  window with :func:`~repro.runtime.detector.working_set_signature`.
 * :func:`fused_multitask_run` runs a closed-form schedule built ahead
-  (a :class:`SegmentWalk`: the Figure 5 matrix's per-quantum
-  schedules and its warm-up, which run their final quantum whole, or
-  the fleet's :class:`~repro.sim.multitask.QuantumSchedule` on
-  numpy).  The **compiled** path hands the schedule's ``(tenant,
-  position, accesses)`` triples to the C kernel's
-  ``repro_fused_multitask`` walk, which strides each tenant's block
-  array circularly; the **numpy** path materializes the stream with
-  one vectorized gather (``_stream_gather``, which the Figure 5
-  matrix's stacked numpy walks use too) and feeds a single
+  (a :class:`SegmentWalk`: the Figure 5 matrix's warm-up, or the
+  fleet's :class:`~repro.sim.multitask.QuantumSchedule` on numpy).
+  The **compiled** path hands the schedule's ``(tenant, position,
+  accesses)`` triples to the C kernel's ``repro_fused_multitask``
+  walk, which strides each tenant's block array circularly; the
+  **numpy** path materializes the stream with one vectorized gather
+  (``_stream_gather``, which the Figure 5 matrix's stacked numpy walks
+  use too) and feeds a single
   :func:`~repro.sim.engine.batched.lockstep_run` call.
 
 Both backends return identical per-tenant tallies and, on request,
@@ -180,7 +180,9 @@ def fused_multitask_run(
         sets_mask: ``sets - 1`` of the geometry (row = block & mask).
         index_bits: Set-index bits (tag = block >> index_bits).
         collect_flags: Also return per-access hit flags (and the
-            tenant id per access) in global schedule order.
+            tenant id per access) in global schedule order.  Such a
+            walk gathers its stream in numpy whatever the backend (the
+            C schedule walk writes no flags).
         backend: Kernel backend override (``"numpy"``, ``"compiled"``,
             ``"auto"``); None uses the session's active backend.  An
             associativity the compiled kernel cannot represent
@@ -204,13 +206,12 @@ def fused_multitask_run(
         else backends.resolve_backend(backend)
     )
     table64 = np.ascontiguousarray(mask_table, dtype=np.int64)
-    if backend_name == "compiled" and _compiled.supports(state.ways):
+    if (
+        backend_name == "compiled"
+        and _compiled.supports(state.ways)
+        and not collect_flags
+    ):
         hits = np.zeros(tenants, dtype=np.int64)
-        flags_u8 = (
-            np.zeros(schedule.total_accesses, dtype=np.uint8)
-            if collect_flags
-            else None
-        )
         _compiled.fused_multitask_compiled(
             schedule.tenant_ids,
             schedule.positions,
@@ -223,22 +224,9 @@ def fused_multitask_run(
             sets_mask=sets_mask,
             index_bits=index_bits,
             job_hits=hits,
-            hit_flags=flags_u8,
-        )
-        if not collect_flags:
-            return FusedWindowResult(
-                hits=hits,
-                hit_flags=None,
-                tenant_per_access=None,
-            )
-        assert flags_u8 is not None
-        tenant_per_access = np.repeat(
-            schedule.tenant_ids, schedule.accesses
         )
         return FusedWindowResult(
-            hits=hits,
-            hit_flags=flags_u8.astype(np.bool_),
-            tenant_per_access=tenant_per_access,
+            hits=hits, hit_flags=None, tenant_per_access=None
         )
     stream_blocks, tenant_per_access = _stream_gather(batch, schedule)
     rows = stream_blocks & sets_mask

@@ -9,40 +9,36 @@ module exploits three structural facts:
 1. **The schedule does not depend on cache contents.**  A quantum ends
    after a fixed number of instructions, and instruction counts come
    from the trace alone — so where every quantum starts and stops is a
-   pure function of (traces, quantum, budget).  The start positions of
-   a job's successive quanta are the orbit of the successor map
-   "position -> position after one quantum".  On the compiled kernel
-   one C call (``repro_quantum_orbit``) walks that orbit quantum by
-   quantum, galloping to each quantum's end from the cursor, so it
-   costs O(quanta x log accesses-per-quantum) and builds no table over
-   the trace.  On the numpy kernel
+   pure function of (traces, quantum, budget).  On the compiled kernel
+   each point is one call of the C round-robin walk
+   (``repro_fleet_segment``, the fleet's segment walk with no cap, so
+   every quantum runs whole), which cuts each quantum from the job's
+   cursor as it walks it: no schedule is built.  On the numpy kernel
+   the start positions of a job's successive quanta are the orbit of
+   the successor map "position -> position after one quantum";
    :class:`~repro.sim.multitask.QuantumWalkTables` computes the map for
-   *all* positions at once with vectorized ``searchsorted`` and unrolls
-   its orbit; that path is also the reference the C orbit is tested
-   against.
+   *all* positions at once with vectorized ``searchsorted`` and
+   :class:`_Schedule` unrolls its orbit.
 
 2. **A schedule is a segment walk.**  Each scheduled quantum is one
    ``(job, start position, accesses)`` segment over the job's wrapped
-   trace, the form the fleet's
-   :func:`~repro.sim.engine.fused.fused_multitask_run` walks.  The
-   warm-up is one more such walk (one segment per job: its whole
-   trace, ``warmup_passes`` times), run once per variant; every point
-   starts from a copy of the warm state.  The kernel decides only how
-   the walks run.  On the compiled kernel each is one
-   ``fused_multitask_run`` call, which walks the segments in C without
-   materializing the access stream.  The numpy kernel's time grows
-   with its rounds (the most accesses landing on one row), so there
-   each schedule's stream is gathered once (``fused``'s gather) and
-   the walks of every variant with the same associativity are stacked
-   into shared lockstep calls, each walk's sets as extra independent
-   rows.
+   trace.  The warm-up is such a walk too (one segment per job: its
+   whole trace, ``warmup_passes`` times), run once per variant; every
+   point starts from a copy of the warm state.  On the compiled kernel
+   each warm-up is one :func:`~repro.sim.engine.fused.fused_multitask_run`
+   call, which walks the segments in C without materializing the
+   access stream.  The numpy kernel's time grows with its rounds (the
+   most accesses landing on one row), so there each schedule's stream
+   is gathered once (``fused``'s gather) and the walks of every
+   variant with the same associativity are stacked into shared
+   lockstep calls, each walk's sets as extra independent rows.
 
 3. **The schedule is geometry-free.**  Cache size, column count and
-   column masks do not enter the schedule, so a whole experiment
-   matrix (several geometries x mapped/shared x all quanta — Figure 5
-   is exactly this) reuses each quantum's schedule, its per-job
-   totals (instructions, accesses, wraps, quanta) and its access
-   stream across every variant.
+   column masks do not enter the schedule, so on numpy a whole
+   experiment matrix (several geometries x mapped/shared x all quanta
+   — Figure 5 is exactly this) reuses each quantum's schedule, its
+   per-job totals (instructions, accesses, wraps, quanta) and its
+   access stream across every variant.
 
 Results are bit-identical to the per-quantum simulator (asserted by the
 equivalence tests): same hits, misses, instructions, wraps and quantum
@@ -52,23 +48,25 @@ counts per job, hence the same CPI to the last ulp.
 from __future__ import annotations
 
 import copy
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.sim.engine import _compiled, backends
-from repro.sim.engine.batched import (
-    LockstepState,
-    lockstep_run,
-    narrow_blocks,
-)
+from repro.sim.engine.batched import LockstepState, lockstep_run
 from repro.sim.engine.fused import (
     TenantBatch,
     _stream_gather,
     fused_multitask_run,
 )
-from repro.sim.multitask import Job, JobResult, QuantumWalkTables
+from repro.sim.multitask import (
+    Job,
+    JobResult,
+    QuantumWalkTables,
+    check_window,
+)
+from repro.utils.validation import check_quantum
 
 #: Flush the numpy kernel's stacked walks beyond this many buffered
 #: accesses.  Kernel wall time scales with *rounds* (the max accesses
@@ -85,50 +83,30 @@ class _BatchJob:
     def __init__(self, job: Job, geometry: CacheGeometry) -> None:
         if len(job.trace) == 0:
             raise ValueError(f"job {job.name!r} has an empty trace")
-        self.blocks = narrow_blocks(
-            job.trace.blocks_for(geometry.offset_bits, job.address_offset)
+        # int64, as the compiled walk reads it; TenantBatch narrows
+        # its concatenation for the numpy walks and the warm-ups.
+        self.blocks = job.trace.blocks_for(
+            geometry.offset_bits, job.address_offset
         )
         self.cum = job.trace.cumulative_instructions
         self.mask_bits = job.mask_bits(geometry.columns)
         self.name = job.name
 
 
-def _job_quanta(
-    batch_job: _BatchJob, quantum: int, count: int, compiled: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Start position, accesses, instructions, wraps of the job's
-    first ``count`` quanta.
-
-    On the compiled kernel one C call walks the orbit quantum by
-    quantum; the numpy path builds the closed-form tables over every
-    start position and unrolls their successor map, the reference
-    the C orbit is held to.  The tables are built directly, not
-    through the :func:`~repro.sim.multitask.walk_tables` memo: no
-    later call reuses them, and the memo would keep them alive.
-    """
-    if compiled:
-        return _compiled.quantum_orbit_compiled(
-            batch_job.cum, quantum, 0, count
-        )
-    tables = QuantumWalkTables(batch_job.cum, quantum)
-    positions = tables.orbit(0, count)
-    return (
-        positions,
-        tables.accesses[positions],
-        tables.ran[positions],
-        tables.wraps[positions],
-    )
-
-
 class _Schedule:
-    """The global round-robin schedule of one sweep point.
+    """The numpy kernel's global round-robin schedule of one point.
 
     Besides the per-quantum columns it holds each job's totals over
     the schedule (``job_instructions``, ``job_accesses``,
     ``job_wraps``, ``job_quanta``), which every variant's results
     share.  Unlike the fleet's
     :func:`~repro.sim.multitask.quantum_schedule`, the final quantum
-    runs whole, as :meth:`MultitaskSimulator.run` runs it.
+    runs whole, as :meth:`MultitaskSimulator.run` runs it.  Each job's
+    orbit is unrolled from closed-form tables over every start
+    position, built directly, not through the
+    :func:`~repro.sim.multitask.walk_tables` memo: no later call
+    reuses them, and the memo would keep them alive.  The caller
+    checks the window (:func:`~repro.sim.multitask.check_window`).
     """
 
     def __init__(
@@ -136,12 +114,7 @@ class _Schedule:
         batch_jobs: Sequence[_BatchJob],
         quantum: int,
         budget: int,
-        compiled: bool = False,
     ) -> None:
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
         job_count = len(batch_jobs)
         # Every quantum runs >= `quantum` instructions, so this bounds
         # the number of quanta the budget can demand.
@@ -150,9 +123,14 @@ class _Schedule:
         # (column, round, job): row r of a column is round-robin round r.
         table = np.empty((4, per_job, job_count), dtype=np.int64)
         for index, batch_job in enumerate(batch_jobs):
-            quanta = _job_quanta(batch_job, quantum, per_job, compiled)
-            for column, values in zip(table, quanta):
-                column[:, index] = values
+            tables = QuantumWalkTables(batch_job.cum, quantum)
+            positions = tables.orbit(0, per_job)
+            table[:, :, index] = (
+                positions,
+                tables.accesses[positions],
+                tables.ran[positions],
+                tables.wraps[positions],
+            )
         flat = table.reshape(4, -1)
         executed = np.cumsum(flat[2])
         total_quanta = int(np.searchsorted(executed, budget, "left")) + 1
@@ -186,7 +164,6 @@ class _WarmUp:
         self.tenant_ids = np.arange(batch.tenants, dtype=np.int64)
         self.positions = np.zeros(batch.tenants, dtype=np.int64)
         self.accesses = batch.lengths * passes
-        self.job_accesses = self.accesses
         self.total_accesses = int(self.accesses.sum())
 
 
@@ -196,52 +173,100 @@ _Walk = tuple[int, Union[_Schedule, _WarmUp], LockstepState]
 
 
 def _results_for_point(
-    batch_jobs: Sequence[_BatchJob],
-    schedule: _Schedule,
-    misses: np.ndarray,
+    batch_jobs: Sequence[_BatchJob], rows: Sequence[Sequence[int]]
 ) -> dict[str, JobResult]:
-    """Assemble per-job :class:`JobResult`\\ s from per-job misses
-    and the schedule's per-job totals."""
+    """Per-job :class:`JobResult`\\ s from one row a job,
+    ``[instructions, accesses, wraps, quanta, hits]``."""
     return {
         batch_job.name: JobResult(
             name=batch_job.name,
-            instructions=int(schedule.job_instructions[index]),
-            accesses=int(schedule.job_accesses[index]),
-            hits=int(schedule.job_accesses[index] - misses[index]),
-            misses=int(misses[index]),
-            wraps=int(schedule.job_wraps[index]),
-            quanta=int(schedule.job_quanta[index]),
+            instructions=instructions,
+            accesses=accesses,
+            hits=hits,
+            misses=accesses - hits,
+            wraps=wraps,
+            quanta=quanta,
         )
-        for index, batch_job in enumerate(batch_jobs)
+        for batch_job, (instructions, accesses, wraps, quanta, hits) in zip(
+            batch_jobs, rows
+        )
     }
 
 
-def _fused_walks(
+def _segment_rows(
     variants: Sequence[tuple[CacheGeometry, Sequence[Job]]],
-    batch: TenantBatch,
+    batch_jobs: Sequence[_BatchJob],
     mask_tables: Sequence[np.ndarray],
-    walks: Iterable[_Walk],
-) -> list[np.ndarray]:
-    """Each walk as one fused schedule walk on the compiled kernel,
-    its state advanced in place; per-job misses, one array a walk.
-
-    Walks are drawn one at a time, so a generator's states can die
-    with their walks.
-    """
-    misses = []
-    for variant_index, schedule, state in walks:
+    warm_states: Sequence[LockstepState],
+    quanta: Sequence[int],
+    budget: int,
+    points: Iterable[tuple[int, int]],
+) -> Iterator[list[list[int]]]:
+    """Each ``(variant, quantum)`` point as one call of the C
+    round-robin walk with no cap, so every quantum runs whole: from a
+    copy of the variant's warm state, every job's cursor at 0 and job
+    0 first.  Yields one ``[instructions, accesses, wraps, quanta,
+    hits]`` row a job."""
+    blocks = [batch_job.blocks for batch_job in batch_jobs]
+    cumulatives = [batch_job.cum for batch_job in batch_jobs]
+    cursors = [0] * len(batch_jobs)
+    for variant_index, quantum_index in points:
         geometry = variants[variant_index][0]
-        outcome = fused_multitask_run(
-            batch,
-            schedule,
-            mask_tables[variant_index],
-            state,
+        rows = _compiled.fleet_segment_compiled(
+            blocks,
+            cumulatives,
+            cursors,
+            mask_tables[variant_index].tolist(),
+            int(quanta[quantum_index]),
+            budget,
+            0,
+            copy.deepcopy(warm_states[variant_index]),
             sets_mask=geometry.sets - 1,
             index_bits=geometry.index_bits,
-            backend="compiled",
+            cap=_compiled.NO_CAP,
+        )[0]
+        yield [row[1:] for row in rows]
+
+
+def _schedule_rows(
+    variants: Sequence[tuple[CacheGeometry, Sequence[Job]]],
+    batch: TenantBatch,
+    batch_jobs: Sequence[_BatchJob],
+    mask_tables: Sequence[np.ndarray],
+    warm_states: Sequence[LockstepState],
+    quanta: Sequence[int],
+    budget: int,
+    points: Sequence[tuple[int, int]],
+) -> Iterator[list[list[int]]]:
+    """Each ``(variant, quantum)`` point as a walk of its quantum's
+    :class:`_Schedule` (built once, shared by every variant) from a
+    copy of the variant's warm state, the walks stacked on numpy
+    (:func:`_stacked_walks`).  Yields one ``[instructions, accesses,
+    wraps, quanta, hits]`` row a job."""
+    schedules = [
+        _Schedule(batch_jobs, int(quantum), budget) for quantum in quanta
+    ]
+    walks = (
+        (
+            variant_index,
+            schedules[quantum_index],
+            copy.deepcopy(warm_states[variant_index]),
         )
-        misses.append(schedule.job_accesses - outcome.hits)
-    return misses
+        for variant_index, quantum_index in points
+    )
+    for (_variant_index, quantum_index), misses in zip(
+        points, _stacked_walks(variants, batch, mask_tables, walks)
+    ):
+        schedule = schedules[quantum_index]
+        yield np.column_stack(
+            (
+                schedule.job_instructions,
+                schedule.job_accesses,
+                schedule.job_wraps,
+                schedule.job_quanta,
+                schedule.job_accesses - misses,
+            )
+        ).tolist()
 
 
 class _KernelGroup:
@@ -427,18 +452,20 @@ def simulate_multitask_matrix(
     ``variants`` are (geometry, jobs) pairs that must share the same
     job names, traces, address offsets and line size — they may differ
     in cache size, column count and column masks (Figure 5's
-    shared/mapped x 16K/128K matrix).  The schedule of each quantum is
-    computed once and reused by every variant, and each variant warms
-    up once.
+    shared/mapped x 16K/128K matrix).  Each variant warms up once, and
+    every point starts from a copy of its variant's warm state.
 
     ``kernel`` selects the lockstep backend for this matrix
     (``"numpy"`` / ``"compiled"`` / ``"auto"``; None follows the
     session's active backend).  It decides only how the walks (the
-    warm-ups, then the points) run: on the compiled backend each is
-    one fused schedule walk (a variant wider than the C kernel's 63
-    ways falls back to numpy call by call); on numpy,
-    same-associativity walks share stacked lockstep calls.  Results
-    are bit-identical either way.
+    warm-ups, then the points) run.  On the compiled backend each
+    warm-up is one fused schedule walk and each point one call of the
+    C round-robin walk with no cap, which cuts each quantum as it
+    walks it; a matrix with a variant wider than the C kernel's 63
+    ways runs wholly on numpy.  On numpy each quantum's schedule is
+    built once and reused by every variant, and same-associativity
+    walks share stacked lockstep calls.  Results are bit-identical
+    either way.
 
     Returns ``results[variant_index][quantum_index]``, each entry
     equivalent to ``MultitaskSimulator`` + ``warm_up(warmup_passes)``
@@ -448,7 +475,10 @@ def simulate_multitask_matrix(
         ValueError: on negative ``warmup_passes`` (before any work),
             no variant, a variant without jobs, duplicate job names,
             variants that differ in line size or jobs, a job mask that
-            names a way above 62, or a quantum or budget below 1.
+            names a way above 62, a quantum or budget below 1, or a
+            quantum above ``2**63 - 1`` minus some job's pass total
+            (:func:`~repro.utils.validation.check_quantum`); all before
+            the warm-up.
     """
     if warmup_passes < 0:
         raise ValueError(f"passes must be >= 0, got {warmup_passes}")
@@ -485,6 +515,12 @@ def simulate_multitask_matrix(
                     "address offsets"
                 )
 
+    budget = int(budget_instructions)
+    for quantum in quanta:
+        check_window(len(base_jobs), int(quantum), budget, 0)
+        for batch_job in base_jobs:
+            check_quantum(int(quantum), int(batch_job.cum[-1]))
+
     # int16 mask palette where the variant's own associativity allows
     # (ways <= 15): the numpy path gathers per-access mask columns from
     # these, so the narrow dtype flows through buffering and the kernel.
@@ -500,17 +536,12 @@ def simulate_multitask_matrix(
         if kernel is None
         else backends.resolve_backend(kernel)
     )
-    compiled = kernel_name == "compiled"
-    walk = _fused_walks if compiled else _stacked_walks
+    compiled = kernel_name == "compiled" and all(
+        _compiled.supports(geometry.columns) for geometry, _jobs in variants
+    )
     batch = TenantBatch.build(
         [batch_job.blocks for batch_job in base_jobs]
     )
-    schedules = [
-        _Schedule(
-            base_jobs, int(quantum), int(budget_instructions), compiled
-        )
-        for quantum in quanta
-    ]
 
     # The warm-up stream is identical for every quantum of a variant,
     # and cache evolution is a pure function of (state, stream): warm
@@ -521,29 +552,45 @@ def simulate_multitask_matrix(
     ]
     if warmup_passes:
         warm_up = _WarmUp(batch, warmup_passes)
-        walk(
-            variants,
-            batch,
-            mask_tables,
-            [
-                (variant_index, warm_up, state)
-                for variant_index, state in enumerate(warm_states)
-            ],
-        )
+        if compiled:
+            for (geometry, _jobs), mask_table, state in zip(
+                variants, mask_tables, warm_states
+            ):
+                fused_multitask_run(
+                    batch,
+                    warm_up,
+                    mask_table,
+                    state,
+                    sets_mask=geometry.sets - 1,
+                    index_bits=geometry.index_bits,
+                    backend="compiled",
+                )
+        else:
+            _stacked_walks(
+                variants,
+                batch,
+                mask_tables,
+                [
+                    (variant_index, warm_up, state)
+                    for variant_index, state in enumerate(warm_states)
+                ],
+            )
     points = [
-        (variant_index, schedule)
-        for schedule in schedules
+        (variant_index, quantum_index)
+        for quantum_index in range(len(quanta))
         for variant_index in range(len(variants))
     ]
-    point_walks = (
-        (variant_index, schedule, copy.deepcopy(warm_states[variant_index]))
-        for variant_index, schedule in points
-    )
-    results: list[list[dict[str, JobResult]]] = [[] for _ in variants]
-    for (variant_index, schedule), misses in zip(
-        points, walk(variants, batch, mask_tables, point_walks)
-    ):
-        results[variant_index].append(
-            _results_for_point(base_jobs, schedule, misses)
+    if compiled:
+        point_rows = _segment_rows(
+            variants, base_jobs, mask_tables, warm_states, quanta, budget,
+            points,
         )
+    else:
+        point_rows = _schedule_rows(
+            variants, batch, base_jobs, mask_tables, warm_states, quanta,
+            budget, points,
+        )
+    results: list[list[dict[str, JobResult]]] = [[] for _ in variants]
+    for (variant_index, _quantum_index), rows in zip(points, point_rows):
+        results[variant_index].append(_results_for_point(base_jobs, rows))
     return results

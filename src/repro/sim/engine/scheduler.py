@@ -3,12 +3,10 @@
 :class:`SweepEngine` accepts :class:`~repro.sim.engine.spec.SimJob`
 lists or a :class:`~repro.sim.engine.spec.SweepSpec`, consults the
 content-addressed :class:`~repro.sim.engine.cache.ResultCache`, and
-executes the remaining jobs on one of three backends:
+executes the remaining jobs on one of two backends:
 
 * ``"serial"`` — inline in this process (deterministic, no pickling
   requirements; the right choice on one core and inside tests).
-* ``"thread"`` — a thread pool; useful when runners release the GIL
-  (numpy-heavy lockstep batches) or for IO-bound runners.
 * ``"process"`` — a process pool; true parallelism for CPU-bound
   scalar runners.  Runners must be importable top-level functions.
 
@@ -22,11 +20,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
@@ -35,7 +29,7 @@ from repro.sim.engine import backends
 from repro.sim.engine.cache import MISS, ResultCache
 from repro.sim.engine.spec import SimJob, SweepSpec, runner_path
 
-_BACKENDS = ("auto", "serial", "thread", "process")
+_BACKENDS = ("auto", "serial", "process")
 
 
 @dataclass
@@ -63,13 +57,6 @@ def _execute_reference(
     """
     start = time.perf_counter()  # repro: ignore[R001] -- job duration is outcome telemetry, not simulation state
     value = SimJob(runner=reference, params=params).execute()
-    return value, time.perf_counter() - start  # repro: ignore[R001] -- job duration is outcome telemetry, not simulation state
-
-
-def _execute_timed(job: SimJob) -> tuple[Any, float]:
-    """Thread-backend twin of :func:`_execute_reference`."""
-    start = time.perf_counter()  # repro: ignore[R001] -- job duration is outcome telemetry, not simulation state
-    value = job.execute()
     return value, time.perf_counter() - start  # repro: ignore[R001] -- job duration is outcome telemetry, not simulation state
 
 
@@ -149,18 +136,20 @@ class SweepEngine:
         pending: list[tuple[int, SimJob, str]],
         outcomes: list[Optional[JobOutcome]],
     ) -> None:
-        pool = self._make_pool()
+        # Workers must simulate on the same kernel backend the parent
+        # hashed the jobs under (set_backend() overrides are process
+        # state, not environment state): pin the resolved choice into
+        # the environment the pool inherits.
+        os.environ[backends.KERNEL_ENV] = backends.active_backend()
+        pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
             futures = []
             for index, job, digest in pending:
-                if self.backend == "process":
-                    future = pool.submit(
-                        _execute_reference,
-                        runner_path(job.runner),
-                        dict(job.params),
-                    )
-                else:
-                    future = pool.submit(_execute_timed, job)
+                future = pool.submit(
+                    _execute_reference,
+                    runner_path(job.runner),
+                    dict(job.params),
+                )
                 futures.append((index, job, digest, future))
             for index, job, digest, future in futures:
                 value, elapsed = future.result()
@@ -170,16 +159,6 @@ class SweepEngine:
                 )
         finally:
             pool.shutdown()
-
-    def _make_pool(self) -> Executor:
-        if self.backend == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        # Workers must simulate on the same kernel backend the parent
-        # hashed the jobs under (set_backend() overrides are process
-        # state, not environment state): pin the resolved choice into
-        # the environment the pool inherits.
-        os.environ[backends.KERNEL_ENV] = backends.active_backend()
-        return ProcessPoolExecutor(max_workers=self.workers)
 
     # ------------------------------------------------------------------
     # Convenience

@@ -106,8 +106,8 @@ class SimJob:
     Attributes:
         runner: Dotted path ``"module:function"`` or a callable (a
             callable must be importable from its module to cross a
-            process boundary; any callable works on the serial and
-            thread backends).
+            process boundary; any callable works on the serial
+            backend).
         params: Keyword arguments for the runner; must be
             JSON-serializable (tuples are normalized to lists).
         label: Display/reporting name; not part of the content hash.

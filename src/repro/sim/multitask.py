@@ -23,13 +23,14 @@ function of (traces, quantum, budget) — no cache state involved.
 position at once and :meth:`QuantumWalkTables.orbit` unrolls the
 successor map; the batched sweep engine
 (:mod:`repro.sim.engine.multitask_batch`) schedules through these two
-on the numpy kernel, and on the compiled kernel iterates
-:func:`single_quantum`'s formula in C instead.
-:func:`quantum_schedule` assembles a whole round-robin scheduling
-window (with exact, instruction-precise budget boundaries): the fleet
-segment's numpy path (:func:`repro.sim.engine.fused.fleet_segment`)
-walks it, and the compiled path cuts the same quanta in C as it walks
-them.  :func:`circular_slices` names the one circular range of trace
+on the numpy kernel.  :func:`quantum_schedule` assembles a whole
+round-robin scheduling window (with exact, instruction-precise budget
+boundaries), which the fleet segment's numpy path
+(:func:`repro.sim.engine.fused.fleet_segment`) walks.  On the compiled
+kernel one C walk cuts each quantum by :func:`single_quantum`'s
+formula as it runs it, for both: a fleet segment, its final quantum
+cut to the budget, and a Figure 5 point, every quantum whole.
+:func:`circular_slices` names the one circular range of trace
 positions each tenant runs in a window.
 """
 
@@ -203,9 +204,7 @@ def single_quantum(
     The scalar counterpart of :func:`quantum_tables` — same formula,
     one position — used to re-cut the final quantum of a scheduling
     window when the remaining budget is smaller than the full quantum.
-    The compiled kernel's quantum orbit
-    (:func:`repro.sim.engine._compiled.quantum_orbit_compiled`)
-    iterates this formula, and its fleet segment
+    The compiled kernel's round-robin walk
     (:func:`repro.sim.engine._compiled.fleet_segment_compiled`) cuts
     every quantum by it.  Returns ``(next_pos, accesses, ran,
     wraps)``.

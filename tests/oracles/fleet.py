@@ -185,10 +185,7 @@ def run_reference_fleet(
                     remap_cycles=pending_remap.pop(name, 0),
                 )
             )
-            if (
-                config.detect_phases
-                and accesses >= config.min_detect_accesses
-            ):
+            if accesses >= config.min_detect_accesses:
                 window = np.concatenate(
                     [runtime.blocks[a:b] for a, b in slices[name]]
                 )

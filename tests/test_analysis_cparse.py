@@ -31,9 +31,8 @@ WRAPPER_PY = ENGINE_DIR / "_compiled.py"
 #: The kernel's exported functions and their C-side arity.
 EXPORTED = {
     "repro_lockstep_flags": 17,
-    "repro_fused_multitask": 17,
-    "repro_quantum_orbit": 9,
-    "repro_fleet_segment": 15,
+    "repro_fused_multitask": 16,
+    "repro_fleet_segment": 16,
 }
 
 

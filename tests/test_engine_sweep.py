@@ -103,17 +103,6 @@ class TestEngineExecution:
         assert calls == [0, 1, 2, 3]
         assert all(not outcome.cached for outcome in outcomes)
 
-    def test_thread_backend_matches_serial(self):
-        spec = SweepSpec(
-            name="zipf",
-            runner=TRACE_SIM,
-            base={"kind": "zipf", "count": 400},
-            axes={"columns": [1, 2, 4]},
-        )
-        serial = SweepEngine(workers=1, backend="serial").values(spec)
-        threaded = SweepEngine(workers=3, backend="thread").values(spec)
-        assert serial == threaded
-
     def test_process_backend_matches_serial(self):
         spec = SweepSpec(
             name="zipf",

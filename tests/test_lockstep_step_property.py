@@ -360,8 +360,9 @@ def schedule_stream(job_blocks, schedule):
 )
 def test_fused_windows_carry_state(case, budgets, kernel):
     """One schedule cut into several fused calls: each call restarts
-    the slot table, and every window's hit flags equal the reference's
-    on the same stream; the final state equals numpy's."""
+    the slot table.  Every window's per-tenant hits equal numpy's walk
+    of it, whose hit flags equal the reference's on the same stream;
+    the final state equals numpy's."""
     geometry, job_specs, quantum = case
     job_blocks = [blocks for blocks, _gaps, _bits in job_specs]
     cumulatives = [np.cumsum(gaps + 1) for _blocks, gaps, _bits in job_specs]
@@ -380,18 +381,60 @@ def test_fused_windows_carry_state(case, budgets, kernel):
             cumulatives, positions, quantum, budget, start_at=turn
         )
         window = fused_multitask_run(
-            batch, schedule, mask_table, state,
-            collect_flags=True, backend=kernel, **options,
+            batch, schedule, mask_table, state, backend=kernel, **options,
         )
-        fused_multitask_run(
+        walk = fused_multitask_run(
             batch, schedule, mask_table, expected,
-            backend="numpy", **options,
+            collect_flags=True, backend="numpy", **options,
         )
         blocks, owners = schedule_stream(job_blocks, schedule)
         ref_hits, _ = reference.run(blocks, mask_bits=mask_table[owners])
-        assert np.array_equal(window.hit_flags, ref_hits)
-        assert np.array_equal(window.tenant_per_access, owners)
+        assert np.array_equal(walk.hit_flags, ref_hits)
+        assert np.array_equal(walk.tenant_per_access, owners)
+        assert np.array_equal(window.hits, walk.hits)
         positions = [int(p) for p in schedule.next_positions]
         turn = schedule.next_turn
     assert_same_state(state, expected, kernel)
     assert resident_lines(state) == reference_lines(reference)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(case=fused_cases(), budget=st.sampled_from([1, 7, 60]))
+def test_fused_flags_come_from_any_backend(case, budget, kernel):
+    """Flags asked of either backend are returned (the compiled one
+    walks such a window on numpy): flags, owners, hits and the final
+    state equal a numpy walk's, and each tenant's flags sum to its
+    hits."""
+    geometry, job_specs, quantum = case
+    job_blocks = [blocks for blocks, _gaps, _bits in job_specs]
+    cumulatives = [np.cumsum(gaps + 1) for _blocks, gaps, _bits in job_specs]
+    mask_table = np.array([bits for *_rest, bits in job_specs], dtype=np.int64)
+    batch = TenantBatch.build(job_blocks)
+    options = {
+        "sets_mask": geometry.sets - 1,
+        "index_bits": geometry.index_bits,
+        "collect_flags": True,
+    }
+    schedule = quantum_schedule(
+        cumulatives, [0] * len(job_specs), quantum, budget
+    )
+    state = LockstepState.cold(geometry.sets, geometry.columns)
+    expected = LockstepState.cold(geometry.sets, geometry.columns)
+    got = fused_multitask_run(
+        batch, schedule, mask_table, state, backend=kernel, **options,
+    )
+    walk = fused_multitask_run(
+        batch, schedule, mask_table, expected, backend="numpy", **options,
+    )
+    assert np.array_equal(got.hit_flags, walk.hit_flags)
+    assert np.array_equal(got.tenant_per_access, walk.tenant_per_access)
+    assert np.array_equal(got.hits, walk.hits)
+    assert np.array_equal(
+        got.hits,
+        np.bincount(
+            got.tenant_per_access,
+            weights=got.hit_flags,
+            minlength=len(job_specs),
+        ).astype(np.int64),
+    )
+    assert_same_state(state, expected, kernel)

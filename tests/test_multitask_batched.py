@@ -375,6 +375,39 @@ class TestQuantumRange:
                 walk_tables(cumulative, quantum)
 
 
+class TestWindowBeforeWarmUp:
+    """Every quantum's window (a quantum and budget of at least 1, a
+    quantum within ``check_quantum``'s range) is checked with the
+    reference's messages on either kernel, for each quantum of the
+    list, before any variant warms up."""
+
+    GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
+    JOBS = [Job(name="a", trace=Trace.from_columns([0, 16, 32]))]
+
+    @pytest.mark.parametrize(
+        ("quanta", "budget", "message"),
+        [
+            ([4, 0], 10, "quantum must be >= 1, got 0"),
+            ([1], 0, "budget must be >= 1, got 0"),
+            ([4, 2**63 - 2], 10, f"quantum must be in [1, {2**63 - 4}]"),
+        ],
+        ids=["quantum-0", "budget-0", "quantum-range"],
+    )
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matrix_checks_every_window_first(
+        self, monkeypatch, kernel, quanta, budget, message
+    ):
+        def no_warm_up(*_args):
+            raise AssertionError("warmed up before checking the window")
+
+        monkeypatch.setattr(multitask_batch, "_WarmUp", no_warm_up)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_multitask_matrix(
+                [(self.GEOMETRY, self.JOBS)], quanta, budget,
+                warmup_passes=2, kernel=kernel,
+            )
+
+
 class TestNegativeWarmUp:
     """A negative warm-up pass count fails with the reference's
     message, on either kernel, before the matrix does any work."""
@@ -446,8 +479,9 @@ class TestWideMasks:
 
     @requires_compiled
     def test_compiled_matrix_mixes_8_and_100_ways(self):
-        """The 100-way variant's walks fall back to numpy call by
-        call, beside the 8-way variant's C walks."""
+        """A compiled matrix with a 100-way variant (wider than the C
+        walk's 63 ways) runs wholly on numpy, the 8-way variant
+        included, and matches the reference on both."""
         narrow = CacheGeometry(line_size=16, sets=4, columns=8)
         wide = CacheGeometry(line_size=16, sets=4, columns=100)
         variants = [(narrow, self.jobs(8, 4)), (wide, self.jobs(100, 31))]
@@ -468,8 +502,8 @@ class TestWideMasks:
 
 class TestMatrixKernels:
     """Both ways the matrix walks its points, pinned: numpy's stacked
-    lockstep calls and the compiled fused schedule walk, one call per
-    point (the session default picks only one of them)."""
+    lockstep calls and the compiled segment walk with no cap, one call
+    per point (the session default picks only one of them)."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @given(case=multitask_case())
@@ -501,10 +535,10 @@ class TestMatrixKernels:
 
     @requires_compiled
     def test_schedule_count_adds_the_walk_hits(self):
-        """The compiled schedule walk, under the matrix's name and the
-        fleet's, adds each job's hits to ``job_hits`` and (asked for
-        them) writes per-access flags; both agree with a numpy
-        lockstep run over the materialized circular stream."""
+        """The compiled schedule walk, under both its names, adds each
+        job's hits to ``job_hits``; the hits and the final state agree
+        with a numpy lockstep run over the materialized circular
+        stream."""
         rng = np.random.default_rng(11)
         geometry = CacheGeometry(line_size=16, sets=8, columns=4)
         sets_mask = geometry.sets - 1
@@ -528,10 +562,11 @@ class TestMatrixKernels:
         )
         stream_jobs = np.repeat(seg_jobs, seg_len)
         stream_blocks = blocks[stream]
+        expected = LockstepState.cold(geometry.sets, geometry.columns)
         expected_flags, _ = lockstep_run(
             stream_blocks & np.int64(sets_mask),
             stream_blocks >> np.int64(index_bits),
-            LockstepState.cold(geometry.sets, geometry.columns),
+            expected,
             mask_bits=mask_table[stream_jobs],
             backend="numpy",
         )
@@ -550,16 +585,15 @@ class TestMatrixKernels:
         )
         walked = LockstepState.cold(geometry.sets, geometry.columns)
         job_hits = np.zeros(3, dtype=np.int64)
-        hit_flags = np.zeros(int(seg_len.sum()), dtype=np.uint8)
         _compiled.fused_multitask_compiled(
             seg_jobs, seg_pos, seg_len, offsets, lengths, blocks,
             mask_table, walked,
-            sets_mask=sets_mask, index_bits=index_bits,
-            job_hits=job_hits, hit_flags=hit_flags,
+            sets_mask=sets_mask, index_bits=index_bits, job_hits=job_hits,
         )
 
-        assert np.array_equal(hit_flags.astype(bool), expected_flags)
         assert np.array_equal(job_hits, expected_hits)
         assert np.array_equal(counted_hits, carried + expected_hits)
-        assert np.array_equal(counted.tags, walked.tags)
-        assert np.array_equal(counted.last_use, walked.last_use)
+        for state in (counted, walked):
+            assert np.array_equal(state.tags, expected.tags)
+            assert np.array_equal(state.last_use, expected.last_use)
+            assert np.array_equal(state.clock, expected.clock)

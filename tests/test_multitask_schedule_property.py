@@ -1,23 +1,27 @@
 """The closed-form multitask schedule vs a step-by-step rebuild.
 
 ``repro.sim.engine.multitask_batch`` computes where every round-robin
-quantum starts and stops in closed form: on the numpy kernel through
-vectorized successor tables and their unrolled orbit
-(:class:`~repro.sim.multitask.QuantumWalkTables`), on the compiled
-kernel through the C quantum orbit (``repro_quantum_orbit``).  These
-property tests rebuild the schedule the way the scalar
+quantum of a Figure 5 point starts and stops: on the numpy kernel in
+closed form, through vectorized successor tables and their unrolled
+orbit (:class:`~repro.sim.multitask.QuantumWalkTables`); on the
+compiled kernel by cutting each quantum as the C segment walk
+(``repro_fleet_segment`` with no cap) runs it.  These property tests
+rebuild the schedule the way the scalar
 :class:`~repro.sim.multitask.MultitaskSimulator` walks it — one
 quantum at a time, one searchsorted per step, honoring the atomic
-overshoot of the final access — and assert both closed forms match
+overshoot of the final access — and assert the closed form matches
 *entry by entry*: same job order, same start positions, same access
 counts, same instructions executed, same wrap counts, for random
-quantum and trace lengths.  A second property holds the C orbit to
-both numpy references directly, on the edges of its input domain.  A
-third holds the fleet's window, :func:`~repro.sim.multitask.quantum_schedule`
-with its budget-cut final quantum, and each tenant's
+quantum and trace lengths.  A second property holds the fleet's
+window, :func:`~repro.sim.multitask.quantum_schedule` with its
+budget-cut final quantum, and each tenant's
 :func:`~repro.sim.multitask.circular_slices`, to the scalar walk the
-fleet oracle makes (``tests/oracles/fleet.py``).
+fleet oracle makes (``tests/oracles/fleet.py``).  A third holds the
+segment walk, cut at its budget on either kernel and with no cap on
+the compiled one, to those schedules and scalar walks.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.sim.engine import _compiled
 from repro.sim.engine.backends import compiled_available
 from repro.sim.engine.batched import LockstepState
 from repro.sim.engine.fused import (
+    FleetSegment,
     TenantBatch,
     _stream_gather,
     fleet_segment,
@@ -38,11 +43,9 @@ from repro.sim.engine.fused import (
 from repro.sim.engine.multitask_batch import _BatchJob, _Schedule
 from repro.sim.multitask import (
     Job,
-    QuantumWalkTables,
     circular_slices,
     next_quantum_slice,
     quantum_schedule,
-    single_quantum,
 )
 from repro.trace.columnar import ColumnarRecorder
 
@@ -51,12 +54,6 @@ from oracles.column_cache import ReferenceCache
 requires_compiled = pytest.mark.skipif(
     not compiled_available(), reason="compiled kernel unavailable"
 )
-
-#: The two orbit paths a schedule can be built on.
-ORBITS = [
-    pytest.param(False, id="numpy-orbit"),
-    pytest.param(True, id="compiled-orbit", marks=requires_compiled),
-]
 
 GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
 
@@ -133,13 +130,12 @@ def schedule_case(draw):
     return jobs, quantum, budget
 
 
-@pytest.mark.parametrize("compiled", ORBITS)
 @given(case=schedule_case())
 @settings(deadline=None)
-def test_closed_form_schedule_matches_scalar_walk(case, compiled):
+def test_closed_form_schedule_matches_scalar_walk(case):
     jobs, quantum, budget = case
     batch_jobs = [_BatchJob(job, GEOMETRY) for job in jobs]
-    schedule = _Schedule(batch_jobs, quantum, budget, compiled=compiled)
+    schedule = _Schedule(batch_jobs, quantum, budget)
     expected = scalar_schedule(
         [batch_job.cum for batch_job in batch_jobs], quantum, budget
     )
@@ -194,116 +190,20 @@ def test_access_stream_walks_each_trace_in_order(case):
     assert cursor == len(stream_blocks)
 
 
-@st.composite
-def orbit_case(draw):
-    """``(gaps, quantum, start, count)`` on the orbit's domain edges:
-    1-access traces, all-zero gaps, one gap >= 2**32; quanta of 1,
-    the pass total, total +- 1 and several passes."""
-    length = draw(st.sampled_from([1, 2]) | st.integers(1, 80))
-    kind = draw(st.sampled_from(["random", "zero", "huge"]))
-    if kind == "zero":
-        gaps = [0] * length
-    else:
-        gaps = draw(
-            st.lists(st.integers(0, 5), min_size=length, max_size=length)
-        )
-        if kind == "huge":
-            gaps[draw(st.integers(0, length - 1))] = draw(
-                st.integers(2**32, 2**32 + 9)
-            )
-    total = sum(gaps) + length
-    quantum = draw(
-        st.sampled_from([1, total, max(1, total - 1), total + 1])
-        | st.integers(1, 2 * total)
-        | st.builds(
-            lambda passes, extra: passes * total + extra,
-            st.integers(2, 5),
-            st.integers(-1, 3),
-        )
-    )
-    start = draw(st.integers(0, length - 1))
-    count = draw(st.integers(0, 3000))
-    return gaps, quantum, start, count
-
-
-@requires_compiled
-@given(case=orbit_case())
-@settings(deadline=None)
-@example(case=([0], 1, 0, 5))
-@example(case=([2, 1], 3, 1, 0))
-@example(case=([0, 0, 0, 0], 1, 2, 9))
-@example(case=([3, 0, 1], 4, 0, 12))
-@example(case=([0, 2**32, 0], 2**32 + 3, 1, 7))
-def test_compiled_orbit_matches_tables_and_single_quantum(case):
-    """The C orbit, entry for entry, against the closed-form tables
-    unrolled along their successor map
-    (:meth:`~repro.sim.multitask.QuantumWalkTables.orbit`) and against
-    :func:`~repro.sim.multitask.single_quantum` iterated from the
-    start; counts start at 0, where both orbits are empty."""
-    gaps, quantum, start, count = case
-    cumulative = np.cumsum(np.array(gaps, dtype=np.int64) + 1)
-    got = _compiled.quantum_orbit_compiled(cumulative, quantum, start, count)
-    assert all(column.dtype == np.int64 for column in got)
-    assert all(len(column) == count for column in got)
-
-    tables = QuantumWalkTables(cumulative, quantum)
-    positions = tables.orbit(start, count)
-    tabled = (
-        positions,
-        tables.accesses[positions],
-        tables.ran[positions],
-        tables.wraps[positions],
-    )
-    for name, column, expected in zip(
-        ("positions", "accesses", "ran", "wraps"), got, tabled
-    ):
-        assert column.tolist() == expected.tolist(), name
-
-    position = start
-    for index in range(count):
-        next_position, quantum_accesses, quantum_ran, quantum_wraps = (
-            single_quantum(cumulative, position, quantum)
-        )
-        assert (
-            int(got[0][index]),
-            int(got[1][index]),
-            int(got[2][index]),
-            int(got[3][index]),
-        ) == (position, quantum_accesses, quantum_ran, quantum_wraps), index
-        position = next_position
-
-
-@requires_compiled
-@pytest.mark.parametrize(
-    ("cumulative", "quantum", "start", "message"),
-    [
-        (np.zeros(0, dtype=np.int64), 1, 0, "at least one"),
-        (np.array([0, 0, 0], dtype=np.int64), 1, 0, "at least one"),
-        (np.array([1, 2, 3], dtype=np.int64), 1, 3, "start 3"),
-        (np.array([1, 2, 3], dtype=np.int64), 0, 0, "quantum"),
-        (np.array([1, 2, 3], dtype=np.int64), 2**63 - 3, 0, "quantum"),
-    ],
-    ids=["empty", "zero-total", "start-off-trace", "quantum-0", "overflow"],
-)
-def test_compiled_orbit_rejects_inputs_outside_its_domain(
-    cumulative, quantum, start, message
-):
-    """What the C loop cannot survive (a zero pass total, a cursor off
-    the trace, an overflowing target) is refused before the call."""
-    with pytest.raises(ValueError, match=message):
-        _compiled.quantum_orbit_compiled(cumulative, quantum, start, 4)
-
-
-def walk_window(cumulatives, positions, quantum, budget, start_at):
+def walk_window(cumulatives, positions, quantum, budget, start_at, cap=None):
     """One fleet window walked as ``tests/oracles/fleet.py`` walks a
     segment: round-robin from ``start_at``, one
     :func:`next_quantum_slice` at a time, each quantum cut to
-    ``min(quantum, budget - executed)``.
+    ``min(quantum, cap - executed)`` until ``budget`` instructions have
+    run.  ``cap`` defaults to the budget; with
+    :data:`~repro.sim.engine._compiled.NO_CAP` every quantum runs
+    whole, as :class:`~repro.sim.multitask.MultitaskSimulator` runs it.
 
     Returns the ``(tenant, start, accesses, ran, wraps)`` entries,
     each tenant's slices, the cursors after the window, the
     instructions executed and the turn due next.
     """
+    cap = budget if cap is None else cap
     positions = list(positions)
     slices = [[] for _ in cumulatives]
     entries = []
@@ -313,7 +213,7 @@ def walk_window(cumulatives, positions, quantum, budget, start_at):
         cumulative = cumulatives[turn]
         start = positions[turn]
         accesses = ran_total = wraps = 0
-        remaining = min(quantum, budget - executed)
+        remaining = min(quantum, cap - executed)
         while remaining > 0:
             position = positions[turn]
             stop, ran = next_quantum_slice(cumulative, position, remaining)
@@ -404,7 +304,8 @@ def test_circular_slices(start, accesses, length, pieces):
 
 
 # ----------------------------------------------------------------------
-# The fleet's segment entry: one call per segment, on both kernels.
+# The segment walk: one call per fleet segment, on both kernels, or per
+# Figure 5 point, on the compiled one.
 # ----------------------------------------------------------------------
 
 #: The kernels :func:`~repro.sim.engine.fused.fleet_segment` runs on.
@@ -424,26 +325,36 @@ SEGMENT_BASES = (0, -(1 << 36), 1 << 32, -(1 << 58), (1 << 58) - 64)
 def segment_case(draw):
     """1-8 residents, each on a trace of 1 access up (some shorter than
     a quantum, so one quantum wraps several passes; some with a gap of
-    at least 2**32), its blocks anywhere in :data:`SEGMENT_BASES`, any
-    cursor and any mask (0 is a bypass); quantum 1 up to four times
-    the shortest pass; 1-4 calls, each with a budget below the quantum,
-    ``k * quantum + (-1, 0, 1)`` or any, from any ``start_at``; and a
-    signature width (powers of two or not)."""
+    at least 2**32; some charging every access one instruction), its
+    blocks anywhere in :data:`SEGMENT_BASES`, any cursor and any mask
+    (0 is a bypass); quantum 1 up to four times the shortest pass, or
+    that pass's total +- 1; 1-4 calls, each with a budget below the
+    quantum, ``k * quantum + (-1, 0, 1)`` or any, from any
+    ``start_at``; a signature width (powers of two or not); and the
+    cap: the budget, or none (``whole``: every quantum runs whole,
+    each call from every cursor at 0 and resident 0 first, as a
+    Figure 5 point runs)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     blocks, cumulatives = [], []
     for _ in range(draw(st.integers(1, 8))):
         length = draw(st.sampled_from([1, 2]) | st.integers(1, 40))
         gaps = rng.integers(0, 6, size=length)
-        if draw(st.integers(0, 5)) == 0:
+        kind = draw(st.sampled_from(["random", "zero", "huge"]))
+        if kind == "zero":
+            gaps[:] = 0
+        elif kind == "huge":
             gaps[draw(st.integers(0, length - 1))] = draw(
                 st.integers(2**32, 2**32 + 9)
             )
         base = draw(st.sampled_from(SEGMENT_BASES))
         blocks.append(base + rng.integers(0, 24, size=length))
         cumulatives.append(np.cumsum(gaps + 1))
-    shortest = min(int(c[-1]) for c in cumulatives)
+    shortest = min(min(int(c[-1]) for c in cumulatives), 5000)
     quantum = draw(
-        st.just(1) | st.integers(1, 30) | st.integers(1, 4 * min(shortest, 5000))
+        st.just(1)
+        | st.integers(1, 30)
+        | st.integers(1, 4 * shortest)
+        | st.sampled_from([max(1, shortest - 1), shortest, shortest + 1])
     )
     budget = (
         st.integers(1, max(1, quantum - 1))
@@ -459,6 +370,7 @@ def segment_case(draw):
     masks = [draw(st.integers(0, 15)) for _ in blocks]
     start_at = draw(st.integers(0, len(blocks) - 1))
     signature_bits = draw(st.sampled_from([1024, 61, 8, 1]))
+    whole = draw(st.booleans())
     return (
         blocks,
         cumulatives,
@@ -468,6 +380,7 @@ def segment_case(draw):
         budgets,
         start_at,
         signature_bits,
+        whole,
     )
 
 
@@ -487,6 +400,36 @@ def schedule_counts(schedule, hits):
     return counts
 
 
+def walk_segment(
+    kernel, whole, blocks, cumulatives, cursors, masks, quantum, budget,
+    turn, state, signature_bits, options,
+):
+    """The walk under test: the fleet's segment, cut at its budget; or,
+    ``whole``, the compiled walk with no cap, which collects no flags."""
+    if not whole:
+        return fleet_segment(
+            blocks, cumulatives, cursors, masks, quantum, budget, turn,
+            state, signature_bits=signature_bits, collect_flags=True,
+            backend=kernel, **options,
+        )
+    rows, executed, next_turn, signatures, hit_flags = (
+        _compiled.fleet_segment_compiled(
+            blocks, cumulatives, cursors, masks, quantum, budget, turn,
+            state, cap=_compiled.NO_CAP, signature_bits=signature_bits,
+            **options,
+        )
+    )
+    assert hit_flags is None
+    return FleetSegment(
+        counts=[row[1:] for row in rows],
+        cursors=[row[0] for row in rows],
+        signatures=signatures,
+        executed=executed,
+        next_turn=next_turn,
+        hit_flags=None,
+    )
+
+
 @pytest.mark.parametrize("kernel", SEGMENT_KERNELS)
 @given(case=segment_case())
 @settings(deadline=None)
@@ -500,16 +443,37 @@ def schedule_counts(schedule, hits):
         [1, 7, 2],
         1,
         61,
+        False,
+    )
+)
+@example(
+    case=(
+        [np.array([5, 6, 7]), np.array([-7, 2**32])],
+        [np.array([1, 2, 9]), np.array([1, 3])],
+        [0, 0],
+        [3, 12],
+        4,
+        [1, 10, 25],
+        0,
+        8,
+        True,
     )
 )
 def test_fleet_segment_matches_schedule_and_scalar_walk(case, kernel):
-    """Segment by segment, state carried over: per-resident counts,
-    cursors, ``executed``, the next turn and the hit flags equal
-    :func:`~repro.sim.multitask.quantum_schedule` walked by numpy's
-    gather, and the scalar :func:`next_quantum_slice` walk stepped
-    through the reference cache; each signature is
+    """Call by call, state carried over: per-resident counts, cursors,
+    ``executed``, the next turn and the hits equal the closed-form
+    schedule walked by numpy's gather, and the scalar
+    :func:`next_quantum_slice` walk stepped through the reference
+    cache; each signature is
     :func:`~repro.runtime.detector.working_set_signature` of the
-    resident's circular window; the final state equals numpy's."""
+    resident's circular window; the final state equals numpy's.
+
+    Cut at its budget, the walk is the fleet's segment on either
+    kernel: its schedule is :func:`~repro.sim.multitask.quantum_schedule`
+    and its hit flags are checked too.  With no cap (compiled only),
+    each call is a Figure 5 point: its schedule is the numpy matrix's
+    :class:`~repro.sim.engine.multitask_batch._Schedule`, entry by
+    entry and in its per-job totals."""
     (
         blocks,
         cumulatives,
@@ -519,39 +483,70 @@ def test_fleet_segment_matches_schedule_and_scalar_walk(case, kernel):
         budgets,
         turn,
         signature_bits,
+        whole,
     ) = case
+    whole = whole and kernel == "compiled"
+    cap = _compiled.NO_CAP if whole else None
     geometry = SEGMENT_GEOMETRY
     options = {
         "sets_mask": geometry.sets - 1,
         "index_bits": geometry.index_bits,
     }
+    batch = TenantBatch.build(blocks)
+    mask_table = np.array(masks, dtype=np.int64)
     state = LockstepState.cold(geometry.sets, geometry.columns)
     expected = LockstepState.cold(geometry.sets, geometry.columns)
     reference = ReferenceCache(geometry)
     for budget in budgets:
-        got = fleet_segment(
-            blocks, cumulatives, cursors, masks, quantum, budget, turn,
-            state, signature_bits=signature_bits, collect_flags=True,
-            backend=kernel, **options,
+        if whole:
+            cursors, turn = [0] * len(blocks), 0
+        got = walk_segment(
+            kernel, whole, blocks, cumulatives, cursors, masks, quantum,
+            budget, turn, state, signature_bits, options,
+        )
+        entries, _slices, walked, executed, next_turn = walk_window(
+            cumulatives, cursors, quantum, budget, turn, cap
         )
 
-        schedule = quantum_schedule(
-            cumulatives, cursors, quantum, budget, turn
+        if whole:
+            schedule = _Schedule(
+                [SimpleNamespace(cum=column) for column in cumulatives],
+                quantum,
+                budget,
+            )
+        else:
+            schedule = quantum_schedule(
+                cumulatives, cursors, quantum, budget, turn
+            )
+            assert got.cursors == schedule.next_positions.tolist()
+            assert got.executed == schedule.executed
+            assert got.next_turn == schedule.next_turn
+        columns = (
+            schedule.tenant_ids,
+            schedule.positions,
+            schedule.accesses,
+            schedule.ran,
+            schedule.wraps,
         )
+        assert list(zip(*(column.tolist() for column in columns))) == entries
         walk = fused_multitask_run(
-            TenantBatch.build(blocks), schedule,
-            np.array(masks, dtype=np.int64), expected,
+            batch, schedule, mask_table, expected,
             collect_flags=True, backend="numpy", **options,
         )
         assert got.counts == schedule_counts(schedule, walk.hits.tolist())
-        assert got.cursors == schedule.next_positions.tolist()
-        assert got.executed == schedule.executed
-        assert got.next_turn == schedule.next_turn
-        assert got.hit_flags.tolist() == walk.hit_flags.tolist()
+        if whole:
+            assert got.counts == np.column_stack(
+                (
+                    schedule.job_instructions,
+                    schedule.job_accesses,
+                    schedule.job_wraps,
+                    schedule.job_quanta,
+                    walk.hits,
+                )
+            ).tolist()
+        else:
+            assert got.hit_flags.tolist() == walk.hit_flags.tolist()
 
-        entries, _slices, walked, executed, next_turn = walk_window(
-            cumulatives, cursors, quantum, budget, turn
-        )
         flags = []
         scalar = [[0, 0, 0, 0, 0] for _ in blocks]
         for tenant, start, accesses, ran, wraps in entries:
@@ -571,7 +566,8 @@ def test_fleet_segment_matches_schedule_and_scalar_walk(case, kernel):
         assert got.counts == scalar
         assert got.cursors == walked
         assert (got.executed, got.next_turn) == (executed, next_turn)
-        assert got.hit_flags.tolist() == flags
+        if not whole:
+            assert got.hit_flags.tolist() == flags
 
         for tenant, column in enumerate(blocks):
             pieces = circular_slices(
@@ -635,5 +631,33 @@ def test_compiled_segment_rejects_inputs_outside_its_domain(
         _compiled.fleet_segment_compiled(
             [np.array([1, 2, 3])], [cumulative], [cursor], [3], 4, 10, 0,
             state, sets_mask=3, index_bits=2,
+        )
+    assert not state.clock.any()
+
+
+@requires_compiled
+@pytest.mark.parametrize(
+    ("cap", "collect_flags", "message"),
+    [
+        (9, False, r"cap must be in \[10, "),
+        (_compiled.NO_CAP + 1, False, r"cap must be in \[10, "),
+        (11, True, "hit flags"),
+        (_compiled.NO_CAP, True, "hit flags"),
+    ],
+    ids=["below-budget", "above-int64", "flags-past-budget", "flags-uncapped"],
+)
+def test_compiled_segment_refuses_a_cap_it_cannot_honor(
+    cap, collect_flags, message
+):
+    """A cap below the budget (its walk would cut quanta of no
+    instructions) and flags asked of a walk that may run past its
+    budget (the flag buffer holds ``budget`` accesses) are refused
+    before anything is walked."""
+    state = LockstepState.cold(4, 2)
+    with pytest.raises(ValueError, match=message):
+        _compiled.fleet_segment_compiled(
+            [np.array([1, 2, 3])], [np.array([1, 2, 3])], [0], [3], 4, 10,
+            0, state, sets_mask=3, index_bits=2, cap=cap,
+            collect_flags=collect_flags,
         )
     assert not state.clock.any()
