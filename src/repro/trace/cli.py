@@ -2,25 +2,25 @@
 
 Usage::
 
-    repro trace stats trace.din
     repro trace generate --kind zipf --count 10000 out.din
-    repro trace simulate trace.din --size 2048 --columns 4
     repro trace record gzip out.npz --seed 3
     repro trace replay out.npz --size 16384 --columns 8
     repro trace profile out.npz
 
 (The ``repro-trace`` console script accepts the same subcommands.)
 
-``stats`` prints per-variable access counts and lifetimes; ``generate``
-writes a synthetic trace in dinero format; ``record`` records any
-workload-suite kernel into the columnar ``.npz`` on-disk format (or
-dinero, by extension); ``replay`` (alias ``simulate``) streams a
-recorded ``.npz``/dinero trace through the lockstep cache and prints
+``generate`` writes a synthetic trace in dinero format; ``record``
+records any workload-suite kernel into the columnar ``.npz`` on-disk
+format (or dinero, by extension); ``replay`` (alias ``simulate``)
+streams a ``.npz``/dinero trace through the lockstep cache and prints
 hit/miss totals, memory-mapping ``.npz`` archives so arbitrarily long
 traces replay at a flat footprint (``--kernel`` selects the lockstep
-backend); ``profile`` dumps the planner-facing per-variable profile
-(counts, density, lifetime) of a recorded ``.npz``/dinero trace — the
-bridge that lets externally captured traces feed the layout planner.
+backend); ``profile`` (alias ``stats``) dumps the planner-facing
+per-variable profile (counts, density, lifetime) of a ``.npz``/dinero
+trace — the bridge that lets externally captured traces feed the
+layout planner.  Both open a trace with ``load_any``; a trace that
+the loader or its value check refuses is a usage error: one line on
+stderr, exit 2.
 """
 
 from __future__ import annotations
@@ -28,45 +28,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.profiling.profiler import profile_trace
 from repro.trace.columnar import DEFAULT_CHUNK_ACCESSES
-from repro.trace.dinero import load_any, load_trace, save_trace
+from repro.trace.dinero import load_any, save_trace
 from repro.trace import generator
 from repro.utils.tables import format_table
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
-    profile = profile_trace(trace)
-    rows = []
-    for stats in sorted(
-        profile.variables.values(),
-        key=lambda item: item.access_count,
-        reverse=True,
-    ):
-        rows.append(
-            [
-                stats.name,
-                stats.access_count,
-                stats.read_count,
-                stats.write_count,
-                f"{stats.lifetime.start}..{stats.lifetime.stop}",
-            ]
-        )
-    print(
-        format_table(
-            ["variable", "accesses", "reads", "writes", "lifetime"],
-            rows,
-            title=(
-                f"{args.trace}: {len(trace)} accesses, "
-                f"{trace.instruction_count} instructions"
-            ),
-        )
-    )
-    return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -133,6 +102,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _refuse(args: argparse.Namespace, error: ValueError) -> NoReturn:
+    """A trace the loader or its value check refused: one line on
+    stderr and argparse's usage-error exit status, 2."""
+    args.parser.exit(2, f"{args.parser.prog}: error: {error}\n")
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.sim.engine.replay import replay_trace
 
@@ -141,15 +116,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             args.size, line_size=args.line_size, columns=args.columns
         )
     except ValueError as error:
-        args.usage_error(str(error))
+        args.parser.error(str(error))
     start = time.perf_counter()
+    try:
+        trace = load_any(args.trace, mmap=not args.no_mmap)
+    except ValueError as error:
+        _refuse(args, error)
     result = replay_trace(
-        args.trace,
+        trace,
         geometry,
         chunk_accesses=args.chunk_size,
         uniform_mask=args.mask,
         kernel=args.kernel,
-        mmap=not args.no_mmap,
     )
     elapsed = time.perf_counter() - start
     print(f"cache: {geometry}")
@@ -166,7 +144,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    profile = profile_trace(load_any(args.trace, mmap=True))
+    try:
+        profile = profile_trace(load_any(args.trace, mmap=True))
+    except ValueError as error:
+        _refuse(args, error)
     rows = []
     for stats in sorted(
         profile.variables.values(),
@@ -219,10 +200,6 @@ def main(
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(prog=prog, description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    stats = commands.add_parser("stats", help="per-variable statistics")
-    stats.add_argument("trace", help="dinero trace file")
-    stats.set_defaults(handler=_cmd_stats)
 
     generate = commands.add_parser("generate", help="synthesize a trace")
     generate.add_argument("output", help="output dinero file")
@@ -279,14 +256,15 @@ def main(
         default=None,
         help="lockstep kernel backend (default: REPRO_KERNEL or auto)",
     )
-    replay.set_defaults(handler=_cmd_replay, usage_error=replay.error)
+    replay.set_defaults(handler=_cmd_replay, parser=replay)
 
     profile = commands.add_parser(
         "profile",
+        aliases=["stats"],
         help="dump the planner-facing per-variable profile of a trace",
     )
     profile.add_argument("trace", help=".npz or dinero trace file")
-    profile.set_defaults(handler=_cmd_profile)
+    profile.set_defaults(handler=_cmd_profile, parser=profile)
 
     args = parser.parse_args(argv)
     return args.handler(args)

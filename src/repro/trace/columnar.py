@@ -13,9 +13,9 @@ Three ways in:
 * :class:`ColumnarRecorder` — the one recorder, what instrumented
   workloads record into directly (a scalar access appends its address
   and a slot code to flat buffers that become columns at each seal;
-  ``append_many``/``append_run`` for vectorizable patterns);
+  ``append_many`` for vectorizable patterns);
 * :meth:`ColumnarTrace.from_columns` — wrap arrays you already have;
-* :func:`load_npz` / :func:`open_npz` — the on-disk format (below).
+* :func:`load_npz` — the on-disk format (below).
 
 On-disk format: a plain ``numpy.savez`` archive (uncompressed zip of
 ``.npy`` members) holding the five columns plus the variable-name
@@ -26,9 +26,11 @@ to :class:`ColumnarTrace` as read-only ``np.memmap`` views — a
 million-access trace replays with a file-cache-sized footprint.
 :meth:`ColumnarTrace.iter_chunks` streams bounded windows off either
 representation (:data:`DEFAULT_CHUNK_ACCESSES` accesses each in a
-replay).  The loader checks each column's dtype from its npy
-header (integer, or bool for the write flag) and rejects any other,
-so a float column never reaches the int64 casts.
+replay).  The loader checks each column's dtype and shape from its
+npy header (integer, or bool for the write flag; 1-D, every column of
+one length) and rejects any other, so a float column never reaches
+the int64 casts.  The values are checked once, on first read (see
+:class:`ColumnarTrace`).
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from typing import (
 )
 
 import numpy as np
-
-from repro.trace.access import MemoryAccess
 
 #: ``variable_ids`` value for accesses with no known variable.
 NO_VARIABLE = -1
@@ -100,15 +100,21 @@ def _check_domain(
 class ColumnarTrace:
     """An immutable memory-reference trace stored as parallel arrays.
 
-    Build with :class:`ColumnarRecorder` (preferred),
-    :meth:`from_columns`, or :meth:`from_accesses`.
+    Build with :class:`ColumnarRecorder` (preferred) or
+    :meth:`from_columns`, or open one with :func:`load_npz`.
+
+    A trace :func:`load_npz` opened, and each window of one, checks its
+    value columns (``sizes``, ``gaps``, ``variable_ids``) once, on the
+    first read of any of them.  The ``ValueError`` names the archive,
+    the column and the first bad position: an id outside ``[-1,
+    len(variable_names))``, a size below 1, a negative gap, or the gap
+    that takes the instruction total past ``2**63 - 1``.  Replay reads
+    only the addresses and checks nothing; a trace built in memory is
+    not checked here.
 
     Attributes:
         addresses: int64 array of byte addresses.
-        sizes: int32 array of access widths in bytes.
         writes: bool array, True for stores.
-        gaps: int64 array of non-memory instruction gaps.
-        variable_ids: int64 object-id column (``NO_VARIABLE`` = none).
         variable_names: id -> name table for ``variable_ids``.
     """
 
@@ -127,18 +133,18 @@ class ColumnarTrace:
             raise ValueError("trace arrays must have equal length")
         self.addresses = np.asarray(addresses, dtype=np.int64)
         self.writes = np.asarray(writes, dtype=bool)
-        self.gaps = np.asarray(gaps, dtype=np.int64)
+        self._gaps = np.asarray(gaps, dtype=np.int64)
         self._variable_ids = np.asarray(variable_ids, dtype=np.int64)
-        # Ids still to be range-checked: (archive, position of the
-        # first id in it) for a trace load_npz opened, or a window of
+        # Values still to be checked: (archive, position of the first
+        # access in it) for a trace load_npz opened, or a window of
         # one; None once checked, or for a trace built in memory.
-        self._unchecked_ids: Optional[tuple[str, int]] = None
+        self._unchecked: Optional[tuple[str, int]] = None
         if sizes is None:
-            self.sizes = np.ones(length, dtype=np.int32)
+            self._sizes = np.ones(length, dtype=np.int32)
         else:
             if len(sizes) != length:
                 raise ValueError("trace arrays must have equal length")
-            self.sizes = np.asarray(sizes, dtype=np.int32)
+            self._sizes = np.asarray(sizes, dtype=np.int32)
         self.variable_names = list(variable_names)
         self.name = name
         # Derived-column caches (offset_bits -> blocks, cumulative
@@ -147,6 +153,53 @@ class ColumnarTrace:
         self._blocks: dict[int, np.ndarray] = {}
         self._cumulative: Optional[np.ndarray] = None
         self._digest: Optional[str] = None
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """int32 array of access widths in bytes."""
+        return self._checked()._sizes
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """int64 array of non-memory instruction gaps."""
+        return self._checked()._gaps
+
+    @property
+    def variable_ids(self) -> np.ndarray:
+        """int64 object-id column (``NO_VARIABLE`` = none)."""
+        return self._checked()._variable_ids
+
+    def _checked(self) -> "ColumnarTrace":
+        """This trace, a loaded trace's values checked (once).
+
+        The instruction total is a checked sum: each term of the
+        cumulative column is in ``[1, 2**63]``, so the column's first
+        int64 wrap is its first negative entry.  The column is kept as
+        :attr:`cumulative_instructions`.
+        """
+        if self._unchecked is None:
+            return self
+        archive, first = self._unchecked
+        _check_domain(
+            f"{archive}: variable_ids",
+            self._variable_ids,
+            NO_VARIABLE,
+            len(self.variable_names),
+            first=first,
+        )
+        _check_domain(f"{archive}: sizes", self._sizes, 1, first=first)
+        _check_domain(f"{archive}: gaps", self._gaps, 0, first=first)
+        cumulative = np.cumsum(self._gaps + 1, dtype=np.int64)
+        if len(cumulative) and cumulative.min() < 0:
+            index = int(np.argmax(cumulative < 0))
+            raise ValueError(
+                f"{archive}: gaps[{first + index}] = "
+                f"{int(self._gaps[index])}; takes the instruction "
+                "total past 2**63 - 1"
+            )
+        self._cumulative = cumulative
+        self._unchecked = None
+        return self
 
     # ------------------------------------------------------------------
     # Constructors
@@ -207,49 +260,10 @@ class ColumnarTrace:
         )
 
     @classmethod
-    def from_accesses(
-        cls, accesses: Sequence[MemoryAccess], name: str = "trace"
-    ) -> "ColumnarTrace":
-        """Build a trace from per-access records (slow path)."""
-        recorder = ColumnarRecorder(name=name)
-        for access in accesses:
-            recorder.add_gap(access.gap)
-            recorder.append(
-                access.address,
-                is_write=access.is_write,
-                variable=access.variable,
-            )
-        return recorder.build()
-
-    @classmethod
     def empty(cls, name: str = "trace") -> "ColumnarTrace":
         """A zero-length trace."""
         zero = np.zeros(0, dtype=np.int64)
         return cls(zero, zero.astype(bool), zero, zero, [], name=name)
-
-    @property
-    def variable_ids(self) -> np.ndarray:
-        """The int64 object-id column (``NO_VARIABLE`` = none).
-
-        A trace :func:`load_npz` opened range-checks its ids here, on
-        their first read: every path that resolves an id to a name
-        reads them here, and replay, which never does, reads no ids.
-
-        Raises:
-            ValueError: naming the archive and the first loaded id
-                outside ``[-1, len(variable_names))``.
-        """
-        if self._unchecked_ids is not None:
-            archive, first = self._unchecked_ids
-            _check_domain(
-                f"{archive}: variable_ids",
-                self._variable_ids,
-                NO_VARIABLE,
-                len(self.variable_names),
-                first=first,
-            )
-            self._unchecked_ids = None
-        return self._variable_ids
 
     # ------------------------------------------------------------------
     # Derived columns (cached, vectorized)
@@ -287,18 +301,18 @@ class ColumnarTrace:
         """``cum[i]`` = instructions contributed by accesses 0..i.
 
         Cached; shared by the multitask schedulers and the fleet
-        executor.  Treat as read-only.
+        executor.  Treat as read-only.  A loaded trace's value check
+        computes it.
 
         Raises:
-            ValueError: when a gap is negative (an archive from
-                :func:`load_npz` may carry one); the message names the
+            ValueError: when a gap is negative; the message names the
                 trace and the first such gap's index and value.  The
                 schedulers need every access to cost at least one
                 instruction.
         """
-        if self._cumulative is None:
-            _check_domain(f"trace {self.name!r}: gaps", self.gaps, 0)
-            self._cumulative = np.cumsum(self.gaps + 1, dtype=np.int64)
+        if self._checked()._cumulative is None:
+            _check_domain(f"trace {self.name!r}: gaps", self._gaps, 0)
+            self._cumulative = np.cumsum(self._gaps + 1, dtype=np.int64)
         return self._cumulative
 
     # ------------------------------------------------------------------
@@ -327,15 +341,6 @@ class ColumnarTrace:
             return None
         return self.variable_names[identifier]
 
-    def access_at(self, position: int) -> MemoryAccess:
-        """The access record at ``position`` (inspection/debug only)."""
-        return MemoryAccess(
-            address=int(self.addresses[position]),
-            is_write=bool(self.writes[position]),
-            variable=self.variable_of(position),
-            gap=int(self.gaps[position]),
-        )
-
     def positions_of(self, variable: str) -> np.ndarray:
         """Trace positions whose access belongs to ``variable``."""
         try:
@@ -354,16 +359,16 @@ class ColumnarTrace:
         piece = ColumnarTrace(
             self.addresses[start:stop],
             self.writes[start:stop],
-            self.gaps[start:stop],
+            self._gaps[start:stop],
             self._variable_ids[start:stop],
             self.variable_names,
             name=name or f"{self.name}[{start}:{stop}]",
-            sizes=self.sizes[start:stop],
+            sizes=self._sizes[start:stop],
         )
-        if self._unchecked_ids is not None:
-            # A window of unchecked ids checks its own part when read.
-            archive, first = self._unchecked_ids
-            piece._unchecked_ids = (archive, first + start)
+        if self._unchecked is not None:
+            # A window of unchecked values checks its own when read.
+            archive, first = self._unchecked
+            piece._unchecked = (archive, first + start)
         # Windowed consumers slice traces constantly; hand the slice
         # views of any block columns already computed on the parent.
         piece._blocks = {
@@ -425,10 +430,6 @@ class ColumnarTrace:
             path = path.with_name(path.name + ".npz")
         return path
 
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        for position in range(len(self)):
-            yield self.access_at(position)
-
     def __len__(self) -> int:
         return len(self.addresses)
 
@@ -447,8 +448,16 @@ def _read_member(
     try:
         with archive.open(info) as member:
             return np.lib.format.read_array(member, allow_pickle=False)
-    except ValueError as error:
+    except (ValueError, zipfile.BadZipFile) as error:
         raise ValueError(f"{path}: member {key!r}: {error}") from error
+
+
+def _zip(handle: BinaryIO, path: Path) -> zipfile.ZipFile:
+    """The zip archive in ``handle``, or a ValueError naming ``path``."""
+    try:
+        return zipfile.ZipFile(handle)
+    except zipfile.BadZipFile as error:
+        raise ValueError(f"{path}: not a zip archive ({error})") from error
 
 
 def _stored_npy_header(
@@ -494,13 +503,13 @@ def _npz_member_arrays(
     hold objects or carry another npy version are read eagerly.
 
     Raises:
-        ValueError: naming the member, when its stored data is shorter
-            than its npy header's shape and dtype need, or an eager
-            read fails.
+        ValueError: naming the file when it is not a zip archive, and
+            the member when its stored data is shorter than its npy
+            header's shape and dtype need, or an eager read fails.
     """
     arrays: dict[str, np.ndarray] = {}
     mapped: Optional[np.memmap] = None
-    with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+    with open(path, "rb") as handle, _zip(handle, path) as archive:
         for info in archive.infolist():
             key = info.filename.removesuffix(".npy")
             found = None
@@ -552,13 +561,14 @@ def load_npz(
     (combine with :meth:`ColumnarTrace.iter_chunks` for flat-memory
     replay of arbitrarily long traces).
 
-    The variable ids are range-checked on first use, not here (see
-    :attr:`ColumnarTrace.variable_ids`), so opening reads no id data.
+    The values are checked on first use, not here (see
+    :class:`ColumnarTrace`), so opening reads no column data.
 
     Raises:
-        ValueError: when a column is missing, or stored with a dtype
-            other than integer (bool or integer for ``writes``), such
-            as float.
+        ValueError: naming the file and the member, when a column is
+            missing, is not 1-D, differs in length from ``addresses``,
+            or is stored with a dtype other than integer (bool or
+            integer for ``writes``), such as float.
     """
     path = Path(path)
     arrays = _npz_member_arrays(path, mmap=mmap)
@@ -567,15 +577,27 @@ def load_npz(
         raise ValueError(
             f"{path}: not a columnar trace archive (missing {missing})"
         )
-    # The dtype comes from each member's npy header, so this reads no
-    # column data even when the columns are memory-mapped.
+    # Dtypes and shapes come from each member's npy header, so this
+    # reads no column data even when the columns are memory-mapped.
+    length = arrays["addresses"].shape[:1]
     for column, kinds in _COLUMN_KINDS.items():
-        dtype = arrays[column].dtype
-        if dtype.kind not in kinds:
+        member = arrays[column]
+        if member.dtype.kind not in kinds:
             expected = "bool or integer" if "b" in kinds else "integer"
             raise ValueError(
-                f"{path}: member {column!r} has dtype {dtype}; "
+                f"{path}: member {column!r} has dtype {member.dtype}; "
                 f"a trace column must be {expected}"
+            )
+        if member.ndim != 1:
+            raise ValueError(
+                f"{path}: member {column!r} has shape {member.shape}; "
+                "a trace column must be 1-D"
+            )
+        if member.shape != length:
+            raise ValueError(
+                f"{path}: member {column!r} has {len(member)} entries, "
+                f"'addresses' has {length[0]}; trace columns must be "
+                "of one length"
             )
     version = int(arrays.get("format_version", np.int64(1)))
     if version > NPZ_FORMAT_VERSION:
@@ -600,13 +622,8 @@ def load_npz(
         name=name,
         sizes=arrays["sizes"],
     )
-    trace._unchecked_ids = (str(path), 0)
+    trace._unchecked = (str(path), 0)
     return trace
-
-
-def open_npz(path: Union[str, Path]) -> ColumnarTrace:
-    """Shorthand for :func:`load_npz` with ``mmap=True``."""
-    return load_npz(path, mmap=True)
 
 
 class ColumnarRecorder:
@@ -621,9 +638,8 @@ class ColumnarRecorder:
     implicit.  A seal (every bulk call, and :meth:`build`) turns the
     buffers into columns with one numpy gather through the slot table,
     and interns the variable names in order of first access.  The bulk
-    methods :meth:`append_many` / :meth:`append_run` record whole
-    vectorized access patterns in one call.  Accesses default to a
-    size of 1 byte.
+    method :meth:`append_many` records a whole vectorized access
+    pattern in one call.  Accesses default to a size of 1 byte.
 
     Traced storage resolves its slots once, with :meth:`slot`, and
     records through the two appenders :meth:`sinks` returns;
@@ -632,9 +648,9 @@ class ColumnarRecorder:
     >>> recorder = ColumnarRecorder()
     >>> recorder.add_gap(3)          # three ALU instructions
     >>> recorder.append(0x1000, variable="block")
-    >>> recorder.append_run(0x2000, count=4, stride=2, variable="row")
+    >>> recorder.append_many([0x2000, 0x2002, 0x2004], variable="row")
     >>> recorder.build().instruction_count
-    8
+    7
     """
 
     def __init__(self, name: str = "trace"):
@@ -803,80 +819,6 @@ class ColumnarRecorder:
         ids = np.full(count, self._variable_id(variable), dtype=np.int64)
         self._parts.append((addresses, sizes, writes, gaps, ids))
         self._sealed += count
-
-    def append_run(
-        self,
-        base: int,
-        count: int,
-        stride: int,
-        is_write: bool = False,
-        variable: Optional[str] = None,
-        gap_each: int = 0,
-        size: Optional[int] = None,
-    ) -> None:
-        """Record ``count`` accesses at ``base + i * stride``."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if count == 0:
-            return
-        addresses = base + np.arange(count, dtype=np.int64) * np.int64(stride)
-        self.append_many(
-            addresses,
-            is_write=is_write,
-            variable=variable,
-            gap_each=gap_each,
-            sizes=(
-                None
-                if size is None
-                else np.full(count, size, dtype=np.int32)
-            ),
-        )
-
-    def extend(self, trace: ColumnarTrace) -> None:
-        """Append a whole existing trace.
-
-        Its variables are re-interned as scalar appends would intern
-        them: only names some access uses, in first-access order.
-        """
-        if len(trace) == 0:
-            return
-        pending = self._seal()
-        id_map = np.full(
-            len(trace.variable_names) + 1, NO_VARIABLE, dtype=np.int64
-        )
-        local_ids, first_access = np.unique(
-            trace.variable_ids, return_index=True
-        )
-        for local_id in local_ids[np.argsort(first_access)].tolist():
-            if local_id != NO_VARIABLE:
-                id_map[local_id] = self._variable_id(
-                    trace.variable_names[local_id]
-                )
-        gaps = trace.gaps
-        if pending:
-            gaps = gaps.copy()
-            gaps[0] += pending
-        self._parts.append(
-            (
-                np.asarray(trace.addresses, dtype=np.int64),
-                np.asarray(trace.sizes, dtype=np.int32),
-                np.asarray(trace.writes, dtype=bool),
-                np.asarray(gaps, dtype=np.int64),
-                id_map[trace.variable_ids],
-            )
-        )
-        self._sealed += len(trace)
-
-    @property
-    def pending_gap(self) -> int:
-        """Gap instructions not yet attached to an access."""
-        codes = self._codes
-        index = len(codes)
-        pending = 0
-        while index and codes[index - 1] < 0:
-            index -= 1
-            pending += ~codes[index]
-        return pending
 
     def __len__(self) -> int:
         return self._sealed + len(self._addresses)

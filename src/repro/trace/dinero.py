@@ -21,7 +21,8 @@ int64 column as two's complement, as a uint64 ``.npz`` column folds,
 and the writer prints them back as unsigned hex.  Folding changes no
 hit or miss, since the arithmetic shifts map a folded address's (set,
 tag) one-to-one onto the unsigned address's.  A negative or wider
-address, or a negative gap, fails at load naming its line.
+address, a negative gap, or the access that takes the instruction
+total past ``2**63 - 1`` fails at load naming its line.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def _parse_lines(lines: list[tuple[int, list[str]]], name: str) -> Trace:
     variable_ids = np.full(count, NO_VARIABLE, dtype=np.int64)
     names: list[str] = []
     name_ids: dict[str, int] = {}
+    instructions = 0
     for position, (line_number, fields) in enumerate(lines):
         if len(fields) < 2:
             raise ValueError(
@@ -106,6 +108,7 @@ def _parse_lines(lines: list[tuple[int, list[str]]], name: str) -> Trace:
             address - _ADDRESS_LIMIT if address >= _SIGN_BIT else address
         )
         writes[position] = label == WRITE_LABEL
+        gap = 0
         if len(fields) >= 3:
             try:
                 gap = int(fields[2])
@@ -119,6 +122,12 @@ def _parse_lines(lines: list[tuple[int, list[str]]], name: str) -> Trace:
                     "[0, 2**63)"
                 )
             gaps[position] = gap
+        instructions += gap + 1
+        if instructions >= _SIGN_BIT:
+            raise ValueError(
+                f"line {line_number}: the instruction total passes "
+                "2**63 - 1"
+            )
         if len(fields) >= 4:
             variable = fields[3]
             identifier = name_ids.get(variable)
@@ -142,13 +151,18 @@ def load_trace(
     docstring).
 
     Raises:
-        ValueError: naming the line, for an unknown label, an address
-            that is not hex in ``[0, 2**64)``, or a gap that is not an
-            integer in ``[0, 2**63)``.
+        ValueError: naming the line (and the file, given a path), for
+            an unknown label, an address that is not hex in ``[0,
+            2**64)``, a gap that is not an integer in ``[0, 2**63)``,
+            or the line at which the instruction total passes
+            ``2**63 - 1``.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:
-            return load_trace(handle, name=name)
+            try:
+                return load_trace(handle, name=name)
+            except ValueError as error:
+                raise ValueError(f"{source}: {error}") from error
     lines = [
         (line_number, stripped.split())
         for line_number, raw_line in enumerate(source, start=1)

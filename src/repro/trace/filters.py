@@ -1,8 +1,8 @@
-"""Trace transformations: filtering, relocation, concatenation.
+"""Trace concatenation, vectorized over the columnar representation.
 
-All transforms are vectorized over the columnar representation and
-preserve every column (sizes included); none materializes per-access
-Python objects.
+:func:`concatenate` joins traces end to end, every column (sizes
+included) carried over and the variable tables merged by name; the
+broker's demand probes join a tenant's phases with it.
 """
 
 from __future__ import annotations
@@ -11,80 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.mem.address import AddressRange
 from repro.trace.columnar import NO_VARIABLE
 from repro.trace.trace import Trace
-
-
-def filter_by_variable(trace: Trace, variables: Sequence[str]) -> Trace:
-    """Keep only accesses belonging to the named variables.
-
-    Gaps of dropped accesses are folded into the following kept access,
-    so the instruction count attributable to the kept accesses is
-    preserved as closely as possible.
-    """
-    wanted_ids = {
-        trace.variable_names.index(name)
-        for name in variables
-        if name in trace.variable_names
-    }
-    keep = np.isin(trace.variable_ids, list(wanted_ids))
-    return _apply_keep_mask(trace, keep, f"{trace.name}|vars")
-
-
-def filter_by_range(trace: Trace, address_range: AddressRange) -> Trace:
-    """Keep only accesses whose address falls inside ``address_range``."""
-    keep = (trace.addresses >= address_range.base) & (
-        trace.addresses < address_range.end
-    )
-    return _apply_keep_mask(trace, keep, f"{trace.name}|range")
-
-
-def _apply_keep_mask(trace: Trace, keep: np.ndarray, name: str) -> Trace:
-    """Select accesses by boolean mask, folding dropped gaps forward."""
-    if keep.all():
-        return trace
-    # Each dropped access contributes its gap + 1 instructions to the
-    # next kept access's gap: the carry a kept access absorbs is the
-    # dropped-instruction total accumulated since the previous kept
-    # access — a first difference of the cumulative drop curve.
-    dropped_instructions = np.where(keep, 0, trace.gaps + 1)
-    carried = np.cumsum(dropped_instructions)
-    kept_positions = np.flatnonzero(keep)
-    carry_before = np.where(
-        kept_positions > 0, carried[kept_positions - 1], 0
-    )
-    new_gaps = trace.gaps[kept_positions] + carry_before
-    new_gaps[1:] -= carry_before[:-1]
-    return Trace(
-        trace.addresses[kept_positions],
-        trace.writes[kept_positions],
-        new_gaps,
-        trace.variable_ids[kept_positions],
-        trace.variable_names,
-        name=name,
-        sizes=trace.sizes[kept_positions],
-    )
-
-
-def relocate(trace: Trace, offset: int, name: str | None = None) -> Trace:
-    """Shift every address by ``offset`` bytes.
-
-    Used to place several jobs' traces in disjoint address spaces for
-    the multitasking experiment.
-    """
-    addresses = trace.addresses + offset
-    if (addresses < 0).any():
-        raise ValueError("relocation would produce negative addresses")
-    return Trace(
-        addresses,
-        trace.writes,
-        trace.gaps,
-        trace.variable_ids,
-        trace.variable_names,
-        name=name or f"{trace.name}+{offset:#x}",
-        sizes=trace.sizes,
-    )
 
 
 def concatenate(traces: Sequence[Trace], name: str = "concat") -> Trace:

@@ -7,11 +7,10 @@ Python value per column per access, converted to arrays once at
 buffers gathered into columns at each seal, vectorized bulk appends);
 this builder takes every access, scalar or bulk, through its own
 per-access :meth:`TraceBuilder.append` instead.  The two share the
-recorder API (``add_gap``, ``append``, ``append_many``,
-``append_run``, ``extend``, ``pending_gap``, ``len`` and ``build``,
-plus the ``slot``/``sinks`` hook traced storage records through), so
-the differential suite can record any workload through either and
-assert the recordings are identical
+recorder API (``add_gap``, ``append``, ``append_many``, ``len`` and
+``build``, plus the ``slot``/``sinks`` hook traced storage records
+through), so the differential suite can record any workload through
+either and assert the recordings are identical
 (``tests/strategies.record_suite_case(legacy=True)``).
 """
 
@@ -129,44 +128,6 @@ class TraceBuilder:
                 variable=variable,
                 size=None if sizes is None else int(sizes[position]),
             )
-
-    def append_run(
-        self,
-        base: int,
-        count: int,
-        stride: int,
-        is_write: bool = False,
-        variable: Optional[str] = None,
-        gap_each: int = 0,
-        size: Optional[int] = None,
-    ) -> None:
-        """Record ``count`` accesses at ``base + i * stride``, one by one."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        for index in range(count):
-            self.add_gap(gap_each)
-            self.append(
-                base + index * stride,
-                is_write=is_write,
-                variable=variable,
-                size=size,
-            )
-
-    def extend(self, trace: ColumnarTrace) -> None:
-        """Append a whole existing trace (variables are re-interned)."""
-        for position in range(len(trace)):
-            self.add_gap(int(trace.gaps[position]))
-            self.append(
-                int(trace.addresses[position]),
-                is_write=bool(trace.writes[position]),
-                variable=trace.variable_of(position),
-                size=int(trace.sizes[position]),
-            )
-
-    @property
-    def pending_gap(self) -> int:
-        """Gap instructions not yet attached to an access."""
-        return self._pending_gap
 
     def __len__(self) -> int:
         return len(self._addresses)

@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.trace import (
-    ColumnarRecorder,
-    ColumnarTrace,
-    Trace,
-    load_npz,
-    open_npz,
-)
+from repro.trace import ColumnarRecorder, ColumnarTrace, Trace, load_npz
 from repro.trace.columnar import NO_VARIABLE
 
 from oracles.recording import TraceBuilder
@@ -31,7 +25,7 @@ def small_trace() -> ColumnarTrace:
     recorder.append(0x1000, variable="a", size=2)
     recorder.append(0x2000, is_write=True, variable="b", size=4)
     recorder.append(0x3000)
-    recorder.append_run(0x4000, count=3, stride=8, variable="a")
+    recorder.append_many([0x4000, 0x4008, 0x4010], variable="a")
     return recorder.build()
 
 
@@ -63,20 +57,10 @@ class TestRecorder:
     def test_recording_across_chunk_seals_matches_reference(self):
         """Long runs of scalar appends, sealed by every bulk call and
         interleaved with pending gaps, record what the reference
-        recorder records; lengths and pending gaps agree after every
-        step (phase markers are taken from them)."""
+        recorder records; lengths agree after every step (phase
+        markers are taken from them)."""
         recorder = ColumnarRecorder(name="t")
         legacy = TraceBuilder(name="t")
-        # An unused name, a name the recorder already knows and a new
-        # one, first used out of table order, plus an unlabelled access.
-        donor = ColumnarTrace.from_columns(
-            [0x5000, 0x5008, 0x5010, 0x5018, 0x5020],
-            writes=[False, True, False, False, True],
-            gaps=[1, 0, 2, 0, 3],
-            variable_ids=[2, 1, NO_VARIABLE, 2, 1],
-            variable_names=["unused", "q", "s"],
-            sizes=[4, 2, 1, 4, 8],
-        )
 
         def scalars(builder, count, base):
             for index in range(count):
@@ -104,12 +88,11 @@ class TestRecorder:
                 builder, 2 * LONG_RUN + 5, 0x40000
             ),
             lambda builder: builder.add_gap(6),
-            lambda builder: builder.append_run(
-                0x9000, count=9, stride=16, variable="r", gap_each=2,
-                size=2,
+            lambda builder: builder.append_many(
+                [0x9000 + 16 * index for index in range(9)],
+                variable="r", gap_each=2, sizes=[2] * 9,
             ),
             lambda builder: builder.add_gap(1),
-            lambda builder: builder.extend(donor),
             lambda builder: builder.append_many([0x77, 0x78], gap_each=3),
             lambda builder: scalars(builder, 11, 0x200000),
         ]
@@ -117,37 +100,8 @@ class TestRecorder:
             step(recorder)
             step(legacy)
             assert len(recorder) == len(legacy)
-            assert recorder.pending_gap == legacy.pending_gap
         recorded = recorder.build()
         assert len(recorded) > 2 * LONG_RUN
-        assert_same_recording(recorded, legacy.build())
-
-    @pytest.mark.parametrize(
-        "first, variable_ids, names, ids",
-        [
-            (None, [1, 1], ["b"], [0, 0]),
-            ("z", [1, 0, 1], ["z", "b", "a"], [0, 1, 2, 1]),
-        ],
-    )
-    def test_extend_interns_used_names_in_first_access_order(
-        self, first, variable_ids, names, ids
-    ):
-        """A donor's unused names are dropped and its used ones are
-        interned in the order its accesses first use them."""
-        donor = ColumnarTrace.from_columns(
-            [8 * (index + 1) for index in range(len(variable_ids))],
-            variable_ids=variable_ids,
-            variable_names=["a", "b"],
-        )
-        recorder = ColumnarRecorder(name="t")
-        legacy = TraceBuilder(name="t")
-        for builder in (recorder, legacy):
-            if first is not None:
-                builder.append(0x100, variable=first)
-            builder.extend(donor)
-        recorded = recorder.build()
-        assert recorded.variable_names == names
-        assert recorded.variable_ids.tolist() == ids
         assert_same_recording(recorded, legacy.build())
 
     def test_append_many_matches_scalar_loop(self):
@@ -192,16 +146,6 @@ class TestRecorder:
         assert trace.addresses.tolist() == [16, 32, 999, 998]
         assert trace.writes.tolist() == [False, True, True, True]
 
-    def test_extend_reinterns_variables(self):
-        first = ColumnarRecorder()
-        first.append(0x10, variable="x")
-        recorder = ColumnarRecorder()
-        recorder.append(0x20, variable="y")
-        recorder.extend(first.build())
-        trace = recorder.build()
-        assert trace.variables() == ["y", "x"]
-        assert trace.variable_of(1) == "x"
-
     def test_validation(self):
         recorder = ColumnarRecorder()
         with pytest.raises(ValueError):
@@ -220,13 +164,12 @@ class TestRecorder:
             builder.append(0x10, variable="x")
             builder.add_gap(4)
             builder.add_gap(2)
-        assert recorder.pending_gap == legacy.pending_gap == 6
         assert recorder.build().instruction_count == 1
-        assert recorder.pending_gap == 6
         for builder in (recorder, legacy):
             builder.append(0x20, variable="y")
-        assert recorder.pending_gap == 0
-        assert_same_recording(recorder.build(), legacy.build())
+        recorded = recorder.build()
+        assert recorded.gaps.tolist() == [0, 6]
+        assert_same_recording(recorded, legacy.build())
 
     def test_traced_slots_match_general_append(self):
         """Recording through slot codes equals the general append."""
@@ -321,9 +264,9 @@ class TestDerivedColumns:
     def test_cumulative_instructions_rejects_negative_gaps(
         self, gaps, message
     ):
-        """The constructor admits any gap (``load_npz`` checks dtypes
-        only); the column the schedulers read names the first
-        negative one instead of yielding a non-increasing sum."""
+        """The constructor admits any gap; the column the schedulers
+        read names the first negative one instead of yielding a
+        non-increasing sum."""
         trace = ColumnarTrace(
             np.arange(3, dtype=np.int64),
             np.zeros(3, dtype=bool),
@@ -369,7 +312,7 @@ class TestNpzFormat:
     def test_mmap_load_is_file_backed_and_equal(self, tmp_path):
         trace = small_trace()
         path = trace.save_npz(tmp_path / "t.npz")
-        mapped = open_npz(path)
+        mapped = load_npz(path, mmap=True)
         assert isinstance(mapped.addresses.base, np.memmap)
         for column in (
             "addresses", "sizes", "writes", "gaps", "variable_ids"
@@ -381,7 +324,7 @@ class TestNpzFormat:
     def test_mmap_load_maps_the_file_once(self, tmp_path):
         """Every column is a view of one map of the archive."""
         path = small_trace().save_npz(tmp_path / "t.npz")
-        mapped = open_npz(path)
+        mapped = load_npz(path, mmap=True)
         bases = {
             id(getattr(mapped, column).base)
             for column in (
@@ -421,7 +364,7 @@ class TestNpzFormat:
         path = trace.save_npz(tmp_path / "long.npz")
         geometry = CacheGeometry(line_size=16, sets=4, columns=2)
         streamed = LockstepCache(geometry)
-        for window in open_npz(path).iter_chunks(16):
+        for window in load_npz(path, mmap=True).iter_chunks(16):
             streamed.run(window.blocks_for(geometry.offset_bits))
         eager = LockstepCache(geometry)
         eager.run(trace.blocks_for(geometry.offset_bits))
@@ -516,7 +459,6 @@ def _id_consumers(trace):
     from repro.mem.layout import MemoryMap
     from repro.profiling.profiler import profile_trace
     from repro.trace.dinero import save_trace
-    from repro.trace.filters import filter_by_variable
     from repro.workloads.base import WorkloadRun
 
     run = WorkloadRun(name="loaded", trace=trace, memory_map=MemoryMap())
@@ -529,7 +471,6 @@ def _id_consumers(trace):
         "variable_of": lambda: trace.variable_of(1),
         "positions_of": lambda: trace.positions_of("a"),
         "profile_trace": lambda: profile_trace(trace),
-        "filter_by_variable": lambda: filter_by_variable(trace, ["a"]),
         "panda": lambda: panda.plan(run),
         "save_trace": lambda: save_trace(trace, io.StringIO()),
         "trace_digest": lambda: trace_digest(trace),
@@ -546,7 +487,7 @@ class TestLoadedVariableIds:
         "consumer",
         [
             "variables", "variable_of", "positions_of", "profile_trace",
-            "filter_by_variable", "panda", "save_trace", "trace_digest",
+            "panda", "save_trace", "trace_digest",
         ],
     )
     @pytest.mark.parametrize(

@@ -296,12 +296,12 @@ class TestBatchedMultitask:
 
 
 class TestNegativeGaps:
-    """An archive whose gaps are negative loads (``load_npz`` checks
-    dtypes, not values); every scheduler then fails on the
-    cumulative-instruction column with an error naming the trace and
-    the first negative gap, on either kernel."""
+    """An archive whose gaps are negative opens (``load_npz`` reads no
+    values); every scheduler then fails on the cumulative-instruction
+    column, whose value check names the archive and the first
+    negative gap, on either kernel."""
 
-    MESSAGE = r"trace 'negative': gaps\[0\] = -1; must be >= 0"
+    MESSAGE = r"negative\.npz: gaps\[0\] = -1; must be >= 0"
     GEOMETRY = CacheGeometry(line_size=16, sets=4, columns=2)
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""Tests for trace storage, builder, generators, dinero I/O, filters."""
+"""Tests for trace storage, builder, generators, dinero I/O, concatenate."""
 
 import io
 
@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.address import AddressRange
-from repro.trace.access import MemoryAccess
 from repro.trace.dinero import load_trace, save_trace
-from repro.trace.filters import (
-    concatenate,
-    filter_by_range,
-    filter_by_variable,
-    relocate,
-)
+from repro.trace.filters import concatenate
 from repro.trace.generator import (
     KINDS,
     generate,
@@ -64,22 +57,6 @@ class TestBuilder:
         builder.append(0)
         assert builder.build().variable_of(0) is None
 
-    def test_pending_gap_visible(self):
-        builder = ColumnarRecorder()
-        builder.add_gap(2)
-        assert builder.pending_gap == 2
-
-    def test_extend(self):
-        first = ColumnarRecorder()
-        first.append(0, variable="a")
-        second = ColumnarRecorder()
-        second.add_gap(1)
-        second.append(4, variable="b")
-        first.extend(second.build())
-        trace = first.build()
-        assert len(trace) == 2
-        assert trace.instruction_count == 3
-
 
 class TestTrace:
     def build(self):
@@ -93,12 +70,6 @@ class TestTrace:
             )
         return builder.build()
 
-    def test_access_at(self):
-        trace = self.build()
-        access = trace.access_at(3)
-        assert access == MemoryAccess(48, True, "odd", 1)
-        assert access.instructions == 2
-
     def test_positions_of(self):
         trace = self.build()
         assert list(trace.positions_of("even")) == [0, 2, 4, 6, 8]
@@ -108,29 +79,17 @@ class TestTrace:
         trace = self.build()
         piece = trace.slice(2, 5)
         assert len(piece) == 3
-        assert piece.access_at(0).address == 32
+        assert piece.addresses[0] == 32
 
     def test_repeat(self):
         trace = self.build()
         doubled = trace.repeat(2)
         assert len(doubled) == 20
-        assert doubled.access_at(10).address == 0
+        assert doubled.addresses[10] == 0
 
     def test_repeat_invalid(self):
         with pytest.raises(ValueError):
             self.build().repeat(0)
-
-    def test_iteration(self):
-        trace = self.build()
-        assert len(list(trace)) == 10
-
-    def test_from_accesses_round_trip(self):
-        accesses = [
-            MemoryAccess(0, False, "a", 2),
-            MemoryAccess(16, True, None, 0),
-        ]
-        trace = Trace.from_accesses(accesses)
-        assert [trace.access_at(i) for i in range(2)] == accesses
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -307,15 +266,33 @@ class TestDinero:
             ("0 10 -3 a\n0 8 0\n1 20 2 b\n", "line 1: gap '-3'"),
             ("0 10 0\n0 20 9223372036854775808\n",
              "line 2: gap '9223372036854775808'"),
+            ("0 10 4611686018427387904\n0 20 4611686018427387904\n",
+             "line 2: the instruction total passes 2\\*\\*63 - 1"),
+            ("0 10 9223372036854775806\n0 20\n",
+             "line 2: the instruction total passes 2\\*\\*63 - 1"),
         ],
         ids=["address-beyond-uint64", "negative-address",
-             "negative-gap", "gap-beyond-int64"],
+             "negative-gap", "gap-beyond-int64", "total-beyond-int64",
+             "total-beyond-int64-without-a-gap"],
     )
     def test_impossible_records_name_their_line(self, text, message):
-        """A negative or wider-than-64-bit address and a negative or
-        int64-overflowing gap fail at load time, naming the line."""
+        """A negative or wider-than-64-bit address, a negative or
+        int64-overflowing gap, and the line whose access takes the
+        instruction total past 2**63 - 1 fail at load time, naming
+        the line."""
         with pytest.raises(ValueError, match=message):
             load_trace(io.StringIO(text))
+
+    def test_largest_instruction_total_loads(self):
+        loaded = load_trace(io.StringIO("0 10 9223372036854775806\n"))
+        assert loaded.instruction_count == 2**63 - 1
+
+    def test_a_file_is_named_with_its_line(self, tmp_path):
+        path = tmp_path / "bad.din"
+        path.write_text("0 10\n7 20\n")
+        with pytest.raises(ValueError) as raised:
+            load_trace(path)
+        assert str(raised.value).startswith(f"{path}: line 2: unknown")
 
     def test_largest_int64_address_loads(self):
         loaded = load_trace(io.StringIO("0 7fffffffffffffff\n"))
@@ -367,50 +344,6 @@ def test_dinero_round_trip_property(entries):
 
 
 class TestFilters:
-    def build(self):
-        builder = ColumnarRecorder()
-        for index in range(8):
-            builder.add_gap(2)
-            builder.append(
-                index * 16, variable="a" if index % 2 == 0 else "b"
-            )
-        return builder.build()
-
-    def test_filter_by_variable(self):
-        trace = self.build()
-        only_a = filter_by_variable(trace, ["a"])
-        assert len(only_a) == 4
-        assert all(only_a.variable_of(i) == "a" for i in range(4))
-
-    def test_filter_preserves_instruction_count(self):
-        """Dropped accesses' instructions fold into following gaps."""
-        trace = self.build()
-        only_a = filter_by_variable(trace, ["a"])
-        # The final b access's instructions are lost (nothing follows),
-        # otherwise counts are preserved.
-        dropped_tail = 3  # gap 2 + access 1 of the last b
-        assert only_a.instruction_count == trace.instruction_count - dropped_tail
-
-    def test_filter_by_range(self):
-        trace = self.build()
-        piece = filter_by_range(trace, AddressRange(0x20, 0x20))
-        assert list(piece.addresses) == [0x20, 0x30]
-
-    def test_filter_all_kept_returns_same(self):
-        trace = self.build()
-        assert filter_by_variable(trace, ["a", "b"]) is trace
-
-    def test_relocate(self):
-        trace = self.build()
-        moved = relocate(trace, 0x1000)
-        assert moved.addresses[0] == 0x1000
-        assert list(moved.gaps) == list(trace.gaps)
-
-    def test_relocate_negative_rejected(self):
-        trace = self.build()
-        with pytest.raises(ValueError):
-            relocate(trace, -0x1000)
-
     def test_concatenate_merges_variable_tables(self):
         first = sequential_stream(0, 3, variable="x")
         second = sequential_stream(64, 3, variable="y")
